@@ -3,7 +3,7 @@
 Submodules (import directly, e.g. ``from cigarflow import flow``):
 
     cigar       closed-form cigar/soliton evaluators (the test oracle)
-    geometry    grids, conformal states, discrete Laplacians, curvature,
+    geometry    the radial grid, conformal states, discrete Laplacians, curvature,
                 the initial Ricci-potential solve, width estimators
     flow        time integration with co-evolved Ricci potential, monitors,
                 normalization, the Kahler-potential cross-check

@@ -126,9 +126,9 @@ def cmd_verify(args):
 
 def cmd_converge(args):
     config = load_config(args.config)
-    if config.grid["kind"] != "radial" or config.initial["type"] != "exact_cigar":
+    if config.initial["type"] != "exact_cigar":
         print(
-            "error: converge needs a radial exact_cigar config (the exact family "
+            "error: converge needs an exact_cigar config (the exact family "
             "is the reference solution)",
             file=sys.stderr,
         )

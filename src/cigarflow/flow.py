@@ -11,7 +11,7 @@ CFL-limited adaptive step.
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
-e^{-4t} and long horizons are unreachable.  Radial runs therefore integrate
+e^{-4t} and long horizons are unreachable.  Runs therefore integrate
 in coordinates that are continuously rescaled by L(t) (the normalization
 map used for profile comparisons, applied at every instant rather than at
 the end): with a = x/L and u^(a,t) = u~(La,t) + 2 log L, conformal
@@ -25,8 +25,7 @@ the tip vanishes identically), so the profile stays O(1) and the CFL bound
 stays O(h^2) forever.  For the exact soliton this gauge is static.  Fixed-
 coordinate fields at the original grid nodes are recovered by cubic
 interpolation (the map pulls points inward, never outside the grid, while
-the scale grows).  gamma = 0 recovers plain fixed-frame stepping; Cartesian
-grids always step in the fixed frame with a frozen Dirichlet ring.
+the scale grows).  gamma = 0 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -49,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RegularGridInterpolator
+from scipy.interpolate import CubicSpline
 
 from cigarflow import cigar
 from cigarflow.diagnostics import DiagnosticsRecord
@@ -68,7 +67,6 @@ __all__ = [
     "FlowState",
     "FlowInstabilityError",
     "RunResult",
-    "flow_rhs",
     "adaptive_dt",
     "step",
     "monitor",
@@ -129,7 +127,7 @@ class FlowState:
 
     conformal: ConformalState  # log factor in the (possibly co-moving) frame
     potential: np.ndarray      # Ricci potential in the same frame
-    potential_slope: float     # Neumann slope of f at the outer edge (radial)
+    potential_slope: float     # Neumann slope of f at the outer edge
     t: float
     log_scale: float           # log L of the co-moving rescaling (0 = fixed)
     frame: str
@@ -169,7 +167,7 @@ def _mapped_positions(state):
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes."""
     grid = state.grid
-    if grid.kind != "radial" or state.log_scale == 0.0:
+    if state.log_scale == 0.0:
         u_tilde = state.conformal.log_factor - 2.0 * state.log_scale
         f = state.potential
     else:
@@ -188,7 +186,7 @@ def fixed_fields(state):
 def map_to_fixed(state, values, slope=None):
     """Evaluate a co-moving scalar field at the fixed grid nodes."""
     grid = state.grid
-    if grid.kind != "radial" or state.log_scale == 0.0:
+    if state.log_scale == 0.0:
         return np.asarray(values, dtype=float)
     bc = "not-a-knot" if slope is None else ((1, 0.0), (1, slope))
     sp = CubicSpline(grid.s, values, bc_type=bc)
@@ -211,49 +209,29 @@ def _radial_derivative(grid, f, edge_slope):
 def _stage_rhs(state, u_hat, f_hat):
     """Time derivatives of (u_hat, f_hat, log L) at one RK4 stage."""
     grid = state.grid
-    if grid.kind == "radial":
-        slope_u = state.conformal.edge_slope
-        lap_u = background_laplacian(u_hat, grid, EUCLIDEAN, slope_u)
-        curv = -np.exp(-u_hat) * lap_u
-        gamma = 0.5 * curv[0] if state.frame == COMOVING else 0.0
-        lap_f = background_laplacian(f_hat, grid, EUCLIDEAN, state.potential_slope)
-        du = np.exp(-u_hat) * lap_u
-        df = np.exp(-u_hat) * lap_f
-        if gamma != 0.0:
-            adv = gamma * grid.tanh_s
-            du = du + adv * _radial_derivative(grid, u_hat, slope_u) + 2.0 * gamma
-            df = df + adv * _radial_derivative(grid, f_hat, state.potential_slope)
-        return du, df, gamma
-    # Cartesian: fixed frame, Dirichlet ring frozen at its initial values
-    lap_u = background_laplacian(u_hat, grid, EUCLIDEAN)
-    lap_f = background_laplacian(f_hat, grid, EUCLIDEAN)
+    slope_u = state.conformal.edge_slope
+    lap_u = background_laplacian(u_hat, grid, EUCLIDEAN, slope_u)
+    curv = -np.exp(-u_hat) * lap_u
+    gamma = 0.5 * curv[0] if state.frame == COMOVING else 0.0
+    lap_f = background_laplacian(f_hat, grid, EUCLIDEAN, state.potential_slope)
     du = np.exp(-u_hat) * lap_u
     df = np.exp(-u_hat) * lap_f
-    for arr in (du, df):
-        arr[0, :] = arr[-1, :] = 0.0
-        arr[:, 0] = arr[:, -1] = 0.0
-    return du, df, 0.0
-
-
-def flow_rhs(state):
-    """Physical rate of the log conformal factor: d(log u)/dt = -R.
-
-    In the Euclidean gauge this is e^{-u~} Lap_E u~ rearranged, so it agrees
-    with -curvature to rounding by construction.
-    """
-    return -state.curvature
+    if gamma != 0.0:
+        adv = gamma * grid.tanh_s
+        du = du + adv * _radial_derivative(grid, u_hat, slope_u) + 2.0 * gamma
+        df = df + adv * _radial_derivative(grid, f_hat, state.potential_slope)
+    return du, df, gamma
 
 
 def adaptive_dt(state, safety=0.9):
     """Largest stable explicit step, scaled by `safety`.
 
     The bound is 1 / max_i |diag_i| of the discrete diffusion operator
-    e^{-u} Lap; on a Cartesian grid this is exactly
-    safety * h^2 / (4 max e^{-u~}).  Radial grids add the advective limit
-    h / |gamma| of the co-moving transport term.  RK4's stability interval
-    leaves a factor ~1.4 of headroom at safety = 1, so safety in (0, 1] is
-    safe and safety >= ~3 blows up by construction (larger values are
-    accepted: deliberate overdriving is how the abort path is exercised).
+    e^{-u} Lap (the tip row's diagonal is 4 / h^2); the co-moving frame adds
+    the advective limit h / |gamma| of its transport term.  RK4's stability
+    interval leaves a factor ~1.4 of headroom at safety = 1, so safety in
+    (0, 1] is safe and safety >= ~3 blows up by construction (larger values
+    are accepted: deliberate overdriving is how the abort path is exercised).
     """
     if not (0.0 < safety):
         raise ValueError("safety must be positive")
@@ -264,8 +242,6 @@ def adaptive_dt(state, safety=0.9):
             "diffusivity e^{-u} overflowed; rescale the initial data or use "
             "the co-moving frame"
         )
-    if grid.kind == "cartesian":
-        return safety * grid.h**2 / (4.0 * float(np.max(diffusivity)))
     h = grid.h
     a = grid.a_half
     b = grid.b_euclidean
@@ -321,8 +297,7 @@ def step(state, dt):
     )
 
     # trapezoidal accumulators across the accepted step
-    origin = state.grid.origin_index if state.grid.kind == "cartesian" else 0
-    r0_new = float(new_state.curvature[origin])
+    r0_new = float(new_state.curvature[0])
     f_fixed_new = fixed_fields(new_state)["f"]
     acc = state.acc
     acc1 = Accumulators(
@@ -342,12 +317,9 @@ def _gradient_sq_metric(state):
     """|grad u~|^2 in the evolving metric: e^{-u} |d u|_{g_E}^2 (frame-invariant)."""
     grid = state.grid
     u = state.conformal.log_factor
-    if grid.kind == "radial":
-        du = _radial_derivative(grid, u, state.conformal.edge_slope)
-        dr = du / grid.cosh_s
-        return np.exp(-u) * dr * dr
-    gx, gy = np.gradient(u, grid.h, edge_order=2)
-    return np.exp(-u) * (gx * gx + gy * gy)
+    du = _radial_derivative(grid, u, state.conformal.edge_slope)
+    dr = du / grid.cosh_s
+    return np.exp(-u) * dr * dr
 
 
 def monitor(state, dt_hint=None, probe=True):
@@ -378,8 +350,7 @@ def monitor(state, dt_hint=None, probe=True):
             res_curv = float("nan")
     else:
         res_curv = float("nan")
-    v_disc = abs(float(fields["v"][state.grid.origin_index if state.grid.kind == "cartesian" else 0])
-                 + state.acc.v_integral)
+    v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
     return DiagnosticsRecord(
         t=state.t,
         dt=float(dt_hint) if dt_hint else float("nan"),
@@ -403,7 +374,7 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
     All three curvature fields are brought to the fixed grid nodes before
     the centered time difference, so the triple may come from co-moving
     stepping or be built analytically.  The max norm of the returned field
-    is O(dt^2 + h^2).  Radial fields stop two nodes short of the outer edge:
+    is O(dt^2 + h^2).  The fields stop two nodes short of the outer edge:
     the edge closure's truncation constants differ from the interior family,
     which a pointwise second-application check would amplify to O(1) there
     (the corrected tip row, by contrast, matches the interior family and is
@@ -424,15 +395,11 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
     )
     lap_fixed = map_to_fixed(s_zero, lap_r)
     resid = (r_plus - r_minus) / (dt1 + dt2) - lap_fixed - r_zero**2
-    if s_zero.grid.kind == "radial":
-        return resid[:-2]
-    return resid[1:-1, 1:-1]
+    return resid[:-2]
 
 
 def _edge_slope_estimate(grid, values):
     """Third-order one-sided derivative of a radial field at the outer edge."""
-    if grid.kind != "radial":
-        return 0.0
     return float(
         (11.0 * values[-1] - 18.0 * values[-2] + 9.0 * values[-3] - 2.0 * values[-4])
         / (6.0 * grid.h)
@@ -445,10 +412,7 @@ def _edge_slope_estimate(grid, values):
 
 def normalization_scale(state):
     """Coordinate scale e^{-u~(origin,t)/2} of the normalizing pullback."""
-    if state.grid.kind == "radial":
-        u_origin = float(state.conformal.log_factor[0]) - 2.0 * state.log_scale
-    else:
-        u_origin = float(state.conformal.log_factor[state.grid.origin_index])
+    u_origin = float(state.conformal.log_factor[0]) - 2.0 * state.log_scale
     return float(np.exp(-0.5 * u_origin))
 
 
@@ -457,7 +421,7 @@ def normalize(state, s_window=None):
 
     Returns (normalized ConformalState, scale): coordinates are rescaled by
     e^{-u~(origin)/2} and the log factor shifted so it vanishes at the
-    origin.  Radial states are resampled onto the grid nodes within
+    origin.  The profile is resampled onto the grid nodes within
     `s_window` (default: the whole grid); a rescale that needs data from
     outside the grid raises a ValueError asking for a smaller reporting
     window.  In the co-moving frame the running scale L cancels, so only
@@ -465,48 +429,32 @@ def normalize(state, s_window=None):
     normally available.
     """
     grid = state.grid
-    if grid.kind == "radial":
-        c0 = float(state.conformal.log_factor[0])
-        factor = float(np.exp(-0.5 * c0))
-        if s_window is None:
-            window_grid = grid
-        else:
-            if s_window > grid.s_max + 1e-12:
-                raise ValueError("reporting window exceeds the grid")
-            k = int(np.floor(s_window / grid.h + 1e-9)) + 1
-            window_grid = RadialGrid(max(k, 16), (max(k, 16) - 1) * grid.h)
-        pos = np.arcsinh(factor * window_grid.r)
-        if pos[-1] > grid.s_max * (1.0 + 1e-9) + 0.5 * grid.h:
-            raise ValueError(
-                f"normalization (scale {factor:.4g}) needs data outside the grid; "
-                "shrink the reporting window"
-            )
-        sp = _spline(grid, state.conformal.log_factor, 0.0, state.conformal.edge_slope)
-        u_norm = sp(np.minimum(pos, grid.s_max)) - c0
-        beyond = pos > grid.s_max
-        if np.any(beyond):  # linear continuation with the physical edge slope
-            u_norm[beyond] += state.conformal.edge_slope * (pos[beyond] - grid.s_max)
-        out = ConformalState(window_grid, EUCLIDEAN, u_norm, state.conformal.edge_slope)
-        return out, normalization_scale(state)
-    u = state.conformal.log_factor
-    origin = grid.origin_index
-    scale = float(np.exp(-0.5 * float(u[origin])))
-    if scale > 1.0 + 1e-12:
+    c0 = float(state.conformal.log_factor[0])
+    factor = float(np.exp(-0.5 * c0))
+    if s_window is None:
+        window_grid = grid
+    else:
+        if s_window > grid.s_max + 1e-12:
+            raise ValueError("reporting window exceeds the grid")
+        k = int(np.floor(s_window / grid.h + 1e-9)) + 1
+        window_grid = RadialGrid(max(k, 16), (max(k, 16) - 1) * grid.h)
+    pos = np.arcsinh(factor * window_grid.r)
+    if pos[-1] > grid.s_max * (1.0 + 1e-9) + 0.5 * grid.h:
         raise ValueError(
-            "normalization needs data outside the grid; shrink the reporting window"
+            f"normalization (scale {factor:.4g}) needs data outside the grid; "
+            "shrink the reporting window"
         )
-    interp = RegularGridInterpolator((grid.x, grid.x), u, method="cubic")
-    pts = np.column_stack([(scale * grid.X).ravel(), (scale * grid.Y).ravel()])
-    u_norm = interp(pts).reshape(u.shape) + 2.0 * np.log(scale)
-    u_norm = u_norm - u_norm[origin]
-    return ConformalState(grid, EUCLIDEAN, u_norm), scale
+    sp = _spline(grid, state.conformal.log_factor, 0.0, state.conformal.edge_slope)
+    u_norm = sp(np.minimum(pos, grid.s_max)) - c0
+    beyond = pos > grid.s_max
+    if np.any(beyond):  # linear continuation with the physical edge slope
+        u_norm[beyond] += state.conformal.edge_slope * (pos[beyond] - grid.s_max)
+    out = ConformalState(window_grid, EUCLIDEAN, u_norm, state.conformal.edge_slope)
+    return out, normalization_scale(state)
 
 
 def profile_distance(state, s_window=4.0):
     """Sup distance of the normalized profile to the static cigar on |s| <= s_window."""
-    grid = state.grid
-    if grid.kind != "radial":
-        raise ValueError("profile distance is defined for radial grids")
     normalized, _ = normalize(state, s_window=s_window)
     target = -cigar.cigar_potential_arclength(normalized.grid.s)
     return float(np.max(np.abs(normalized.log_factor - target)))
@@ -531,8 +479,6 @@ def kahler_residual(state):
     frozen slope estimate -t * slope_f used here.
     """
     grid = state.grid
-    if grid.kind != "radial":
-        raise ValueError("the Kahler cross-check is implemented for radial grids")
     fields = fixed_fields(state)
     rho_t = np.exp(fields["u_tilde"])
     rho_0 = np.exp(state.init.u_tilde0)
@@ -579,7 +525,7 @@ class RunResult:
     final_state: FlowState
     aborted: bool
     abort_message: str | None
-    dist_trace: list          # [(t, profile distance)] for radial grids
+    dist_trace: list          # [(t, profile distance)]
     kahler_trace: list        # [(t, reconstruction residual)]
     profile_distance_final: float | None
 
@@ -596,7 +542,6 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     """
     if t_end <= state.t:
         raise ValueError("t_end must exceed the state's time")
-    radial = state.grid.kind == "radial"
 
     t_end = round(float(t_end), 12)
     snapshot_set = {round(float(ts), 12) for ts in snapshot_times}
@@ -607,8 +552,6 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     events = sorted(e for e in events if state.t < e <= t_end)
 
     def snap_dist(st):
-        if not radial:
-            return None
         try:
             return profile_distance(st, min(s_report, st.grid.s_max))
         except ValueError:
@@ -617,7 +560,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     dt0 = adaptive_dt(state, safety)
     records = [monitor(state, dt_hint=dt0)]
     dist_trace = [(state.t, snap_dist(state))]
-    kahler_trace = [(state.t, kahler_residual(state) if radial else None)]
+    kahler_trace = [(state.t, kahler_residual(state))]
     if progress:
         progress(records[-1])
     if snapshot_hook and round(state.t, 12) in snapshot_set:
@@ -640,7 +583,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         rec = monitor(state, dt_hint=adaptive_dt(state, safety))
         records.append(rec)
         dist_trace.append((state.t, snap_dist(state)))
-        kahler_trace.append((state.t, kahler_residual(state) if radial else None))
+        kahler_trace.append((state.t, kahler_residual(state)))
         if progress:
             progress(rec)
         if snapshot_hook and target in snapshot_set:
@@ -649,7 +592,6 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
             aborted, abort_message = True, f"non-finite diagnostics at t={state.t:.6g}"
             break
 
-    final_dist = dist_trace[-1][1] if radial else None
     return RunResult(
         records=records,
         final_state=state,
@@ -657,7 +599,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         abort_message=abort_message,
         dist_trace=dist_trace,
         kahler_trace=kahler_trace,
-        profile_distance_final=final_dist,
+        profile_distance_final=dist_trace[-1][1],
     )
 
 
@@ -673,8 +615,6 @@ def exact_soliton_state(grid, t=0.0, frame=FIXED):
     the analytic int R(origin) = 4t, while the phi accumulator is only
     meaningful for states produced by stepping from t = 0.
     """
-    if not isinstance(grid, RadialGrid):
-        raise ValueError("exact soliton states are radial")
     u_t = cigar.soliton_log_factor(grid.r, t)
     u_slope = _soliton_edge_slope(grid, t)
     conf = ConformalState(grid, EUCLIDEAN, u_t, u_slope)

@@ -1,4 +1,4 @@
-"""Discrete differential geometry on radial and Cartesian grids.
+"""Discrete differential geometry on radial grids.
 
 Conformal states carry a log conformal factor against one of two backgrounds:
 
@@ -36,9 +36,7 @@ from cigarflow import cigar
 
 __all__ = [
     "RadialGrid",
-    "CartesianGrid",
     "ConformalState",
-    "grid_from_spec",
     "background_laplacian",
     "scalar_curvature",
     "metric_laplacian",
@@ -76,49 +74,6 @@ class RadialGrid:
         self.b_euclidean = self.r * self.cosh_s
         self.b_cigar = self.tanh_s
 
-    @property
-    def kind(self):
-        return "radial"
-
-    def spec(self):
-        return {"kind": "radial", "n": self.n, "s_max": self.s_max}
-
-
-@dataclass
-class CartesianGrid:
-    """Uniform n x n grid on [-extent, extent]^2; n odd keeps the origin on a node."""
-
-    n: int
-    extent: float
-
-    def __post_init__(self):
-        if self.n < MIN_NODES:
-            raise ValueError(f"cartesian grid needs at least {MIN_NODES} nodes per side")
-        if not (np.isfinite(self.extent) and self.extent > 0):
-            raise ValueError("extent must be positive and finite")
-        if self.n % 2 == 0:
-            raise ValueError("cartesian grid needs odd n so the origin is a node")
-        self.x = np.linspace(-self.extent, self.extent, self.n)
-        self.h = self.x[1] - self.x[0]
-        self.X, self.Y = np.meshgrid(self.x, self.x, indexing="ij")
-        self.r2 = self.X**2 + self.Y**2
-        self.origin_index = (self.n // 2, self.n // 2)
-
-    @property
-    def kind(self):
-        return "cartesian"
-
-    def spec(self):
-        return {"kind": "cartesian", "n": self.n, "extent": self.extent}
-
-
-def grid_from_spec(spec):
-    kind = spec.get("kind")
-    if kind == "radial":
-        return RadialGrid(int(spec["n"]), float(spec["s_max"]))
-    if kind == "cartesian":
-        return CartesianGrid(int(spec["n"]), float(spec["extent"]))
-    raise ValueError(f"unknown grid kind {kind!r}")
 
 
 @dataclass
@@ -127,11 +82,10 @@ class ConformalState:
 
     For the euclidean background the log factor is u~ with g = e^{u~} g_E;
     for the cigar background it is log u with g = u g_c.  `edge_slope` is the
-    Neumann slope of the log factor carried by the outer ghost node of radial
-    grids (ignored on Cartesian grids, which hold their boundary ring fixed).
+    Neumann slope of the log factor carried by the outer ghost node.
     """
 
-    grid: RadialGrid | CartesianGrid
+    grid: RadialGrid
     background: str
     log_factor: np.ndarray
     edge_slope: float = 0.0
@@ -141,7 +95,7 @@ class ConformalState:
         if self.background not in (EUCLIDEAN, CIGAR):
             raise ValueError(f"unknown background {self.background!r}")
         self.log_factor = np.asarray(self.log_factor, dtype=float)
-        expected = (self.grid.n,) if self.grid.kind == "radial" else (self.grid.n, self.grid.n)
+        expected = (self.grid.n,)
         if self.log_factor.shape != expected:
             raise ValueError(
                 f"log_factor shape {self.log_factor.shape} does not match grid {expected}"
@@ -172,39 +126,27 @@ class ConformalState:
         return np.exp(self.euclidean_log_factor)
 
     def _log_w0(self):
-        if self.grid.kind == "radial":
-            return -cigar.cigar_potential_arclength(self.grid.s)
-        return -np.log1p(self.grid.r2)
+        return -cigar.cigar_potential_arclength(self.grid.s)
 
     def to_euclidean(self):
         """Rewrite against g_E: u~ = log u + log w0 (slope shifts by -2 tanh s_max)."""
         if self.background == EUCLIDEAN:
             return self
-        slope = self.edge_slope
-        if self.grid.kind == "radial":
-            slope = slope - 2.0 * np.tanh(self.grid.s_max)
+        slope = self.edge_slope - 2.0 * np.tanh(self.grid.s_max)
         return ConformalState(self.grid, EUCLIDEAN, self.log_factor + self._log_w0(), slope)
 
     def to_cigar(self):
         """Rewrite against g_c: log u = u~ - log w0."""
         if self.background == CIGAR:
             return self
-        slope = self.edge_slope
-        if self.grid.kind == "radial":
-            slope = slope + 2.0 * np.tanh(self.grid.s_max)
+        slope = self.edge_slope + 2.0 * np.tanh(self.grid.s_max)
         return ConformalState(self.grid, CIGAR, self.log_factor - self._log_w0(), slope)
 
 
 def _check_field(f, grid):
     f = np.asarray(f, dtype=float)
-    if grid.kind == "radial":
-        if f.ndim != 1 or f.size != grid.n:
-            raise ValueError("field does not match grid")
-        if f.size < 3:
-            raise ValueError("need at least 3 nodes")
-    else:
-        if f.shape != (grid.n, grid.n):
-            raise ValueError("field does not match grid")
+    if f.ndim != 1 or f.size != grid.n:
+        raise ValueError("field does not match grid")
     if not np.all(np.isfinite(f)):
         raise ValueError("field contains non-finite values")
     return f
@@ -237,47 +179,25 @@ def _radial_laplacian(f, grid, b, edge_slope):
     return out
 
 
-def _cartesian_laplacian(f, grid):
-    h2 = grid.h**2
-    out = np.zeros_like(f)
-    out[1:-1, 1:-1] = (
-        f[2:, 1:-1] + f[:-2, 1:-1] + f[1:-1, 2:] + f[1:-1, :-2] - 4.0 * f[1:-1, 1:-1]
-    ) / h2
-    # boundary ring: replicate the adjacent interior value (diagnostic fill only;
-    # evolution and solves never use these rows)
-    out[0, :], out[-1, :] = out[1, :], out[-2, :]
-    out[:, 0], out[:, -1] = out[:, 1], out[:, -2]
-    return out
-
-
 def background_laplacian(f, grid, background=EUCLIDEAN, edge_slope=0.0):
     """Laplacian of `f` with respect to the background metric.
 
-    Radial grids treat `f` as a rotationally symmetric profile in s; the
-    outer ghost node carries `edge_slope` as the Neumann slope of f.  With
-    the default slope 0 the operator annihilates constants exactly at every
-    node.  Cartesian grids use the standard 5-point stencil (euclidean) or
-    its conformal rescaling (1 + r^2) * 5-point (cigar).
+    `f` is a rotationally symmetric profile in s; the outer ghost node
+    carries `edge_slope` as the Neumann slope of f.  With the default slope 0
+    the operator annihilates constants exactly at every node.
     """
     f = _check_field(f, grid)
     if background not in (EUCLIDEAN, CIGAR):
         raise ValueError(f"unknown background {background!r}")
-    if grid.kind == "radial":
-        b = grid.b_euclidean if background == EUCLIDEAN else grid.b_cigar
-        return _radial_laplacian(f, grid, b, edge_slope)
-    lap = _cartesian_laplacian(f, grid)
-    if background == CIGAR:
-        lap = (1.0 + grid.r2) * lap
-    return lap
+    b = grid.b_euclidean if background == EUCLIDEAN else grid.b_cigar
+    return _radial_laplacian(f, grid, b, edge_slope)
 
 
 def background_curvature(grid, background):
     """Scalar curvature R_0 of the background metric, evaluated analytically."""
     if background == EUCLIDEAN:
-        return np.zeros((grid.n,) if grid.kind == "radial" else (grid.n, grid.n))
-    if grid.kind == "radial":
-        return cigar.cigar_curvature_arclength(grid.s)
-    return 4.0 / (1.0 + grid.r2)
+        return np.zeros(grid.n)
+    return cigar.cigar_curvature_arclength(grid.s)
 
 
 def scalar_curvature(state):
@@ -297,16 +217,20 @@ def metric_laplacian(f, state, edge_slope=0.0):
 # initial Ricci potential: solve Lap_g f = R with f(origin) = 0
 # ---------------------------------------------------------------------------
 
-def _solve_potential_radial(state, rhs):
-    """Invert the discrete radial Laplacian exactly (to rounding).
+def solve_initial_potential(state, rhs=None):
+    """Solve Lap_g f = R for the Ricci potential of the state's metric.
 
-    Solves the same stencil rows that `metric_laplacian` applies — the tip
-    row plus the conservative interior rows — for f_1..f_{N-1} with the
-    gauge f_0 = 0, so the discrete residual is at rounding level at every
-    node.  The outer row then determines the Neumann slope the potential
-    carries from that point on: the ghost value is read off the last stencil
-    row rather than prescribed.
+    Returns (f, edge_slope).  The discrete radial Laplacian is inverted
+    exactly (to rounding): the same stencil rows that `metric_laplacian`
+    applies -- the tip row plus the conservative interior rows -- are solved
+    for f_1..f_{N-1} with the gauge f_0 = 0, so the discrete residual is at
+    rounding level at every node.  The outer row then determines the Neumann
+    slope the potential carries from that point on: the ghost value is read
+    off the last stencil row rather than prescribed.
     """
+    if rhs is None:
+        rhs = state.curvature
+    rhs = _check_field(rhs, state.grid)
     grid = state.grid
     n, h = grid.n, grid.h
     a = grid.a_half
@@ -341,54 +265,6 @@ def _solve_potential_radial(state, rhs):
     return f, slope
 
 
-def _solve_potential_cartesian(state, rhs):
-    """Sparse 5-point solve with Dirichlet data f0 on the truncation boundary."""
-    grid = state.grid
-    n, h = grid.n, grid.h
-    m = n - 2
-    if state.background == EUCLIDEAN:
-        source = rhs * np.exp(state.log_factor)          # Lap_E f = R e^{u~}
-    else:
-        source = rhs * np.exp(state.log_factor) / (1.0 + grid.r2)
-    f_dirichlet = np.log1p(grid.r2)                      # exact cigar potential on the edge
-
-    lap = sparse.diags([1, -2, 1], [-1, 0, 1], shape=(m, m), format="csr") / h**2
-    eye = sparse.identity(m, format="csr")
-    A = sparse.kron(lap, eye) + sparse.kron(eye, lap)
-
-    rhs_vec = source[1:-1, 1:-1].copy()
-    rhs_vec[0, :] -= f_dirichlet[0, 1:-1] / h**2
-    rhs_vec[-1, :] -= f_dirichlet[-1, 1:-1] / h**2
-    rhs_vec[:, 0] -= f_dirichlet[1:-1, 0] / h**2
-    rhs_vec[:, -1] -= f_dirichlet[1:-1, -1] / h**2
-
-    lu = splu(A.tocsc())
-    sol = lu.solve(rhs_vec.ravel())
-    # one pass of iterative refinement keeps the discrete residual near rounding
-    resid = rhs_vec.ravel() - A @ sol
-    sol = sol + lu.solve(resid)
-
-    f = f_dirichlet.copy()
-    f[1:-1, 1:-1] = sol.reshape(m, m)
-    f -= f[grid.origin_index]
-    return f, None
-
-
-def solve_initial_potential(state, rhs=None):
-    """Solve Lap_g f = R for the Ricci potential of the state's metric.
-
-    Returns (f, edge_slope); the slope (radial grids only) is the Neumann
-    slope of f implied by the data, to be carried by later applications of
-    the discrete operator.  The additive gauge is fixed by f(origin) = 0.
-    """
-    if rhs is None:
-        rhs = state.curvature
-    rhs = _check_field(rhs, state.grid)
-    if state.grid.kind == "radial":
-        return _solve_potential_radial(state, rhs)
-    return _solve_potential_cartesian(state, rhs)
-
-
 # ---------------------------------------------------------------------------
 # width and circumference-at-infinity estimators
 # ---------------------------------------------------------------------------
@@ -413,42 +289,25 @@ class WidthReport:
 def level_length(state, c):
     """Length of the circle {r = c} in the metric g.
 
-    Radial states evaluate 2 pi c e^{u~(c)/2} with u~ interpolated linearly
-    in s between nodes; Cartesian states average e^{u~/2} around the circle
-    by trapezoidal quadrature in the angle.
+    Evaluates 2 pi c e^{u~(c)/2} with u~ interpolated linearly in s between
+    nodes.
     """
     if not np.isfinite(c) or c < 0:
         raise ValueError("level radius must be finite and non-negative")
     grid = state.grid
-    if grid.kind == "radial":
-        if c > grid.r[-1] * (1.0 + 1e-12):
-            raise ValueError(f"level r={c} outside grid (r_max={grid.r[-1]:.6g})")
-        u_t = state.euclidean_log_factor
-        sc = np.arcsinh(c)
-        val = np.interp(sc, grid.s, u_t)
-        return 2.0 * np.pi * c * np.exp(0.5 * val)
-    if c > grid.extent * (1.0 + 1e-12):
-        raise ValueError(f"level r={c} outside grid (extent={grid.extent:.6g})")
+    if c > grid.r[-1] * (1.0 + 1e-12):
+        raise ValueError(f"level r={c} outside grid (r_max={grid.r[-1]:.6g})")
     u_t = state.euclidean_log_factor
-    theta = np.linspace(0.0, 2.0 * np.pi, 129)
-    px, py = c * np.cos(theta), c * np.sin(theta)
-    from scipy.interpolate import RegularGridInterpolator
-
-    interp = RegularGridInterpolator((grid.x, grid.x), u_t, method="linear")
-    vals = interp(np.column_stack([px, py]))
-    return float(c * np.trapezoid(np.exp(0.5 * vals), theta))
+    sc = np.arcsinh(c)
+    val = np.interp(sc, grid.s, u_t)
+    return 2.0 * np.pi * c * np.exp(0.5 * val)
 
 
 def width_report(state):
     """Sample level lengths at every grid radius and report the estimates."""
-    grid = state.grid
-    if grid.kind == "radial":
-        levels = grid.r[1:]
-        u_t = state.euclidean_log_factor[1:]
-        lengths = 2.0 * np.pi * levels * np.exp(0.5 * u_t)
-    else:
-        levels = np.linspace(grid.h, grid.extent, 64)
-        lengths = np.array([level_length(state, c) for c in levels])
+    levels = state.grid.r[1:]
+    u_t = state.euclidean_log_factor[1:]
+    lengths = 2.0 * np.pi * levels * np.exp(0.5 * u_t)
     width_bound = float(np.max(lengths))
     k_tail = max(1, int(np.ceil(0.05 * lengths.size)))
     cinf = float(np.mean(lengths[-k_tail:]))

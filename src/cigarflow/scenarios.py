@@ -21,11 +21,15 @@ Initial-data families (all conformal factors against the cigar background):
                       "random_bumps": k adds k seeded Gaussian bumps, which
                       is what the config-level seed feeds
     flat              the flat plane, u0 = 1/w0
-    custom_table      explicit log u0 node values (radial only)
+    custom_table      explicit log u0 node values, one per grid node
 
 Bumps are smooth and specified in arc length, so sup |log u0| and the
 gradient bound that the stability theory assumes are finite by construction;
 `build_scenario` evaluates and reports both, plus sup |f0 - f(0)|.
+
+The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
+family above depends on s alone.  `parse_config` refuses every malformed
+value with a ConfigError before anything is built.
 """
 
 from __future__ import annotations
@@ -42,13 +46,15 @@ from cigarflow.flow import (
     Accumulators,
     FlowState,
     InitialData,
+    _radial_derivative,
     fixed_fields,
     run,
 )
 from cigarflow.geometry import (
     EUCLIDEAN,
+    MIN_NODES,
     ConformalState,
-    grid_from_spec,
+    RadialGrid,
     metric_laplacian,
     solve_initial_potential,
 )
@@ -70,7 +76,7 @@ class ConfigError(ValueError):
     """Malformed or rejected scenario configuration."""
 
 
-_GRID_KEYS = {"radial": {"kind", "n", "s_max"}, "cartesian": {"kind", "n", "extent"}}
+_GRID_KEYS = {"kind", "n", "s_max"}
 _INITIAL_KEYS = {
     "exact_cigar": set(),
     "scaled_cigar": {"scale"},
@@ -82,6 +88,10 @@ _STEPPING_KEYS = {"safety", "t_end", "record_interval", "frame", "s_report"}
 _OUTPUT_KEYS = {"directory", "snapshot_interval"}
 _TOP_KEYS = {"name", "grid", "initial", "stepping", "output", "seed"}
 
+# a run stops at every record and snapshot time; more stops than this is a
+# typo, not an experiment, and would only fill memory
+MAX_EVENTS = 100_000
+
 
 @dataclass
 class ScenarioConfig:
@@ -91,7 +101,7 @@ class ScenarioConfig:
     safety: float
     t_end: float
     record_interval: float
-    frame: str | None = None           # None = comoving on radial, fixed on cartesian
+    frame: str = COMOVING
     s_report: float = 4.0
     output_directory: str | None = None
     snapshot_interval: float | None = None
@@ -109,67 +119,100 @@ def _power_of_two_plus_one(n):
     return n >= 2 and (n - 1) & (n - 2) == 0
 
 
+def _positive(section, key):
+    value = float(section[key])
+    if not (np.isfinite(value) and value > 0):
+        raise ConfigError(f"{key} must be positive and finite, got {value!r}")
+    return value
+
+
 def parse_config(data):
-    """Validate a config dict and return a ScenarioConfig."""
+    """Validate a config dict and return a ScenarioConfig.
+
+    Every malformed or rejected value raises ConfigError, never another
+    exception.
+    """
+    try:
+        return _parse_config(data)
+    except ConfigError:
+        raise
+    except KeyError as err:
+        raise ConfigError(f"config is missing required key {err}") from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"malformed config value: {err}") from err
+
+
+def _parse_config(data):
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(data, _TOP_KEYS, "config")
-    for key in ("name", "grid", "initial", "stepping"):
-        if key not in data:
-            raise ConfigError(f"config is missing required key {key!r}")
+    for key in ("grid", "initial", "stepping", "output"):
+        if not isinstance(data.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object")
 
     grid = data["grid"]
-    kind = grid.get("kind")
-    if kind not in _GRID_KEYS:
-        raise ConfigError(f"grid.kind must be 'radial' or 'cartesian', got {kind!r}")
-    _require_keys(grid, _GRID_KEYS[kind], "grid")
+    if grid.get("kind") != "radial":
+        raise ConfigError(f"grid.kind must be 'radial', got {grid.get('kind')!r}")
+    _require_keys(grid, _GRID_KEYS, "grid")
     n = int(grid["n"])
-    if not _power_of_two_plus_one(n):
-        raise ConfigError(f"grid.n must be a power of two plus one for refinement studies, got {n}")
+    if not (_power_of_two_plus_one(n) and n >= MIN_NODES):
+        raise ConfigError(f"grid.n must be a power of two plus one for refinement "
+                          f"studies, at least {MIN_NODES}, got {n}")
+    _positive(grid, "s_max")
 
     initial = data["initial"]
     itype = initial.get("type")
     if itype not in _INITIAL_KEYS:
         raise ConfigError(f"unknown initial.type {itype!r}")
     _require_keys(set(initial) - {"type"}, _INITIAL_KEYS[itype], f"initial ({itype})")
-    if itype == "scaled_cigar" and not (float(initial["scale"]) > 0):
-        raise ConfigError("scaled_cigar.scale must be positive")
+    if itype == "scaled_cigar":
+        _positive(initial, "scale")
     if itype == "perturbed_cigar":
-        if not (float(initial["width"]) > 0):
-            raise ConfigError("perturbed_cigar.width must be positive")
-        if not np.isfinite(float(initial["amplitude"])):
-            raise ConfigError("perturbed_cigar.amplitude must be finite")
-    if itype == "custom_table" and kind != "radial":
-        raise ConfigError("custom_table initial data is radial only")
+        _positive(initial, "width")
+        if not np.isfinite(float(initial["amplitude"]) + float(initial["center"])):
+            raise ConfigError("perturbed_cigar.amplitude and center must be finite")
+        if int(initial.get("random_bumps", 0)) < 0:
+            raise ConfigError("perturbed_cigar.random_bumps must be non-negative")
+    if itype == "custom_table":
+        values = np.asarray(initial["log_u0"], dtype=float)
+        if values.shape != (n,):
+            raise ConfigError(f"custom_table.log_u0 has {values.size} values, grid has {n} nodes")
+        if not np.all(np.isfinite(values)):
+            raise ConfigError("custom_table.log_u0 contains non-finite values (unbounded tail?)")
 
     stepping = data["stepping"]
     _require_keys(stepping, _STEPPING_KEYS, "stepping")
-    for key in ("safety", "t_end", "record_interval"):
-        if key not in stepping:
-            raise ConfigError(f"stepping is missing required key {key!r}")
-    frame = stepping.get("frame")
-    if frame not in (None, COMOVING, FIXED):
+    frame = stepping.get("frame", COMOVING)
+    if frame not in (COMOVING, FIXED):
         raise ConfigError(f"stepping.frame must be 'comoving' or 'fixed', got {frame!r}")
-    if frame == COMOVING and kind == "cartesian":
-        raise ConfigError("co-moving stepping is radial only")
+    t_end = _positive(stepping, "t_end")
+    intervals = {"record_interval": _positive(stepping, "record_interval")}
 
     output = data.get("output", {})
     _require_keys(output, _OUTPUT_KEYS, "output")
+    if not isinstance(output.get("directory", ""), str):
+        raise ConfigError("output.directory must be a string")
+    if "snapshot_interval" in output:
+        intervals["snapshot_interval"] = _positive(output, "snapshot_interval")
+    for key, interval in intervals.items():
+        if t_end / interval > MAX_EVENTS:
+            raise ConfigError(f"{key} {interval:g} gives more than {MAX_EVENTS} stops")
+    seed = int(data.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
 
     return ScenarioConfig(
         name=str(data["name"]),
         grid=dict(grid),
         initial=dict(initial),
-        safety=float(stepping["safety"]),
-        t_end=float(stepping["t_end"]),
-        record_interval=float(stepping["record_interval"]),
+        safety=_positive(stepping, "safety"),
+        t_end=t_end,
+        record_interval=intervals["record_interval"],
         frame=frame,
-        s_report=float(stepping.get("s_report", 4.0)),
+        s_report=_positive(stepping, "s_report") if "s_report" in stepping else 4.0,
         output_directory=output.get("directory"),
-        snapshot_interval=(
-            float(output["snapshot_interval"]) if "snapshot_interval" in output else None
-        ),
-        seed=int(data.get("seed", 0)),
+        snapshot_interval=intervals.get("snapshot_interval"),
+        seed=seed,
         raw=data,
     )
 
@@ -178,7 +221,7 @@ def load_config(path):
     with open(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # bad JSON or bytes that are not UTF-8
             raise ConfigError(f"invalid JSON in {path}: {err}") from err
     return parse_config(data)
 
@@ -194,19 +237,14 @@ def _gaussian_bump_slope(s, amplitude, center, width):
 def _initial_log_u0(config, grid, f0_cigar):
     """log u0 on the grid plus its analytic d/ds slope at the outer edge."""
     itype = config.initial["type"]
-    if grid.kind == "radial":
-        s = grid.s
-        s_edge = grid.s_max
-    else:
-        s = np.arcsinh(np.sqrt(grid.r2))
-        s_edge = None  # cartesian edges are Dirichlet, no slope needed
+    s = grid.s
+    s_edge = grid.s_max
 
     if itype == "exact_cigar":
         return np.zeros_like(s), 0.0
     if itype == "flat":
         # log u0 = f0 node for node, so u~0 = log u0 - f0 is exactly zero
-        slope = 2.0 * np.tanh(s_edge) if s_edge is not None else 0.0
-        return f0_cigar.copy(), slope
+        return f0_cigar.copy(), 2.0 * np.tanh(s_edge)
     if itype == "scaled_cigar":
         lam = float(config.initial["scale"])
         return np.full_like(s, np.log(lam)), 0.0
@@ -215,7 +253,7 @@ def _initial_log_u0(config, grid, f0_cigar):
         center = float(config.initial["center"])
         width = float(config.initial["width"])
         values = _gaussian_bump(s, amp, center, width)
-        slope = _gaussian_bump_slope(s_edge, amp, center, width) if s_edge is not None else 0.0
+        slope = _gaussian_bump_slope(s_edge, amp, center, width)
         k = int(config.initial.get("random_bumps", 0))
         if k:
             rng = np.random.default_rng(config.seed)
@@ -224,17 +262,10 @@ def _initial_log_u0(config, grid, f0_cigar):
                 c = rng.uniform(0.5, 0.8 * float(np.max(s)))
                 w = width * rng.uniform(0.5, 1.5)
                 values = values + _gaussian_bump(s, a, c, w)
-                if s_edge is not None:
-                    slope += _gaussian_bump_slope(s_edge, a, c, w)
+                slope += _gaussian_bump_slope(s_edge, a, c, w)
         return values, float(slope)
     if itype == "custom_table":
         values = np.asarray(config.initial["log_u0"], dtype=float)
-        if values.shape != s.shape:
-            raise ConfigError(
-                f"custom_table.log_u0 has {values.size} values, grid has {s.size} nodes"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ConfigError("custom_table.log_u0 contains non-finite values (unbounded tail?)")
         slope = float(
             (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * grid.h)
         )
@@ -249,13 +280,10 @@ def build_scenario(config):
     Raises ConfigError when the data fails the boundedness hypotheses
     (non-finite log u0, curvature, or potential gap).
     """
-    grid = grid_from_spec(config.grid)
-    if grid.kind == "radial":
-        f0_cigar = cigar.cigar_potential_arclength(grid.s)
-    else:
-        f0_cigar = np.log1p(grid.r2)
+    grid = RadialGrid(int(config.grid["n"]), float(config.grid["s_max"]))
+    f0_cigar = cigar.cigar_potential_arclength(grid.s)
     log_u0, logu_slope = _initial_log_u0(config, grid, f0_cigar)
-    u_slope = logu_slope - 2.0 * np.tanh(grid.s_max) if grid.kind == "radial" else 0.0
+    u_slope = logu_slope - 2.0 * np.tanh(grid.s_max)
     u_tilde0 = log_u0 - f0_cigar
 
     conformal = ConformalState(grid, EUCLIDEAN, u_tilde0.copy(), u_slope)
@@ -264,8 +292,6 @@ def build_scenario(config):
         raise ConfigError("initial curvature is not finite; data violates the hypotheses")
 
     potential0, f_slope = solve_initial_potential(conformal)
-    if f_slope is None:
-        f_slope = 0.0
     res0 = float(np.max(np.abs(metric_laplacian(potential0, conformal, f_slope) - curvature0)))
 
     gap = np.max(np.abs(f0_cigar - potential0))
@@ -286,22 +312,17 @@ def build_scenario(config):
     )
     acc = Accumulators(
         v_integral=0.0,
-        curvature_origin=float(
-            curvature0[grid.origin_index] if grid.kind == "cartesian" else curvature0[0]
-        ),
+        curvature_origin=float(curvature0[0]),
         phi=np.zeros_like(u_tilde0),
         f_fixed=potential0.copy(),
     )
-    frame = config.frame
-    if frame is None:
-        frame = COMOVING if grid.kind == "radial" else FIXED
     return FlowState(
         conformal=conformal,
         potential=potential0.copy(),
         potential_slope=float(f_slope),
         t=0.0,
         log_scale=0.0,
-        frame=frame,
+        frame=config.frame,
         init=init,
         acc=acc,
     )
@@ -309,14 +330,8 @@ def build_scenario(config):
 
 def _log_u0_gradient_sq(grid, log_u0, u_tilde0, edge_slope):
     """|d log u0|^2 in the initial metric g(0) = e^{u~0} g_E."""
-    if grid.kind == "radial":
-        d = np.empty_like(log_u0)
-        d[0] = 0.0
-        d[1:-1] = (log_u0[2:] - log_u0[:-2]) / (2.0 * grid.h)
-        d[-1] = edge_slope
-        return np.exp(-u_tilde0) * (d / grid.cosh_s) ** 2
-    gx, gy = np.gradient(log_u0, grid.h, edge_order=2)
-    return np.exp(-u_tilde0) * (gx**2 + gy**2)
+    d = _radial_derivative(grid, log_u0, edge_slope)
+    return np.exp(-u_tilde0) * (d / grid.cosh_s) ** 2
 
 
 def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None):
@@ -334,7 +349,7 @@ def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None):
     )
 
 
-def manufactured_solution_error(n, s_max, safety, t_end, frame=None):
+def manufactured_solution_error(n, s_max, safety, t_end, frame=COMOVING):
     """Max fixed-frame error of the cigar-data run against the exact family.
 
     This is the calibration yardstick: conservation and identity tolerances
@@ -345,10 +360,8 @@ def manufactured_solution_error(n, s_max, safety, t_end, frame=None):
         "grid": {"kind": "radial", "n": int(n), "s_max": float(s_max)},
         "initial": {"type": "exact_cigar"},
         "stepping": {"safety": float(safety), "t_end": float(t_end),
-                     "record_interval": float(t_end)},
+                     "record_interval": float(t_end), "frame": frame},
     })
-    if frame is not None:
-        cfg.frame = frame
     result = run_scenario(cfg)
     state = result.final_state
     exact = cigar.soliton_log_factor(state.grid.r, state.t)
@@ -388,7 +401,7 @@ def verify_scenario(config):
 
     The conservation tolerance is 5x the manufactured-solution error of a
     companion cigar-data run at the same resolution and horizon (for the
-    Cartesian flat scenario, where nothing evolves, it is rounding-level).
+    flat plane, an exact fixed point, it is rounding-level).
     """
     state0 = build_scenario(config)
     result = run_scenario(config)
@@ -401,19 +414,15 @@ def verify_scenario(config):
                    result.abort_message or f"{len(records)} records"))
 
     h = state0.grid.h
-    if state0.grid.kind == "radial":
+    if config.initial["type"] == "flat":
+        err_ms = None
+        tol_w = 1e-12  # the flat plane is an exact fixed point
+    else:
         err_ms, _ = manufactured_solution_error(
             config.grid["n"], config.grid["s_max"], config.safety, config.t_end,
             frame=config.frame,
         )
         tol_w = 5.0 * err_ms
-    elif config.initial["type"] == "flat":
-        err_ms = None
-        tol_w = 1e-12  # the flat plane is an exact fixed point
-    else:
-        # no exact reference on Cartesian grids; report the drift ungated
-        err_ms = None
-        tol_w = np.inf
     drift = max(rec.w_drift for rec in records)
     checks.append((
         "conservation of w",

@@ -13,7 +13,7 @@ SHIPPED = [
     "soliton_radial_129.json",
     "scaled_cigar_129.json",
     "perturbed_relax_129.json",
-    "flat_cartesian_65.json",
+    "flat_radial_65.json",
 ]
 
 

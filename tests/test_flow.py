@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cigarflow import cigar, flow
-from cigarflow.geometry import CartesianGrid, ConformalState, RadialGrid, background_laplacian
+from cigarflow.geometry import ConformalState, RadialGrid, background_laplacian
 from cigarflow.scenarios import build_scenario, parse_config
 
 
@@ -25,13 +25,9 @@ def cigar_flow_state(n=129, s_max=8.0, frame=None):
     return build_scenario(radial_config(n=n, s_max=s_max, frame=frame))
 
 
-def flat_cartesian_state(n=33, extent=4.0):
-    return build_scenario(parse_config({
-        "name": "flat",
-        "grid": {"kind": "cartesian", "n": n, "extent": extent},
-        "initial": {"type": "flat"},
-        "stepping": {"safety": 0.9, "t_end": 0.1, "record_interval": 0.05},
-    }))
+def flat_radial_state(n=65, s_max=8.0, safety=0.9):
+    return build_scenario(radial_config(n=n, s_max=s_max, initial={"type": "flat"},
+                                        t_end=0.1, safety=safety, record=0.05))
 
 
 # ---------------------------------------------------------------------------
@@ -39,24 +35,27 @@ def flat_cartesian_state(n=33, extent=4.0):
 # ---------------------------------------------------------------------------
 
 def test_rhs_flat_is_stationary():
-    state = flat_cartesian_state()
-    np.testing.assert_allclose(flow.flow_rhs(state), 0.0, atol=1e-12)
+    state = flat_radial_state()
+    np.testing.assert_allclose(-state.curvature, 0.0, atol=1e-12)
 
 
 def test_rhs_is_minus_curvature_exactly():
-    state = cigar_flow_state(65)
-    np.testing.assert_array_equal(flow.flow_rhs(state), -state.curvature)
-    # and -R equals the rearranged diffusion form e^{-u~} Lap_E u~ to rounding
+    state = cigar_flow_state(65, frame="fixed")
     conf = state.conformal
+    # the fixed-frame stage rate of u~ is -R exactly
+    du, _, gamma = flow._stage_rhs(state, conf.log_factor, state.potential)
+    assert gamma == 0.0
+    np.testing.assert_array_equal(du, -state.curvature)
+    # and -R equals the rearranged diffusion form e^{-u~} Lap_E u~ to rounding
     rearranged = np.exp(-conf.log_factor) * background_laplacian(
         conf.log_factor, state.grid, "euclidean", conf.edge_slope
     )
-    np.testing.assert_allclose(flow.flow_rhs(state), rearranged, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(-state.curvature, rearranged, rtol=0, atol=1e-12)
 
 
 def test_rhs_cigar_origin_rate():
     state = cigar_flow_state(129)
-    rhs = flow.flow_rhs(state)
+    rhs = -state.curvature
     assert rhs[0] == pytest.approx(-4.0, abs=5 * state.grid.h**2)
     np.testing.assert_allclose(
         rhs, -cigar.cigar_curvature_arclength(state.grid.s), atol=5 * state.grid.h**2
@@ -67,27 +66,23 @@ def test_rhs_soliton_origin_rate_constant_in_time():
     g = RadialGrid(257, 8.0)
     for t in (0.1, 0.5, 1.0):
         st = flow.exact_soliton_state(g, t)
-        assert flow.flow_rhs(st)[0] == pytest.approx(-4.0, abs=20 * g.h**2)
+        assert -st.curvature[0] == pytest.approx(-4.0, abs=20 * g.h**2)
 
 
 # ---------------------------------------------------------------------------
 # adaptive step size
 # ---------------------------------------------------------------------------
 
-def test_adaptive_dt_flat_cartesian_formula():
-    # h = 0.1: dt = safety h^2 / (4 max e^{-u~}) = 0.5 * 0.01 / 4 = 1.25e-3
-    state = build_scenario(parse_config({
-        "name": "flat",
-        "grid": {"kind": "cartesian", "n": 65, "extent": 3.2},
-        "initial": {"type": "flat"},
-        "stepping": {"safety": 0.5, "t_end": 0.1, "record_interval": 0.05},
-    }))
+def test_adaptive_dt_flat_tip_formula():
+    # the tip row's diagonal 4 / h^2 is the largest, and the flat plane has no
+    # advective limit: h = 0.1 gives dt = safety h^2 / 4 = 0.5 * 0.01 / 4
+    state = flat_radial_state(n=65, s_max=6.4, safety=0.5)
     assert state.grid.h == pytest.approx(0.1)
     assert flow.adaptive_dt(state, 0.5) == pytest.approx(1.25e-3, rel=1e-12)
 
 
 def test_adaptive_dt_scales_with_diffusivity():
-    base = flat_cartesian_state()
+    base = flat_radial_state()
     shifted = flow.FlowState(
         conformal=ConformalState(base.grid, "euclidean",
                                  base.conformal.log_factor - np.log(4.0)),
@@ -216,7 +211,7 @@ def test_curvature_evolution_exact_triples_quarter():
 
 
 def test_curvature_evolution_flat_is_zero():
-    state = flat_cartesian_state()
+    state = flat_radial_state()
     from dataclasses import replace
     triple = [replace(state, t=k * 1e-3) for k in (0, 1, 2)]
     np.testing.assert_allclose(flow.curvature_evolution_residual(*triple), 0.0, atol=1e-12)
@@ -292,8 +287,8 @@ def test_normalize_gradient_invariance():
     assert np.max(np.abs(grad_norm - grad_orig)) <= 50 * grid.h**2
 
 
-def test_normalize_cartesian():
-    state = flat_cartesian_state()
+def test_normalize_shifted_flat_plane():
+    state = flat_radial_state()
     normalized, scale = flow.normalize(state)
     assert scale == 1.0
     np.testing.assert_allclose(normalized.log_factor, 0.0, atol=1e-12)
@@ -305,8 +300,6 @@ def test_normalize_cartesian():
     normalized, scale = flow.normalize(shifted)
     assert scale == pytest.approx(np.exp(-0.4), rel=1e-12)
     np.testing.assert_allclose(normalized.log_factor, 0.0, atol=1e-9)
-    with pytest.raises(ValueError):
-        flow.profile_distance(shifted)
 
 
 def test_normalize_window_shrink_error():
@@ -375,8 +368,8 @@ def test_run_soliton_distance_tracks_solver_error(soliton_errors):
     assert drift <= 5 * err
 
 
-def test_run_flat_cartesian_fixed_point():
-    state = flat_cartesian_state()
+def test_run_flat_radial_fixed_point():
+    state = flat_radial_state()
     result = flow.run(state, 0.1, safety=0.9, record_interval=0.05)
     assert not result.aborted
     for rec in result.records:

@@ -3,7 +3,6 @@ import pytest
 
 from cigarflow import cigar
 from cigarflow.geometry import (
-    CartesianGrid,
     ConformalState,
     RadialGrid,
     background_laplacian,
@@ -31,7 +30,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         RadialGrid(65, -1.0)
     with pytest.raises(ValueError):
-        CartesianGrid(64, 8.0)  # even n loses the origin node
+        RadialGrid(65, float("inf"))
     g = RadialGrid(65, 8.0)
     assert g.s[0] == 0.0 and g.s[-1] == 8.0
     assert g.h * (g.n - 1) == pytest.approx(8.0, rel=1e-15)
@@ -46,9 +45,6 @@ def test_laplacian_annihilates_constants():
         g = RadialGrid(65, 8.0)
         out = background_laplacian(np.full(g.n, 3.7), g, background)
         np.testing.assert_array_equal(out, np.zeros(g.n))
-    gc = CartesianGrid(33, 4.0)
-    out = background_laplacian(np.full((33, 33), -1.2), gc, "euclidean")
-    np.testing.assert_array_equal(out, np.zeros((33, 33)))
 
 
 def test_laplacian_rejects_bad_fields():
@@ -70,12 +66,6 @@ def test_cigar_laplacian_of_potential_gives_curvature():
         errs[n] = np.max(np.abs(lap - cigar.cigar_curvature_arclength(g.s)))
     assert errs[129] <= 0.05
     assert 1.8 <= np.log2(errs[65] / errs[129]) <= 2.2
-
-
-def test_cartesian_stencil_exact_on_quadratic():
-    g = CartesianGrid(33, 4.0)
-    lap = background_laplacian(g.X**2 + g.Y**2, g, "euclidean")
-    np.testing.assert_allclose(lap[1:-1, 1:-1], 4.0, atol=1e-12)
 
 
 def test_radial_laplacian_symmetry_quadratic_form():
@@ -208,18 +198,6 @@ def test_potential_solve_perturbed_residual():
     assert np.all(np.isfinite(gap))
 
 
-def test_potential_solve_cartesian():
-    g = CartesianGrid(65, 8.0)
-    u_t = -np.log1p(g.r2)
-    state = ConformalState(g, "euclidean", u_t)
-    f, _ = solve_initial_potential(state)
-    res = metric_laplacian(f, state)[1:-1, 1:-1] - state.curvature[1:-1, 1:-1]
-    assert np.max(np.abs(res)) <= 1e-10
-    assert f[g.origin_index] == 0.0
-    # harmonic-extension gauge keeps f near the cigar potential
-    assert np.max(np.abs(f - np.log1p(g.r2))) <= 0.05
-
-
 # ---------------------------------------------------------------------------
 # level lengths and width
 # ---------------------------------------------------------------------------
@@ -268,11 +246,3 @@ def test_width_scaling_identity():
     rep2 = width_report(scaled)
     assert rep2.width_bound == pytest.approx(np.sqrt(lam) * rep1.width_bound, rel=1e-10)
     assert rep2.bounded
-
-
-def test_width_report_cartesian_flat():
-    g = CartesianGrid(33, 4.0)
-    flat = ConformalState(g, "euclidean", np.zeros((33, 33)))
-    rep = width_report(flat)
-    assert not rep.bounded
-    assert rep.width_bound == pytest.approx(2 * np.pi * 4.0, rel=1e-10)

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import subprocess
@@ -6,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cigarflow import cli, flow
 from cigarflow.diagnostics import CSV_COLUMNS, emit_diagnostics, read_diagnostics
 from cigarflow.scenarios import (
     ConfigError,
+    ScenarioConfig,
     build_scenario,
     load_config,
     parse_config,
@@ -64,11 +68,82 @@ def test_missing_and_invalid_sections():
     with pytest.raises(ConfigError, match="width"):
         parse_config(base_config(initial={"type": "perturbed_cigar", "amplitude": 0.1,
                                           "center": 2.0, "width": 0.0}))
-    with pytest.raises(ConfigError, match="radial only"):
-        parse_config(base_config(
-            grid={"kind": "cartesian", "n": 17, "extent": 4.0},
-            initial={"type": "custom_table", "log_u0": [0.0] * 17},
-        ))
+    with pytest.raises(ConfigError, match="grid.kind must be 'radial'"):
+        parse_config(base_config(grid={"kind": "cartesian", "n": 17, "extent": 4.0}))
+
+
+# every key of every section, so that mutations reach each validation branch
+FULL_CONFIG = {
+    "name": "p",
+    "grid": {"kind": "radial", "n": 65, "s_max": 8.0},
+    "initial": {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0,
+                "width": 0.5, "random_bumps": 2},
+    "stepping": {"safety": 0.9, "t_end": 1.0, "record_interval": 0.1,
+                 "frame": "fixed", "s_report": 4.0},
+    "output": {"directory": "out", "snapshot_interval": 0.5},
+    "seed": 3,
+}
+PATHS = [(key,) for key in FULL_CONFIG] + [
+    (key, sub) for key, section in FULL_CONFIG.items() if isinstance(section, dict)
+    for sub in section
+] + [("grid", "extent"), ("initial", "scale"), ("initial", "log_u0"), ("extra",)]
+DELETE = object()
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["radial", "cartesian", "flat", "custom_table", "scaled_cigar",
+                       "exact_cigar", "comoving", "65", "1e400", "nan"])
+)
+JSON_VALUES = (JSON_LEAVES | st.lists(JSON_LEAVES, max_size=4)
+               | st.dictionaries(st.text(max_size=4), JSON_LEAVES, max_size=3))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(PATHS), st.just(DELETE) | JSON_VALUES),
+                min_size=1, max_size=3))
+def test_parse_config_raises_only_config_error(mutations):
+    data = copy.deepcopy(FULL_CONFIG)
+    for path, value in mutations:
+        parent = data.get(path[0]) if len(path) == 2 else data
+        if not isinstance(parent, dict):
+            continue
+        if value is DELETE:
+            parent.pop(path[-1], None)
+        else:
+            parent[path[-1]] = value
+    try:
+        config = parse_config(data)
+    except ConfigError:
+        return
+    assert isinstance(config, ScenarioConfig)
+    for value in (config.safety, config.t_end, config.record_interval, config.s_report):
+        assert np.isfinite(value) and value > 0
+
+
+@pytest.mark.parametrize("change", [
+    {"stepping": {"safety": 0.9, "t_end": 0.2, "record_interval": 0}},
+    {"stepping": {"safety": 0.9, "t_end": 0.2, "record_interval": -0.1}},
+    {"stepping": {"safety": 0, "t_end": 0.2, "record_interval": 0.1}},
+    {"stepping": {"safety": 0.9, "t_end": 0, "record_interval": 0.1}},
+    {"stepping": {"safety": 0.9, "t_end": float("inf"), "record_interval": 0.1}},
+    {"stepping": {"safety": 0.9, "t_end": 0.2, "record_interval": 1e-9}},
+    {"grid": {"kind": "radial", "n": "abc", "s_max": 8.0}},
+    {"grid": {"kind": "radial", "n": 9, "s_max": 8.0}},
+    {"grid": {"kind": "radial", "n": 65, "s_max": -1}},
+    {"grid": {"kind": "cartesian", "n": 65, "extent": 8.0}},
+    {"grid": [1]},
+    {"initial": {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0}},
+    {"initial": {"type": "custom_table", "log_u0": ["a"] * 65}},
+    {"output": {"snapshot_interval": 0}},
+    {"output": {"snapshot_interval": -1.0}},
+    {"output": {"directory": 5}},
+    {"seed": -1},
+])
+def test_cli_config_errors_exit_2(tmp_path, change, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(**change)))  # inf is written as Infinity
+    assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +286,37 @@ def test_snapshot_version_check(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("line, text", [
+    (1, ""),
+    (1, "grid"),
+    (1, "grid radial"),
+    (1, "grid radial 65 abc"),
+    (1, "grid radial 100000 8.0"),
+    (1, "grid cartesian 65 8.0"),
+    (2, ""),
+    (2, "frame"),
+    (2, "frame sideways"),
+    (3, "scalar t"),
+    (14, "array u_tilde 64"),
+    (15, "not-a-number"),
+    (-1, ""),
+    (-1, "checksum"),
+    (40, None),   # None cuts the file at that line
+    (-1, None),
+])
+def test_snapshot_malformed_lines_raise_snapshot_error(tmp_path, line, text):
+    path = tmp_path / "snap.txt"
+    save_snapshot(build_scenario(parse_config(base_config())), path)
+    lines = path.read_text().splitlines()
+    if text is None:
+        del lines[line:]
+    else:
+        lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SnapshotError):
+        load_snapshot(path)
+
+
 def test_resume_matches_unbroken_run(tmp_path):
     cfg = parse_config(base_config(stepping={"safety": 0.9, "t_end": 1.0,
                                              "record_interval": 0.1}))
@@ -335,10 +441,23 @@ def test_shipped_configs_verify(shipped_reports):
         )
 
 
+def test_shipped_perturbed_run_matches_committed_reference(shipped_reports, config_dir,
+                                                          tmp_path):
+    # the run under `verify` takes the same steps as `cigarflow run`: the
+    # latter's snapshot times 0, 2.5 and 5 are all record times already
+    result = shipped_reports["perturbed_relax_129"].result
+    reference = config_dir.parent / "runs" / "perturbed_relax_129"
+    buf = io.StringIO()
+    emit_diagnostics(result.records, buf)
+    assert buf.getvalue().encode() == (reference / "diagnostics.csv").read_bytes()
+    save_snapshot(result.final_state, tmp_path / "final.txt")
+    assert (tmp_path / "final.txt").read_bytes() == (reference / "snapshot_final.txt").read_bytes()
+
+
 def test_shipped_configs_initial_potential_residual(config_dir):
     # the discrete Poisson solve round-trips through the operator on every
     # shipped scenario
     for fname in ("soliton_radial_129.json", "scaled_cigar_129.json",
-                  "perturbed_relax_129.json", "flat_cartesian_65.json"):
+                  "perturbed_relax_129.json", "flat_radial_65.json"):
         state = build_scenario(load_config(config_dir / fname))
         assert state.init.res_poisson0 <= 1e-10, fname
