@@ -23,9 +23,10 @@ invariance of the 2-D Laplacian gives
 and choosing gamma = R(origin)/2 pins u^(0,t) exactly (the discrete rhs at
 the tip vanishes identically), so the profile stays O(1) and the CFL bound
 stays O(h^2) forever.  For the exact soliton this gauge is static.  Fixed-
-coordinate fields at the original grid nodes are recovered by cubic
-interpolation (the map pulls points inward, never outside the grid, while
-the scale grows).  gamma = 0 recovers plain fixed-frame stepping.
+coordinate fields at the original grid nodes come through one function,
+`map_to_fixed`, by cubic interpolation (the map pulls points inward, never
+outside the grid, while the scale grows); a step maps only f, for the phi
+accumulator.  gamma = 0 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -147,50 +148,39 @@ class FlowState:
 # frame mapping
 # ---------------------------------------------------------------------------
 
-def _spline(grid, values, slope_left, slope_right):
-    return CubicSpline(grid.s, values, bc_type=((1, slope_left), (1, slope_right)))
+def _spline(grid, values, slope=None):
+    """Cubic spline of a radial profile in s.
 
-
-def _mapped_positions(state):
-    """Co-moving arc-length positions of the fixed grid nodes.
-
-    With L >= 1 these always land inside the grid; transient L < 1 can push
-    the outermost node marginally outside, where the clamped spline
-    extrapolates with the physical edge slope.
+    With an edge slope it is clamped to (0, slope): zero by symmetry at the
+    tip, the physical Neumann slope at s_max.  Without one it is not-a-knot.
     """
-    grid = state.grid
+    bc = "not-a-knot" if slope is None else ((1, 0.0), (1, slope))
+    return CubicSpline(grid.s, values, bc_type=bc)
+
+
+def map_to_fixed(state, values, slope=None):
+    """Evaluate a co-moving scalar field at the fixed grid nodes.
+
+    The fixed node r sits at co-moving arc length arcsinh(r / L).  With
+    L >= 1 these always land inside the grid; transient L < 1 can push the
+    outermost node marginally outside, where the clamped spline extrapolates
+    with the physical edge slope.
+    """
     if state.log_scale == 0.0:
-        return grid.s
-    return np.arcsinh(grid.r * np.exp(-state.log_scale))
+        return np.asarray(values, dtype=float)
+    grid = state.grid
+    return _spline(grid, values, slope)(np.arcsinh(grid.r * np.exp(-state.log_scale)))
 
 
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes."""
-    grid = state.grid
-    if state.log_scale == 0.0:
-        u_tilde = state.conformal.log_factor - 2.0 * state.log_scale
-        f = state.potential
-    else:
-        pos = _mapped_positions(state)
-        u_hat = state.conformal.log_factor
-        su = _spline(grid, u_hat, 0.0, state.conformal.edge_slope)
-        sf = _spline(grid, state.potential, 0.0, state.potential_slope)
-        u_tilde = su(pos) - 2.0 * state.log_scale
-        f = sf(pos)
+    conf = state.conformal
+    u_tilde = map_to_fixed(state, conf.log_factor, conf.edge_slope) - 2.0 * state.log_scale
+    f = map_to_fixed(state, state.potential, state.potential_slope)
     w = u_tilde + f
     v = state.init.potential0 - f
     h = v + state.init.log_u0
     return {"u_tilde": u_tilde, "f": f, "w": w, "v": v, "h": h}
-
-
-def map_to_fixed(state, values, slope=None):
-    """Evaluate a co-moving scalar field at the fixed grid nodes."""
-    grid = state.grid
-    if state.log_scale == 0.0:
-        return np.asarray(values, dtype=float)
-    bc = "not-a-knot" if slope is None else ((1, 0.0), (1, slope))
-    sp = CubicSpline(grid.s, values, bc_type=bc)
-    return sp(_mapped_positions(state))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def step(state, dt):
 
     # trapezoidal accumulators across the accepted step
     r0_new = float(new_state.curvature[0])
-    f_fixed_new = fixed_fields(new_state)["f"]
+    f_fixed_new = map_to_fixed(new_state, f1, state.potential_slope)
     acc = state.acc
     acc1 = Accumulators(
         v_integral=acc.v_integral + 0.5 * dt * (acc.curvature_origin + r0_new),
@@ -322,12 +312,12 @@ def _gradient_sq_metric(state):
     return np.exp(-u) * dr * dr
 
 
-def monitor(state, dt_hint=None, probe=True):
+def monitor(state, dt_hint=None):
     """Compute a DiagnosticsRecord for the state.
 
     `dt_hint` is echoed into the record's dt column (the step size the run
     is using); the curvature-evolution residual is probed by taking two
-    extra steps from a throwaway copy unless `probe` is false.
+    extra steps from a throwaway copy.
     """
     u_hat = state.conformal.log_factor
     if not np.all(np.isfinite(u_hat)):
@@ -340,15 +330,12 @@ def monitor(state, dt_hint=None, probe=True):
     res_poisson = float(
         np.max(np.abs(metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv))
     )
-    if probe:
-        dtp = dt_hint if dt_hint else adaptive_dt(state)
-        try:
-            s1 = step(state, dtp)
-            s2 = step(s1, dtp)
-            res_curv = float(np.max(np.abs(curvature_evolution_residual(state, s1, s2))))
-        except FlowInstabilityError:
-            res_curv = float("nan")
-    else:
+    dtp = dt_hint if dt_hint else adaptive_dt(state)
+    try:
+        s1 = step(state, dtp)
+        s2 = step(s1, dtp)
+        res_curv = float(np.max(np.abs(curvature_evolution_residual(state, s1, s2))))
+    except FlowInstabilityError:
         res_curv = float("nan")
     v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
     return DiagnosticsRecord(
@@ -444,7 +431,7 @@ def normalize(state, s_window=None):
             f"normalization (scale {factor:.4g}) needs data outside the grid; "
             "shrink the reporting window"
         )
-    sp = _spline(grid, state.conformal.log_factor, 0.0, state.conformal.edge_slope)
+    sp = _spline(grid, state.conformal.log_factor, state.conformal.edge_slope)
     u_norm = sp(np.minimum(pos, grid.s_max)) - c0
     beyond = pos > grid.s_max
     if np.any(beyond):  # linear continuation with the physical edge slope
@@ -503,10 +490,10 @@ def kahler_cross_check(states):
         raise ValueError("trajectory must start at t = 0")
     grid = states[0].grid
     phi = np.zeros(grid.n)
-    f_prev = fixed_fields(states[0])["f"]
+    f_prev = map_to_fixed(states[0], states[0].potential, states[0].potential_slope)
     t_prev = 0.0
     for st in states[1:]:
-        f_now = fixed_fields(st)["f"]
+        f_now = map_to_fixed(st, st.potential, st.potential_slope)
         phi = phi - 0.5 * (st.t - t_prev) * (f_prev + f_now)
         f_prev, t_prev = f_now, st.t
     last = replace(states[-1], acc=replace(states[-1].acc, phi=phi))
@@ -607,7 +594,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
 # exact states for verification
 # ---------------------------------------------------------------------------
 
-def exact_soliton_state(grid, t=0.0, frame=FIXED):
+def exact_soliton_state(grid, t=0.0):
     """FlowState built from the closed-form evolving family at time t.
 
     The log factor is u~ = -log(e^{4t} + r^2) and the potential is its
@@ -644,7 +631,7 @@ def exact_soliton_state(grid, t=0.0, frame=FIXED):
         potential_slope=-u_slope,
         t=t,
         log_scale=0.0,
-        frame=frame,
+        frame=FIXED,
         init=init,
         acc=acc,
     )

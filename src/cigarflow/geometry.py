@@ -120,11 +120,6 @@ class ConformalState:
             return self.log_factor
         return self.log_factor + self._log_w0()
 
-    @property
-    def area_density(self):
-        """Area density against Lebesgue measure in the background coordinates."""
-        return np.exp(self.euclidean_log_factor)
-
     def _log_w0(self):
         return -cigar.cigar_potential_arclength(self.grid.s)
 
@@ -217,7 +212,7 @@ def metric_laplacian(f, state, edge_slope=0.0):
 # initial Ricci potential: solve Lap_g f = R with f(origin) = 0
 # ---------------------------------------------------------------------------
 
-def solve_initial_potential(state, rhs=None):
+def solve_initial_potential(state):
     """Solve Lap_g f = R for the Ricci potential of the state's metric.
 
     Returns (f, edge_slope).  The discrete radial Laplacian is inverted
@@ -228,9 +223,7 @@ def solve_initial_potential(state, rhs=None):
     slope the potential carries from that point on: the ghost value is read
     off the last stencil row rather than prescribed.
     """
-    if rhs is None:
-        rhs = state.curvature
-    rhs = _check_field(rhs, state.grid)
+    rhs = _check_field(state.curvature, state.grid)
     grid = state.grid
     n, h = grid.n, grid.h
     a = grid.a_half

@@ -88,6 +88,9 @@ _STEPPING_KEYS = {"safety", "t_end", "record_interval", "frame", "s_report"}
 _OUTPUT_KEYS = {"directory", "snapshot_interval"}
 _TOP_KEYS = {"name", "grid", "initial", "stepping", "output", "seed"}
 
+# e^{u~0} and e^{-u~0} overflow float64 from here on
+MAX_LOG_FACTOR = float(np.log(np.finfo(float).max))
+
 # a run stops at every record and snapshot time; more stops than this is a
 # typo, not an experiment, and would only fill memory
 MAX_EVENTS = 100_000
@@ -278,13 +281,17 @@ def build_scenario(config):
     conserved field, and the hypothesis report values.
 
     Raises ConfigError when the data fails the boundedness hypotheses
-    (non-finite log u0, curvature, or potential gap).
+    (a log factor u~0 whose exponential overflows, non-finite curvature or
+    potential gap).
     """
     grid = RadialGrid(int(config.grid["n"]), float(config.grid["s_max"]))
     f0_cigar = cigar.cigar_potential_arclength(grid.s)
     log_u0, logu_slope = _initial_log_u0(config, grid, f0_cigar)
     u_slope = logu_slope - 2.0 * np.tanh(grid.s_max)
     u_tilde0 = log_u0 - f0_cigar
+    sup_u = float(np.max(np.abs(u_tilde0)))
+    if not sup_u < MAX_LOG_FACTOR:  # also refuses NaN
+        raise ConfigError(f"sup |u~0| = {sup_u:.6g} overflows e^(+-u~0) (limit {MAX_LOG_FACTOR:.6g})")
 
     conformal = ConformalState(grid, EUCLIDEAN, u_tilde0.copy(), u_slope)
     curvature0 = conformal.curvature
@@ -403,7 +410,6 @@ def verify_scenario(config):
     companion cigar-data run at the same resolution and horizon (for the
     flat plane, an exact fixed point, it is rounding-level).
     """
-    state0 = build_scenario(config)
     result = run_scenario(config)
     checks = []
 
@@ -413,7 +419,7 @@ def verify_scenario(config):
                    finite and not result.aborted,
                    result.abort_message or f"{len(records)} records"))
 
-    h = state0.grid.h
+    h = result.final_state.grid.h
     if config.initial["type"] == "flat":
         err_ms = None
         tol_w = 1e-12  # the flat plane is an exact fixed point
@@ -446,7 +452,7 @@ def verify_scenario(config):
                    worst_h <= 0.0,
                    f"worst inter-record rise {worst_h:.3e}"))
 
-    res0 = state0.init.res_poisson0
+    res0 = result.final_state.init.res_poisson0
     tol_p = 10.0 * res0 + POISSON_DRIFT_K * h**2
     worst_p = max(rec.res_poisson for rec in records)
     checks.append(("potential identity Lap_g f = R",

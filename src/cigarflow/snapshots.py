@@ -16,6 +16,13 @@ run's diagnostics bit for bit):
     ... more arrays (initial-data snapshot and accumulators) ...
     checksum <fsum of every value above>
 
+Only the stepped fields are named here; the rest of the layout comes from
+the fields of InitialData and Accumulators (arrays as init_<name> and
+acc_<name>).  Adding, removing or reordering a field of either class
+therefore changes the file and needs FORMAT_VERSION bumped; the
+golden-trajectory test, which compares a fresh snapshot with the committed
+reference byte for byte, catches a change that misses this.
+
 The checksum is math.fsum of every scalar and array value in the file,
 rounded once to a float64, so it refuses an edit only when the edit moves
 that sum by more than about half its last place.  In an n = 65 snapshot
@@ -30,6 +37,7 @@ missing line; `load_snapshot` raises SnapshotError for every malformed file.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 
@@ -41,29 +49,22 @@ __all__ = ["save_snapshot", "load_snapshot", "SnapshotError"]
 FORMAT_TAG = "cigarflow-snapshot"
 FORMAT_VERSION = "1"
 
-_SCALARS = [
-    "t",
-    "log_scale",
-    "potential_slope",
-    "u_slope",
-    "v_integral",
-    "curvature_origin",
-    "sup_u_tilde0",
-    "res_poisson0",
-    "sup_potential_gap",
-    "sup_log_u0",
-    "sup_grad_log_u0",
-]
-_ARRAYS = [
-    "u_tilde",
-    "potential",
-    "init_u_tilde0",
-    "init_log_u0",
-    "init_potential0",
-    "init_w0",
-    "acc_phi",
-    "acc_f_fixed",
-]
+_PARTS = {"acc": Accumulators, "init": InitialData}
+
+
+def _part_layout(part, arrays, prefix=""):
+    """(label, part, field) of the array or the scalar fields of one state part."""
+    return [(prefix + f.name, part, f.name) for f in fields(_PARTS[part])
+            if (f.type in (np.ndarray, "np.ndarray")) == arrays]
+
+
+# (label, part, field) in file order; part None is a stepped field.  Format 1
+# puts the accumulators' scalars before the initial data's, but the initial
+# data's arrays before the accumulators'.
+_SCALARS = ([(name, None, name) for name in ("t", "log_scale", "potential_slope", "u_slope")]
+            + _part_layout("acc", False) + _part_layout("init", False))
+_ARRAYS = ([(name, None, name) for name in ("u_tilde", "potential")]
+           + _part_layout("init", True, "init_") + _part_layout("acc", True, "acc_"))
 
 
 class SnapshotError(ValueError):
@@ -74,48 +75,31 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def _state_items(state):
-    scalars = {
-        "t": state.t,
-        "log_scale": state.log_scale,
-        "potential_slope": state.potential_slope,
-        "u_slope": state.conformal.edge_slope,
-        "v_integral": state.acc.v_integral,
-        "curvature_origin": state.acc.curvature_origin,
-        "sup_u_tilde0": state.init.sup_u_tilde0,
-        "res_poisson0": state.init.res_poisson0,
-        "sup_potential_gap": state.init.sup_potential_gap,
-        "sup_log_u0": state.init.sup_log_u0,
-        "sup_grad_log_u0": state.init.sup_grad_log_u0,
-    }
-    arrays = {
-        "u_tilde": state.conformal.log_factor,
-        "potential": state.potential,
-        "init_u_tilde0": state.init.u_tilde0,
-        "init_log_u0": state.init.log_u0,
-        "init_potential0": state.init.potential0,
-        "init_w0": state.init.w0,
-        "acc_phi": state.acc.phi,
-        "acc_f_fixed": state.acc.f_fixed,
-    }
-    return scalars, arrays
-
-
 def save_snapshot(state, path):
     """Write the full resume state as decimal text with a trailing checksum."""
-    scalars, arrays = _state_items(state)
+    parts = {
+        None: {  # the stepped fields
+            "t": state.t,
+            "log_scale": state.log_scale,
+            "potential_slope": state.potential_slope,
+            "u_slope": state.conformal.edge_slope,
+            "u_tilde": state.conformal.log_factor,
+            "potential": state.potential,
+        },
+        **{part: vars(getattr(state, part)) for part in _PARTS},
+    }
     grid = state.grid
     values = []
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}"]
     lines.append(f"grid radial {grid.n} {_fmt(grid.s_max)}")
     lines.append(f"frame {state.frame}")
-    for name in _SCALARS:
-        x = scalars[name]
+    for label, part, name in _SCALARS:
+        x = parts[part][name]
         values.append(float(x))
-        lines.append(f"scalar {name} {_fmt(x)}")
-    for name in _ARRAYS:
-        arr = np.asarray(arrays[name], dtype=float).ravel()
-        lines.append(f"array {name} {arr.size}")
+        lines.append(f"scalar {label} {_fmt(x)}")
+    for label, part, name in _ARRAYS:
+        arr = np.asarray(parts[part][name], dtype=float).ravel()
+        lines.append(f"array {label} {arr.size}")
         for x in arr:
             values.append(float(x))
             lines.append(_fmt(x))
@@ -171,57 +155,39 @@ def _parse(lines):
         raise SnapshotError(f"unknown frame {frame!r}")
 
     values = []
-    scalars = {}
-    for name in _SCALARS:
-        label, text = take("scalar", 3)
-        if label != name:
-            raise SnapshotError(f"expected scalar {name}")
-        scalars[name] = float(text)
-        values.append(scalars[name])
+    parts = {part: {} for part in (None, *_PARTS)}  # None: the stepped fields
+    for label, part, name in _SCALARS:
+        got, text = take("scalar", 3)
+        if got != label:
+            raise SnapshotError(f"expected scalar {label}")
+        parts[part][name] = float(text)
+        values.append(parts[part][name])
 
-    arrays = {}
-    for name in _ARRAYS:
-        label, size = take("array", 3)
-        if label != name:
-            raise SnapshotError(f"expected array {name}")
+    for label, part, name in _ARRAYS:
+        got, size = take("array", 3)
+        if got != label:
+            raise SnapshotError(f"expected array {label}")
         if int(size) != grid.n:
-            raise SnapshotError(f"array {name} has size {size}, grid expects {grid.n}")
+            raise SnapshotError(f"array {label} has size {size}, grid expects {grid.n}")
         if idx + grid.n > len(lines):
             raise SnapshotError("truncated snapshot")
         data = np.array([float(line) for line in lines[idx:idx + grid.n]])
         idx += grid.n
         values.extend(data)
-        arrays[name] = data
+        parts[part][name] = data
 
     (checksum,) = take("checksum", 2)
     if _fmt(math.fsum(values)) != checksum:
         raise SnapshotError("checksum mismatch: snapshot is corrupted")
 
-    conformal = ConformalState(grid, EUCLIDEAN, arrays["u_tilde"], scalars["u_slope"])
-    init = InitialData(
-        u_tilde0=arrays["init_u_tilde0"],
-        log_u0=arrays["init_log_u0"],
-        potential0=arrays["init_potential0"],
-        w0=arrays["init_w0"],
-        sup_u_tilde0=scalars["sup_u_tilde0"],
-        res_poisson0=scalars["res_poisson0"],
-        sup_potential_gap=scalars["sup_potential_gap"],
-        sup_log_u0=scalars["sup_log_u0"],
-        sup_grad_log_u0=scalars["sup_grad_log_u0"],
-    )
-    acc = Accumulators(
-        v_integral=scalars["v_integral"],
-        curvature_origin=scalars["curvature_origin"],
-        phi=arrays["acc_phi"],
-        f_fixed=arrays["acc_f_fixed"],
-    )
+    stepped = parts[None]
     return FlowState(
-        conformal=conformal,
-        potential=arrays["potential"],
-        potential_slope=scalars["potential_slope"],
-        t=scalars["t"],
-        log_scale=scalars["log_scale"],
+        conformal=ConformalState(grid, EUCLIDEAN, stepped["u_tilde"], stepped["u_slope"]),
+        potential=stepped["potential"],
+        potential_slope=stepped["potential_slope"],
+        t=stepped["t"],
+        log_scale=stepped["log_scale"],
         frame=frame,
-        init=init,
-        acc=acc,
+        init=InitialData(**parts["init"]),
+        acc=Accumulators(**parts["acc"]),
     )

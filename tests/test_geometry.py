@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cigarflow import cigar
 from cigarflow.geometry import (
+    MIN_NODES,
     ConformalState,
     RadialGrid,
     background_laplacian,
@@ -40,10 +44,16 @@ def test_grid_validation():
 # Laplacians
 # ---------------------------------------------------------------------------
 
-def test_laplacian_annihilates_constants():
+GRID_N = st.integers(min_value=MIN_NODES, max_value=257)
+GRID_S_MAX = st.floats(min_value=0.5, max_value=8.0)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(GRID_N, GRID_S_MAX, st.floats(allow_nan=False, allow_infinity=False))
+def test_laplacian_annihilates_constants(n, s_max, constant):
+    g = RadialGrid(n, s_max)
     for background in ("euclidean", "cigar"):
-        g = RadialGrid(65, 8.0)
-        out = background_laplacian(np.full(g.n, 3.7), g, background)
+        out = background_laplacian(np.full(g.n, constant), g, background)
         np.testing.assert_array_equal(out, np.zeros(g.n))
 
 
@@ -68,13 +78,18 @@ def test_cigar_laplacian_of_potential_gives_curvature():
     assert 1.8 <= np.log2(errs[65] / errs[129]) <= 2.2
 
 
-def test_radial_laplacian_symmetry_quadratic_form():
-    # <phi, L psi>_b = <psi, L phi>_b for interior-supported fields
-    rng = np.random.default_rng(3)
-    g = RadialGrid(65, 8.0)
+@settings(max_examples=50, deadline=None, database=None)
+@given(st.data(), GRID_N, GRID_S_MAX)
+def test_radial_laplacian_symmetry_quadratic_form(data, n, s_max):
+    # <phi, L psi>_b = <psi, L phi>_b for interior-supported fields.  The
+    # fields are unit-scale: below |lhs| = 1 the tolerance is the absolute
+    # 1e-10, while the rounding error grows with the fields' size (entries of
+    # size 100 exceed it at n = 25, s_max = 1, with lhs - rhs ~ 1e-10).
+    g = RadialGrid(n, s_max)
+    values = arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0))
     for background, b in (("euclidean", g.b_euclidean), ("cigar", g.b_cigar)):
-        phi = rng.standard_normal(g.n)
-        psi = rng.standard_normal(g.n)
+        phi = data.draw(values)
+        psi = data.draw(values)
         for f in (phi, psi):
             f[:3] = 0.0
             f[-3:] = 0.0

@@ -3,15 +3,20 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cigarflow import cli, flow
 from cigarflow.diagnostics import CSV_COLUMNS, emit_diagnostics, read_diagnostics
+from cigarflow.geometry import ConformalState, RadialGrid
 from cigarflow.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -146,6 +151,22 @@ def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("initial", [
+    {"type": "perturbed_cigar", "amplitude": 800, "center": 2.0, "width": 0.5},
+    {"type": "perturbed_cigar", "amplitude": -800, "center": 2.0, "width": 0.5},
+    {"type": "perturbed_cigar", "amplitude": 1e6, "center": 2.0, "width": 0.5},
+    {"type": "custom_table", "log_u0": [0.0] * 32 + [1e6] + [0.0] * 32},
+])
+def test_cli_overflowing_initial_data_exits_2(tmp_path, initial, capsys):
+    # e^{+-u~0} overflows float64: refused before any exponential is taken
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(initial=initial)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # scenario construction
 # ---------------------------------------------------------------------------
@@ -259,6 +280,68 @@ def test_snapshot_round_trip_is_text_identical(tmp_path):
     np.testing.assert_array_equal(loaded.potential, state.potential)
     assert loaded.t == state.t
     assert loaded.frame == state.frame
+
+
+# finite float64 values including -0.0 and subnormals; kept below 1e300 so
+# the checksum's fsum of every value cannot overflow
+SNAPSHOT_FLOATS = (st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300])
+                   | st.floats(min_value=-1e300, max_value=1e300))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_snapshot_round_trip_is_bit_exact(data):
+    n = data.draw(st.sampled_from([17, 33, 65]))
+    grid = RadialGrid(n, data.draw(st.floats(min_value=0.5, max_value=50.0)))
+
+    def array():
+        return data.draw(arrays(np.float64, n, elements=SNAPSHOT_FLOATS))
+
+    def scalar():
+        return data.draw(SNAPSHOT_FLOATS)
+
+    state = flow.FlowState(
+        conformal=ConformalState(grid, "euclidean", array(), scalar()),
+        potential=array(),
+        potential_slope=scalar(),
+        t=scalar(),
+        log_scale=scalar(),
+        frame=data.draw(st.sampled_from([flow.COMOVING, flow.FIXED])),
+        init=flow.InitialData(
+            u_tilde0=array(), log_u0=array(), potential0=array(), w0=array(),
+            sup_u_tilde0=scalar(), res_poisson0=scalar(), sup_potential_gap=scalar(),
+            sup_log_u0=scalar(), sup_grad_log_u0=scalar(),
+        ),
+        acc=flow.Accumulators(v_integral=scalar(), curvature_origin=scalar(),
+                              phi=array(), f_fixed=array()),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
+        save_snapshot(state, first)
+        loaded = load_snapshot(first)
+        save_snapshot(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    assert (loaded.grid.n, loaded.frame) == (n, state.frame)
+    pairs = [
+        (loaded.grid.s_max, grid.s_max),
+        (loaded.conformal.log_factor, state.conformal.log_factor),
+        (loaded.conformal.edge_slope, state.conformal.edge_slope),
+        (loaded.potential, state.potential),
+        (loaded.potential_slope, state.potential_slope),
+        (loaded.t, state.t),
+        (loaded.log_scale, state.log_scale),
+    ]
+    for part in ("init", "acc"):
+        for f in fields(getattr(state, part)):
+            pairs.append((getattr(getattr(loaded, part), f.name),
+                          getattr(getattr(state, part), f.name)))
+    for got, want in pairs:
+        np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_snapshot_checksum_rejects_corruption(tmp_path):
