@@ -54,7 +54,6 @@ from scipy.interpolate import CubicSpline
 from cigarflow import cigar
 from cigarflow.diagnostics import DiagnosticsRecord
 from cigarflow.geometry import (
-    EUCLIDEAN,
     ConformalState,
     RadialGrid,
     background_laplacian,
@@ -200,12 +199,12 @@ def _stage_rhs(state, u_hat, f_hat):
     """Time derivatives of (u_hat, f_hat, log L) at one RK4 stage."""
     grid = state.grid
     slope_u = state.conformal.edge_slope
-    lap_u = background_laplacian(u_hat, grid, EUCLIDEAN, slope_u)
-    curv = -np.exp(-u_hat) * lap_u
-    gamma = 0.5 * curv[0] if state.frame == COMOVING else 0.0
-    lap_f = background_laplacian(f_hat, grid, EUCLIDEAN, state.potential_slope)
-    du = np.exp(-u_hat) * lap_u
-    df = np.exp(-u_hat) * lap_f
+    lap_u = background_laplacian(u_hat, grid, slope_u)
+    lap_f = background_laplacian(f_hat, grid, state.potential_slope)
+    diffusivity = np.exp(-u_hat)
+    du = diffusivity * lap_u
+    df = diffusivity * lap_f
+    gamma = -0.5 * du[0] if state.frame == COMOVING else 0.0  # R(origin) / 2
     if gamma != 0.0:
         adv = gamma * grid.tanh_s
         du = du + adv * _radial_derivative(grid, u_hat, slope_u) + 2.0 * gamma
@@ -272,9 +271,7 @@ def step(state, dt):
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(f1)) and np.isfinite(log_scale1)):
         raise FlowInstabilityError("non-finite fields after step", t1)
 
-    conformal1 = ConformalState(
-        state.grid, EUCLIDEAN, u1, state.conformal.edge_slope
-    )
+    conformal1 = ConformalState(state.grid, u1, state.conformal.edge_slope)
     sup_u_tilde = float(np.max(u1)) - 2.0 * log_scale1
     if sup_u_tilde > state.init.sup_u_tilde0 + SUP_GROWTH_ABORT:
         raise FlowInstabilityError(
@@ -436,7 +433,7 @@ def normalize(state, s_window=None):
     beyond = pos > grid.s_max
     if np.any(beyond):  # linear continuation with the physical edge slope
         u_norm[beyond] += state.conformal.edge_slope * (pos[beyond] - grid.s_max)
-    out = ConformalState(window_grid, EUCLIDEAN, u_norm, state.conformal.edge_slope)
+    out = ConformalState(window_grid, u_norm, state.conformal.edge_slope)
     return out, normalization_scale(state)
 
 
@@ -470,7 +467,7 @@ def kahler_residual(state):
     rho_t = np.exp(fields["u_tilde"])
     rho_0 = np.exp(state.init.u_tilde0)
     phi_slope = -state.t * state.potential_slope
-    lap_phi = background_laplacian(state.acc.phi, grid, EUCLIDEAN, phi_slope)
+    lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
     resid = rho_t - rho_0 - KAHLER_CONSTANT * lap_phi
     return float(np.max(np.abs(resid[:-1])))
 
@@ -604,7 +601,7 @@ def exact_soliton_state(grid, t=0.0):
     """
     u_t = cigar.soliton_log_factor(grid.r, t)
     u_slope = _soliton_edge_slope(grid, t)
-    conf = ConformalState(grid, EUCLIDEAN, u_t, u_slope)
+    conf = ConformalState(grid, u_t, u_slope)
     f = cigar.soliton_potential(grid.r, t)
     u0 = cigar.soliton_log_factor(grid.r, 0.0)
     f0 = cigar.soliton_potential(grid.r, 0.0)

@@ -1,27 +1,22 @@
 """Discrete differential geometry on radial grids.
 
-Conformal states carry a log conformal factor against one of two backgrounds:
-
-    euclidean   g = e^{u~} g_E          (u~ is the Euclidean log factor)
-    cigar       g = u g_c,  field = log u
+A conformal state is a metric g = e^{u~} g_E on the plane, carried as its
+log conformal factor u~ against the Euclidean metric g_E.
 
 Radial grids are uniform in the cigar arc length s = arcsinh(r): the cigar
 end is an asymptotic cylinder in s, so uniform s-spacing resolves the
-geometry evenly where an r-grid would waste nodes.  Radial Laplacians use
-the conservative second-order form
+geometry evenly where an r-grid would waste nodes.  The Euclidean Laplacian
+uses the conservative second-order form
 
-    (1/b(s)) d/ds ( a(s) dF/ds ),   a = tanh s,
-    b = sinh s cosh s  (euclidean)  or  b = tanh s  (cigar),
+    (1/b(s)) d/ds ( a(s) dF/ds ),   a = tanh s,   b = sinh s cosh s,
 
 with the tip limit 2 F''(0) (from a(s) ~ b(s) ~ s near the axis),
 discretized so that its truncation error matches the interior family's
-s -> 0 limit, h^2 (F''''/4 - F''/3) -- see _radial_laplacian.  The outer
+s -> 0 limit, h^2 (F''''/4 - F''/3) -- see background_laplacian.  The outer
 edge uses a cubic-Hermite ghost carrying a prescribed Neumann slope (for
 cigar-tailed data the exact slope of the log factor is -2 tanh s_max).
 
-Scalar curvature follows the conformal formula
-    R(g) = u^{-1} (-Lap_{g0} log u + R_0),
-with R_0 = 0 for g_E and R_0 = 4 cosh^{-2} s for g_c (supplied analytically).
+Scalar curvature follows the conformal formula R(g) = -e^{-u~} Lap_E u~.
 """
 
 from __future__ import annotations
@@ -31,8 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
-
-from cigarflow import cigar
 
 __all__ = [
     "RadialGrid",
@@ -46,10 +39,10 @@ __all__ = [
     "WidthReport",
 ]
 
-EUCLIDEAN = "euclidean"
-CIGAR = "cigar"
-
 MIN_NODES = 16
+# Largest accepted s_max: the stencil denominators sinh s cosh s * h^2 stay
+# finite on every grid (h <= s_max / 15) only up to s_max ~ 352.
+MAX_S_MAX = 350.0
 
 
 @dataclass
@@ -62,8 +55,8 @@ class RadialGrid:
     def __post_init__(self):
         if self.n < MIN_NODES:
             raise ValueError(f"radial grid needs at least {MIN_NODES} nodes, got {self.n}")
-        if not (np.isfinite(self.s_max) and self.s_max > 0):
-            raise ValueError("s_max must be positive and finite")
+        if not 0 < self.s_max <= MAX_S_MAX:  # also refuses NaN
+            raise ValueError(f"s_max must be in (0, {MAX_S_MAX:g}], got {self.s_max!r}")
         self.s = np.linspace(0.0, self.s_max, self.n)
         self.h = self.s[1] - self.s[0]
         self.r = np.sinh(self.s)
@@ -72,28 +65,22 @@ class RadialGrid:
         # half-node conductivities a_{i+1/2} = tanh(s_i + h/2)
         self.a_half = np.tanh(self.s + 0.5 * self.h)
         self.b_euclidean = self.r * self.cosh_s
-        self.b_cigar = self.tanh_s
-
 
 
 @dataclass
 class ConformalState:
-    """A conformal metric on a grid: g = e^{log_factor} * background.
+    """A conformal metric on a grid: g = e^{log_factor} g_E.
 
-    For the euclidean background the log factor is u~ with g = e^{u~} g_E;
-    for the cigar background it is log u with g = u g_c.  `edge_slope` is the
-    Neumann slope of the log factor carried by the outer ghost node.
+    The log factor is u~; `edge_slope` is its Neumann slope, carried by the
+    outer ghost node.
     """
 
     grid: RadialGrid
-    background: str
     log_factor: np.ndarray
     edge_slope: float = 0.0
     _curvature: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.background not in (EUCLIDEAN, CIGAR):
-            raise ValueError(f"unknown background {self.background!r}")
         self.log_factor = np.asarray(self.log_factor, dtype=float)
         expected = (self.grid.n,)
         if self.log_factor.shape != expected:
@@ -107,35 +94,6 @@ class ConformalState:
         if self._curvature is None:
             self._curvature = scalar_curvature(self)
         return self._curvature
-
-    @property
-    def gauss_curvature(self):
-        """Gauss curvature K = R/2."""
-        return 0.5 * self.curvature
-
-    @property
-    def euclidean_log_factor(self):
-        """u~ such that g = e^{u~} g_E, regardless of background."""
-        if self.background == EUCLIDEAN:
-            return self.log_factor
-        return self.log_factor + self._log_w0()
-
-    def _log_w0(self):
-        return -cigar.cigar_potential_arclength(self.grid.s)
-
-    def to_euclidean(self):
-        """Rewrite against g_E: u~ = log u + log w0 (slope shifts by -2 tanh s_max)."""
-        if self.background == EUCLIDEAN:
-            return self
-        slope = self.edge_slope - 2.0 * np.tanh(self.grid.s_max)
-        return ConformalState(self.grid, EUCLIDEAN, self.log_factor + self._log_w0(), slope)
-
-    def to_cigar(self):
-        """Rewrite against g_c: log u = u~ - log w0."""
-        if self.background == CIGAR:
-            return self
-        slope = self.edge_slope + 2.0 * np.tanh(self.grid.s_max)
-        return ConformalState(self.grid, CIGAR, self.log_factor - self._log_w0(), slope)
 
 
 def _check_field(f, grid):
@@ -155,15 +113,23 @@ def _edge_ghost_jump(f, h, edge_slope):
     return 3.0 * (f[-2] - f[-1]) + 0.5 * (f[-1] - f[-3]) + 3.0 * h * edge_slope
 
 
-def _radial_laplacian(f, grid, b, edge_slope):
+def background_laplacian(f, grid, edge_slope=0.0):
+    """Euclidean Laplacian Lap_E f.
+
+    `f` is a rotationally symmetric profile in s; the outer ghost node
+    carries `edge_slope` as the Neumann slope of f.  With the default slope 0
+    the operator annihilates constants exactly at every node.
+    """
     # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
     # matching the s->0 limit of the interior conservative stencil.  A plain
     # 4(f1-f0)/h^2 tip carries F''''/6 instead; the O(1) coefficient jump is
     # invisible in the operator itself but pollutes compositions such as
     # Lap_g(R^h) at the axis with an O(1) error.  The edge row uses the
     # cubic-Hermite ghost for the same reason.
+    f = _check_field(f, grid)
     h = grid.h
     a = grid.a_half
+    b = grid.b_euclidean
     out = np.empty_like(f)
     out[0] = ((10.0 / 3.0) * (f[1] - f[0]) + (f[2] - f[0]) / 6.0) / h**2 - (2.0 / 3.0) * (
         f[1] - f[0]
@@ -174,37 +140,16 @@ def _radial_laplacian(f, grid, b, edge_slope):
     return out
 
 
-def background_laplacian(f, grid, background=EUCLIDEAN, edge_slope=0.0):
-    """Laplacian of `f` with respect to the background metric.
-
-    `f` is a rotationally symmetric profile in s; the outer ghost node
-    carries `edge_slope` as the Neumann slope of f.  With the default slope 0
-    the operator annihilates constants exactly at every node.
-    """
-    f = _check_field(f, grid)
-    if background not in (EUCLIDEAN, CIGAR):
-        raise ValueError(f"unknown background {background!r}")
-    b = grid.b_euclidean if background == EUCLIDEAN else grid.b_cigar
-    return _radial_laplacian(f, grid, b, edge_slope)
-
-
-def background_curvature(grid, background):
-    """Scalar curvature R_0 of the background metric, evaluated analytically."""
-    if background == EUCLIDEAN:
-        return np.zeros(grid.n)
-    return cigar.cigar_curvature_arclength(grid.s)
-
-
 def scalar_curvature(state):
-    """R = u^{-1} (-Lap_{g0} log u + R_0) for the state's background."""
-    lap = background_laplacian(state.log_factor, state.grid, state.background, state.edge_slope)
-    r0 = background_curvature(state.grid, state.background)
-    return np.exp(-state.log_factor) * (r0 - lap)
+    """R = -e^{-u~} Lap_E u~."""
+    lap = background_laplacian(state.log_factor, state.grid, state.edge_slope)
+    # 0.0 - lap, not -lap: the flat plane's curvature stays +0.0, never -0.0
+    return np.exp(-state.log_factor) * (0.0 - lap)
 
 
 def metric_laplacian(f, state, edge_slope=0.0):
-    """Laplacian of `f` in the evolving metric: Lap_g = u^{-1} Lap_{g0}."""
-    lap = background_laplacian(f, state.grid, state.background, edge_slope)
+    """Laplacian of `f` in the metric: Lap_g = e^{-u~} Lap_E."""
+    lap = background_laplacian(f, state.grid, edge_slope)
     return np.exp(-state.log_factor) * lap
 
 
@@ -227,26 +172,27 @@ def solve_initial_potential(state):
     grid = state.grid
     n, h = grid.n, grid.h
     a = grid.a_half
-    u = np.exp(state.log_factor)
-    b = grid.b_euclidean if state.background == EUCLIDEAN else grid.b_cigar
-    target = rhs * u  # rows of Lap_{g0} f = u R
+    b = grid.b_euclidean
+    target = rhs * np.exp(state.log_factor)  # rows of Lap_E f = e^{u~} R
 
     # unknowns f_1..f_{n-1}; equations at nodes 0..n-2
     m = n - 1
-    A = sparse.lil_matrix((m, m))
     rv = target[:-1].copy()
     # tip row (f_0 = 0 dropped from the unknowns; coefficients match the
-    # difference form of the tip stencil)
-    A[0, 0] = (10.0 / 3.0) / h**2 - 2.0 / 3.0
-    A[0, 1] = 1.0 / (6.0 * h**2)
-    # interior rows i = 1..n-2: columns i-1, i, i+1 -> unknown indices i-2, i-1, i
-    for i in range(1, n - 1):
-        c = 1.0 / (b[i] * h**2)
-        if i >= 2:
-            A[i, i - 2] = a[i - 1] * c
-        A[i, i - 1] = -(a[i] + a[i - 1]) * c
-        A[i, i] = a[i] * c
-    lu = splu(A.tocsc())
+    # difference form of the tip stencil), then interior rows i = 1..n-2:
+    # columns i-1, i, i+1 -> unknown indices i-2, i-1, i (none for i-2 < 0)
+    i = np.arange(1, n - 1)
+    c = 1.0 / (b[i] * h**2)
+    rows = np.concatenate([[0, 0], i[1:], i, i])
+    cols = np.concatenate([[0, 1], i[1:] - 2, i - 1, i])
+    vals = np.concatenate([
+        [(10.0 / 3.0) / h**2 - 2.0 / 3.0, 1.0 / (6.0 * h**2)],
+        a[i[1:] - 1] * c[1:],
+        -(a[i] + a[i - 1]) * c,
+        a[i] * c,
+    ])
+    A = sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
+    lu = splu(A)
     sol = lu.solve(rv)
     sol += lu.solve(rv - A @ sol)   # one refinement pass
     f = np.concatenate([[0.0], sol])
@@ -290,7 +236,7 @@ def level_length(state, c):
     grid = state.grid
     if c > grid.r[-1] * (1.0 + 1e-12):
         raise ValueError(f"level r={c} outside grid (r_max={grid.r[-1]:.6g})")
-    u_t = state.euclidean_log_factor
+    u_t = state.log_factor
     sc = np.arcsinh(c)
     val = np.interp(sc, grid.s, u_t)
     return 2.0 * np.pi * c * np.exp(0.5 * val)
@@ -299,7 +245,7 @@ def level_length(state, c):
 def width_report(state):
     """Sample level lengths at every grid radius and report the estimates."""
     levels = state.grid.r[1:]
-    u_t = state.euclidean_log_factor[1:]
+    u_t = state.log_factor[1:]
     lengths = 2.0 * np.pi * levels * np.exp(0.5 * u_t)
     width_bound = float(np.max(lengths))
     k_tail = max(1, int(np.ceil(0.05 * lengths.size)))

@@ -13,7 +13,9 @@ warnings: silent typos are how irreproducible experiments happen):
       "seed": 0
     }
 
-Initial-data families (all conformal factors against the cigar background):
+Initial-data families give log u0, the log factor against the cigar metric
+g_c = e^{-f0} g_E; `build_scenario` converts it to u~0 = log u0 - f0 (and
+its edge slope by -2 tanh s_max) before anything else is built:
 
     exact_cigar       u0 = 1
     scaled_cigar      u0 = scale (constant)
@@ -51,7 +53,7 @@ from cigarflow.flow import (
     run,
 )
 from cigarflow.geometry import (
-    EUCLIDEAN,
+    MAX_S_MAX,
     MIN_NODES,
     ConformalState,
     RadialGrid,
@@ -161,7 +163,8 @@ def _parse_config(data):
     if not (_power_of_two_plus_one(n) and n >= MIN_NODES):
         raise ConfigError(f"grid.n must be a power of two plus one for refinement "
                           f"studies, at least {MIN_NODES}, got {n}")
-    _positive(grid, "s_max")
+    if _positive(grid, "s_max") > MAX_S_MAX:
+        raise ConfigError(f"grid.s_max must be at most {MAX_S_MAX:g}, got {grid['s_max']!r}")
 
     initial = data["initial"]
     itype = initial.get("type")
@@ -293,7 +296,7 @@ def build_scenario(config):
     if not sup_u < MAX_LOG_FACTOR:  # also refuses NaN
         raise ConfigError(f"sup |u~0| = {sup_u:.6g} overflows e^(+-u~0) (limit {MAX_LOG_FACTOR:.6g})")
 
-    conformal = ConformalState(grid, EUCLIDEAN, u_tilde0.copy(), u_slope)
+    conformal = ConformalState(grid, u_tilde0.copy(), u_slope)
     curvature0 = conformal.curvature
     if not np.all(np.isfinite(curvature0)):
         raise ConfigError("initial curvature is not finite; data violates the hypotheses")

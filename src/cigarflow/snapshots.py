@@ -42,7 +42,7 @@ from dataclasses import fields
 import numpy as np
 
 from cigarflow.flow import COMOVING, FIXED, Accumulators, FlowState, InitialData
-from cigarflow.geometry import EUCLIDEAN, ConformalState, RadialGrid
+from cigarflow.geometry import ConformalState, RadialGrid
 
 __all__ = ["save_snapshot", "load_snapshot", "SnapshotError"]
 
@@ -182,7 +182,7 @@ def _parse(lines):
 
     stepped = parts[None]
     return FlowState(
-        conformal=ConformalState(grid, EUCLIDEAN, stepped["u_tilde"], stepped["u_slope"]),
+        conformal=ConformalState(grid, stepped["u_tilde"], stepped["u_slope"]),
         potential=stepped["potential"],
         potential_slope=stepped["potential_slope"],
         t=stepped["t"],

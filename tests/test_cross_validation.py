@@ -3,15 +3,12 @@
 The co-moving and fixed-frame integrators discretize different PDE forms
 (one carries an advection term and a scale ODE, one does not) and must
 agree on the reconstructed fixed-frame fields to discretization order.
-Likewise the two backgrounds discretize different conservative weights and
-must agree on curvature.
 """
 
 import numpy as np
 import pytest
 
-from cigarflow import cigar, flow
-from cigarflow.geometry import ConformalState, RadialGrid
+from cigarflow import flow
 from cigarflow.scenarios import build_scenario, parse_config
 
 
@@ -53,22 +50,6 @@ def test_frames_agree_on_monitors():
         a = getattr(recs["comoving"], name)
         b = getattr(recs["fixed"], name)
         assert abs(a - b) <= 20 * h2 * max(1.0, abs(a)), (name, a, b)
-
-
-def test_backgrounds_agree_on_curvature_order():
-    # the euclidean and cigar conservative weights are different operators;
-    # both must converge to the same curvature at order 2
-    gaps = {}
-    for n in (65, 129):
-        grid = RadialGrid(n, 8.0)
-        u_tilde = -cigar.cigar_potential_arclength(grid.s) + 0.2 * np.exp(
-            -((grid.s - 2.0) ** 2)
-        )
-        slope = float(-2 * np.tanh(grid.s_max)
-                      + 0.2 * (-2 * (grid.s_max - 2.0)) * np.exp(-(grid.s_max - 2.0) ** 2))
-        euclid = ConformalState(grid, "euclidean", u_tilde, slope)
-        gaps[n] = np.max(np.abs(euclid.to_cigar().curvature - euclid.curvature))
-    assert 1.5 <= np.log2(gaps[65] / gaps[129]) <= 2.5
 
 
 def test_potential_evolution_tracks_direct_solve():

@@ -48,7 +48,7 @@ def test_rhs_is_minus_curvature_exactly():
     np.testing.assert_array_equal(du, -state.curvature)
     # and -R equals the rearranged diffusion form e^{-u~} Lap_E u~ to rounding
     rearranged = np.exp(-conf.log_factor) * background_laplacian(
-        conf.log_factor, state.grid, "euclidean", conf.edge_slope
+        conf.log_factor, state.grid, conf.edge_slope
     )
     np.testing.assert_allclose(-state.curvature, rearranged, rtol=0, atol=1e-12)
 
@@ -84,8 +84,7 @@ def test_adaptive_dt_flat_tip_formula():
 def test_adaptive_dt_scales_with_diffusivity():
     base = flat_radial_state()
     shifted = flow.FlowState(
-        conformal=ConformalState(base.grid, "euclidean",
-                                 base.conformal.log_factor - np.log(4.0)),
+        conformal=ConformalState(base.grid, base.conformal.log_factor - np.log(4.0)),
         potential=base.potential,
         potential_slope=base.potential_slope,
         t=0.0,
@@ -177,7 +176,7 @@ def test_monitor_initial_cigar_values():
 
 def test_monitor_nan_state_records_nan():
     state = cigar_flow_state(65)
-    bad = ConformalState(state.grid, "euclidean",
+    bad = ConformalState(state.grid,
                          np.where(state.grid.s > 4, np.nan, state.conformal.log_factor),
                          state.conformal.edge_slope)
     from dataclasses import replace
@@ -294,8 +293,7 @@ def test_normalize_shifted_flat_plane():
     np.testing.assert_allclose(normalized.log_factor, 0.0, atol=1e-12)
     # a uniformly shifted plane normalizes back to the flat plane
     from dataclasses import replace
-    shifted_conf = ConformalState(state.grid, "euclidean",
-                                  state.conformal.log_factor + 0.8)
+    shifted_conf = ConformalState(state.grid, state.conformal.log_factor + 0.8)
     shifted = replace(state, conformal=shifted_conf)
     normalized, scale = flow.normalize(shifted)
     assert scale == pytest.approx(np.exp(-0.4), rel=1e-12)

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from cigarflow import cigar
 from cigarflow.geometry import (
@@ -21,7 +25,7 @@ from cigarflow.geometry import (
 def cigar_state(n=129, s_max=8.0):
     grid = RadialGrid(n, s_max)
     u_t = -cigar.cigar_potential_arclength(grid.s)
-    return ConformalState(grid, "euclidean", u_t, -2.0 * np.tanh(s_max))
+    return ConformalState(grid, u_t, -2.0 * np.tanh(s_max))
 
 
 # ---------------------------------------------------------------------------
@@ -35,6 +39,13 @@ def test_grid_validation():
         RadialGrid(65, -1.0)
     with pytest.raises(ValueError):
         RadialGrid(65, float("inf"))
+    with pytest.raises(ValueError):
+        RadialGrid(65, float("nan"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before sinh s cosh s overflows
+        for s_max in (355.4, 400.0, 800.0):
+            with pytest.raises(ValueError):
+                RadialGrid(65, s_max)
     g = RadialGrid(65, 8.0)
     assert g.s[0] == 0.0 and g.s[-1] == 8.0
     assert g.h * (g.n - 1) == pytest.approx(8.0, rel=1e-15)
@@ -52,9 +63,8 @@ GRID_S_MAX = st.floats(min_value=0.5, max_value=8.0)
 @given(GRID_N, GRID_S_MAX, st.floats(allow_nan=False, allow_infinity=False))
 def test_laplacian_annihilates_constants(n, s_max, constant):
     g = RadialGrid(n, s_max)
-    for background in ("euclidean", "cigar"):
-        out = background_laplacian(np.full(g.n, constant), g, background)
-        np.testing.assert_array_equal(out, np.zeros(g.n))
+    out = background_laplacian(np.full(g.n, constant), g)
+    np.testing.assert_array_equal(out, np.zeros(g.n))
 
 
 def test_laplacian_rejects_bad_fields():
@@ -68,53 +78,81 @@ def test_laplacian_rejects_bad_fields():
 
 
 def test_cigar_laplacian_of_potential_gives_curvature():
+    # Lap_{g_c} f0 = R_c, with g_c = e^{-f0} g_E
     errs = {}
     for n in (65, 129):
-        g = RadialGrid(n, 8.0)
+        state = cigar_state(n)
+        g = state.grid
         f0 = cigar.cigar_potential_arclength(g.s)
-        lap = background_laplacian(f0, g, "cigar", edge_slope=2.0 * np.tanh(g.s_max))
+        lap = metric_laplacian(f0, state, edge_slope=2.0 * np.tanh(g.s_max))
         errs[n] = np.max(np.abs(lap - cigar.cigar_curvature_arclength(g.s)))
     assert errs[129] <= 0.05
     assert 1.8 <= np.log2(errs[65] / errs[129]) <= 2.2
 
 
+# entries of any size from 1e-3 to 1e6 (or zero); smaller ones would let the
+# products underflow, where rounding is no longer relative
+ENTRIES = st.just(0.0) | st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3)
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(st.data(), GRID_N, GRID_S_MAX)
 def test_radial_laplacian_symmetry_quadratic_form(data, n, s_max):
-    # <phi, L psi>_b = <psi, L phi>_b for interior-supported fields.  The
-    # fields are unit-scale: below |lhs| = 1 the tolerance is the absolute
-    # 1e-10, while the rounding error grows with the fields' size (entries of
-    # size 100 exceed it at n = 25, s_max = 1, with lhs - rhs ~ 1e-10).
+    # <phi, L psi>_b = <psi, L phi>_b for interior-supported fields, to
+    # rounding: the tolerance scales with the size of the summands
     g = RadialGrid(n, s_max)
-    values = arrays(np.float64, n, elements=st.floats(min_value=-1.0, max_value=1.0))
-    for background, b in (("euclidean", g.b_euclidean), ("cigar", g.b_cigar)):
-        phi = data.draw(values)
-        psi = data.draw(values)
-        for f in (phi, psi):
-            f[:3] = 0.0
-            f[-3:] = 0.0
-        lhs = np.sum(b[1:-1] * phi[1:-1] * background_laplacian(psi, g, background)[1:-1])
-        rhs = np.sum(b[1:-1] * psi[1:-1] * background_laplacian(phi, g, background)[1:-1])
-        assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(lhs)))
+    b = g.b_euclidean
+    values = arrays(np.float64, n, elements=ENTRIES)
+    phi = data.draw(values)
+    psi = data.draw(values)
+    for f in (phi, psi):
+        f[:3] = 0.0
+        f[-3:] = 0.0
+    lhs = b[1:-1] * phi[1:-1] * background_laplacian(psi, g)[1:-1]
+    rhs = b[1:-1] * psi[1:-1] * background_laplacian(phi, g)[1:-1]
+    tol = 8.0 * np.finfo(float).eps * (np.sum(np.abs(lhs)) + np.sum(np.abs(rhs)))
+    assert abs(np.sum(lhs) - np.sum(rhs)) <= tol
 
 
 # ---------------------------------------------------------------------------
 # scalar curvature
 # ---------------------------------------------------------------------------
 
-def test_curvature_identity_factor_over_cigar():
-    g = RadialGrid(65, 8.0)
-    state = ConformalState(g, "cigar", np.zeros(g.n), 0.0)
-    np.testing.assert_allclose(state.curvature, cigar.cigar_curvature_arclength(g.s), atol=1e-14)
-
-
 def test_curvature_constant_rescale():
-    g = RadialGrid(65, 8.0)
+    state = cigar_state(65)
     lam = 2.0
-    state = ConformalState(g, "cigar", np.full(g.n, np.log(lam)), 0.0)
-    np.testing.assert_allclose(
-        state.curvature, cigar.cigar_curvature_arclength(g.s) / lam, rtol=1e-13
-    )
+    scaled = ConformalState(state.grid, state.log_factor + np.log(lam), state.edge_slope)
+    np.testing.assert_allclose(scaled.curvature, state.curvature / lam, rtol=1e-13)
+
+
+def _even_bumps(s, amplitude):
+    """A (e^{-(s-2)^2} + e^{-(s+2)^2}) and its first two s-derivatives: even
+    in s, so the metric is smooth at the tip (a one-sided bump is a cone)."""
+    left, right = np.exp(-((s - 2.0) ** 2)), np.exp(-((s + 2.0) ** 2))
+    d1 = -2.0 * (s - 2.0) * left - 2.0 * (s + 2.0) * right
+    d2 = (4.0 * (s - 2.0) ** 2 - 2.0) * left + (4.0 * (s + 2.0) ** 2 - 2.0) * right
+    return amplitude * (left + right), amplitude * d1, amplitude * d2
+
+
+def test_curvature_matches_closed_form():
+    # u~ = -f0 + bumps against R = -e^{-u~} Lap_E u~ in closed form, with
+    # Lap_E F = F'' / cosh^2 s + F' / (sinh s cosh^3 s) and 2 F''(0) at the tip
+    errs = {}
+    for n in (65, 129, 257):
+        g = RadialGrid(n, 8.0)
+        s = g.s
+        bump, d1, d2 = _even_bumps(s, 0.2)
+        u_t = bump - cigar.cigar_potential_arclength(s)
+        du = d1 - 2.0 * g.tanh_s
+        d2u = d2 - 2.0 / g.cosh_s**2
+        lap = np.empty(n)
+        lap[0] = 2.0 * d2u[0]
+        lap[1:] = d2u[1:] / g.cosh_s[1:] ** 2 + du[1:] / (g.r[1:] * g.cosh_s[1:] ** 3)
+        state = ConformalState(g, u_t, du[-1])
+        errs[n] = np.max(np.abs(state.curvature + np.exp(-u_t) * lap))
+        assert errs[n] <= 2.5 * g.h**2
+    assert 1.8 <= np.log2(errs[65] / errs[129]) <= 2.2
+    assert 1.8 <= np.log2(errs[129] / errs[257]) <= 2.2
 
 
 def test_curvature_of_exact_family_on_euclidean_background():
@@ -125,7 +163,7 @@ def test_curvature_of_exact_family_on_euclidean_background():
         t = 0.25
         u_t = cigar.soliton_log_factor(g.r, t)
         slope = float(-2 * np.sinh(8.0) * np.cosh(8.0) / (np.exp(4 * t) + np.sinh(8.0) ** 2))
-        state = ConformalState(g, "euclidean", u_t, slope)
+        state = ConformalState(g, u_t, slope)
         exact = cigar.soliton_scalar_curvature(g.r, t)
         errs[n] = np.max(np.abs(state.curvature - exact))
         assert state.curvature[0] == pytest.approx(4.0, abs=20.0 * g.h**2)
@@ -135,44 +173,28 @@ def test_curvature_of_exact_family_on_euclidean_background():
     assert 1.8 <= order2 <= 2.2
 
 
-def test_gauss_curvature_is_half_scalar():
-    state = cigar_state(65)
-    np.testing.assert_array_equal(state.gauss_curvature, 0.5 * state.curvature)
-
-
-def test_background_conversion_round_trip():
-    state = cigar_state(65)
-    converted = state.to_cigar()
-    np.testing.assert_allclose(converted.log_factor, np.zeros(65), atol=1e-12)
-    back = converted.to_euclidean()
-    np.testing.assert_allclose(back.log_factor, state.log_factor, atol=1e-13)
-    assert back.edge_slope == pytest.approx(state.edge_slope, abs=1e-13)
-    # both gauges agree on the curvature up to O(h^2) discretization
-    np.testing.assert_allclose(converted.curvature, state.curvature, atol=0.05)
-
-
 # ---------------------------------------------------------------------------
 # metric Laplacian
 # ---------------------------------------------------------------------------
 
 def test_metric_laplacian_reduces_to_background():
     g = RadialGrid(65, 8.0)
-    state = ConformalState(g, "cigar", np.zeros(g.n), 0.0)
+    flat = ConformalState(g, np.zeros(g.n), 0.0)
     f0 = cigar.cigar_potential_arclength(g.s)
     slope = 2.0 * np.tanh(g.s_max)
     np.testing.assert_array_equal(
-        metric_laplacian(f0, state, slope), background_laplacian(f0, g, "cigar", slope)
+        metric_laplacian(f0, flat, slope), background_laplacian(f0, g, slope)
     )
 
 
 def test_metric_laplacian_of_potential_over_cigar():
-    g = RadialGrid(129, 8.0)
+    one = cigar_state(129)
+    g = one.grid
     f0 = cigar.cigar_potential_arclength(g.s)
     slope = 2.0 * np.tanh(g.s_max)
     r_c = cigar.cigar_curvature_arclength(g.s)
-    one = ConformalState(g, "cigar", np.zeros(g.n), 0.0)
     assert np.max(np.abs(metric_laplacian(f0, one, slope) - r_c)) <= 0.02
-    two = ConformalState(g, "cigar", np.full(g.n, np.log(2.0)), 0.0)
+    two = ConformalState(g, one.log_factor + np.log(2.0), one.edge_slope)
     assert np.max(np.abs(metric_laplacian(f0, two, slope) - r_c / 2.0)) <= 0.01
 
 
@@ -194,7 +216,7 @@ def test_potential_solve_recovers_cigar_potential():
 def test_potential_solve_scaled_metric_same_potential():
     state = cigar_state(129)
     scaled = ConformalState(
-        state.grid, "euclidean", state.log_factor + np.log(2.0), state.edge_slope
+        state.grid, state.log_factor + np.log(2.0), state.edge_slope
     )
     f1, _ = solve_initial_potential(state)
     f2, _ = solve_initial_potential(scaled)
@@ -205,12 +227,46 @@ def test_potential_solve_perturbed_residual():
     g = RadialGrid(129, 8.0)
     bump = 0.3 * np.exp(-((g.s - 2.0) ** 2) / (2 * 0.25))
     u_t = bump - cigar.cigar_potential_arclength(g.s)
-    state = ConformalState(g, "euclidean", u_t, -2.0 * np.tanh(g.s_max))
+    state = ConformalState(g, u_t, -2.0 * np.tanh(g.s_max))
     f, slope = solve_initial_potential(state)
     res = metric_laplacian(f, state, slope) - state.curvature
     assert np.max(np.abs(res)) <= 1e-10
     gap = np.abs(cigar.cigar_potential_arclength(g.s) - f)
     assert np.all(np.isfinite(gap))
+
+
+def _loop_potential_solve(state):
+    """Reference: the same solve with the matrix assembled row by row."""
+    g = state.grid
+    n, h, a, b = g.n, g.h, g.a_half, g.b_euclidean
+    target = state.curvature * np.exp(state.log_factor)
+    A = sparse.lil_matrix((n - 1, n - 1))
+    A[0, 0] = (10.0 / 3.0) / h**2 - 2.0 / 3.0
+    A[0, 1] = 1.0 / (6.0 * h**2)
+    for i in range(1, n - 1):
+        c = 1.0 / (b[i] * h**2)
+        if i >= 2:
+            A[i, i - 2] = a[i - 1] * c
+        A[i, i - 1] = -(a[i] + a[i - 1]) * c
+        A[i, i] = a[i] * c
+    lu = splu(A.tocsc())
+    sol = lu.solve(target[:-1])
+    sol += lu.solve(target[:-1] - A @ sol)
+    f = np.concatenate([[0.0], sol])
+    jump = (target[-1] * b[-1] * h**2 + a[-2] * (f[-1] - f[-2])) / a[-1]
+    return f, (jump - 3.0 * (f[-2] - f[-1]) - 0.5 * (f[-1] - f[-3])) / (3.0 * h)
+
+
+@pytest.mark.parametrize("n", [17, 65, 129, 257])
+def test_potential_solve_matches_loop_assembly(n):
+    # the vectorized matrix assembly holds the same entries: bit-identical f
+    g = RadialGrid(n, 8.0)
+    bump = 0.3 * np.exp(-((g.s - 2.0) ** 2) / (2 * 0.25)) + 0.1 * np.sin(3.0 * g.s)
+    state = ConformalState(g, bump - cigar.cigar_potential_arclength(g.s), -2.0 * np.tanh(8.0))
+    f, slope = solve_initial_potential(state)
+    f_ref, slope_ref = _loop_potential_solve(state)
+    np.testing.assert_array_equal(f, f_ref)
+    assert slope == slope_ref
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +286,7 @@ def test_level_length_values():
     assert level_length(state, r_k) == pytest.approx(
         2 * np.pi * r_k / np.sqrt(1 + r_k**2), rel=1e-13
     )
-    flat = ConformalState(state.grid, "euclidean", np.zeros(257), 0.0)
+    flat = ConformalState(state.grid, np.zeros(257), 0.0)
     assert level_length(flat, 2.0) == pytest.approx(4 * np.pi, rel=1e-12)
     with pytest.raises(ValueError):
         level_length(state, 2 * state.grid.r[-1])
@@ -245,7 +301,7 @@ def test_width_report_cigar():
 
 def test_width_report_flat_unbounded():
     g = RadialGrid(129, 8.0)
-    flat = ConformalState(g, "euclidean", np.zeros(129), 0.0)
+    flat = ConformalState(g, np.zeros(129), 0.0)
     rep = width_report(flat)
     assert not rep.bounded
     assert rep.width_bound == pytest.approx(2 * np.pi * g.r[-1], rel=1e-12)
@@ -255,7 +311,7 @@ def test_width_scaling_identity():
     state = cigar_state(129)
     lam = 2.0
     scaled = ConformalState(
-        state.grid, "euclidean", state.log_factor + np.log(lam), state.edge_slope
+        state.grid, state.log_factor + np.log(lam), state.edge_slope
     )
     rep1 = width_report(state)
     rep2 = width_report(scaled)
