@@ -26,7 +26,8 @@ stays O(h^2) forever.  For the exact soliton this gauge is static.  Fixed-
 coordinate fields at the original grid nodes come through one function,
 `map_to_fixed`, by cubic interpolation (the map pulls points inward, never
 outside the grid, while the scale grows); a step maps only f, for the phi
-accumulator.  gamma = 0 recovers plain fixed-frame stepping.
+accumulator, and `fixed_fields` reuses that mapped f.  gamma = 0 recovers
+plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -46,7 +47,7 @@ is pinned once by exactness on the soliton family and frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -75,7 +76,6 @@ __all__ = [
     "normalization_scale",
     "profile_distance",
     "kahler_residual",
-    "kahler_cross_check",
     "run",
     "exact_soliton_state",
 ]
@@ -97,17 +97,25 @@ class FlowInstabilityError(RuntimeError):
 
 @dataclass
 class InitialData:
-    """Frozen t=0 fields at the fixed grid nodes, in the fixed frame."""
+    """Frozen t=0 fields at the fixed grid nodes, in the fixed frame.
+
+    The fields with init=False are derived from the others on construction.
+    """
 
     u_tilde0: np.ndarray      # Euclidean log factor
     log_u0: np.ndarray        # cigar-gauge log u(0)
     potential0: np.ndarray    # Ricci potential f(0), gauge f(0)(origin) = 0
-    w0: np.ndarray            # u_tilde0 + potential0
-    sup_u_tilde0: float
+    w0: np.ndarray = field(init=False)       # u_tilde0 + potential0
+    sup_u_tilde0: float = field(init=False)
     res_poisson0: float
     sup_potential_gap: float  # sup |f0_cigar - f(0)|, boundedness hypothesis value
-    sup_log_u0: float
+    sup_log_u0: float = field(init=False)
     sup_grad_log_u0: float
+
+    def __post_init__(self):
+        self.w0 = self.u_tilde0 + self.potential0
+        self.sup_u_tilde0 = float(np.max(self.u_tilde0))
+        self.sup_log_u0 = float(np.max(np.abs(self.log_u0)))
 
 
 @dataclass
@@ -115,7 +123,6 @@ class Accumulators:
     """Trapezoidal accumulators advanced once per accepted step."""
 
     v_integral: float         # int_0^t R(origin) dtau
-    curvature_origin: float   # R(origin) at the current time
     phi: np.ndarray           # phi(t) - phi(0) = -int_0^t f dtau, fixed nodes
     f_fixed: np.ndarray       # f at the fixed nodes at the current time
 
@@ -172,10 +179,13 @@ def map_to_fixed(state, values, slope=None):
 
 
 def fixed_fields(state):
-    """Reconstruct u~, f, w, v, h at the fixed grid nodes."""
+    """Reconstruct u~, f, w, v, h at the fixed grid nodes.
+
+    f is the accumulator's copy, which `step` maps once per accepted step.
+    """
     conf = state.conformal
     u_tilde = map_to_fixed(state, conf.log_factor, conf.edge_slope) - 2.0 * state.log_scale
-    f = map_to_fixed(state, state.potential, state.potential_slope)
+    f = state.acc.f_fixed
     w = u_tilde + f
     v = state.init.potential0 - f
     h = v + state.init.log_u0
@@ -284,12 +294,12 @@ def step(state, dt):
     )
 
     # trapezoidal accumulators across the accepted step
+    r0 = float(state.curvature[0])
     r0_new = float(new_state.curvature[0])
     f_fixed_new = map_to_fixed(new_state, f1, state.potential_slope)
     acc = state.acc
     acc1 = Accumulators(
-        v_integral=acc.v_integral + 0.5 * dt * (acc.curvature_origin + r0_new),
-        curvature_origin=r0_new,
+        v_integral=acc.v_integral + 0.5 * dt * (r0 + r0_new),
         phi=acc.phi - 0.5 * dt * (acc.f_fixed + f_fixed_new),
         f_fixed=f_fixed_new,
     )
@@ -472,31 +482,6 @@ def kahler_residual(state):
     return float(np.max(np.abs(resid[:-1])))
 
 
-def kahler_cross_check(states):
-    """Recompute the reconstruction residual from an explicit trajectory.
-
-    `states` must be time-ordered and start at t = 0; the accumulated
-    potential is rebuilt by the same trapezoidal rule the runner applies
-    per step, so a trajectory of every accepted step reproduces
-    kahler_residual of its last state.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("empty trajectory")
-    if states[0].t != 0.0:
-        raise ValueError("trajectory must start at t = 0")
-    grid = states[0].grid
-    phi = np.zeros(grid.n)
-    f_prev = map_to_fixed(states[0], states[0].potential, states[0].potential_slope)
-    t_prev = 0.0
-    for st in states[1:]:
-        f_now = map_to_fixed(st, st.potential, st.potential_slope)
-        phi = phi - 0.5 * (st.t - t_prev) * (f_prev + f_now)
-        f_prev, t_prev = f_now, st.t
-    last = replace(states[-1], acc=replace(states[-1].acc, phi=phi))
-    return kahler_residual(last)
-
-
 # ---------------------------------------------------------------------------
 # the runner
 # ---------------------------------------------------------------------------
@@ -609,16 +594,12 @@ def exact_soliton_state(grid, t=0.0):
         u_tilde0=u0,
         log_u0=np.zeros(grid.n),
         potential0=f0,
-        w0=u0 + f0,
-        sup_u_tilde0=float(np.max(u0)),
         res_poisson0=0.0,
         sup_potential_gap=0.0,
-        sup_log_u0=0.0,
         sup_grad_log_u0=0.0,
     )
     acc = Accumulators(
         v_integral=4.0 * t,
-        curvature_origin=float(conf.curvature[0]),
         phi=np.zeros(grid.n),
         f_fixed=f.copy(),
     )

@@ -43,6 +43,10 @@ MIN_NODES = 16
 # Largest accepted s_max: the stencil denominators sinh s cosh s * h^2 stay
 # finite on every grid (h <= s_max / 15) only up to s_max ~ 352.
 MAX_S_MAX = 350.0
+# Largest spacing a run accepts: the tip row's coefficient of f_1,
+# 10/(3 h^2) - 2/3, turns negative for h > sqrt 5, and the explicit tip update
+# then loses its maximum principle.  RadialGrid itself allows any spacing.
+MAX_SPACING = float(np.sqrt(5.0))
 
 
 @dataclass

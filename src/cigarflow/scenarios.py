@@ -19,9 +19,11 @@ its edge slope by -2 tanh s_max) before anything else is built:
 
     exact_cigar       u0 = 1
     scaled_cigar      u0 = scale (constant)
-    perturbed_cigar   log u0 = A exp(-(s - s0)^2 / (2 sigma^2)); optional
-                      "random_bumps": k adds k seeded Gaussian bumps, which
-                      is what the config-level seed feeds
+    perturbed_cigar   log u0 = A (exp(-(s - s0)^2 / (2 sigma^2))
+                              + exp(-(s + s0)^2 / (2 sigma^2))), a bump
+                      mirrored to be even in s (so a centre-0 bump peaks at
+                      2A); optional "random_bumps": k adds k seeded mirrored
+                      bumps, which is what the config-level seed feeds
     flat              the flat plane, u0 = 1/w0
     custom_table      explicit log u0 node values, one per grid node
 
@@ -31,7 +33,9 @@ gradient bound that the stability theory assumes are finite by construction;
 
 The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
-value with a ConfigError before anything is built.
+value with a ConfigError before anything is built, including a spacing
+h = s_max/(n-1) above sqrt 5, where the tip stencil loses its maximum
+principle.
 """
 
 from __future__ import annotations
@@ -48,12 +52,14 @@ from cigarflow.flow import (
     Accumulators,
     FlowState,
     InitialData,
+    _edge_slope_estimate,
     _radial_derivative,
     fixed_fields,
     run,
 )
 from cigarflow.geometry import (
     MAX_S_MAX,
+    MAX_SPACING,
     MIN_NODES,
     ConformalState,
     RadialGrid,
@@ -163,8 +169,12 @@ def _parse_config(data):
     if not (_power_of_two_plus_one(n) and n >= MIN_NODES):
         raise ConfigError(f"grid.n must be a power of two plus one for refinement "
                           f"studies, at least {MIN_NODES}, got {n}")
-    if _positive(grid, "s_max") > MAX_S_MAX:
+    s_max = _positive(grid, "s_max")
+    if s_max > MAX_S_MAX:
         raise ConfigError(f"grid.s_max must be at most {MAX_S_MAX:g}, got {grid['s_max']!r}")
+    if s_max / (n - 1) > MAX_SPACING:
+        raise ConfigError(f"grid spacing s_max/(n-1) = {s_max / (n - 1):.6g} exceeds "
+                          f"sqrt(5) = {MAX_SPACING:.6g}, where the tip stencil fails")
 
     initial = data["initial"]
     itype = initial.get("type")
@@ -233,24 +243,23 @@ def load_config(path):
 
 
 def _gaussian_bump(s, amplitude, center, width):
-    return amplitude * np.exp(-((s - center) ** 2) / (2.0 * width**2))
-
-
-def _gaussian_bump_slope(s, amplitude, center, width):
-    return -amplitude * (s - center) / width**2 * np.exp(-((s - center) ** 2) / (2.0 * width**2))
+    """Values and d/ds of a Gaussian at `center` plus its mirror at -center,
+    which keeps log u0 even in s (a one-sided bump leaves a cone point)."""
+    near, far = (np.exp(-((s - c) ** 2) / (2.0 * width**2)) for c in (center, -center))
+    return (amplitude * (near + far),
+            -amplitude / width**2 * ((s - center) * near + (s + center) * far))
 
 
 def _initial_log_u0(config, grid, f0_cigar):
     """log u0 on the grid plus its analytic d/ds slope at the outer edge."""
     itype = config.initial["type"]
     s = grid.s
-    s_edge = grid.s_max
 
     if itype == "exact_cigar":
         return np.zeros_like(s), 0.0
     if itype == "flat":
         # log u0 = f0 node for node, so u~0 = log u0 - f0 is exactly zero
-        return f0_cigar.copy(), 2.0 * np.tanh(s_edge)
+        return f0_cigar.copy(), 2.0 * np.tanh(grid.s_max)
     if itype == "scaled_cigar":
         lam = float(config.initial["scale"])
         return np.full_like(s, np.log(lam)), 0.0
@@ -258,8 +267,7 @@ def _initial_log_u0(config, grid, f0_cigar):
         amp = float(config.initial["amplitude"])
         center = float(config.initial["center"])
         width = float(config.initial["width"])
-        values = _gaussian_bump(s, amp, center, width)
-        slope = _gaussian_bump_slope(s_edge, amp, center, width)
+        values, slopes = _gaussian_bump(s, amp, center, width)
         k = int(config.initial.get("random_bumps", 0))
         if k:
             rng = np.random.default_rng(config.seed)
@@ -267,9 +275,9 @@ def _initial_log_u0(config, grid, f0_cigar):
                 a = amp * rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
                 c = rng.uniform(0.5, 0.8 * float(np.max(s)))
                 w = width * rng.uniform(0.5, 1.5)
-                values = values + _gaussian_bump(s, a, c, w)
-                slope += _gaussian_bump_slope(s_edge, a, c, w)
-        return values, float(slope)
+                bump, bump_slopes = _gaussian_bump(s, a, c, w)
+                values, slopes = values + bump, slopes + bump_slopes
+        return values, float(slopes[-1])  # s[-1] is s_max exactly
     if itype == "custom_table":
         values = np.asarray(config.initial["log_u0"], dtype=float)
         slope = float(
@@ -284,8 +292,8 @@ def build_scenario(config):
     conserved field, and the hypothesis report values.
 
     Raises ConfigError when the data fails the boundedness hypotheses
-    (a log factor u~0 whose exponential overflows, non-finite curvature or
-    potential gap).
+    (a log factor u~0 whose exponential overflows, a non-finite curvature,
+    Lap_g of the curvature or potential gap).
     """
     grid = RadialGrid(int(config.grid["n"]), float(config.grid["s_max"]))
     f0_cigar = cigar.cigar_potential_arclength(grid.s)
@@ -297,9 +305,15 @@ def build_scenario(config):
         raise ConfigError(f"sup |u~0| = {sup_u:.6g} overflows e^(+-u~0) (limit {MAX_LOG_FACTOR:.6g})")
 
     conformal = ConformalState(grid, u_tilde0.copy(), u_slope)
-    curvature0 = conformal.curvature
-    if not np.all(np.isfinite(curvature0)):
-        raise ConfigError("initial curvature is not finite; data violates the hypotheses")
+    with np.errstate(over="ignore", invalid="ignore"):
+        curvature0 = conformal.curvature
+        if not np.all(np.isfinite(curvature0)):
+            raise ConfigError("initial curvature is not finite; data violates the hypotheses")
+        # the first record's curvature-evolution residual applies Lap_g to R
+        lap_r0 = metric_laplacian(curvature0, conformal,
+                                  _edge_slope_estimate(grid, curvature0))
+    if not np.all(np.isfinite(lap_r0)):
+        raise ConfigError("Lap_g R at t = 0 is not finite; data violates the hypotheses")
 
     potential0, f_slope = solve_initial_potential(conformal)
     res0 = float(np.max(np.abs(metric_laplacian(potential0, conformal, f_slope) - curvature0)))
@@ -313,16 +327,12 @@ def build_scenario(config):
         u_tilde0=u_tilde0.copy(),
         log_u0=log_u0.copy(),
         potential0=potential0.copy(),
-        w0=u_tilde0 + potential0,
-        sup_u_tilde0=float(np.max(u_tilde0)),
         res_poisson0=res0,
         sup_potential_gap=float(gap),
-        sup_log_u0=float(np.max(np.abs(log_u0))),
         sup_grad_log_u0=float(np.sqrt(np.max(grad_sq))),
     )
     acc = Accumulators(
         v_integral=0.0,
-        curvature_origin=float(curvature0[0]),
         phi=np.zeros_like(u_tilde0),
         f_fixed=potential0.copy(),
     )

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cigarflow import cigar, flow
 from cigarflow.geometry import ConformalState, RadialGrid, background_laplacian
 from cigarflow.scenarios import build_scenario, parse_config
+from cigarflow.snapshots import load_snapshot, save_snapshot
 
 
 def radial_config(n=129, s_max=8.0, initial=None, t_end=0.5, safety=0.9,
@@ -179,7 +182,6 @@ def test_monitor_nan_state_records_nan():
     bad = ConformalState(state.grid,
                          np.where(state.grid.s > 4, np.nan, state.conformal.log_factor),
                          state.conformal.edge_slope)
-    from dataclasses import replace
     rec = flow.monitor(replace(state, conformal=bad))
     assert not rec.finite
 
@@ -211,7 +213,6 @@ def test_curvature_evolution_exact_triples_quarter():
 
 def test_curvature_evolution_flat_is_zero():
     state = flat_radial_state()
-    from dataclasses import replace
     triple = [replace(state, t=k * 1e-3) for k in (0, 1, 2)]
     np.testing.assert_allclose(flow.curvature_evolution_residual(*triple), 0.0, atol=1e-12)
 
@@ -292,7 +293,6 @@ def test_normalize_shifted_flat_plane():
     assert scale == 1.0
     np.testing.assert_allclose(normalized.log_factor, 0.0, atol=1e-12)
     # a uniformly shifted plane normalizes back to the flat plane
-    from dataclasses import replace
     shifted_conf = ConformalState(state.grid, state.conformal.log_factor + 0.8)
     shifted = replace(state, conformal=shifted_conf)
     normalized, scale = flow.normalize(shifted)
@@ -337,18 +337,47 @@ def test_kahler_perturbed_stays_within_tenfold_of_soliton():
     )
 
 
+def kahler_cross_check(states):
+    """Reference for the runner's phi accumulator: kahler_residual of the
+    last state, with phi rebuilt from an explicit trajectory that starts at
+    t = 0 by the same trapezoidal rule `step` applies."""
+    phi = np.zeros(states[0].grid.n)
+    f_prev = flow.map_to_fixed(states[0], states[0].potential, states[0].potential_slope)
+    for prev, st in zip(states, states[1:]):
+        f_now = flow.map_to_fixed(st, st.potential, st.potential_slope)
+        phi = phi - 0.5 * (st.t - prev.t) * (f_prev + f_now)
+        f_prev = f_now
+    last = replace(states[-1], acc=replace(states[-1].acc, phi=phi))
+    return flow.kahler_residual(last)
+
+
 def test_kahler_cross_check_matches_online_accumulator():
     state = cigar_flow_state(65)
     states = [state]
     for _ in range(20):
         states.append(flow.step(states[-1], 1e-3))
     online = flow.kahler_residual(states[-1])
-    recomputed = flow.kahler_cross_check(states)
+    recomputed = kahler_cross_check(states)
     assert recomputed == pytest.approx(online, rel=1e-10, abs=1e-15)
-    with pytest.raises(ValueError):
-        flow.kahler_cross_check([])
-    with pytest.raises(ValueError):
-        flow.kahler_cross_check(states[5:])
+
+
+def test_f_fixed_is_the_mapped_potential(tmp_path):
+    # fixed_fields reads f from acc.f_fixed, so it must equal the mapped
+    # potential bit for bit wherever a state comes from
+    def assert_mapped(state):
+        mapped = flow.map_to_fixed(state, state.potential, state.potential_slope)
+        assert state.acc.f_fixed.tobytes() == mapped.tobytes()
+
+    state = build_scenario(radial_config(
+        n=65, initial={"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0,
+                       "width": 0.5}))
+    assert_mapped(state)
+    for _ in range(20):
+        state = flow.step(state, flow.adaptive_dt(state))
+    assert state.log_scale != 0.0  # the map is not the identity
+    assert_mapped(state)
+    save_snapshot(state, tmp_path / "snap.txt")
+    assert_mapped(load_snapshot(tmp_path / "snap.txt"))
 
 
 # ---------------------------------------------------------------------------

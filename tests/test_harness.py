@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import zlib
 from dataclasses import fields
 from pathlib import Path
 
@@ -146,6 +147,9 @@ def test_parse_config_raises_only_config_error(mutations):
     {"grid": {"kind": "radial", "n": 65, "s_max": 355.4}},
     {"grid": {"kind": "radial", "n": 65, "s_max": 400}},
     {"grid": {"kind": "radial", "n": 65, "s_max": 800}},
+    # spacing h above sqrt 5 turns the tip row's coefficient of f_1 negative
+    {"grid": {"kind": "radial", "n": 65, "s_max": 170}},
+    {"grid": {"kind": "radial", "n": 17, "s_max": 50}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     path = tmp_path / "config.json"
@@ -160,15 +164,30 @@ def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     {"type": "perturbed_cigar", "amplitude": -800, "center": 2.0, "width": 0.5},
     {"type": "perturbed_cigar", "amplitude": 1e6, "center": 2.0, "width": 0.5},
     {"type": "custom_table", "log_u0": [0.0] * 32 + [1e6] + [0.0] * 32},
+    # inside the e^{+-u~0} guard, but Lap_g R0 (which the first record's
+    # curvature probe applies) overflows; -348.853 is the bisected edge
+    {"type": "perturbed_cigar", "amplitude": -700, "center": 2.0, "width": 0.5},
+    {"type": "perturbed_cigar", "amplitude": -348.86, "center": 2.0, "width": 0.5},
 ])
 def test_cli_overflowing_initial_data_exits_2(tmp_path, initial, capsys):
-    # e^{+-u~0} overflows float64: refused before any exponential is taken
+    # e^{+-u~0}, R0 or Lap_g R0 overflows float64: refused without a warning
     path = tmp_path / "config.json"
     path.write_text(json.dumps(base_config(initial=initial)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_initial_data_inside_the_curvature_guard_runs(tmp_path):
+    # just inside the bisected edge of the Lap_g R0 refusal the run completes
+    # without an overflow warning
+    initial = {"type": "perturbed_cigar", "amplitude": -348.84, "center": 2.0, "width": 0.5}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(initial=initial)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +220,19 @@ def test_build_perturbed_cigar_hypothesis_values():
     assert np.isfinite(state.init.sup_grad_log_u0)
     assert np.isfinite(state.init.sup_potential_gap)
     assert state.init.res_poisson0 <= 1e-10
+
+
+def test_perturbed_tip_curvature_converges_at_order_2():
+    # the mirrored bump is even in s, so the tip is smooth and the discrete
+    # tip curvature converges; a one-sided bump at c = 0.5 had a cone point
+    # there and R0 doubled with each halving of h
+    initial = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 0.5, "width": 0.25}
+    r0 = [float(build_scenario(parse_config(base_config(
+        grid={"kind": "radial", "n": n, "s_max": 8.0}, initial=initial))).curvature[0])
+        for n in (65, 129, 257, 513, 1025)]
+    diffs = np.abs(np.diff(r0))
+    orders = np.log2(diffs[:-1] / diffs[1:])
+    assert np.all((1.8 <= orders) & (orders <= 2.2)), (r0, orders)
 
 
 def test_build_custom_table_and_rejection():
@@ -287,7 +319,7 @@ def test_snapshot_round_trip_is_text_identical(tmp_path):
 
 
 # finite float64 values including -0.0 and subnormals; kept below 1e300 so
-# the checksum's fsum of every value cannot overflow
+# the derived w0 = u_tilde0 + potential0 cannot overflow
 SNAPSHOT_FLOATS = (st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300])
                    | st.floats(min_value=-1e300, max_value=1e300))
 
@@ -316,12 +348,10 @@ def test_snapshot_round_trip_is_bit_exact(data):
         log_scale=scalar(),
         frame=data.draw(st.sampled_from([flow.COMOVING, flow.FIXED])),
         init=flow.InitialData(
-            u_tilde0=array(), log_u0=array(), potential0=array(), w0=array(),
-            sup_u_tilde0=scalar(), res_poisson0=scalar(), sup_potential_gap=scalar(),
-            sup_log_u0=scalar(), sup_grad_log_u0=scalar(),
+            u_tilde0=array(), log_u0=array(), potential0=array(),
+            res_poisson0=scalar(), sup_potential_gap=scalar(), sup_grad_log_u0=scalar(),
         ),
-        acc=flow.Accumulators(v_integral=scalar(), curvature_origin=scalar(),
-                              phi=array(), f_fixed=array()),
+        acc=flow.Accumulators(v_integral=scalar(), phi=array(), f_fixed=array()),
     )
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
@@ -363,6 +393,66 @@ def test_snapshot_checksum_rejects_corruption(tmp_path):
         load_snapshot(path)
 
 
+def _sealed(lines):
+    """File text of `lines` (tag to the last array value) under a fresh checksum."""
+    body = "\n".join(lines) + "\n"
+    return body + f"checksum {zlib.crc32(body.encode()):08x}\n"
+
+
+def _swap_two_values(lines):
+    first = next(i for i, line in enumerate(lines) if line.startswith("array u_tilde")) + 2
+    second = next(i for i in range(first + 1, len(lines)) if lines[i] != lines[first])
+    lines[first], lines[second] = lines[second], lines[first]
+
+
+def _bump_last_digit(lines):
+    k = next(i for i, line in enumerate(lines) if line.startswith("array potential")) + 5
+    mantissa, _, exponent = lines[k].partition("e")
+    mantissa = mantissa[:-1] + str((int(mantissa[-1]) + 1) % 10)
+    lines[k] = mantissa + ("e" + exponent if exponent else "")
+
+
+SNAPSHOT_EDITS = {
+    "grid s_max": lambda lines: lines.__setitem__(1, "grid 65 9.0"),
+    "frame word": lambda lines: lines.__setitem__(2, "frame fixed"),
+    "last digit of one value": _bump_last_digit,
+    "two value lines swapped": _swap_two_values,
+    "line after the checksum": lambda lines: lines.append("trailing garbage 1.0"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(SNAPSHOT_EDITS))
+def test_snapshot_digest_refuses_edits(tmp_path, edit):
+    path = tmp_path / "snap.txt"
+    save_snapshot(build_scenario(parse_config(base_config())), path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "grid 65 8" and lines[2] == "frame comoving"
+    edited = list(lines)
+    SNAPSHOT_EDITS[edit](edited)
+    assert edited != lines
+    path.write_text("\n".join(edited) + "\n")
+    with pytest.raises(SnapshotError, match="checksum"):
+        load_snapshot(path)
+
+
+def test_snapshot_refuses_committed_v1_file():
+    v1 = Path(__file__).resolve().parent / "data" / "snapshot_v1_n17.txt"
+    with pytest.raises(SnapshotError, match="version 1 not supported"):
+        load_snapshot(v1)
+
+
+def test_snapshot_refuses_sealed_extra_line(tmp_path):
+    # an extra line under a valid checksum is refused by the parser itself
+    path = tmp_path / "snap.txt"
+    save_snapshot(build_scenario(parse_config(base_config())), path)
+    lines = path.read_text().splitlines()[:-1]
+    path.write_text(_sealed(lines + ["0.5"]))
+    with pytest.raises(SnapshotError, match="unexpected line"):
+        load_snapshot(path)
+    path.write_text(_sealed(lines))
+    load_snapshot(path)
+
+
 def test_snapshot_version_check(tmp_path):
     path = tmp_path / "snap.txt"
     path.write_text("cigarflow-snapshot 99\n")
@@ -380,12 +470,15 @@ def test_snapshot_version_check(tmp_path):
     (1, "grid radial 65 abc"),
     (1, "grid radial 100000 8.0"),
     (1, "grid cartesian 65 8.0"),
+    (1, "grid 65 abc"),
+    (1, "grid 100000 8.0"),
+    (1, "grid 65 -8.0"),
     (2, ""),
     (2, "frame"),
     (2, "frame sideways"),
     (3, "scalar t"),
-    (14, "array u_tilde 64"),
-    (15, "not-a-number"),
+    (11, "array u_tilde 64"),
+    (12, "not-a-number"),
     (-1, ""),
     (-1, "checksum"),
     (40, None),   # None cuts the file at that line
@@ -394,12 +487,15 @@ def test_snapshot_version_check(tmp_path):
 def test_snapshot_malformed_lines_raise_snapshot_error(tmp_path, line, text):
     path = tmp_path / "snap.txt"
     save_snapshot(build_scenario(parse_config(base_config())), path)
-    lines = path.read_text().splitlines()
-    if text is None:
-        del lines[line:]
-    else:
-        lines[line] = text
-    path.write_text("\n".join(lines) + "\n")
+    body = path.read_text().splitlines()[:-1]
+    if line == -1:  # the checksum line itself, edited as it stands
+        path.write_text("\n".join(body + ([] if text is None else [text])) + "\n")
+    else:  # a body line under a fresh checksum: the parser must refuse it
+        if text is None:
+            del body[line:]
+        else:
+            body[line] = text
+        path.write_text(_sealed(body))
     with pytest.raises(SnapshotError):
         load_snapshot(path)
 
@@ -495,6 +591,14 @@ def test_cli_converge(tmp_path, capsys):
     assert "least-squares order" in out
     slope = float(out.rsplit("least-squares order:", 1)[1].strip())
     assert 1.8 <= slope <= 2.2
+
+
+def test_cli_converge_refuses_a_coarse_level_above_the_spacing_limit(tmp_path, capsys):
+    # n = 65 has h = 1.5625, but the study's n = 33 level has h = 3.125 > sqrt 5
+    cfg_path = write_config(tmp_path, base_config(grid={"kind": "radial", "n": 65,
+                                                        "s_max": 100.0}))
+    assert cli.main(["converge", str(cfg_path)]) == 2
+    assert "sqrt(5)" in capsys.readouterr().err
 
 
 def test_cli_converge_requires_exact_family(tmp_path):
