@@ -139,8 +139,11 @@ def cmd_converge(args):
     errors = []
     print(f"refinement study on [0, {s_max}] to t={config.t_end} (safety {config.safety}):")
     for nn in levels:
-        err, _ = manufactured_solution_error(nn, s_max, config.safety, config.t_end,
-                                             frame=config.frame)
+        err, result = manufactured_solution_error(nn, s_max, config.safety, config.t_end,
+                                                  frame=config.frame)
+        if result.aborted:
+            print(f"aborted at level n={nn}: {result.abort_message}", file=sys.stderr)
+            return EXIT_NUMERICAL
         errors.append(err)
         print(f"  n={nn:5d}  h={s_max/(nn-1):.5f}  max|u~ - exact| = {err:.6e}")
     orders = [float(np.log2(a / b)) for a, b in zip(errors, errors[1:])]

@@ -57,6 +57,9 @@ from cigarflow.diagnostics import DiagnosticsRecord
 from cigarflow.geometry import (
     ConformalState,
     RadialGrid,
+    _edge_slope_estimate,
+    _metric_gradient_sq,
+    _radial_derivative,
     background_laplacian,
     metric_laplacian,
     width_report,
@@ -196,15 +199,6 @@ def fixed_fields(state):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _radial_derivative(grid, f, edge_slope):
-    """Centered d/ds with the symmetry ghost at the tip (odd reflection)."""
-    out = np.empty_like(f)
-    out[0] = 0.0
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * grid.h)
-    out[-1] = edge_slope
-    return out
-
-
 def _stage_rhs(state, u_hat, f_hat):
     """Time derivatives of (u_hat, f_hat, log L) at one RK4 stage."""
     grid = state.grid
@@ -310,15 +304,6 @@ def step(state, dt):
 # monitors
 # ---------------------------------------------------------------------------
 
-def _gradient_sq_metric(state):
-    """|grad u~|^2 in the evolving metric: e^{-u} |d u|_{g_E}^2 (frame-invariant)."""
-    grid = state.grid
-    u = state.conformal.log_factor
-    du = _radial_derivative(grid, u, state.conformal.edge_slope)
-    dr = du / grid.cosh_s
-    return np.exp(-u) * dr * dr
-
-
 def monitor(state, dt_hint=None):
     """Compute a DiagnosticsRecord for the state.
 
@@ -351,7 +336,8 @@ def monitor(state, dt_hint=None):
         sup_R=float(np.max(curv)),
         inf_R=float(np.min(curv)),
         sup_u_tilde=float(np.max(u_hat)) - 2.0 * state.log_scale,
-        sup_grad_sq=float(np.max(_gradient_sq_metric(state))),
+        sup_grad_sq=float(np.max(_metric_gradient_sq(state.grid, u_hat, u_hat,
+                                                     state.conformal.edge_slope))),
         w_drift=float(np.max(np.abs(fields["w"] - state.init.w0))),
         sup_h=float(np.max(fields["h"])),
         width_bound=rep.width_bound,
@@ -390,14 +376,6 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
     lap_fixed = map_to_fixed(s_zero, lap_r)
     resid = (r_plus - r_minus) / (dt1 + dt2) - lap_fixed - r_zero**2
     return resid[:-2]
-
-
-def _edge_slope_estimate(grid, values):
-    """Third-order one-sided derivative of a radial field at the outer edge."""
-    return float(
-        (11.0 * values[-1] - 18.0 * values[-2] + 9.0 * values[-3] - 2.0 * values[-4])
-        / (6.0 * grid.h)
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ edge uses a cubic-Hermite ghost carrying a prescribed Neumann slope (for
 cigar-tailed data the exact slope of the log factor is -2 tanh s_max).
 
 Scalar curvature follows the conformal formula R(g) = -e^{-u~} Lap_E u~.
+
+The Ricci potential f (Lap_g f = R, f = 0 at the tip) needs no linear
+algebra: each interior row of the conservative stencil says that the flux
+a_{i+1/2} (f_{i+1} - f_i) grows by a known source from node to node, so
+`solve_initial_potential` is two cumulative sums behind a 2x2 tip block.
+The radial first-derivative stencils (centred d/ds, the one-sided edge
+slope, the metric gradient norm) live here beside the ghost formula too.
 """
 
 from __future__ import annotations
@@ -24,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "RadialGrid",
@@ -117,6 +122,29 @@ def _edge_ghost_jump(f, h, edge_slope):
     return 3.0 * (f[-2] - f[-1]) + 0.5 * (f[-1] - f[-3]) + 3.0 * h * edge_slope
 
 
+def _radial_derivative(grid, f, edge_slope):
+    """Centered d/ds with the symmetry ghost at the tip (odd reflection)."""
+    out = np.empty_like(f)
+    out[0] = 0.0
+    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * grid.h)
+    out[-1] = edge_slope
+    return out
+
+
+def _edge_slope_estimate(grid, values):
+    """Third-order one-sided derivative of a radial field at the outer edge."""
+    return float(
+        (11.0 * values[-1] - 18.0 * values[-2] + 9.0 * values[-3] - 2.0 * values[-4])
+        / (6.0 * grid.h)
+    )
+
+
+def _metric_gradient_sq(grid, f, log_factor, edge_slope):
+    """|grad f|^2 in the metric e^{log_factor} g_E: e^{-log_factor} |d f|_{g_E}^2."""
+    dr = _radial_derivative(grid, f, edge_slope) / grid.cosh_s
+    return np.exp(-log_factor) * dr * dr
+
+
 def background_laplacian(f, grid, edge_slope=0.0):
     """Euclidean Laplacian Lap_E f.
 
@@ -164,47 +192,29 @@ def metric_laplacian(f, state, edge_slope=0.0):
 def solve_initial_potential(state):
     """Solve Lap_g f = R for the Ricci potential of the state's metric.
 
-    Returns (f, edge_slope).  The discrete radial Laplacian is inverted
-    exactly (to rounding): the same stencil rows that `metric_laplacian`
-    applies -- the tip row plus the conservative interior rows -- are solved
-    for f_1..f_{N-1} with the gauge f_0 = 0, so the discrete residual is at
-    rounding level at every node.  The outer row then determines the Neumann
-    slope the potential carries from that point on: the ghost value is read
-    off the last stencil row rather than prescribed.
+    Returns (f, edge_slope), f in the gauge f_0 = 0.  The rows that
+    `metric_laplacian` applies are integrated exactly rather than inverted:
+    with the flux q_i = a_{i+1/2} (f_{i+1} - f_i), interior row i says
+    q_i - q_{i-1} = b_i h^2 e^{u~_i} R_i.  The tip row and row 1 fix f_1 and
+    f_2 (one 2x2 system), the fluxes are then a cumulative sum of the
+    sources and f a cumulative sum of q / a, so the discrete residual is at
+    rounding level at every node.  The outer row's flux q_{n-1} / a_{n-1} is
+    the ghost jump, from which the Neumann slope the potential carries from
+    that point on is read off rather than prescribed.
     """
     rhs = _check_field(state.curvature, state.grid)
     grid = state.grid
-    n, h = grid.n, grid.h
-    a = grid.a_half
-    b = grid.b_euclidean
+    h, a = grid.h, grid.a_half
     target = rhs * np.exp(state.log_factor)  # rows of Lap_E f = e^{u~} R
-
-    # unknowns f_1..f_{n-1}; equations at nodes 0..n-2
-    m = n - 1
-    rv = target[:-1].copy()
-    # tip row (f_0 = 0 dropped from the unknowns; coefficients match the
-    # difference form of the tip stencil), then interior rows i = 1..n-2:
-    # columns i-1, i, i+1 -> unknown indices i-2, i-1, i (none for i-2 < 0)
-    i = np.arange(1, n - 1)
-    c = 1.0 / (b[i] * h**2)
-    rows = np.concatenate([[0, 0], i[1:], i, i])
-    cols = np.concatenate([[0, 1], i[1:] - 2, i - 1, i])
-    vals = np.concatenate([
-        [(10.0 / 3.0) / h**2 - 2.0 / 3.0, 1.0 / (6.0 * h**2)],
-        a[i[1:] - 1] * c[1:],
-        -(a[i] + a[i - 1]) * c,
-        a[i] * c,
-    ])
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
-    lu = splu(A)
-    sol = lu.solve(rv)
-    sol += lu.solve(rv - A @ sol)   # one refinement pass
-    f = np.concatenate([[0.0], sol])
-
-    # outer row: a_{-1} jump - a_{-2}(f_{-1} - f_{-2}) = target_{-1} b_{-1} h^2,
-    # then invert the ghost-jump formula for the slope the potential carries
-    jump = (target[-1] * b[-1] * h**2 + a[-2] * (f[-1] - f[-2])) / a[-1]
-    slope = (jump - 3.0 * (f[-2] - f[-1]) - 0.5 * (f[-1] - f[-3])) / (3.0 * h)
+    source = target * grid.b_euclidean * h**2
+    # tip row (the difference form of the tip stencil) and row 1, with f_0 = 0
+    f1, _ = np.linalg.solve(
+        [[(10.0 / 3.0) / h**2 - 2.0 / 3.0, 1.0 / (6.0 * h**2)], [-(a[0] + a[1]), a[1]]],
+        [target[0], source[1]],
+    )
+    q = np.cumsum(np.concatenate([[a[0] * f1], source[1:]]))
+    f = np.concatenate([[0.0], np.cumsum(q[:-1] / a[:-1])])
+    slope = (q[-1] / a[-1] - _edge_ghost_jump(f, h, 0.0)) / (3.0 * h)
     return f, slope
 
 

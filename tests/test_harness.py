@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cigarflow import cli, flow
+from cigarflow import cli, flow, scenarios
 from cigarflow.diagnostics import CSV_COLUMNS, emit_diagnostics, read_diagnostics
 from cigarflow.geometry import ConformalState, RadialGrid
 from cigarflow.scenarios import (
@@ -591,6 +591,30 @@ def test_cli_converge(tmp_path, capsys):
     assert "least-squares order" in out
     slope = float(out.rsplit("least-squares order:", 1)[1].strip())
     assert 1.8 <= slope <= 2.2
+
+
+def test_cli_converge_exits_3_on_an_aborted_level(tmp_path, capsys):
+    # safety 4.0 overdrives the CFL bound: the first level aborts, and no
+    # error or order is printed from a run that never reached t_end
+    cfg_path = write_config(tmp_path, base_config(
+        stepping={"safety": 4.0, "t_end": 0.5, "record_interval": 0.5}))
+    assert cli.main(["converge", str(cfg_path)]) == 3
+    captured = capsys.readouterr()
+    assert "aborted at level n=33" in captured.err
+    assert "order" not in captured.out and "max|u~" not in captured.out
+
+
+def test_verify_fails_conservation_when_the_companion_run_aborts(monkeypatch):
+    # the scenario itself runs; its companion cigar-data run is overdriven
+    real = scenarios.manufactured_solution_error
+    monkeypatch.setattr(scenarios, "manufactured_solution_error",
+                        lambda n, s_max, safety, t_end, frame: real(n, s_max, 4.0, t_end, frame))
+    report = verify_scenario(parse_config(base_config(
+        initial={"type": "scaled_cigar", "scale": 2.0})))
+    assert not report.result.aborted and not report.ok
+    name, passed, detail = report.checks[1]
+    assert name == "conservation of w" and not passed
+    assert detail.startswith("companion cigar-data run aborted: sup u~ rose")
 
 
 def test_cli_converge_refuses_a_coarse_level_above_the_spacing_limit(tmp_path, capsys):
