@@ -6,8 +6,9 @@
     cigarflow oracle
     cigarflow report <run-dir>
 
-Exit codes: 0 success, 1 invariant violation, 2 usage/config error,
-3 numerical abort (or output I/O failure).
+Exit codes: 0 success, 1 invariant violation, 2 usage/config error (or a
+malformed run directory given to `report`), 3 numerical abort (or output
+I/O failure).
 """
 
 from __future__ import annotations
@@ -64,8 +65,6 @@ def _snapshot_times(config):
 def cmd_run(args):
     config = load_config(args.config)
     out_dir = Path(args.out or config.output_directory or f"runs/{config.name}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     times = _snapshot_times(config)
 
     def snapshot_hook(state):
@@ -73,14 +72,14 @@ def cmd_run(args):
 
     if not args.quiet:
         print(f"running scenario {config.name!r} to t={config.t_end}", file=sys.stderr)
-    result = run_scenario(
-        config,
-        snapshot_times=times,
-        snapshot_hook=snapshot_hook if times else None,
-        progress=_progress_printer(args.quiet),
-    )
-
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        result = run_scenario(
+            config,
+            snapshot_times=times,
+            snapshot_hook=snapshot_hook if times else None,
+            progress=_progress_printer(args.quiet),
+        )
         with open(out_dir / "diagnostics.csv", "w") as fh:
             emit_diagnostics(result.records, fh)
         save_snapshot(result.final_state, out_dir / "snapshot_final.txt")
@@ -197,29 +196,48 @@ def cmd_oracle(args):
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+def _read_run_dir(run_dir):
+    """Records, summary and its (t, value) traces; ValueError if malformed."""
+    records = read_diagnostics(run_dir / "diagnostics.csv")
+    if not records:
+        raise ValueError("diagnostics.csv has no records")
+    summary = {}
+    summary_path = run_dir / "summary.json"
+    if summary_path.exists():
+        summary = json.loads(summary_path.read_text())
+        if not isinstance(summary, dict):
+            raise ValueError("summary.json is not a JSON object")
+    traces = {}
+    for key in ("dist_trace", "kahler_trace"):
+        try:
+            traces[key] = [(float(t), float(v)) for t, v in summary.get(key) or []
+                           if v is not None]
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"summary.json {key} is not a list of [t, value] pairs") from err
+    return records, summary, traces
+
+
 def cmd_report(args):
     run_dir = Path(args.run_dir)
     csv_path = run_dir / "diagnostics.csv"
-    summary_path = run_dir / "summary.json"
     if not csv_path.exists():
         print(f"error: {csv_path} not found", file=sys.stderr)
         return EXIT_USAGE
-    records = read_diagnostics(csv_path)
-    summary = {}
-    if summary_path.exists():
-        with open(summary_path) as fh:
-            summary = json.load(fh)
+    try:
+        records, summary, traces = _read_run_dir(run_dir)
+    except (OSError, ValueError) as err:
+        print(f"error: malformed run directory {run_dir}: {err}", file=sys.stderr)
+        return EXIT_USAGE
 
     print(f"run: {summary.get('name', run_dir.name)}")
     print(f"  records: {len(records)}, t in [{records[0].t:g}, {records[-1].t:g}]")
     if summary.get("aborted"):
         print(f"  ABORTED: {summary.get('abort_message')}")
-    dist = summary.get("dist_trace") or []
-    dist = [(t, d) for t, d in dist if d is not None]
+    dist = traces["dist_trace"]
     if dist:
         print(f"  profile distance to cigar: {dist[0][1]:.6e} at t={dist[0][0]:g} "
               f"-> {dist[-1][1]:.6e} at t={dist[-1][0]:g}")
-    kah = [(t, v) for t, v in (summary.get("kahler_trace") or []) if v is not None]
+    kah = traces["kahler_trace"]
     if kah:
         print(f"  Kahler reconstruction residual at t={kah[-1][0]:g}: {kah[-1][1]:.6e}")
     drift = max(rec.w_drift for rec in records)
@@ -275,7 +293,7 @@ def main(argv=None):
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as err:
+    except OSError as err:  # an unreadable input; output failures exit 3 in cmd_run
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError) as err:

@@ -74,14 +74,19 @@ def emit_diagnostics(records, stream):
 
 
 def read_diagnostics(path):
-    """Read a diagnostics CSV back into records."""
+    """Read a diagnostics CSV back into records; ValueError if malformed."""
     out = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected diagnostics header: {header}")
-        for row in reader:
-            values = [float(v) for v in row]
-            out.append(DiagnosticsRecord(*values))
+        try:
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise ValueError(f"unexpected diagnostics header: {header}")
+            for row in reader:
+                if len(row) != len(CSV_COLUMNS):
+                    raise ValueError(f"line {reader.line_num}: expected "
+                                     f"{len(CSV_COLUMNS)} values, got {len(row)}")
+                out.append(DiagnosticsRecord(*map(float, row)))
+        except csv.Error as err:
+            raise ValueError(f"line {reader.line_num}: {err}") from err
     return out

@@ -26,8 +26,11 @@ stays O(h^2) forever.  For the exact soliton this gauge is static.  Fixed-
 coordinate fields at the original grid nodes come through one function,
 `map_to_fixed`, by cubic interpolation (the map pulls points inward, never
 outside the grid, while the scale grows); a step maps only f, for the phi
-accumulator, and `fixed_fields` reuses that mapped f.  gamma = 0 recovers
-plain fixed-frame stepping.
+accumulator, and `fixed_fields` reuses that mapped f.  The spline's slope
+systems are factored once per grid (`RadialGrid.spline`), so a map is one
+tridiagonal back-substitution and a piecewise-cubic evaluation, bit for bit
+what scipy's cubic spline returns.  gamma = 0 recovers plain fixed-frame
+stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -50,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from cigarflow import cigar
 from cigarflow.diagnostics import DiagnosticsRecord
@@ -157,28 +159,19 @@ class FlowState:
 # frame mapping
 # ---------------------------------------------------------------------------
 
-def _spline(grid, values, slope=None):
-    """Cubic spline of a radial profile in s.
-
-    With an edge slope it is clamped to (0, slope): zero by symmetry at the
-    tip, the physical Neumann slope at s_max.  Without one it is not-a-knot.
-    """
-    bc = "not-a-knot" if slope is None else ((1, 0.0), (1, slope))
-    return CubicSpline(grid.s, values, bc_type=bc)
-
-
 def map_to_fixed(state, values, slope=None):
     """Evaluate a co-moving scalar field at the fixed grid nodes.
 
     The fixed node r sits at co-moving arc length arcsinh(r / L).  With
     L >= 1 these always land inside the grid; transient L < 1 can push the
     outermost node marginally outside, where the clamped spline extrapolates
-    with the physical edge slope.
+    its last piece.  With an edge slope the spline is clamped to (0, slope);
+    without one it is not-a-knot (see `RadialGrid.spline`).
     """
     if state.log_scale == 0.0:
         return np.asarray(values, dtype=float)
     grid = state.grid
-    return _spline(grid, values, slope)(np.arcsinh(grid.r * np.exp(-state.log_scale)))
+    return grid.spline(values, np.arcsinh(grid.r * np.exp(-state.log_scale)), slope)
 
 
 def fixed_fields(state):
@@ -416,8 +409,8 @@ def normalize(state, s_window=None):
             f"normalization (scale {factor:.4g}) needs data outside the grid; "
             "shrink the reporting window"
         )
-    sp = _spline(grid, state.conformal.log_factor, state.conformal.edge_slope)
-    u_norm = sp(np.minimum(pos, grid.s_max)) - c0
+    u_norm = grid.spline(state.conformal.log_factor, np.minimum(pos, grid.s_max),
+                         state.conformal.edge_slope) - c0
     beyond = pos > grid.s_max
     if np.any(beyond):  # linear continuation with the physical edge slope
         u_norm[beyond] += state.conformal.edge_slope * (pos[beyond] - grid.s_max)

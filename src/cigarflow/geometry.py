@@ -24,16 +24,23 @@ a_{i+1/2} (f_{i+1} - f_i) grows by a known source from node to node, so
 `solve_initial_potential` is two cumulative sums behind a 2x2 tip block.
 The radial first-derivative stencils (centred d/ds, the one-sided edge
 slope, the metric gradient norm) live here beside the ghost formula too.
+
+Each grid also carries its cubic spline, `RadialGrid.spline`: the slope
+system of a spline through fixed knots has a fixed matrix, so it is
+LU-factored once per grid and every evaluation is one back-substitution.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 __all__ = [
     "RadialGrid",
+    "GridSpline",
     "ConformalState",
     "background_laplacian",
     "scalar_curvature",
@@ -74,6 +81,82 @@ class RadialGrid:
         # half-node conductivities a_{i+1/2} = tanh(s_i + h/2)
         self.a_half = np.tanh(self.s + 0.5 * self.h)
         self.b_euclidean = self.r * self.cosh_s
+
+    @cached_property
+    def spline(self):
+        """The grid's cubic spline, its slope systems factored on first use."""
+        return GridSpline(self.s)
+
+
+class GridSpline:
+    """Cubic spline interpolation through values at fixed knots.
+
+    `spline(values, x, slope)` is the spline clamped to first derivatives
+    (0, slope) at the ends: zero by symmetry at the tip, the physical
+    Neumann slope at s_max.  Without a slope it is not-a-knot.  The result is
+    bit for bit scipy's cubic spline with the same end conditions: the
+    tridiagonal slope system is built from the same expressions, factored
+    once with LAPACK's gttrf and solved with gttrs (the eliminations of the
+    gtsv solve scipy calls), the Hermite coefficients and the evaluation
+    follow scipy's piecewise polynomial, and points beyond the knots
+    extrapolate with the end pieces.  Non-finite values raise scipy's
+    ValueError.
+    """
+
+    def __init__(self, knots):
+        x = np.asarray(knots, dtype=float)
+        dx = np.diff(x)
+        self.knots, self.dx = x, dx
+        self._inner_knots = x[1:-1].copy()
+        # not-a-knot right-hand-side weights of the two end rows
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        self._not_a_knot = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2, d0,
+                            dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
+        self._lu = {clamped: self._factor(clamped) for clamped in (True, False)}
+
+    def _factor(self, clamped):
+        """gttrf factors of the slope system's tridiagonal matrix."""
+        x, dx = self.knots, self.dx
+        diag = np.empty(x.size)
+        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+        upper = np.empty(dx.size)
+        upper[1:] = dx[:-1]
+        lower = np.empty(dx.size)
+        lower[:-1] = dx[1:]
+        if clamped:
+            diag[0], upper[0], diag[-1], lower[-1] = 1.0, 0.0, 1.0, 0.0
+        else:
+            diag[0], upper[0] = dx[1], x[2] - x[0]
+            diag[-1], lower[-1] = dx[-2], x[-1] - x[-3]
+        *lu, _ = lapack.dgttrf(lower, diag, upper)  # never singular: x increases
+        return lu
+
+    def __call__(self, values, x, slope=None):
+        y = np.asarray(values, dtype=float)
+        if not np.isfinite(y).all():
+            raise ValueError("`y` must contain only finite values.")
+        dx = self.dx
+        secant = (y[1:] - y[:-1]) / dx
+        rhs = np.empty(y.size)
+        rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
+        if slope is None:
+            w0, w1, d0, v0, v1, d1 = self._not_a_knot
+            rhs[0] = (w0 * secant[0] + w1 * secant[1]) / d0
+            rhs[-1] = (v0 * secant[-2] + v1 * secant[-1]) / d1
+        else:
+            rhs[0], rhs[-1] = 0.0, slope
+        m = lapack.dgttrs(*self._lu[slope is not None], rhs[:, None], overwrite_b=1)[0][:, 0]
+        # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
+        t = (m[:-1] + m[1:] - 2 * secant) / dx
+        c0 = t / dx
+        c1 = (secant - m[:-1]) / dx - t
+        # the piece containing x: half-open intervals, the last one closed,
+        # and the end pieces extrapolate
+        x = np.asarray(x, dtype=float)
+        i = np.searchsorted(self._inner_knots, x, "right")
+        z = x - self.knots[i]
+        zz = z * z
+        return 0.0 + y[i] + m[i] * z + c1[i] * zz + c0[i] * (zz * z)
 
 
 @dataclass

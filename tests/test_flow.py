@@ -1,10 +1,21 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 
 from cigarflow import cigar, flow
-from cigarflow.geometry import ConformalState, RadialGrid, background_laplacian
+from cigarflow.geometry import (
+    MAX_S_MAX,
+    MAX_SPACING,
+    ConformalState,
+    RadialGrid,
+    background_laplacian,
+)
 from cigarflow.scenarios import build_scenario, parse_config
 from cigarflow.snapshots import load_snapshot, save_snapshot
 
@@ -279,8 +290,6 @@ def test_normalize_gradient_invariance():
     result = flow.run(state, 0.3, safety=0.9, record_interval=0.3)
     final = result.final_state
     grid = final.grid
-    from scipy.interpolate import CubicSpline
-
     fields = flow.fixed_fields(final)
     f_spline = CubicSpline(grid.s, fields["f"], bc_type=((1, 0.0), (1, final.potential_slope)))
     u_spline = CubicSpline(grid.s, fields["u_tilde"],
@@ -391,6 +400,58 @@ def test_f_fixed_is_the_mapped_potential(tmp_path):
     assert_mapped(state)
     save_snapshot(state, tmp_path / "snap.txt")
     assert_mapped(load_snapshot(tmp_path / "snap.txt"))
+
+
+# ---------------------------------------------------------------------------
+# the frame map against scipy's cubic spline
+# ---------------------------------------------------------------------------
+
+def scipy_spline(grid, values, slope):
+    bc = "not-a-knot" if slope is None else ((1, 0.0), (1, slope))
+    return CubicSpline(grid.s, values, bc_type=bc)
+
+
+MAGNITUDES = st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3)
+
+
+@st.composite
+def spline_data(draw):
+    n = draw(st.integers(16, 513))
+    s_max = draw(st.floats(0.1, min(MAX_S_MAX, MAX_SPACING * (n - 1))))
+    grid = RadialGrid(n, s_max)
+    values = draw(arrays(np.float64, n, elements=MAGNITUDES))
+    slope = draw(st.none() | MAGNITUDES)
+    return grid, values, slope
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(spline_data(), st.floats(-0.05, 5.0), st.floats(0.01, 3.0))
+def test_frame_map_is_scipy_cubic_spline_bit_for_bit(data, log_scale, factor):
+    grid, values, slope = data
+    assume(log_scale != 0.0)  # log L = 0 maps by the identity
+    reference = scipy_spline(grid, values, slope)
+    # map_to_fixed reads only the grid and log L of its state; L < 1
+    # pushes the outer nodes beyond s_max, where the end piece extrapolates
+    state = SimpleNamespace(grid=grid, log_scale=log_scale)
+    mapped = flow.map_to_fixed(state, values, slope)
+    expected = reference(np.arcsinh(grid.r * np.exp(-log_scale)))
+    assert mapped.tobytes() == expected.tobytes()
+    # normalize's positions, clipped to the last knot (a closed interval)
+    pos = np.minimum(np.arcsinh(factor * grid.r), grid.s_max)
+    assert grid.spline(values, pos, slope).tobytes() == reference(pos).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slope", [None, -1.5])
+def test_frame_map_refuses_non_finite_values(bad, slope):
+    grid = RadialGrid(65, 8.0)
+    values = -cigar.cigar_potential_arclength(grid.s)
+    values[40] = bad
+    state = SimpleNamespace(grid=grid, log_scale=0.3)
+    for call in (lambda: scipy_spline(grid, values, slope),
+                 lambda: flow.map_to_fixed(state, values, slope)):
+        with pytest.raises(ValueError, match="`y` must contain only finite values"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -633,10 +634,79 @@ def test_cli_converge_requires_exact_family(tmp_path):
 
 def test_cli_usage_errors(tmp_path):
     assert cli.main(["run", str(tmp_path / "missing.json"), "--quiet"]) == 2
+    assert cli.main(["run", str(tmp_path), "--quiet"]) == 2  # a directory
     bad = write_config(tmp_path, {"name": "x"})
     assert cli.main(["run", str(bad), "--quiet"]) == 2
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 2
     assert cli.main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize("csv_text, summary_text", [
+    (",".join(CSV_COLUMNS) + "\n", None),                       # header only
+    ("", None),                                                  # empty file
+    ("t,dt\n0.0,0.1\n", None),                                 # wrong header
+    (None, "{not json"),
+    (None, "[1, 2]"),                                            # not an object
+    (None, '{"dist_trace": [[0.0, "far"]]}'),
+    (None, '{"kahler_trace": 3}'),
+])
+def test_cli_report_on_a_malformed_run_dir_exits_2(tmp_path, capsys, csv_text,
+                                                   summary_text):
+    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    if csv_text is not None:
+        (out_dir / "diagnostics.csv").write_text(csv_text)
+    if summary_text is not None:
+        (out_dir / "summary.json").write_text(summary_text)
+    capsys.readouterr()
+    assert cli.main(["report", str(out_dir)]) == 2
+    assert "error: malformed run directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0.0,0.1", "0.0," * 12 + "0.0", "x" + ",0.0" * 11])
+def test_read_diagnostics_refuses_malformed_rows(tmp_path, row):
+    path = tmp_path / "diagnostics.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + row + "\n")
+    with pytest.raises(ValueError):
+        read_diagnostics(path)
+
+
+def test_cli_run_output_failures_exit_3(tmp_path, capsys):
+    existing = tmp_path / "a_file"
+    existing.write_text("")
+    cfg_path = write_config(tmp_path, base_config(
+        output={"directory": str(tmp_path / "out"), "snapshot_interval": 0.1}))
+    assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(existing)]) == 3
+    assert "error: failed to write outputs" in capsys.readouterr().err
+    # a snapshot path that is a directory fails mid-run, after t = 0
+    (tmp_path / "out" / "snapshot_t0.100000.txt").mkdir(parents=True)
+    assert cli.main(["run", str(cfg_path), "--quiet"]) == 3
+    assert "error: failed to write outputs" in capsys.readouterr().err
+    assert (tmp_path / "out" / "snapshot_t0.000000.txt").exists()
+
+
+def test_cli_and_a_scenario_build_leave_scipy_interpolate_unimported(config_dir):
+    # scipy.interpolate costs most of a second to import and src/ needs none of it
+    code = (
+        "import sys\n"
+        "import cigarflow.cli\n"
+        "from cigarflow import flow, scenarios\n"
+        "config = scenarios.load_config(sys.argv[1])\n"
+        "state = scenarios.build_scenario(config)\n"
+        "state = flow.step(state, flow.adaptive_dt(state))\n"
+        "assert state.log_scale != 0.0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(config_dir / "perturbed_relax_129.json")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_script_entry_point():
