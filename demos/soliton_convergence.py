@@ -2,8 +2,8 @@
 """Manufactured-solution refinement study.
 
 Cigar initial data evolves as the exact family u~ = -log(e^{4t} + r^2), so
-every run has a closed-form reference.  Halving the grid spacing (the CFL
-step follows as h^2) should quarter the max error: observed order ~2.
+every run has a closed-form reference.  Halving the grid spacing (the step
+follows as h) should quarter the max error: observed order ~2.
 """
 
 import time
@@ -30,5 +30,5 @@ for n in (65, 129, 257, 513):
     print(f"{n:6d} {hs[-1]:10.5f} {err:12.4e} {order} {elapsed:8.2f}")
 
 slope = np.polyfit(np.log(hs), np.log(errors), 1)[0]
-print(f"\nleast-squares slope: {slope:.3f} (second-order in space,")
-print("time error is swept along at fourth order by the RK4 stages)")
+print(f"\nleast-squares slope: {slope:.3f} (second order in space and, with")
+print("dt proportional to h, in time: RKC2 is a second-order method)")

@@ -189,11 +189,11 @@ class ConformalState:
 
 
 def _check_field(f, grid):
+    """The field as a float array of the grid's shape.  Its values are not
+    scanned: a non-finite value propagates to the rows that read it."""
     f = np.asarray(f, dtype=float)
     if f.ndim != 1 or f.size != grid.n:
         raise ValueError("field does not match grid")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("field contains non-finite values")
     return f
 
 
@@ -286,6 +286,8 @@ def solve_initial_potential(state):
     that point on is read off rather than prescribed.
     """
     rhs = _check_field(state.curvature, state.grid)
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("field contains non-finite values")
     grid = state.grid
     h, a = grid.h, grid.a_half
     target = rhs * np.exp(state.log_factor)  # rows of Lap_E f = e^{u~} R

@@ -1,11 +1,12 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cigarflow import scenarios  # noqa: E402
+from cigarflow import flow, scenarios  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -40,3 +41,21 @@ def shipped_reports():
 @pytest.fixture(scope="session")
 def config_dir():
     return CONFIG_DIR
+
+
+@pytest.fixture
+def overdrive(monkeypatch):
+    """A context in which every step is unstable: each takes two stages at
+    dt = 4 / max(e^{-u} diag), so rho dt = 8 lies past the two-stage
+    stability interval beta(2) = 1.96.  With the stage count following dt no
+    `safety` value is unstable, and the curvature bound of `adaptive_dt`
+    would shrink dt until two stages were stable again, so both are held."""
+    @contextmanager
+    def overdriven():
+        with monkeypatch.context() as patch:
+            patch.setattr(flow, "_stage_count", lambda stiffness: 2)
+            patch.setattr(flow, "adaptive_dt",
+                          lambda state, safety=0.9: 4.0 / flow._diffusion_rate(state))
+            yield
+
+    return overdriven

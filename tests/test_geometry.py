@@ -71,10 +71,10 @@ def test_laplacian_rejects_bad_fields():
     g = RadialGrid(65, 8.0)
     with pytest.raises(ValueError):
         background_laplacian(np.zeros(10), g)
+    # values are not scanned: a NaN reaches only the rows that read it
     bad = np.zeros(g.n)
     bad[3] = np.nan
-    with pytest.raises(ValueError):
-        background_laplacian(bad, g)
+    assert np.flatnonzero(np.isnan(background_laplacian(bad, g))).tolist() == [2, 3, 4]
 
 
 def test_cigar_laplacian_of_potential_gives_curvature():

@@ -546,12 +546,13 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert "max w drift" in text
 
 
-def test_cli_run_instability_exit_code(tmp_path):
+def test_cli_run_instability_exit_code(tmp_path, overdrive):
     cfg_path = write_config(tmp_path, base_config(
-        stepping={"safety": 4.0, "t_end": 0.5, "record_interval": 0.1},
+        stepping={"safety": 0.9, "t_end": 0.5, "record_interval": 0.1},
         output={"directory": str(tmp_path / "boom")},
     ))
-    assert cli.main(["run", str(cfg_path), "--quiet"]) == 3
+    with overdrive():
+        assert cli.main(["run", str(cfg_path), "--quiet"]) == 3
     # the partial diagnostics still carry the last good records and parse back
     records = read_diagnostics(tmp_path / "boom" / "diagnostics.csv")
     assert records and records[0].finite
@@ -594,22 +595,27 @@ def test_cli_converge(tmp_path, capsys):
     assert 1.8 <= slope <= 2.2
 
 
-def test_cli_converge_exits_3_on_an_aborted_level(tmp_path, capsys):
-    # safety 4.0 overdrives the CFL bound: the first level aborts, and no
-    # error or order is printed from a run that never reached t_end
+def test_cli_converge_exits_3_on_an_aborted_level(tmp_path, capsys, overdrive):
+    # overdriven steps are unstable: the first level aborts (at t = 0.5), and
+    # no error or order is printed from a run that never reached t_end
     cfg_path = write_config(tmp_path, base_config(
-        stepping={"safety": 4.0, "t_end": 0.5, "record_interval": 0.5}))
-    assert cli.main(["converge", str(cfg_path)]) == 3
+        stepping={"safety": 0.9, "t_end": 1.0, "record_interval": 0.5}))
+    with overdrive():
+        assert cli.main(["converge", str(cfg_path)]) == 3
     captured = capsys.readouterr()
     assert "aborted at level n=33" in captured.err
     assert "order" not in captured.out and "max|u~" not in captured.out
 
 
-def test_verify_fails_conservation_when_the_companion_run_aborts(monkeypatch):
+def test_verify_fails_conservation_when_the_companion_run_aborts(monkeypatch, overdrive):
     # the scenario itself runs; its companion cigar-data run is overdriven
     real = scenarios.manufactured_solution_error
-    monkeypatch.setattr(scenarios, "manufactured_solution_error",
-                        lambda n, s_max, safety, t_end, frame: real(n, s_max, 4.0, t_end, frame))
+
+    def overdriven(*args, **kwargs):
+        with overdrive():
+            return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "manufactured_solution_error", overdriven)
     report = verify_scenario(parse_config(base_config(
         initial={"type": "scaled_cigar", "scale": 2.0})))
     assert not report.result.aborted and not report.ok
