@@ -3,7 +3,6 @@
     cigarflow run <config.json> [--out DIR] [--quiet]
     cigarflow verify <config.json> [--quiet]
     cigarflow converge <config.json> [--quiet]
-    cigarflow oracle
     cigarflow report <run-dir>
 
 Exit codes: 0 success, 1 invariant violation, 2 usage/config error (or a
@@ -20,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from cigarflow import cigar
 from cigarflow.diagnostics import emit_diagnostics, read_diagnostics
 from cigarflow.scenarios import (
     ConfigError,
@@ -153,49 +151,6 @@ def cmd_converge(args):
     return EXIT_OK
 
 
-def cmd_oracle(args):
-    """Closed-form identity suite for the cigar family."""
-    r = np.logspace(-3, 3, 1000)
-    s = cigar.arc_length(r)
-    checks = []
-
-    dev = np.max(np.abs(cigar.cigar_potential(r) + np.log(cigar.cigar_density(r))))
-    checks.append(("log w0 + f0 = 0", dev, 1e-12))
-
-    rel = np.max(
-        np.abs(cigar.cigar_potential(r) - cigar.cigar_potential_arclength(s))
-        / np.abs(cigar.cigar_potential(r))
-    )
-    checks.append(("f0 = 2 log cosh s (relative)", rel, 1e-12))
-
-    rel = np.max(
-        np.abs(cigar.cigar_scalar_curvature(r) - cigar.cigar_curvature_arclength(s))
-        / cigar.cigar_scalar_curvature(r)
-    )
-    checks.append(("R_c = 4 cosh^-2 s (relative)", rel, 1e-12))
-
-    rel = np.max(np.abs(cigar.radius_of(s) - r) / r)
-    checks.append(("radius_of(arc_length(r)) = r (relative)", rel, 1e-12))
-
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for t in (0.1, 0.5, 1.0):
-        a = rng.uniform(-3.0, 3.0, 100)
-        b = rng.uniform(-3.0, 3.0, 100)
-        xa, xb = cigar.soliton_pullback(a, b, t)
-        lhs = np.exp(4.0 * t) * cigar.soliton_density(xa, xb, t)
-        rhs = cigar.cigar_density(np.hypot(a, b))
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
-    checks.append(("pullback staticity (relative)", worst, 1e-12))
-
-    ok = True
-    for name, dev, tol in checks:
-        passed = dev <= tol
-        ok = ok and passed
-        print(f"  [{'ok' if passed else 'FAIL'}] {name}: {dev:.3e} (tol {tol:.0e})")
-    return EXIT_OK if ok else EXIT_VIOLATION
-
-
 def _read_run_dir(run_dir):
     """Records, summary and its (t, value) traces; ValueError if malformed."""
     records = read_diagnostics(run_dir / "diagnostics.csv")
@@ -271,9 +226,6 @@ def build_parser():
     p.add_argument("config")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_converge)
-
-    p = sub.add_parser("oracle", help="closed-form cigar identity suite")
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("report", help="summarize a finished run directory")
     p.add_argument("run_dir")

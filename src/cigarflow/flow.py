@@ -31,10 +31,11 @@ soliton this gauge is static.  Fixed-coordinate fields at the original grid
 nodes come through one function, `map_to_fixed`, by cubic interpolation (the
 map pulls points inward, never outside the grid, while the scale grows); a
 step maps only f, for the phi accumulator, and `fixed_fields` reuses that
-mapped f.  The spline's slope systems are factored once per grid
+mapped f.  The clamped spline's slope system is factored once per grid
 (`RadialGrid.spline`), so a map is one tridiagonal back-substitution and a
 piecewise-cubic evaluation, bit for bit what scipy's cubic spline returns.
-gamma = 0 recovers plain fixed-frame stepping.
+The curvature evolution residual needs no map: it is taken on the co-moving
+nodes.  gamma = 0 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -176,14 +177,14 @@ class FlowState:
 # frame mapping
 # ---------------------------------------------------------------------------
 
-def map_to_fixed(state, values, slope=None):
+def map_to_fixed(state, values, slope):
     """Evaluate a co-moving scalar field at the fixed grid nodes.
 
     The fixed node r sits at co-moving arc length arcsinh(r / L).  With
     L >= 1 these always land inside the grid; transient L < 1 can push the
     outermost node marginally outside, where the clamped spline extrapolates
-    its last piece.  With an edge slope the spline is clamped to (0, slope);
-    without one it is not-a-knot (see `RadialGrid.spline`).
+    its last piece.  The spline is clamped to the first derivatives
+    (0, slope), the field's edge slope (see `RadialGrid.spline`).
     """
     if state.log_scale == 0.0:
         return np.asarray(values, dtype=float)
@@ -391,7 +392,7 @@ def monitor(state, dt_hint=None):
     is using); the curvature-evolution residual is probed by taking two
     extra steps from a throwaway copy.  The probe's steps have the diffusive
     size 0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo
-    keeps measuring the same O(dt^2 + h^2) residual.
+    keeps measuring the same O(dt^2 + h^2) residual on the state's own nodes.
     """
     u_hat = state.conformal.log_factor
     if not np.all(np.isfinite(u_hat)):
@@ -433,8 +434,10 @@ def monitor(state, dt_hint=None):
 def curvature_evolution_residual(s_minus, s_zero, s_plus):
     """Residual of R_t = Lap_g R + R^2 from a uniformly spaced state triple.
 
-    All three curvature fields are brought to the fixed grid nodes before
-    the centered time difference, so the triple may come from co-moving
+    It is taken on the nodes the triple was stepped on, with no frame map:
+    R is a scalar, so a co-moving node a = x / L sees dR/dt = R_t +
+    gamma tanh(s) dR/ds, gamma = dlogL/dt (the centered difference of log L,
+    exactly 0 in the fixed frame).  The triple may come from either frame's
     stepping or be built analytically.  The max norm of the returned field
     is O(dt^2 + h^2).  The fields stop two nodes short of the outer edge:
     the edge closure's truncation constants differ from the interior family,
@@ -449,14 +452,13 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
     dt2 = s_plus.t - s_zero.t
     if dt1 <= 0 or abs(dt1 - dt2) > 1e-9 * max(dt1, dt2):
         raise ValueError("state triple must be uniformly spaced in time")
-    r_minus = map_to_fixed(s_minus, s_minus.curvature)
-    r_plus = map_to_fixed(s_plus, s_plus.curvature)
-    r_zero = map_to_fixed(s_zero, s_zero.curvature)
-    lap_r = metric_laplacian(
-        s_zero.curvature, s_zero.conformal, _edge_slope_estimate(s_zero.grid, s_zero.curvature)
-    )
-    lap_fixed = map_to_fixed(s_zero, lap_r)
-    resid = (r_plus - r_minus) / (dt1 + dt2) - lap_fixed - r_zero**2
+    grid = s_zero.grid
+    r_zero = s_zero.curvature
+    slope = _edge_slope_estimate(grid, r_zero)
+    gamma = (s_plus.log_scale - s_minus.log_scale) / (dt1 + dt2)
+    drift = gamma * grid.tanh_s * _radial_derivative(grid, r_zero, slope)
+    lap_r = metric_laplacian(r_zero, s_zero.conformal, slope)
+    resid = (s_plus.curvature - s_minus.curvature) / (dt1 + dt2) - drift - lap_r - r_zero**2
     return resid[:-2]
 
 

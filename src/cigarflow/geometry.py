@@ -84,7 +84,7 @@ class RadialGrid:
 
     @cached_property
     def spline(self):
-        """The grid's cubic spline, its slope systems factored on first use."""
+        """The grid's cubic spline, its slope system factored on first use."""
         return GridSpline(self.s)
 
 
@@ -93,14 +93,13 @@ class GridSpline:
 
     `spline(values, x, slope)` is the spline clamped to first derivatives
     (0, slope) at the ends: zero by symmetry at the tip, the physical
-    Neumann slope at s_max.  Without a slope it is not-a-knot.  The result is
-    bit for bit scipy's cubic spline with the same end conditions: the
-    tridiagonal slope system is built from the same expressions, factored
-    once with LAPACK's gttrf and solved with gttrs (the eliminations of the
-    gtsv solve scipy calls), the Hermite coefficients and the evaluation
-    follow scipy's piecewise polynomial, and points beyond the knots
-    extrapolate with the end pieces.  Non-finite values raise scipy's
-    ValueError.
+    Neumann slope at s_max.  The result is bit for bit scipy's cubic spline
+    with the same end conditions: the tridiagonal slope system is built from
+    the same expressions, factored once with LAPACK's gttrf and solved with
+    gttrs (the eliminations of the gtsv solve scipy calls), the Hermite
+    coefficients and the evaluation follow scipy's piecewise polynomial, and
+    points beyond the knots extrapolate with the end pieces.  Non-finite
+    values raise scipy's ValueError.
     """
 
     def __init__(self, knots):
@@ -108,30 +107,18 @@ class GridSpline:
         dx = np.diff(x)
         self.knots, self.dx = x, dx
         self._inner_knots = x[1:-1].copy()
-        # not-a-knot right-hand-side weights of the two end rows
-        d0, d1 = x[2] - x[0], x[-1] - x[-3]
-        self._not_a_knot = ((dx[0] + 2 * d0) * dx[1], dx[0] ** 2, d0,
-                            dx[-1] ** 2, (2 * d1 + dx[-1]) * dx[-2], d1)
-        self._lu = {clamped: self._factor(clamped) for clamped in (True, False)}
-
-    def _factor(self, clamped):
-        """gttrf factors of the slope system's tridiagonal matrix."""
-        x, dx = self.knots, self.dx
+        # gttrf factors of the slope system's tridiagonal matrix; the clamped
+        # end rows are m_0 = 0 and m_{n-1} = slope
         diag = np.empty(x.size)
         diag[1:-1] = 2 * (dx[:-1] + dx[1:])
         upper = np.empty(dx.size)
         upper[1:] = dx[:-1]
         lower = np.empty(dx.size)
         lower[:-1] = dx[1:]
-        if clamped:
-            diag[0], upper[0], diag[-1], lower[-1] = 1.0, 0.0, 1.0, 0.0
-        else:
-            diag[0], upper[0] = dx[1], x[2] - x[0]
-            diag[-1], lower[-1] = dx[-2], x[-1] - x[-3]
-        *lu, _ = lapack.dgttrf(lower, diag, upper)  # never singular: x increases
-        return lu
+        diag[0], upper[0], diag[-1], lower[-1] = 1.0, 0.0, 1.0, 0.0
+        *self._lu, _ = lapack.dgttrf(lower, diag, upper)  # never singular: x increases
 
-    def __call__(self, values, x, slope=None):
+    def __call__(self, values, x, slope):
         y = np.asarray(values, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("`y` must contain only finite values.")
@@ -139,13 +126,8 @@ class GridSpline:
         secant = (y[1:] - y[:-1]) / dx
         rhs = np.empty(y.size)
         rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
-        if slope is None:
-            w0, w1, d0, v0, v1, d1 = self._not_a_knot
-            rhs[0] = (w0 * secant[0] + w1 * secant[1]) / d0
-            rhs[-1] = (v0 * secant[-2] + v1 * secant[-1]) / d1
-        else:
-            rhs[0], rhs[-1] = 0.0, slope
-        m = lapack.dgttrs(*self._lu[slope is not None], rhs[:, None], overwrite_b=1)[0][:, 0]
+        rhs[0], rhs[-1] = 0.0, slope
+        m = lapack.dgttrs(*self._lu, rhs[:, None], overwrite_b=1)[0][:, 0]
         # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
         t = (m[:-1] + m[1:] - 2 * secant) / dx
         c0 = t / dx
@@ -309,7 +291,7 @@ def solve_initial_potential(state):
 
 @dataclass
 class WidthReport:
-    """Level lengths of the radial proper function and the derived estimates.
+    """Estimates from the level lengths of the radial proper function.
 
     `width_bound` is an upper bound for the metric width (the true width is
     an infimum over all proper functions; only the radial one is sampled).
@@ -317,8 +299,6 @@ class WidthReport:
     over the outermost 10% of levels, as on the flat plane.
     """
 
-    levels: np.ndarray
-    lengths: np.ndarray
     width_bound: float
     cinf_estimate: float
     bounded: bool
@@ -353,4 +333,4 @@ def width_report(state):
     base = lengths[-k_rise]
     rise = (lengths[-1] - base) / max(abs(base), 1e-300)
     bounded = bool(rise <= 0.01)
-    return WidthReport(levels, lengths, width_bound, cinf, bounded)
+    return WidthReport(width_bound, cinf, bounded)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cigarflow import flow
+from cigarflow.geometry import _edge_slope_estimate
 from cigarflow.scenarios import build_scenario, parse_config
 
 
@@ -72,17 +73,21 @@ def test_potential_evolution_tracks_direct_solve():
 def test_v_equals_minus_curvature_time_integral_pointwise():
     # v(x, t) = -int R(x, tau) dtau holds off the origin too: the gap at a
     # mid-grid point is O(h^2) and shrinks at second order
+    def fixed_curvature(st):
+        r = st.curvature
+        return flow.map_to_fixed(st, r, _edge_slope_estimate(st.grid, r))
+
     def gap(n):
         state = build_scenario(config_for({"type": "exact_cigar"}, "comoving", n=n))
         node = (n - 1) // 4
         acc = 0.0
         t_prev = 0.0
-        r_prev = flow.map_to_fixed(state, state.curvature)[node]
+        r_prev = fixed_curvature(state)[node]
         current = state
         while current.t < 0.25 - 1e-12:
             dt = min(flow.adaptive_dt(current, 0.9), 0.25 - current.t)
             current = flow.step(current, dt)
-            r_now = flow.map_to_fixed(current, current.curvature)[node]
+            r_now = fixed_curvature(current)[node]
             acc += 0.5 * (current.t - t_prev) * (r_prev + r_now)
             r_prev, t_prev = r_now, current.t
         v_field = flow.fixed_fields(current)["v"]

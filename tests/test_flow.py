@@ -161,6 +161,18 @@ def test_comoving_run_of_a_moderate_bump_at_half_safety_does_not_abort():
         assert not result.aborted, f"{frame}: {result.abort_message}"
 
 
+@pytest.mark.xfail(strict=True, reason="the t = 0 record's curvature probe hits the same "
+                   "false sup u~ abort, and run does not check the t = 0 record")
+def test_comoving_run_of_a_moderate_bump_records_only_finite_values():
+    # the fixed frame's t = 0 res_curv_evo is 0.0438; the co-moving one is NaN
+    bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
+    for frame in ("fixed", "comoving"):
+        config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
+        result = flow.run(build_scenario(config), config.t_end, safety=0.9,
+                          record_interval=config.record_interval)
+        assert all(rec.finite for rec in result.records), frame
+
+
 def test_rkc_stability_polynomial():
     # one step of y' = z y multiplies y by P(z): |P| <= 1 on [-beta(s), 0],
     # damped to |P| <= 0.97 once z <= -beta / 20, and P(z) = 1 + z + z^2 / 2
@@ -295,14 +307,22 @@ def test_v_consistency_accumulates_at_scheme_order():
 # ---------------------------------------------------------------------------
 
 def test_curvature_evolution_exact_triples_quarter():
-    values = {}
-    for n, dt in ((129, 1e-3), (257, 5e-4)):
-        g = RadialGrid(n, 2.0)  # h = 1/64 at n = 129
-        tc = 0.1
-        triple = [flow.exact_soliton_state(g, tc + k * dt) for k in (-1, 0, 1)]
-        values[n] = float(np.max(np.abs(flow.curvature_evolution_residual(*triple))))
-    assert values[129] <= 1e-2
-    assert 3.0 <= values[129] / values[257] <= 5.5
+    # the evolving soliton in the fixed frame, and the same solution in the
+    # co-moving frame with L = e^{2t}, where it is static and all of R_t is
+    # the drift of the co-moving nodes (zero at the tip, so only off it)
+    def comoving_soliton_state(g, t):
+        return replace(flow.exact_soliton_state(g, 0.0), t=t, log_scale=2.0 * t,
+                       frame=flow.COMOVING)
+
+    for build in (flow.exact_soliton_state, comoving_soliton_state):
+        values = {}
+        for n, dt in ((129, 1e-3), (257, 5e-4)):
+            g = RadialGrid(n, 2.0)  # h = 1/64 at n = 129
+            tc = 0.1
+            triple = [build(g, tc + k * dt) for k in (-1, 0, 1)]
+            values[n] = float(np.max(np.abs(flow.curvature_evolution_residual(*triple))))
+        assert values[129] <= 1e-2, build.__name__
+        assert 3.0 <= values[129] / values[257] <= 5.5, build.__name__
 
 
 def test_curvature_evolution_flat_is_zero():
@@ -477,8 +497,7 @@ def test_f_fixed_is_the_mapped_potential(tmp_path):
 # ---------------------------------------------------------------------------
 
 def scipy_spline(grid, values, slope):
-    bc = "not-a-knot" if slope is None else ((1, 0.0), (1, slope))
-    return CubicSpline(grid.s, values, bc_type=bc)
+    return CubicSpline(grid.s, values, bc_type=((1, 0.0), (1, slope)))
 
 
 MAGNITUDES = st.floats(1e-3, 1e6) | st.floats(-1e6, -1e-3)
@@ -490,7 +509,7 @@ def spline_data(draw):
     s_max = draw(st.floats(0.1, min(MAX_S_MAX, MAX_SPACING * (n - 1))))
     grid = RadialGrid(n, s_max)
     values = draw(arrays(np.float64, n, elements=MAGNITUDES))
-    slope = draw(st.none() | MAGNITUDES)
+    slope = draw(MAGNITUDES)
     return grid, values, slope
 
 
@@ -512,7 +531,7 @@ def test_frame_map_is_scipy_cubic_spline_bit_for_bit(data, log_scale, factor):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("slope", [None, -1.5])
+@pytest.mark.parametrize("slope", [-1.5])
 def test_frame_map_refuses_non_finite_values(bad, slope):
     grid = RadialGrid(65, 8.0)
     values = -cigar.cigar_potential_arclength(grid.s)

@@ -577,12 +577,6 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_cli_oracle(capsys):
-    assert cli.main(["oracle"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("[ok]") == 5
-
-
 def test_cli_converge(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(
         grid={"kind": "radial", "n": 65, "s_max": 8.0},
@@ -645,6 +639,7 @@ def test_cli_usage_errors(tmp_path):
     assert cli.main(["run", str(bad), "--quiet"]) == 2
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 2
     assert cli.main(["frobnicate"]) == 2
+    assert cli.main(["oracle"]) == 2
 
 
 @pytest.mark.parametrize("csv_text, summary_text", [
@@ -717,12 +712,12 @@ def test_cli_and_a_scenario_build_leave_scipy_interpolate_unimported(config_dir)
 
 def test_console_script_entry_point():
     proc = subprocess.run(
-        [sys.executable, "-m", "cigarflow", "oracle"],
+        [sys.executable, "-m", "cigarflow", "report", "runs/perturbed_relax_129"],
         capture_output=True, text=True,
         cwd=Path(__file__).resolve().parent.parent,
     )
     assert proc.returncode == 0
-    assert "[ok]" in proc.stdout
+    assert "run: perturbed_relax_129" in proc.stdout
 
 
 def test_shipped_configs_verify(shipped_reports):
