@@ -32,10 +32,12 @@ nodes come through one function, `map_to_fixed`, by cubic interpolation (the
 map pulls points inward, never outside the grid, while the scale grows); a
 step maps only f, for the phi accumulator, and `fixed_fields` reuses that
 mapped f.  The clamped spline's slope system is factored once per grid
-(`RadialGrid.spline`), so a map is one tridiagonal back-substitution and a
-piecewise-cubic evaluation, bit for bit what scipy's cubic spline returns.
-The curvature evolution residual needs no map: it is taken on the co-moving
-nodes.  gamma = 0 recovers plain fixed-frame stepping.
+(`RadialGrid.spline`), so a map is one tridiagonal forward and back sweep
+and a piecewise-cubic evaluation, bit for bit what scipy's cubic spline
+returns.  A record maps u~ once, for the monitor and the Kahler check
+together; the curvature evolution residual needs no map (it is taken on the
+co-moving nodes), and its probe advances without the accumulators.
+gamma = 0 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -210,15 +212,20 @@ def fixed_fields(state):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _stage_rhs(state, u_hat, f_hat):
-    """Time derivatives of (u_hat, f_hat, log L) at one RKC2 stage."""
+def _stage_rhs(state, u_hat, f_hat, diffusion=None):
+    """Time derivatives of (u_hat, f_hat, log L) at one RKC2 stage.
+
+    `diffusion` is (e^{-u_hat}, e^{-u_hat} Lap_E u_hat) where already known:
+    the first stage, at the state itself, passes its cached e^{-u} and -R.
+    """
     grid = state.grid
     slope_u = state.conformal.edge_slope
-    lap_u = background_laplacian(u_hat, grid, slope_u)
-    lap_f = background_laplacian(f_hat, grid, state.potential_slope)
-    diffusivity = np.exp(-u_hat)
-    du = diffusivity * lap_u
-    df = diffusivity * lap_f
+    if diffusion is None:
+        diffusivity = np.exp(-u_hat)
+        du = diffusivity * background_laplacian(u_hat, grid, slope_u)
+    else:
+        diffusivity, du = diffusion
+    df = diffusivity * background_laplacian(f_hat, grid, state.potential_slope)
     gamma = -0.5 * du[0] if state.frame == COMOVING else 0.0  # R(origin) / 2
     if gamma != 0.0:
         adv = gamma * grid.tanh_s
@@ -263,14 +270,15 @@ def _stage_count(stiffness):
     return s
 
 
-def _rkc_step(rhs, y0, dt, s):
+def _rkc_step(rhs, y0, dt, s, rate0=None):
     """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
 
-    The increment form keeps every component whose rate vanishes (the
-    co-moving tip) at exactly its old value.
+    `rate0` is rhs(y0) when the caller already has it.  The increment form
+    keeps every component whose rate vanishes (the co-moving tip) at exactly
+    its old value.
     """
     _, mu_tilde_1, rows = _rkc_coefficients(s)
-    f0 = dt * rhs(y0)
+    f0 = dt * (rhs(y0) if rate0 is None else rate0)
     d_older, d_old = 0.0, mu_tilde_1 * f0
     for mu, nu, mu_tilde, gamma_tilde in rows:
         d_older, d_old = d_old, (mu * d_old + nu * d_older
@@ -279,29 +287,21 @@ def _rkc_step(rhs, y0, dt, s):
 
 
 def _diffusion_rate(state):
-    """max_i e^{-u_i} diag_i, diag the size of the discrete Laplacian's diagonal.
+    """max_i e^{-u_i} diag_i, diag the size of the discrete Laplacian's
+    diagonal (`RadialGrid.lap_diag`).
 
-    diag is 4 / h^2 at the tip and (a_{i+1/2} + a_{i-1/2}) / (b_i h^2)
-    elsewhere.  An interior row's off-diagonal entries sum to its diagonal,
-    so rho = 2 * rate is the Gershgorin bound on the spectral radius of
+    An interior row's off-diagonal entries sum to its diagonal, so
+    rho = 2 * rate is the Gershgorin bound on the spectral radius of
     e^{-u} Lap; the true radius is 0.50 to 0.63 of rho on cigar, flat,
     perturbed and bump data at n = 65 and 129.
     """
-    grid = state.grid
-    diffusivity = np.exp(-state.conformal.log_factor)
+    diffusivity = state.conformal.diffusivity
     if not np.all(np.isfinite(diffusivity)):
         raise ValueError(
             "diffusivity e^{-u} overflowed; rescale the initial data or use "
             "the co-moving frame"
         )
-    h = grid.h
-    a = grid.a_half
-    b = grid.b_euclidean
-    diag = np.empty(grid.n)
-    diag[0] = 4.0 / h**2
-    diag[1:-1] = (a[1:-1] + a[0:-2]) / (b[1:-1] * h**2)
-    diag[-1] = (a[-1] + a[-2]) / (b[-1] * h**2)
-    return float(np.max(diffusivity * diag))
+    return float(np.max(diffusivity * state.grid.lap_diag))
 
 
 def adaptive_dt(state, safety=0.9):
@@ -324,8 +324,50 @@ def adaptive_dt(state, safety=0.9):
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
 
 
+def _advance(state, dt):
+    """The RKC2 part of `step`: the state at t + dt with the accumulators
+    left as they were.  The monitor's curvature probe steps with this alone,
+    since it throws the accumulators away."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be positive and finite")
+    n = state.grid.n
+
+    def pack(du, df, gamma):
+        return np.concatenate((du, df, [gamma]))
+
+    def rhs(y):
+        return pack(*_stage_rhs(state, y[:n], y[n:-1]))
+
+    t1 = state.t + dt
+    stiffness = dt * 2.0 * _diffusion_rate(state)
+    if not stiffness <= _rkc_coefficients(STAGE_LIMIT)[0]:
+        raise FlowInstabilityError(
+            f"dt * rho = {stiffness:.6g} needs more than {STAGE_LIMIT} stages: unstable step", t1
+        )
+    conf = state.conformal
+    # the first stage is at the state itself: du = -R, from its cached curvature
+    rate0 = pack(*_stage_rhs(state, conf.log_factor, state.potential,
+                             (conf.diffusivity, -state.curvature)))
+    y0 = np.concatenate((conf.log_factor, state.potential, [state.log_scale]))
+    y1 = _rkc_step(rhs, y0, dt, _stage_count(stiffness), rate0)
+    u1, f1, log_scale1 = y1[:n], y1[n:-1], float(y1[-1])
+
+    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(f1)) and np.isfinite(log_scale1)):
+        raise FlowInstabilityError("non-finite fields after step", t1)
+
+    sup_u_tilde = float(np.max(u1)) - 2.0 * log_scale1
+    if sup_u_tilde > state.init.sup_u_tilde0 + SUP_GROWTH_ABORT:
+        raise FlowInstabilityError(
+            f"sup u~ rose to {sup_u_tilde:.6g} above its initial value "
+            f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
+        )
+    return replace(state, conformal=ConformalState(state.grid, u1, conf.edge_slope),
+                   potential=f1, t=t1, log_scale=log_scale1)
+
+
 def step(state, dt):
-    """Advance (u, f, log L) jointly by one damped RKC2 step of size dt.
+    """Advance (u, f, log L) jointly by one damped RKC2 step of size dt,
+    then the accumulators across it.
 
     The stage count is the fewest s >= 2 whose stability interval
     beta(s) ~ 0.65 s^2 covers dt * rho (see `adaptive_dt`), so any dt is
@@ -335,43 +377,11 @@ def step(state, dt):
     NaNs, or if sup u~ exceeds its initial value beyond the abort tolerance
     (the maximum principle forbids any increase).
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError("dt must be positive and finite")
-    n = state.grid.n
-
-    def rhs(y):
-        du, df, gamma = _stage_rhs(state, y[:n], y[n:-1])
-        return np.concatenate((du, df, [gamma]))
-
-    t1 = state.t + dt
-    stiffness = dt * 2.0 * _diffusion_rate(state)
-    if not stiffness <= _rkc_coefficients(STAGE_LIMIT)[0]:
-        raise FlowInstabilityError(
-            f"dt * rho = {stiffness:.6g} needs more than {STAGE_LIMIT} stages: unstable step", t1
-        )
-    y0 = np.concatenate((state.conformal.log_factor, state.potential, [state.log_scale]))
-    y1 = _rkc_step(rhs, y0, dt, _stage_count(stiffness))
-    u1, f1, log_scale1 = y1[:n], y1[n:-1], float(y1[-1])
-
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(f1)) and np.isfinite(log_scale1)):
-        raise FlowInstabilityError("non-finite fields after step", t1)
-
-    conformal1 = ConformalState(state.grid, u1, state.conformal.edge_slope)
-    sup_u_tilde = float(np.max(u1)) - 2.0 * log_scale1
-    if sup_u_tilde > state.init.sup_u_tilde0 + SUP_GROWTH_ABORT:
-        raise FlowInstabilityError(
-            f"sup u~ rose to {sup_u_tilde:.6g} above its initial value "
-            f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
-        )
-
-    new_state = replace(
-        state, conformal=conformal1, potential=f1, t=t1, log_scale=log_scale1
-    )
-
+    new_state = _advance(state, dt)
     # trapezoidal accumulators across the accepted step
     r0 = float(state.curvature[0])
     r0_new = float(new_state.curvature[0])
-    f_fixed_new = map_to_fixed(new_state, f1, state.potential_slope)
+    f_fixed_new = map_to_fixed(new_state, new_state.potential, state.potential_slope)
     acc = state.acc
     acc1 = Accumulators(
         v_integral=acc.v_integral + 0.5 * dt * (r0 + r0_new),
@@ -385,21 +395,24 @@ def step(state, dt):
 # monitors
 # ---------------------------------------------------------------------------
 
-def monitor(state, dt_hint=None):
+def monitor(state, dt_hint=None, fields=None):
     """Compute a DiagnosticsRecord for the state.
 
     `dt_hint` is echoed into the record's dt column (the step size the run
-    is using); the curvature-evolution residual is probed by taking two
-    extra steps from a throwaway copy.  The probe's steps have the diffusive
-    size 0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo
-    keeps measuring the same O(dt^2 + h^2) residual on the state's own nodes.
+    is using); `fields` is the state's `fixed_fields` where the caller has
+    them.  The curvature-evolution residual is probed by taking two extra
+    RKC2 advances from the state, without the accumulators.  The probe's
+    steps have the diffusive size 0.9 / max(e^{-u} diag), whatever the run's
+    dt, so res_curv_evo keeps measuring the same O(dt^2 + h^2) residual on
+    the state's own nodes.
     """
     u_hat = state.conformal.log_factor
     if not np.all(np.isfinite(u_hat)):
         nan = float("nan")
         return DiagnosticsRecord(state.t, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan)
 
-    fields = fixed_fields(state)
+    if fields is None:
+        fields = fixed_fields(state)
     curv = state.curvature
     rep = width_report(state.conformal)
     res_poisson = float(
@@ -407,8 +420,8 @@ def monitor(state, dt_hint=None):
     )
     dtp = 0.9 / _diffusion_rate(state)
     try:
-        s1 = step(state, dtp)
-        s2 = step(s1, dtp)
+        s1 = _advance(state, dtp)
+        s2 = _advance(s1, dtp)
         res_curv = float(np.max(np.abs(curvature_evolution_residual(state, s1, s2))))
     except FlowInstabilityError:
         res_curv = float("nan")
@@ -527,15 +540,17 @@ def profile_distance(state, s_window=4.0):
 KAHLER_CONSTANT = 1.0
 
 
-def kahler_residual(state):
+def kahler_residual(state, fields=None):
     """Max mismatch between the evolved density and the potential reconstruction.
 
+    `fields` is the state's `fixed_fields` where the caller has them.
     Exactly zero at t = 0 by construction.  The outermost node is excluded:
     the accumulated potential has no ghost information of its own beyond the
     frozen slope estimate -t * slope_f used here.
     """
     grid = state.grid
-    fields = fixed_fields(state)
+    if fields is None:
+        fields = fixed_fields(state)
     rho_t = np.exp(fields["u_tilde"])
     rho_0 = np.exp(state.init.u_tilde0)
     phi_slope = -state.t * state.potential_slope
@@ -588,10 +603,13 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         except ValueError:
             return None
 
-    dt0 = adaptive_dt(state, safety)
-    records = [monitor(state, dt_hint=dt0)]
+    # the free step size of the current state, taken once per state: each
+    # record echoes it and the next step is clipped from it
+    dt_free = adaptive_dt(state, safety)
+    fields = fixed_fields(state)
+    records = [monitor(state, dt_hint=dt_free, fields=fields)]
     dist_trace = [(state.t, snap_dist(state))]
-    kahler_trace = [(state.t, kahler_residual(state))]
+    kahler_trace = [(state.t, kahler_residual(state, fields))]
     if progress:
         progress(records[-1])
     if snapshot_hook and round(state.t, 12) in snapshot_set:
@@ -601,20 +619,21 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     abort_message = None
     for target in events:
         while state.t < target - 1e-13:
-            dt = min(adaptive_dt(state, safety), target - state.t)
             try:
-                state = step(state, dt)
+                state = step(state, min(dt_free, target - state.t))
             except FlowInstabilityError as err:
                 aborted, abort_message = True, str(err)
                 break
             if abs(state.t - target) < 1e-12:
                 state = replace(state, t=target)
+            dt_free = adaptive_dt(state, safety)
         if aborted:
             break
-        rec = monitor(state, dt_hint=adaptive_dt(state, safety))
+        fields = fixed_fields(state)
+        rec = monitor(state, dt_hint=dt_free, fields=fields)
         records.append(rec)
         dist_trace.append((state.t, snap_dist(state)))
-        kahler_trace.append((state.t, kahler_residual(state)))
+        kahler_trace.append((state.t, kahler_residual(state, fields)))
         if progress:
             progress(rec)
         if snapshot_hook and target in snapshot_set:

@@ -26,17 +26,18 @@ The radial first-derivative stencils (centred d/ds, the one-sided edge
 slope, the metric gradient norm) live here beside the ghost formula too.
 
 Each grid also carries its cubic spline, `RadialGrid.spline`: the slope
-system of a spline through fixed knots has a fixed matrix, so it is
-LU-factored once per grid and every evaluation is one back-substitution.
+system of a spline through fixed knots has a fixed tridiagonal matrix, so it
+is LU-factored once per grid and every evaluation is one forward and one
+back sweep.  Both follow LAPACK's gttrf and gttrs step for step in Python
+floats, so the module needs numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lapack
 
 __all__ = [
     "RadialGrid",
@@ -81,10 +82,25 @@ class RadialGrid:
         # half-node conductivities a_{i+1/2} = tanh(s_i + h/2)
         self.a_half = np.tanh(self.s + 0.5 * self.h)
         self.b_euclidean = self.r * self.cosh_s
+        # the Laplacian's denominators: h^2 in the tip row, b_i h^2 elsewhere
+        self.h2 = float(self.h**2)
+        self.bh2 = self.b_euclidean * self.h**2
+
+    @cached_property
+    def lap_diag(self):
+        """The size of the Laplacian's diagonal, for the stiffness bound:
+        4 / h^2 at the tip and (a_{i+1/2} + a_{i-1/2}) / (b_i h^2) elsewhere."""
+        a = self.a_half
+        diag = np.empty(self.n)
+        diag[0] = 4.0 / self.h2
+        diag[1:-1] = (a[1:-1] + a[0:-2]) / self.bh2[1:-1]
+        diag[-1] = (a[-1] + a[-2]) / self.bh2[-1]
+        return diag
 
     @cached_property
     def spline(self):
-        """The grid's cubic spline, its slope system factored on first use."""
+        """The grid's cubic spline, its slope system factored on first use
+        (gttrf's elimination in Python floats, under 1 ms at n = 513)."""
         return GridSpline(self.s)
 
 
@@ -94,12 +110,14 @@ class GridSpline:
     `spline(values, x, slope)` is the spline clamped to first derivatives
     (0, slope) at the ends: zero by symmetry at the tip, the physical
     Neumann slope at s_max.  The result is bit for bit scipy's cubic spline
-    with the same end conditions: the tridiagonal slope system is built from
-    the same expressions, factored once with LAPACK's gttrf and solved with
-    gttrs (the eliminations of the gtsv solve scipy calls), the Hermite
-    coefficients and the evaluation follow scipy's piecewise polynomial, and
-    points beyond the knots extrapolate with the end pieces.  Non-finite
-    values raise scipy's ValueError.
+    with the same end conditions.  The tridiagonal slope system is built
+    from the same expressions and solved by the eliminations of LAPACK's
+    gtsv, which scipy calls: `__init__` runs gttrf's LU factorization with
+    its row interchanges once, and each call runs gttrs's forward and back
+    sweeps for one right-hand side, in the same order of operations.  The
+    Hermite coefficients and the evaluation follow scipy's piecewise
+    polynomial, and points beyond the knots extrapolate with the end pieces.
+    Non-finite values raise scipy's ValueError.
     """
 
     def __init__(self, knots):
@@ -107,16 +125,66 @@ class GridSpline:
         dx = np.diff(x)
         self.knots, self.dx = x, dx
         self._inner_knots = x[1:-1].copy()
-        # gttrf factors of the slope system's tridiagonal matrix; the clamped
-        # end rows are m_0 = 0 and m_{n-1} = slope
-        diag = np.empty(x.size)
-        diag[1:-1] = 2 * (dx[:-1] + dx[1:])
-        upper = np.empty(dx.size)
-        upper[1:] = dx[:-1]
-        lower = np.empty(dx.size)
-        lower[:-1] = dx[1:]
-        diag[0], upper[0], diag[-1], lower[-1] = 1.0, 0.0, 1.0, 0.0
-        *self._lu, _ = lapack.dgttrf(lower, diag, upper)  # never singular: x increases
+        # the slope system's rows, lower, diagonal and upper; the clamped end
+        # rows are m_0 = 0 and m_{n-1} = slope
+        h = dx.tolist()
+        dl = h[1:] + [0.0]
+        d = [1.0] + [2 * (left + right) for left, right in zip(h[:-1], h[1:])] + [1.0]
+        du = [0.0] + h[:-1]
+        # gttrf: Gaussian elimination with partial pivoting.  Row i swaps with
+        # row i + 1 when |d_i| < |dl_i|, which fills du2_i.  The clamped first
+        # row [1, 0] swaps when the spacing dl_0 exceeds 1.  Never singular:
+        # the knots increase.
+        n = len(d)
+        du2 = [0.0] * (n - 2)
+        swap = [False] * (n - 1)
+        for i in range(n - 1):
+            if abs(d[i]) >= abs(dl[i]):
+                if d[i] != 0.0:
+                    fact = dl[i] / d[i]
+                    dl[i] = fact
+                    d[i + 1] = d[i + 1] - fact * du[i]
+            else:
+                fact = d[i] / dl[i]
+                d[i] = dl[i]
+                dl[i] = fact
+                temp = du[i]
+                du[i] = d[i + 1]
+                d[i + 1] = temp - fact * d[i + 1]
+                if i < n - 2:
+                    du2[i] = du[i + 1]
+                    du[i + 1] = -fact * du[i + 1]
+                swap[i] = True
+        self._forward = list(zip(dl, swap))
+        self._d_last = (d[-1], d[-2], du[-1])
+        # the back sweep's rows n-3 .. 0, in the order it visits them
+        self._backward = list(zip(du[-2::-1], du2[::-1], d[-3::-1]))
+
+    def _solve(self, b):
+        """gttrs on one right-hand side, a list of floats: the slopes m."""
+        # forward sweep y = L^{-1} P b, interchanging where gttrf did; at
+        # step i, x is row i's entry after the eliminations above it
+        x = b[0]
+        y = []
+        for (fact, swapped), nxt in zip(self._forward, b[1:]):
+            if swapped:
+                y.append(nxt)
+                x = x - fact * nxt
+            else:
+                y.append(x)
+                x = nxt - fact * x
+        y.append(x)
+        d_last, d_prev, du_prev = self._d_last
+        x1 = y[-1] / d_last
+        x0 = (y[-2] - du_prev * x1) / d_prev
+        m = [x1, x0]
+        # the du2 term stays even where du2 is 0: dropping it can flip the
+        # sign of a zero
+        for yi, (upper, upper2, diag) in zip(y[-3::-1], self._backward):
+            x0, x1 = (yi - upper * x0 - upper2 * x1) / diag, x0
+            m.append(x0)
+        m.reverse()
+        return np.array(m)
 
     def __call__(self, values, x, slope):
         y = np.asarray(values, dtype=float)
@@ -127,7 +195,7 @@ class GridSpline:
         rhs = np.empty(y.size)
         rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
         rhs[0], rhs[-1] = 0.0, slope
-        m = lapack.dgttrs(*self._lu, rhs[:, None], overwrite_b=1)[0][:, 0]
+        m = self._solve(rhs.tolist())
         # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
         t = (m[:-1] + m[1:] - 2 * secant) / dx
         c0 = t / dx
@@ -152,7 +220,6 @@ class ConformalState:
     grid: RadialGrid
     log_factor: np.ndarray
     edge_slope: float = 0.0
-    _curvature: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.log_factor = np.asarray(self.log_factor, dtype=float)
@@ -162,12 +229,15 @@ class ConformalState:
                 f"log_factor shape {self.log_factor.shape} does not match grid {expected}"
             )
 
-    @property
+    @cached_property
+    def diffusivity(self):
+        """e^{-u~}, the factor of Lap_g = e^{-u~} Lap_E (computed once)."""
+        return np.exp(-self.log_factor)
+
+    @cached_property
     def curvature(self):
-        """Scalar curvature field R (computed once, then cached)."""
-        if self._curvature is None:
-            self._curvature = scalar_curvature(self)
-        return self._curvature
+        """Scalar curvature field R (computed once)."""
+        return scalar_curvature(self)
 
 
 def _check_field(f, grid):
@@ -224,16 +294,18 @@ def background_laplacian(f, grid, edge_slope=0.0):
     # Lap_g(R^h) at the axis with an O(1) error.  The edge row uses the
     # cubic-Hermite ghost for the same reason.
     f = _check_field(f, grid)
-    h = grid.h
-    a = grid.a_half
-    b = grid.b_euclidean
     out = np.empty_like(f)
-    out[0] = ((10.0 / 3.0) * (f[1] - f[0]) + (f[2] - f[0]) / 6.0) / h**2 - (2.0 / 3.0) * (
-        f[1] - f[0]
-    )
-    out[1:-1] = (a[1:-1] * (f[2:] - f[1:-1]) - a[0:-2] * (f[1:-1] - f[:-2])) / (b[1:-1] * h**2)
-    jump = _edge_ghost_jump(f, h, edge_slope)
-    out[-1] = (a[-1] * jump - a[-2] * (f[-1] - f[-2])) / (b[-1] * h**2)
+    # the tip and edge rows in Python floats, which are cheaper than numpy
+    # scalars and round the same
+    f0, f1, f2 = f[:3].tolist()
+    out[0] = ((10.0 / 3.0) * (f1 - f0) + (f2 - f0) / 6.0) / grid.h2 - (2.0 / 3.0) * (f1 - f0)
+    # an interior row is the difference of the fluxes a_{i+1/2} (f_{i+1} - f_i)
+    # on either side of node i, over b_i h^2
+    flux = grid.a_half[:-1] * np.diff(f)
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
+    out[1:-1] /= grid.bh2[1:-1]
+    jump = _edge_ghost_jump(f[-3:].tolist(), grid.h, edge_slope)
+    out[-1] = (grid.a_half[-1] * jump - flux[-1]) / grid.bh2[-1]
     return out
 
 
@@ -241,13 +313,13 @@ def scalar_curvature(state):
     """R = -e^{-u~} Lap_E u~."""
     lap = background_laplacian(state.log_factor, state.grid, state.edge_slope)
     # 0.0 - lap, not -lap: the flat plane's curvature stays +0.0, never -0.0
-    return np.exp(-state.log_factor) * (0.0 - lap)
+    return state.diffusivity * (0.0 - lap)
 
 
 def metric_laplacian(f, state, edge_slope=0.0):
     """Laplacian of `f` in the metric: Lap_g = e^{-u~} Lap_E."""
     lap = background_laplacian(f, state.grid, edge_slope)
-    return np.exp(-state.log_factor) * lap
+    return state.diffusivity * lap
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from cigarflow import cigar
@@ -277,6 +278,48 @@ def test_potential_solve_matches_loop_assembly(n, s_max):
     res = np.max(np.abs(metric_laplacian(f, state, slope) - state.curvature))
     res_ref = np.max(np.abs(metric_laplacian(f_ref, state, slope_ref) - state.curvature))
     assert res <= res_ref + 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the spline's slope solve against LAPACK
+# ---------------------------------------------------------------------------
+
+def _lapack_slopes(knots, rhs):
+    """The clamped spline's slope system solved by LAPACK's gttrf and gttrs."""
+    dx = np.diff(knots)
+    diag = np.empty(knots.size)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper = np.empty(dx.size)
+    upper[1:] = dx[:-1]
+    lower = np.empty(dx.size)
+    lower[:-1] = dx[1:]
+    diag[0], upper[0], diag[-1], lower[-1] = 1.0, 0.0, 1.0, 0.0
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(lower, diag, upper)
+    assert info == 0
+    m, info = lapack.dgttrs(dl, d, du, du2, ipiv, rhs[:, None].copy())
+    assert info == 0
+    return m[:, 0], ipiv
+
+
+# spacings h = 0.25, 0.125, 1 (no interchange: |d_0| = |dl_0|), 1.01, 1.875,
+# 2.2 and 0.68; the first row interchanges exactly when h > 1
+SOLVE_CASES = [(17, 4.0), (65, 8.0), (17, 16.0), (41, 40.4), (33, 60.0), (16, 33.0), (513, 350.0)]
+
+
+@pytest.mark.parametrize("n, s_max", SOLVE_CASES, ids=[f"{n}-{s:g}" for n, s in SOLVE_CASES])
+def test_spline_solve_is_lapack_gttrs_bit_for_bit(n, s_max):
+    grid = RadialGrid(n, s_max)
+    rng = np.random.default_rng(n)
+    scaled = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6, size=n)
+    sparse_rhs = np.where(rng.random(n) < 0.3, 0.0, scaled)
+    signed_zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    mixed = np.where(rng.random(n) < 0.2, -1.0, signed_zeros)
+    clamped = scaled.copy()
+    clamped[0] = 0.0  # the tip row of every spline the program builds
+    for rhs in (scaled, sparse_rhs, np.zeros(n), signed_zeros, mixed, clamped):
+        expected, ipiv = _lapack_slopes(grid.s, rhs)
+        assert grid.spline._solve(rhs.tolist()).tobytes() == expected.tobytes()
+    assert (ipiv[0] == 2) == (grid.h > 1.0)  # Fortran's 1-based row indices
 
 
 # ---------------------------------------------------------------------------

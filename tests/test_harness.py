@@ -687,8 +687,9 @@ def test_cli_run_output_failures_exit_3(tmp_path, capsys):
     assert (tmp_path / "out" / "snapshot_t0.000000.txt").exists()
 
 
-def test_cli_and_a_scenario_build_leave_scipy_interpolate_unimported(config_dir):
-    # scipy.interpolate costs most of a second to import and src/ needs none of it
+def test_cli_a_scenario_build_a_step_and_a_map_leave_scipy_unimported(config_dir):
+    # importing scipy costs more than numpy and the program together, and
+    # src/ needs none of it: the spline's solve is its own
     code = (
         "import sys\n"
         "import cigarflow.cli\n"
@@ -696,8 +697,9 @@ def test_cli_and_a_scenario_build_leave_scipy_interpolate_unimported(config_dir)
         "config = scenarios.load_config(sys.argv[1])\n"
         "state = scenarios.build_scenario(config)\n"
         "state = flow.step(state, flow.adaptive_dt(state))\n"
-        "assert state.log_scale != 0.0\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))\n"
+        "assert state.frame == flow.COMOVING and state.log_scale != 0.0\n"
+        "flow.map_to_fixed(state, state.conformal.log_factor, state.conformal.edge_slope)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
