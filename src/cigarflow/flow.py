@@ -11,7 +11,12 @@ second-order Runge-Kutta-Chebyshev method (RKC2; Verwer, Hundsdorfer and
 Sommeijer 1990, Sommeijer, Shampine and Verwer 1997).  Its real stability
 interval grows as ~0.65 s^2 with the stage count s, so the step size follows
 the curvature (u~ moves by about h per step) and the stage count follows the
-stiffness of the diffusion, rather than dt following h^2.
+stiffness of the diffusion, rather than dt following h^2.  The stiffness rho
+is Gershgorin's bound of a diagonally scaled copy of e^{-u~} Lap_E
+(`RadialGrid.gershgorin_rows`): a bound for every diffusivity, the tip and
+the ghost edge row included, and within 7% of the true radius on the cigar.
+A stage evaluates the rates of u~ and f together, from shared differences
+(`_stage_rhs`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -57,7 +62,7 @@ is pinned once by exactness on the soliton family and frozen.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -67,9 +72,11 @@ from cigarflow.diagnostics import DiagnosticsRecord
 from cigarflow.geometry import (
     ConformalState,
     RadialGrid,
+    _edge_row,
     _edge_slope_estimate,
     _metric_gradient_sq,
     _radial_derivative,
+    _tip_row,
     background_laplacian,
     metric_laplacian,
     width_report,
@@ -125,6 +132,10 @@ class InitialData:
     """Frozen t=0 fields at the fixed grid nodes, in the fixed frame.
 
     The fields with init=False are derived from the others on construction.
+    `grid` and `edge_slope` (u~0's Neumann slope) are used there and not
+    stored: `sup_u_tilde0` is the maximum of u~0's clamped spline
+    (`GridSpline.maximum`), which the maximum principle keeps every later
+    profile under, wherever its nodes sit.
     """
 
     u_tilde0: np.ndarray      # Euclidean log factor
@@ -136,10 +147,12 @@ class InitialData:
     sup_potential_gap: float  # sup |f0_cigar - f(0)|, boundedness hypothesis value
     sup_log_u0: float = field(init=False)
     sup_grad_log_u0: float
+    grid: InitVar[RadialGrid]
+    edge_slope: InitVar[float]
 
-    def __post_init__(self):
+    def __post_init__(self, grid, edge_slope):
         self.w0 = self.u_tilde0 + self.potential0
-        self.sup_u_tilde0 = float(np.max(self.u_tilde0))
+        self.sup_u_tilde0 = grid.spline.maximum(self.u_tilde0, edge_slope)
         self.sup_log_u0 = float(np.max(np.abs(self.log_u0)))
 
 
@@ -212,26 +225,52 @@ def fixed_fields(state):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _stage_rhs(state, u_hat, f_hat, diffusion=None):
-    """Time derivatives of (u_hat, f_hat, log L) at one RKC2 stage.
+def _stage_rhs(state, y, diffusivity=None):
+    """The rate of y = (u_hat, f_hat, log L) at one RKC2 stage, one vector of
+    length 2n + 1.
 
-    `diffusion` is (e^{-u_hat}, e^{-u_hat} Lap_E u_hat) where already known:
-    the first stage, at the state itself, passes its cached e^{-u} and -R.
+    Both fields share one difference d = y[1:] - y[:-1] and one set of
+    numpy calls: the interior rows of both Laplacians come from the grid's
+    pair coefficients, the formula of `background_laplacian`, and the tip
+    and edge rows from its Python-float helpers, so the fixed-frame u rate
+    is -R bit for bit.  e^{-u_hat} multiplies each row after the
+    subtraction (`diffusivity` where already known: the first stage passes
+    the state's cached e^{-u}); folded into the coefficients it would
+    amplify its own rounding through the cancellation in the tail.  In the
+    co-moving frame the advection gamma tanh(s) d/ds is the centred
+    gamma tanh(s)/(2h) (d_i + d_{i-1}), and the tip rate of u_hat is
+    exactly 0.
     """
     grid = state.grid
-    slope_u = state.conformal.edge_slope
-    if diffusion is None:
-        diffusivity = np.exp(-u_hat)
-        du = diffusivity * background_laplacian(u_hat, grid, slope_u)
-    else:
-        diffusivity, du = diffusion
-    df = diffusivity * background_laplacian(f_hat, grid, state.potential_slope)
-    gamma = -0.5 * du[0] if state.frame == COMOVING else 0.0  # R(origin) / 2
+    n = grid.n
+    out = np.empty_like(y)
+    # d and the interior rows run across the seam between u_hat and f_hat
+    # too; the rows there are the edge of u_hat and the tip of f_hat, which
+    # are then written over
+    d = y[1:-1] - y[:-2]
+    inner = out[1:-2]
+    np.multiply(grid.pair_up, d[1:], out=inner)
+    inner -= grid.pair_down * d[:-1]
+    # u_hat's last three values and f_hat's first three are neighbours in y
+    u_edge_f_tip = y[n - 3:n + 3].tolist()
+    slope_u, slope_f = state.conformal.edge_slope, state.potential_slope
+    out[0] = _tip_row(*y[:3].tolist(), grid.h2)
+    out[n - 1] = _edge_row(grid, u_edge_f_tip[:3], slope_u)
+    out[n] = _tip_row(*u_edge_f_tip[3:], grid.h2)
+    out[-2] = _edge_row(grid, y[-4:-1].tolist(), slope_f)
+    if diffusivity is None:
+        diffusivity = np.exp(-y[:n])
+    out[:n] *= diffusivity
+    out[n:-1] *= diffusivity
+    gamma = -0.5 * float(out[0]) if state.frame == COMOVING else 0.0  # R(origin) / 2
     if gamma != 0.0:
-        adv = gamma * grid.tanh_s
-        du = du + adv * _radial_derivative(grid, u_hat, slope_u) + 2.0 * gamma
-        df = df + adv * _radial_derivative(grid, f_hat, state.potential_slope)
-    return du, df, gamma
+        inner += (gamma * grid.pair_advection) * (d[1:] + d[:-1])
+        edge = gamma * grid.tanh_edge
+        out[n - 1] += edge * slope_u
+        out[-2] += edge * slope_f
+        out[:n] += 2.0 * gamma
+    out[-1] = gamma
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -286,14 +325,12 @@ def _rkc_step(rhs, y0, dt, s, rate0=None):
     return y0 + d_old
 
 
-def _diffusion_rate(state):
-    """max_i e^{-u_i} diag_i, diag the size of the discrete Laplacian's
-    diagonal (`RadialGrid.lap_diag`).
+def _diffusion_rate(state, weights):
+    """max_i e^{-u_i} weights_i for per-node weights of the Laplacian.
 
-    An interior row's off-diagonal entries sum to its diagonal, so
-    rho = 2 * rate is the Gershgorin bound on the spectral radius of
-    e^{-u} Lap; the true radius is 0.50 to 0.63 of rho on cigar, flat,
-    perturbed and bump data at n = 65 and 129.
+    With the grid's `gershgorin_rows` this is rho, a bound on the spectral
+    radius of e^{-u} Lap that holds for every diffusivity; with `lap_diag`
+    it is the curvature probe's rate (`monitor`).
     """
     diffusivity = state.conformal.diffusivity
     if not np.all(np.isfinite(diffusivity)):
@@ -301,7 +338,7 @@ def _diffusion_rate(state):
             "diffusivity e^{-u} overflowed; rescale the initial data or use "
             "the co-moving frame"
         )
-    return float(np.max(diffusivity * state.grid.lap_diag))
+    return float(np.max(diffusivity * weights))
 
 
 def adaptive_dt(state, safety=0.9):
@@ -311,14 +348,14 @@ def adaptive_dt(state, safety=0.9):
     -R), and in the co-moving frame it implies the advective limit
     h / |gamma| of the transport term, since |gamma| = |R(origin)| / 2.  The
     second caps the stage count at MAX_STAGES, and keeps dt finite on the
-    flat plane, where R = 0.  rho = 2 max(e^{-u} diag) is the Gershgorin
-    bound of the diffusion operator (`_diffusion_rate`).  Stability does not
-    depend on `safety`: `step` takes as many stages as dt * rho needs.  The
-    same rule holds in both frames.
+    flat plane, where R = 0.  rho = max(e^{-u} rows) bounds the spectrum of
+    the diffusion operator, rows the grid's `gershgorin_rows`.  Stability
+    does not depend on `safety`: `step` takes as many stages as dt * rho
+    needs.  The same rule holds in both frames.
     """
     if not (0.0 < safety):
         raise ValueError("safety must be positive")
-    rho = 2.0 * _diffusion_rate(state)
+    rho = _diffusion_rate(state, state.grid.gershgorin_rows)
     sup_r = float(np.max(np.abs(state.curvature)))
     dt_curv = state.grid.h / sup_r if sup_r > 0.0 else np.inf
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
@@ -327,38 +364,39 @@ def adaptive_dt(state, safety=0.9):
 def _advance(state, dt):
     """The RKC2 part of `step`: the state at t + dt with the accumulators
     left as they were.  The monitor's curvature probe steps with this alone,
-    since it throws the accumulators away."""
+    since it throws the accumulators away.
+
+    The stage count is the fewest s >= 2 with beta(s) >= dt * rho, rho =
+    max(e^{-u} rows) from the grid's `gershgorin_rows`, which bounds the
+    spectral radius of the diffusion operator; each stage is one call of the
+    fused `_stage_rhs`.
+    """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     n = state.grid.n
-
-    def pack(du, df, gamma):
-        return np.concatenate((du, df, [gamma]))
-
-    def rhs(y):
-        return pack(*_stage_rhs(state, y[:n], y[n:-1]))
-
     t1 = state.t + dt
-    stiffness = dt * 2.0 * _diffusion_rate(state)
+    stiffness = dt * _diffusion_rate(state, state.grid.gershgorin_rows)
     if not stiffness <= _rkc_coefficients(STAGE_LIMIT)[0]:
         raise FlowInstabilityError(
             f"dt * rho = {stiffness:.6g} needs more than {STAGE_LIMIT} stages: unstable step", t1
         )
     conf = state.conformal
-    # the first stage is at the state itself: du = -R, from its cached curvature
-    rate0 = pack(*_stage_rhs(state, conf.log_factor, state.potential,
-                             (conf.diffusivity, -state.curvature)))
     y0 = np.concatenate((conf.log_factor, state.potential, [state.log_scale]))
-    y1 = _rkc_step(rhs, y0, dt, _stage_count(stiffness), rate0)
+    # the first stage is at the state itself, with its cached e^{-u}
+    rate0 = _stage_rhs(state, y0, conf.diffusivity)
+    y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, dt, _stage_count(stiffness), rate0)
     u1, f1, log_scale1 = y1[:n], y1[n:-1], float(y1[-1])
 
     if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(f1)) and np.isfinite(log_scale1)):
         raise FlowInstabilityError("non-finite fields after step", t1)
 
+    # the node maximum against the initial profile's (its spline's): the
+    # co-moving nodes are not material points, so a node may come to sit
+    # nearer the crest than any node did at t = 0
     sup_u_tilde = float(np.max(u1)) - 2.0 * log_scale1
     if sup_u_tilde > state.init.sup_u_tilde0 + SUP_GROWTH_ABORT:
         raise FlowInstabilityError(
-            f"sup u~ rose to {sup_u_tilde:.6g} above its initial value "
+            f"sup u~ rose to {sup_u_tilde:.6g} above the initial profile's maximum "
             f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
         )
     return replace(state, conformal=ConformalState(state.grid, u1, conf.edge_slope),
@@ -418,7 +456,7 @@ def monitor(state, dt_hint=None, fields=None):
     res_poisson = float(
         np.max(np.abs(metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv))
     )
-    dtp = 0.9 / _diffusion_rate(state)
+    dtp = 0.9 / _diffusion_rate(state, state.grid.lap_diag)
     try:
         s1 = _advance(state, dtp)
         s2 = _advance(s1, dtp)
@@ -678,6 +716,8 @@ def exact_soliton_state(grid, t=0.0):
         res_poisson0=0.0,
         sup_potential_gap=0.0,
         sup_grad_log_u0=0.0,
+        grid=grid,
+        edge_slope=_soliton_edge_slope(grid, 0.0),
     )
     acc = Accumulators(
         v_integral=4.0 * t,

@@ -29,7 +29,8 @@ Each grid also carries its cubic spline, `RadialGrid.spline`: the slope
 system of a spline through fixed knots has a fixed tridiagonal matrix, so it
 is LU-factored once per grid and every evaluation is one forward and one
 back sweep.  Both follow LAPACK's gttrf and gttrs step for step in Python
-floats, so the module needs numpy alone.
+floats, so the module needs numpy alone.  `GridSpline.maximum` gives the
+spline's exact maximum, from the critical points of each piece.
 """
 
 from __future__ import annotations
@@ -64,7 +65,15 @@ MAX_SPACING = float(np.sqrt(5.0))
 
 @dataclass
 class RadialGrid:
-    """Uniform grid in cigar arc length s on [0, s_max]; node 0 is the tip."""
+    """Uniform grid in cigar arc length s on [0, s_max]; node 0 is the tip.
+
+    It carries what the radial operators reuse on every call: the
+    Laplacian's interior coefficients (`lap_up`, `lap_down`, and their
+    `pair_*` forms for two fields laid end to end, which an RKC2 stage
+    evaluates together), the edge row's coefficients as Python floats, the
+    Laplacian's diagonal `lap_diag`, the stiffness weights `gershgorin_rows`
+    and the factored cubic `spline`.
+    """
 
     n: int
     s_max: float
@@ -85,17 +94,69 @@ class RadialGrid:
         # the Laplacian's denominators: h^2 in the tip row, b_i h^2 elsewhere
         self.h2 = float(self.h**2)
         self.bh2 = self.b_euclidean * self.h**2
+        # Interior row i of the Laplacian is up_i d_i - down_i d_{i-1}, d =
+        # diff(f): the fluxes a_{i+1/2} d_i on either side of node i, over
+        # b_i h^2.  The centred advection tanh(s_i) (f_{i+1} - f_{i-1}) / (2h)
+        # is adv_i (d_i + d_{i-1}).  Each pair_* vector covers two fields laid
+        # end to end, as an RKC2 stage lays u and f (`flow._stage_rhs`), with
+        # 0 at the two rows across the seam; lap_up and lap_down are the
+        # first field's part.
+        seam = np.zeros(2)
+        up = self.a_half[1:-1] / self.bh2[1:-1]
+        down = self.a_half[:-2] / self.bh2[1:-1]
+        adv = self.tanh_s[1:-1] / (2.0 * self.h)
+        self.pair_up = np.concatenate((up, seam, up))
+        self.pair_down = np.concatenate((down, seam, down))
+        self.pair_advection = np.concatenate((adv, seam, adv))
+        self.lap_up = self.pair_up[:self.n - 2]
+        self.lap_down = self.pair_down[:self.n - 2]
+        # the edge row's a_{n-1/2}, a_{n-3/2}, b h^2 and h, and tanh s_max
+        self.edge_coefficients = (float(self.a_half[-1]), float(self.a_half[-2]),
+                                  float(self.bh2[-1]), float(self.h))
+        self.tanh_edge = float(self.tanh_s[-1])
 
     @cached_property
     def lap_diag(self):
-        """The size of the Laplacian's diagonal, for the stiffness bound:
-        4 / h^2 at the tip and (a_{i+1/2} + a_{i-1/2}) / (b_i h^2) elsewhere."""
+        """The size of the Laplacian's diagonal: 4 / h^2 at the tip and
+        (a_{i+1/2} + a_{i-1/2}) / (b_i h^2) elsewhere.  It sets the curvature
+        probe's step (`flow.monitor`)."""
         a = self.a_half
         diag = np.empty(self.n)
         diag[0] = 4.0 / self.h2
         diag[1:-1] = (a[1:-1] + a[0:-2]) / self.bh2[1:-1]
         diag[-1] = (a[-1] + a[-2]) / self.bh2[-1]
         return diag
+
+    @cached_property
+    def gershgorin_rows(self):
+        """Row sums of D|L|D^{-1}, L the Laplacian's matrix: rows_i =
+        sum_j |L_ij| d_i / d_j.
+
+        D is diagonal with d = 1 except d_0 = 1/sqrt 7 and d_{n-1} =
+        (sqrt 73 - 1)/18: as h -> 0 these balance the tip row against row 1
+        and the edge row against row n-2.  For any diffusivity e^{-u}, the
+        matrix e^{-u} L is similar to D e^{-u} L D^{-1}, so max(e^{-u} rows)
+        is Gershgorin's bound on its spectral radius, the stiffness rho of
+        the RKC2 step.  On the flat plane it is 0.60 of 8 / h^2, the tip
+        row's unscaled bound; on the cigar the edge row binds, and the true
+        radius is 0.94 of it.
+        """
+        a, bh2, h2 = self.a_half, self.bh2, self.h2
+        d_tip = 1.0 / np.sqrt(7.0)
+        d_edge = (np.sqrt(73.0) - 1.0) / 18.0
+        rows = np.empty(self.n)
+        # interior: the off-diagonal entries sum to the diagonal
+        rows[1:-1] = 2.0 * (a[1:-1] + a[:-2]) / bh2[1:-1]
+        # tip row (-(10/3 + 1/6)/h^2 + 2/3, 10/(3h^2) - 2/3, 1/(6h^2)) and
+        # row 1's entry in column 0
+        rows[0] = (abs(2.0 / 3.0 - (10.0 / 3.0 + 1.0 / 6.0) / h2)
+                   + d_tip * (abs(10.0 / (3.0 * h2) - 2.0 / 3.0) + 1.0 / (6.0 * h2)))
+        rows[1] += (1.0 / d_tip - 1.0) * a[0] / bh2[1]
+        # edge row ((-2.5 a_{n-1/2} - a_{n-3/2}), (3 a_{n-1/2} + a_{n-3/2}),
+        # -0.5 a_{n-1/2}) / (b h^2) and row n-2's entry in column n-1
+        rows[-1] = (2.5 * a[-1] + a[-2] + d_edge * (3.5 * a[-1] + a[-2])) / bh2[-1]
+        rows[-2] += (1.0 / d_edge - 1.0) * a[-2] / bh2[-2]
+        return rows
 
     @cached_property
     def spline(self):
@@ -186,7 +247,8 @@ class GridSpline:
         m.reverse()
         return np.array(m)
 
-    def __call__(self, values, x, slope):
+    def _slopes(self, values, slope):
+        """The values as an array, the secants and the spline's knot slopes."""
         y = np.asarray(values, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("`y` must contain only finite values.")
@@ -195,7 +257,37 @@ class GridSpline:
         rhs = np.empty(y.size)
         rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
         rhs[0], rhs[-1] = 0.0, slope
-        m = self._solve(rhs.tolist())
+        return y, secant, self._solve(rhs.tolist())
+
+    def maximum(self, values, slope):
+        """The spline's largest value between the first and the last knot:
+        the largest of its knot values and its values at the critical points
+        inside each piece, which are the roots of a quadratic."""
+        y, secant, m = self._slopes(values, slope)
+        m0 = m[:-1]
+        # a piece is y_i + dx tau (m0 + tau (c + tau t)) for tau in [0, 1],
+        # t = m0 + m1 - 2 secant and c = secant - m0 - t; its derivative in
+        # x is 3 t tau^2 + 2 c tau + m0, here scaled to coefficients of at
+        # most 1 so that no square overflows
+        t = m0 + m[1:] - 2.0 * secant
+        c = secant - m0 - t
+        scale = np.maximum(np.maximum(np.abs(t), np.abs(c)), np.abs(m0))
+        scale[scale == 0.0] = 1.0
+        qa, qb, qc = 3.0 * t / scale, 2.0 * c / scale, m0 / scale
+        # both roots without cancellation; where there is no real root the
+        # points found still lie on the piece, so they only add samples
+        q = -0.5 * (qb + np.copysign(np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0)), qb))
+        best = float(np.max(y))
+        for num, den in ((q, qa), (qc, q)):
+            tau = np.divide(num, den, out=np.zeros_like(q), where=den != 0.0)
+            tau = np.clip(tau, 0.0, 1.0)
+            piece = y[:-1] + self.dx * tau * (m0 + tau * (c + tau * t))
+            best = max(best, float(np.max(piece)))
+        return best
+
+    def __call__(self, values, x, slope):
+        y, secant, m = self._slopes(values, slope)
+        dx = self.dx
         # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
         t = (m[:-1] + m[1:] - 2 * secant) / dx
         c0 = t / dx
@@ -257,6 +349,20 @@ def _edge_ghost_jump(f, h, edge_slope):
     return 3.0 * (f[-2] - f[-1]) + 0.5 * (f[-1] - f[-3]) + 3.0 * h * edge_slope
 
 
+def _tip_row(f0, f1, f2, h2):
+    """Lap_E f at the tip from its first three values, in Python floats."""
+    return ((10.0 / 3.0) * (f1 - f0) + (f2 - f0) / 6.0) / h2 - (2.0 / 3.0) * (f1 - f0)
+
+
+def _edge_row(grid, last3, edge_slope):
+    """Lap_E f at the outer edge from its last three values, a list of Python
+    floats: the ghost flux a_{n-1/2} (ghost - f_{n-1}) less the flux
+    a_{n-3/2} (f_{n-1} - f_{n-2}), over b h^2."""
+    a_out, a_in, bh2, h = grid.edge_coefficients
+    jump = _edge_ghost_jump(last3, h, edge_slope)
+    return (a_out * jump - a_in * (last3[2] - last3[1])) / bh2
+
+
 def _radial_derivative(grid, f, edge_slope):
     """Centered d/ds with the symmetry ghost at the tip (odd reflection)."""
     out = np.empty_like(f)
@@ -285,7 +391,10 @@ def background_laplacian(f, grid, edge_slope=0.0):
 
     `f` is a rotationally symmetric profile in s; the outer ghost node
     carries `edge_slope` as the Neumann slope of f.  With the default slope 0
-    the operator annihilates constants exactly at every node.
+    the operator annihilates constants exactly at every node.  Interior row i
+    is lap_up_i d_i - lap_down_i d_{i-1} on the differences d = diff(f), and
+    the tip and edge rows come from `_tip_row` and `_edge_row`: the same
+    arithmetic as `flow._stage_rhs`, so both give the same bits.
     """
     # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
     # matching the s->0 limit of the interior conservative stencil.  A plain
@@ -297,15 +406,11 @@ def background_laplacian(f, grid, edge_slope=0.0):
     out = np.empty_like(f)
     # the tip and edge rows in Python floats, which are cheaper than numpy
     # scalars and round the same
-    f0, f1, f2 = f[:3].tolist()
-    out[0] = ((10.0 / 3.0) * (f1 - f0) + (f2 - f0) / 6.0) / grid.h2 - (2.0 / 3.0) * (f1 - f0)
-    # an interior row is the difference of the fluxes a_{i+1/2} (f_{i+1} - f_i)
-    # on either side of node i, over b_i h^2
-    flux = grid.a_half[:-1] * np.diff(f)
-    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
-    out[1:-1] /= grid.bh2[1:-1]
-    jump = _edge_ghost_jump(f[-3:].tolist(), grid.h, edge_slope)
-    out[-1] = (grid.a_half[-1] * jump - flux[-1]) / grid.bh2[-1]
+    d = f[1:] - f[:-1]
+    np.multiply(grid.lap_up, d[1:], out=out[1:-1])
+    out[1:-1] -= grid.lap_down * d[:-1]
+    out[0] = _tip_row(*f[:3].tolist(), grid.h2)
+    out[-1] = _edge_row(grid, f[-3:].tolist(), edge_slope)
     return out
 
 

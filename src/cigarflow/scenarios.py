@@ -331,6 +331,8 @@ def build_scenario(config):
         res_poisson0=res0,
         sup_potential_gap=float(gap),
         sup_grad_log_u0=float(np.sqrt(np.max(grad_sq))),
+        grid=grid,
+        edge_slope=u_slope,
     )
     acc = Accumulators(
         v_integral=0.0,

@@ -183,6 +183,6 @@ def _parse(data):
         t=stepped["t"],
         log_scale=stepped["log_scale"],
         frame=frame,
-        init=InitialData(**parts["init"]),
+        init=InitialData(**parts["init"], grid=grid, edge_slope=stepped["u_slope"]),
         acc=Accumulators(**parts["acc"]),
     )

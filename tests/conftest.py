@@ -46,16 +46,18 @@ def config_dir():
 @pytest.fixture
 def overdrive(monkeypatch):
     """A context in which every step is unstable: each takes two stages at
-    dt = 4 / max(e^{-u} diag), so rho dt = 8 lies past the two-stage
-    stability interval beta(2) = 1.96.  With the stage count following dt no
-    `safety` value is unstable, and the curvature bound of `adaptive_dt`
-    would shrink dt until two stages were stable again, so both are held."""
+    dt = 4 / max(e^{-u} diag), the curvature probe's rate.  rho is at least
+    that rate for h < 0.9, so rho dt >= 4 lies past the two-stage stability
+    interval beta(2) = 1.96 (about 5.4 on cigar data, where the true radius
+    is 0.94 rho).  With the stage count following dt no `safety` value is
+    unstable, and the curvature bound of `adaptive_dt` would shrink dt until
+    two stages were stable again, so both are held."""
     @contextmanager
     def overdriven():
         with monkeypatch.context() as patch:
             patch.setattr(flow, "_stage_count", lambda stiffness: 2)
-            patch.setattr(flow, "adaptive_dt",
-                          lambda state, safety=0.9: 4.0 / flow._diffusion_rate(state))
+            patch.setattr(flow, "adaptive_dt", lambda state, safety=0.9: 4.0 / flow._diffusion_rate(
+                state, state.grid.lap_diag))
             yield
 
     return overdriven

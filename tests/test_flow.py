@@ -57,7 +57,8 @@ def test_rhs_is_minus_curvature_exactly():
     state = cigar_flow_state(65, frame="fixed")
     conf = state.conformal
     # the fixed-frame stage rate of u~ is -R exactly
-    du, _, gamma = flow._stage_rhs(state, conf.log_factor, state.potential)
+    rate = flow._stage_rhs(state, np.concatenate((conf.log_factor, state.potential, [0.0])))
+    du, gamma = rate[:state.grid.n], rate[-1]
     assert gamma == 0.0
     np.testing.assert_array_equal(du, -state.curvature)
     # and -R equals the rearranged diffusion form e^{-u~} Lap_E u~ to rounding
@@ -65,6 +66,35 @@ def test_rhs_is_minus_curvature_exactly():
         conf.log_factor, state.grid, conf.edge_slope
     )
     np.testing.assert_allclose(-state.curvature, rearranged, rtol=0, atol=1e-12)
+
+
+def test_fused_stage_rate_matches_the_separate_operators():
+    # one difference of the stacked fields gives both rates: the fixed-frame
+    # f rate is Lap_g f bit for bit, and the co-moving rates match e^{-u} Lap_E plus
+    # the centred advection gamma tanh(s) d/ds (and 2 gamma for u) to
+    # rounding, with the tip rate of u exactly 0
+    bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 2.0, "width": 0.5}
+    for frame in ("fixed", "comoving"):
+        state = build_scenario(radial_config(n=65, initial=bump, frame=frame))
+        grid, conf, n = state.grid, state.conformal, state.grid.n
+        u = conf.log_factor + 0.01 * np.sin(grid.s)
+        f = state.potential
+        rate = flow._stage_rhs(state, np.concatenate((u, f, [0.0])))
+        e = np.exp(-u)
+        du = e * background_laplacian(u, grid, conf.edge_slope)
+        df = e * background_laplacian(f, grid, state.potential_slope)
+        if frame == "fixed":
+            assert rate[-1] == 0.0
+            np.testing.assert_array_equal(rate[:n], du)
+            np.testing.assert_array_equal(rate[n:-1], df)
+            continue
+        gamma = -0.5 * du[0]
+        assert rate[-1] == gamma and rate[0] == 0.0
+        adv = gamma * grid.tanh_s
+        du = du + adv * flow._radial_derivative(grid, u, conf.edge_slope) + 2.0 * gamma
+        df = df + adv * flow._radial_derivative(grid, f, state.potential_slope)
+        np.testing.assert_allclose(rate[:n], du, rtol=1e-12, atol=1e-12 * np.max(np.abs(du)))
+        np.testing.assert_allclose(rate[n:-1], df, rtol=1e-12, atol=1e-12 * np.max(np.abs(df)))
 
 
 def test_rhs_cigar_origin_rate():
@@ -89,13 +119,83 @@ def test_rhs_soliton_origin_rate_constant_in_time():
 
 def test_adaptive_dt_flat_tip_formula():
     # the flat plane has R = 0 and so no curvature bound: dt is the stage cap
-    # beta(MAX_STAGES) / rho, with rho = 2 * 4 / h^2 from the tip row's
-    # diagonal.  h = 0.1 gives dt = 0.5 * 260.70 * 0.01 / 8
+    # beta(MAX_STAGES) / rho.  rho is the tip row's Gershgorin sum after the
+    # scaling d_0 = 1/sqrt 7: its diagonal 3.5/h^2 - 2/3 plus its
+    # off-diagonal entries, which sum to the same, times 1/sqrt 7
     state = flat_radial_state(n=65, s_max=6.4, safety=0.5)
-    assert state.grid.h == pytest.approx(0.1)
+    h = state.grid.h
+    assert h == pytest.approx(0.1)
     beta = flow._rkc_coefficients(flow.MAX_STAGES)[0]
     assert beta == pytest.approx(260.70, abs=0.005)
-    assert flow.adaptive_dt(state, 0.5) == pytest.approx(0.5 * beta * 0.01 / 8.0, rel=1e-12)
+    rho = (3.5 / h**2 - 2.0 / 3.0) * (1.0 + 1.0 / np.sqrt(7.0))
+    assert flow.adaptive_dt(state, 0.5) == pytest.approx(0.5 * beta / rho, rel=1e-12)
+
+
+def _laplacian_matrix(grid):
+    """The Laplacian's matrix, built column by column from the operator."""
+    return np.column_stack([background_laplacian(e, grid) for e in np.eye(grid.n)])
+
+
+def _diffusivity_profiles(grid, rng):
+    """e^{-u} on the flat plane, the cigar, a cigar with a raised tip (which
+    makes the ghost edge row bind) and at random."""
+    cigar_like = np.cosh(grid.s) ** 2
+    return {"flat": np.ones(grid.n), "cigar": cigar_like,
+            "raised tip": cigar_like * np.exp(-2.0 * np.exp(-2.0 * grid.s**2)),
+            "random": np.exp(rng.normal(size=grid.n))}
+
+
+def test_stiffness_bound_covers_the_spectrum():
+    # gershgorin_rows are the row sums of D|L|D^{-1}, so rho = max(e^{-u}
+    # rows) bounds the spectral radius of e^{-u} L for every diffusivity; on
+    # cigar-like data it is tight
+    rng = np.random.default_rng(14)
+    grids = [(n, s_max) for n in (16, 65, 257) for s_max in (2.0, 8.0, 30.0)] + [(513, 8.0)]
+    for n, s_max in grids:
+        grid = RadialGrid(n, s_max)
+        lap = _laplacian_matrix(grid)
+        d = np.ones(n)
+        d[0], d[-1] = 1.0 / np.sqrt(7.0), (np.sqrt(73.0) - 1.0) / 18.0
+        np.testing.assert_allclose(grid.gershgorin_rows,
+                                   np.sum(np.abs(lap) * d[:, None] / d[None, :], axis=1), rtol=1e-12)
+        for name, diffusivity in _diffusivity_profiles(grid, rng).items():
+            radius = np.max(np.abs(np.linalg.eigvals(diffusivity[:, None] * lap)))
+            rho = np.max(diffusivity * grid.gershgorin_rows)
+            assert radius <= rho, (n, s_max, name)
+            if name == "cigar":
+                assert rho <= 1.1 * radius, (n, s_max)
+
+
+def test_raised_tip_takes_enough_stages():
+    # a raised tip lowers the diffusivity there, so the ghost edge row binds;
+    # a bound that counted half of that row's Gershgorin sum took too few
+    # stages, and this run blew up to sup R = 17.3 without aborting
+    bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 0.0, "width": 0.5}
+    config = radial_config(n=129, initial=bump, t_end=1.0, record=0.25, frame="comoving")
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted
+    assert max(rec.sup_R for rec in result.records) <= 4.7
+    assert max(rec.res_poisson for rec in result.records) <= 1e-8
+
+
+def test_shipped_run_stage_count(config_dir, monkeypatch):
+    # the stages of every RKC2 step of the shipped run: the accepted steps'
+    # (2093) and the curvature probe's two 2-stage steps per record (84).
+    # The count is exact; a looser stiffness bound takes more (2549).
+    config = load_config(config_dir / "perturbed_relax_129.json")
+    stages = []
+    rkc_step = flow._rkc_step
+
+    def spy(rhs, y0, dt, s, rate0=None):
+        stages.append(s)
+        return rkc_step(rhs, y0, dt, s, rate0)
+
+    monkeypatch.setattr(flow, "_rkc_step", spy)
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted
+    assert sum(stages) <= 2177
 
 
 def test_adaptive_dt_curvature_bound():
@@ -137,8 +237,8 @@ def test_stability_sweep(overdrive):
 
 
 def test_comoving_run_of_a_moderate_bump_does_not_abort():
-    # the bump's crest lies between nodes; see the xfail below for the same
-    # data at a smaller dt
+    # the bump's crest lies between nodes; see below for the same data at a
+    # smaller dt
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
     for frame in ("fixed", "comoving"):
         config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
@@ -147,12 +247,11 @@ def test_comoving_run_of_a_moderate_bump_does_not_abort():
         assert not result.aborted, f"{frame}: {result.abort_message}"
 
 
-@pytest.mark.xfail(strict=True, reason="the sup u~ abort reads co-moving nodes, which are "
-                   "not material points: the transported crest lifts a node's sample")
 def test_comoving_run_of_a_moderate_bump_at_half_safety_does_not_abort():
     # no node sits on the crest, so the node maximum starts 0.007 below the
     # profile's; as gamma carries the crest inward a node's sample rises
-    # although the profile's maximum falls.  The fixed frame runs.
+    # although the profile's maximum falls.  The sup u~ abort therefore
+    # compares the nodes with the maximum of u~0's spline.
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
     for frame in ("fixed", "comoving"):
         config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
@@ -161,10 +260,10 @@ def test_comoving_run_of_a_moderate_bump_at_half_safety_does_not_abort():
         assert not result.aborted, f"{frame}: {result.abort_message}"
 
 
-@pytest.mark.xfail(strict=True, reason="the t = 0 record's curvature probe hits the same "
-                   "false sup u~ abort, and run does not check the t = 0 record")
 def test_comoving_run_of_a_moderate_bump_records_only_finite_values():
-    # the fixed frame's t = 0 res_curv_evo is 0.0438; the co-moving one is NaN
+    # the t = 0 record's curvature probe steps the same co-moving nodes: with
+    # a node-maximum abort threshold its res_curv_evo was NaN (0.0438 in the
+    # fixed frame)
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
     for frame in ("fixed", "comoving"):
         config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)

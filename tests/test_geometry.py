@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
+from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
@@ -320,6 +321,30 @@ def test_spline_solve_is_lapack_gttrs_bit_for_bit(n, s_max):
         expected, ipiv = _lapack_slopes(grid.s, rhs)
         assert grid.spline._solve(rhs.tolist()).tobytes() == expected.tobytes()
     assert (ipiv[0] == 2) == (grid.h > 1.0)  # Fortran's 1-based row indices
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.data())
+def test_spline_maximum_is_the_exact_maximum(data):
+    # the largest knot value or critical-point value, against scipy's spline
+    # with the same end slopes and the roots of its derivative
+    n = data.draw(st.integers(MIN_NODES, 65))
+    grid = RadialGrid(n, data.draw(st.floats(0.5, 40.0)))
+    smooth = np.sin(data.draw(st.floats(0.1, 3.0)) * grid.s)
+    values = smooth + data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    slope = data.draw(st.floats(-10.0, 10.0))
+    spline = CubicSpline(grid.s, values, bc_type=((1, 0.0), (1, slope)))
+    critical = spline.derivative().roots(extrapolate=False)
+    expected = max(np.max(values), np.max(spline(critical), initial=-np.inf))
+    assert grid.spline.maximum(values, slope) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_spline_maximum_of_huge_values_stays_quiet():
+    # the critical points come from scaled coefficients, so no square
+    # overflows (warnings are errors here)
+    grid = RadialGrid(17, 0.5)
+    values = np.where(np.arange(17) % 2 == 0, 1e300, -1e300)
+    assert grid.spline.maximum(values, 0.0) >= 1e300
 
 
 # ---------------------------------------------------------------------------

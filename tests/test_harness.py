@@ -341,8 +341,9 @@ def test_snapshot_round_trip_is_bit_exact(data):
     def scalar():
         return data.draw(SNAPSHOT_FLOATS)
 
+    u_slope = scalar()
     state = flow.FlowState(
-        conformal=ConformalState(grid, array(), scalar()),
+        conformal=ConformalState(grid, array(), u_slope),
         potential=array(),
         potential_slope=scalar(),
         t=scalar(),
@@ -351,6 +352,7 @@ def test_snapshot_round_trip_is_bit_exact(data):
         init=flow.InitialData(
             u_tilde0=array(), log_u0=array(), potential0=array(),
             res_poisson0=scalar(), sup_potential_gap=scalar(), sup_grad_log_u0=scalar(),
+            grid=grid, edge_slope=u_slope,
         ),
         acc=flow.Accumulators(v_integral=scalar(), phi=array(), f_fixed=array()),
     )
