@@ -8,9 +8,8 @@ columns below in exactly this order, values as full-precision decimal text
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
-
-import numpy as np
+import math
+from dataclasses import dataclass
 
 __all__ = ["DiagnosticsRecord", "CSV_COLUMNS", "emit_diagnostics", "read_diagnostics"]
 
@@ -59,7 +58,7 @@ class DiagnosticsRecord:
 
     @property
     def finite(self):
-        return all(np.isfinite(getattr(self, name)) for name in CSV_COLUMNS)
+        return all(math.isfinite(getattr(self, name)) for name in CSV_COLUMNS)
 
 
 def emit_diagnostics(records, stream):

@@ -33,16 +33,17 @@ and choosing gamma = R(origin)/2 pins u^(0,t) exactly (the discrete rhs at
 the tip vanishes identically), so the profile stays O(1) and so do the
 curvature and the stiffness that set dt and the stage count.  For the exact
 soliton this gauge is static.  Fixed-coordinate fields at the original grid
-nodes come through one function, `map_to_fixed`, by cubic interpolation (the
-map pulls points inward, never outside the grid, while the scale grows); a
-step maps only f, for the phi accumulator, and `fixed_fields` reuses that
-mapped f.  The clamped spline's slope system is factored once per grid
-(`RadialGrid.spline`), so a map is one tridiagonal forward and back sweep
-and a piecewise-cubic evaluation, bit for bit what scipy's cubic spline
-returns.  A record maps u~ once, for the monitor and the Kahler check
-together; the curvature evolution residual needs no map (it is taken on the
-co-moving nodes), and its probe advances without the accumulators.
-gamma = 0 recovers plain fixed-frame stepping.
+nodes come by cubic interpolation (the map pulls points inward, never
+outside the grid, while the scale grows); a step maps only f, for the phi
+accumulator (`map_to_fixed`), and `fixed_fields` reuses that mapped f.  The
+clamped spline's slope system is factored once per grid (`RadialGrid.spline`),
+so a fit is one tridiagonal forward and back sweep and each evaluation of it
+a piecewise-cubic one, bit for bit what scipy's cubic spline returns.  A
+record fits u~ once, in `fixed_fields`: that fit maps u~ for the monitor and
+the Kahler check and resamples it for the normalized profile
+(`profile_distance`).  The curvature evolution residual needs no map (it is
+taken on the co-moving nodes), and its probe advances without the
+accumulators.  gamma = 0 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -192,6 +193,12 @@ class FlowState:
 # frame mapping
 # ---------------------------------------------------------------------------
 
+def _fixed_nodes(state):
+    """The fixed grid nodes' co-moving arc lengths arcsinh(r / L)."""
+    grid = state.grid
+    return np.arcsinh(grid.r * np.exp(-state.log_scale))
+
+
 def map_to_fixed(state, values, slope):
     """Evaluate a co-moving scalar field at the fixed grid nodes.
 
@@ -203,22 +210,26 @@ def map_to_fixed(state, values, slope):
     """
     if state.log_scale == 0.0:
         return np.asarray(values, dtype=float)
-    grid = state.grid
-    return grid.spline(values, np.arcsinh(grid.r * np.exp(-state.log_scale)), slope)
+    return state.grid.spline(values, _fixed_nodes(state), slope)
 
 
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes.
 
     f is the accumulator's copy, which `step` maps once per accepted step.
+    "u_fit" is u~'s clamped spline on the stepped nodes (`GridSpline.fit`),
+    which maps u~ here and which `normalize` and `profile_distance` take, so
+    a record solves u~'s slope system once.
     """
     conf = state.conformal
-    u_tilde = map_to_fixed(state, conf.log_factor, conf.edge_slope) - 2.0 * state.log_scale
+    u_fit = state.grid.spline.fit(conf.log_factor, conf.edge_slope)
+    u_tilde = conf.log_factor if state.log_scale == 0.0 else u_fit(_fixed_nodes(state))
+    u_tilde = u_tilde - 2.0 * state.log_scale
     f = state.acc.f_fixed
     w = u_tilde + f
     v = state.init.potential0 - f
     h = v + state.init.log_u0
-    return {"u_tilde": u_tilde, "f": f, "w": w, "v": v, "h": h}
+    return {"u_tilde": u_tilde, "f": f, "w": w, "v": v, "h": h, "u_fit": u_fit}
 
 
 # ---------------------------------------------------------------------------
@@ -325,22 +336,6 @@ def _rkc_step(rhs, y0, dt, s, rate0=None):
     return y0 + d_old
 
 
-def _diffusion_rate(state, weights):
-    """max_i e^{-u_i} weights_i for per-node weights of the Laplacian.
-
-    With the grid's `gershgorin_rows` this is rho, a bound on the spectral
-    radius of e^{-u} Lap that holds for every diffusivity; with `lap_diag`
-    it is the curvature probe's rate (`monitor`).
-    """
-    diffusivity = state.conformal.diffusivity
-    if not np.all(np.isfinite(diffusivity)):
-        raise ValueError(
-            "diffusivity e^{-u} overflowed; rescale the initial data or use "
-            "the co-moving frame"
-        )
-    return float(np.max(diffusivity * weights))
-
-
 def adaptive_dt(state, safety=0.9):
     """The step size: safety * min(h / sup|R|, beta(MAX_STAGES) / rho).
 
@@ -349,13 +344,14 @@ def adaptive_dt(state, safety=0.9):
     h / |gamma| of the transport term, since |gamma| = |R(origin)| / 2.  The
     second caps the stage count at MAX_STAGES, and keeps dt finite on the
     flat plane, where R = 0.  rho = max(e^{-u} rows) bounds the spectrum of
-    the diffusion operator, rows the grid's `gershgorin_rows`.  Stability
+    the diffusion operator, rows the grid's `gershgorin_rows`
+    (`ConformalState.stiffness`, taken once per state).  Stability
     does not depend on `safety`: `step` takes as many stages as dt * rho
     needs.  The same rule holds in both frames.
     """
     if not (0.0 < safety):
         raise ValueError("safety must be positive")
-    rho = _diffusion_rate(state, state.grid.gershgorin_rows)
+    rho = state.conformal.stiffness
     sup_r = float(np.max(np.abs(state.curvature)))
     dt_curv = state.grid.h / sup_r if sup_r > 0.0 else np.inf
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
@@ -375,7 +371,7 @@ def _advance(state, dt):
         raise ValueError("dt must be positive and finite")
     n = state.grid.n
     t1 = state.t + dt
-    stiffness = dt * _diffusion_rate(state, state.grid.gershgorin_rows)
+    stiffness = dt * state.conformal.stiffness
     if not stiffness <= _rkc_coefficients(STAGE_LIMIT)[0]:
         raise FlowInstabilityError(
             f"dt * rho = {stiffness:.6g} needs more than {STAGE_LIMIT} stages: unstable step", t1
@@ -456,7 +452,7 @@ def monitor(state, dt_hint=None, fields=None):
     res_poisson = float(
         np.max(np.abs(metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv))
     )
-    dtp = 0.9 / _diffusion_rate(state, state.grid.lap_diag)
+    dtp = 0.9 / state.conformal.diffusion_rate(state.grid.lap_diag)
     try:
         s1 = _advance(state, dtp)
         s2 = _advance(s1, dtp)
@@ -523,7 +519,29 @@ def normalization_scale(state):
     return float(np.exp(-0.5 * u_origin))
 
 
-def normalize(state, s_window=None):
+@lru_cache(maxsize=64)
+def _profile_window(k, h):
+    """The reporting window's grid RadialGrid(k, (k - 1) h) and the static
+    cigar's log factor -2 log cosh s on it, built once per (k, h); every
+    caller shares them, so the profile is read-only."""
+    window_grid = RadialGrid(k, (k - 1) * h)
+    target = -cigar.cigar_potential_arclength(window_grid.s)
+    target.setflags(write=False)
+    return window_grid, target
+
+
+def _window(grid, s_window):
+    """The window grid of the nodes within `s_window` (None: the whole
+    grid) and the static cigar's log factor on it."""
+    if s_window is None:
+        return grid, -cigar.cigar_potential_arclength(grid.s)
+    if s_window > grid.s_max + 1e-12:
+        raise ValueError("reporting window exceeds the grid")
+    k = int(np.floor(s_window / grid.h + 1e-9)) + 1
+    return _profile_window(max(k, 16), float(grid.h))
+
+
+def normalize(state, s_window=None, u_fit=None):
     """Pull the metric back by the normalizing dilation.
 
     Returns (normalized ConformalState, scale): coordinates are rescaled by
@@ -533,37 +551,39 @@ def normalize(state, s_window=None):
     outside the grid raises a ValueError asking for a smaller reporting
     window.  In the co-moving frame the running scale L cancels, so only
     the residual rescale by e^{-u^(origin)/2} remains and the full grid is
-    normally available.
+    normally available.  `u_fit` is the state's u~ spline, the "u_fit" of
+    its `fixed_fields`, where the caller has it; the window grid is built
+    once per window size and spacing.
     """
     grid = state.grid
-    c0 = float(state.conformal.log_factor[0])
+    conf = state.conformal
+    c0 = float(conf.log_factor[0])
     factor = float(np.exp(-0.5 * c0))
-    if s_window is None:
-        window_grid = grid
-    else:
-        if s_window > grid.s_max + 1e-12:
-            raise ValueError("reporting window exceeds the grid")
-        k = int(np.floor(s_window / grid.h + 1e-9)) + 1
-        window_grid = RadialGrid(max(k, 16), (max(k, 16) - 1) * grid.h)
+    window_grid, _ = _window(grid, s_window)
     pos = np.arcsinh(factor * window_grid.r)
     if pos[-1] > grid.s_max * (1.0 + 1e-9) + 0.5 * grid.h:
         raise ValueError(
             f"normalization (scale {factor:.4g}) needs data outside the grid; "
             "shrink the reporting window"
         )
-    u_norm = grid.spline(state.conformal.log_factor, np.minimum(pos, grid.s_max),
-                         state.conformal.edge_slope) - c0
+    if u_fit is None:
+        u_fit = grid.spline.fit(conf.log_factor, conf.edge_slope)
+    u_norm = u_fit(np.minimum(pos, grid.s_max)) - c0
     beyond = pos > grid.s_max
     if np.any(beyond):  # linear continuation with the physical edge slope
-        u_norm[beyond] += state.conformal.edge_slope * (pos[beyond] - grid.s_max)
-    out = ConformalState(window_grid, u_norm, state.conformal.edge_slope)
+        u_norm[beyond] += conf.edge_slope * (pos[beyond] - grid.s_max)
+    out = ConformalState(window_grid, u_norm, conf.edge_slope)
     return out, normalization_scale(state)
 
 
-def profile_distance(state, s_window=4.0):
-    """Sup distance of the normalized profile to the static cigar on |s| <= s_window."""
-    normalized, _ = normalize(state, s_window=s_window)
-    target = -cigar.cigar_potential_arclength(normalized.grid.s)
+def profile_distance(state, s_window=4.0, u_fit=None):
+    """Sup distance of the normalized profile to the static cigar on |s| <= s_window.
+
+    `u_fit` is passed on to `normalize`; the cigar's profile on the window
+    is built with the window grid, once per window size and spacing.
+    """
+    normalized, _ = normalize(state, s_window, u_fit)
+    _, target = _window(state.grid, s_window)
     return float(np.max(np.abs(normalized.log_factor - target)))
 
 
@@ -635,9 +655,9 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     events.add(t_end)
     events = sorted(e for e in events if state.t < e <= t_end)
 
-    def snap_dist(st):
+    def snap_dist(st, fields):
         try:
-            return profile_distance(st, min(s_report, st.grid.s_max))
+            return profile_distance(st, min(s_report, st.grid.s_max), fields["u_fit"])
         except ValueError:
             return None
 
@@ -646,7 +666,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     dt_free = adaptive_dt(state, safety)
     fields = fixed_fields(state)
     records = [monitor(state, dt_hint=dt_free, fields=fields)]
-    dist_trace = [(state.t, snap_dist(state))]
+    dist_trace = [(state.t, snap_dist(state, fields))]
     kahler_trace = [(state.t, kahler_residual(state, fields))]
     if progress:
         progress(records[-1])
@@ -670,7 +690,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         fields = fixed_fields(state)
         rec = monitor(state, dt_hint=dt_free, fields=fields)
         records.append(rec)
-        dist_trace.append((state.t, snap_dist(state)))
+        dist_trace.append((state.t, snap_dist(state, fields)))
         kahler_trace.append((state.t, kahler_residual(state, fields)))
         if progress:
             progress(rec)

@@ -27,10 +27,11 @@ slope, the metric gradient norm) live here beside the ghost formula too.
 
 Each grid also carries its cubic spline, `RadialGrid.spline`: the slope
 system of a spline through fixed knots has a fixed tridiagonal matrix, so it
-is LU-factored once per grid and every evaluation is one forward and one
-back sweep.  Both follow LAPACK's gttrf and gttrs step for step in Python
-floats, so the module needs numpy alone.  `GridSpline.maximum` gives the
-spline's exact maximum, from the critical points of each piece.
+is LU-factored once per grid and every fit to new values is one forward and
+one back sweep; the fit then evaluates at any points.  Both follow LAPACK's
+gttrf and gttrs step for step in Python floats, so the module needs numpy
+alone.  `GridSpline.maximum` gives the spline's exact maximum, from the
+critical points of each piece.
 """
 
 from __future__ import annotations
@@ -168,14 +169,17 @@ class RadialGrid:
 class GridSpline:
     """Cubic spline interpolation through values at fixed knots.
 
-    `spline(values, x, slope)` is the spline clamped to first derivatives
+    `spline.fit(values, slope)` is the spline clamped to first derivatives
     (0, slope) at the ends: zero by symmetry at the tip, the physical
-    Neumann slope at s_max.  The result is bit for bit scipy's cubic spline
-    with the same end conditions.  The tridiagonal slope system is built
-    from the same expressions and solved by the eliminations of LAPACK's
-    gtsv, which scipy calls: `__init__` runs gttrf's LU factorization with
-    its row interchanges once, and each call runs gttrs's forward and back
-    sweeps for one right-hand side, in the same order of operations.  The
+    Neumann slope at s_max.  It solves the slope system once and returns an
+    evaluator of points x; `spline(values, x, slope)` is
+    `spline.fit(values, slope)(x)`.  The result is bit for bit scipy's cubic
+    spline with the same end conditions.  The tridiagonal slope system is
+    built from the same expressions and solved by the eliminations of
+    LAPACK's gtsv, which scipy calls: `__init__` runs gttrf's LU
+    factorization with its row interchanges once, and each fit runs gttrs's
+    forward and back sweeps for one right-hand side, in the same order of
+    operations.  The
     Hermite coefficients and the evaluation follow scipy's piecewise
     polynomial, and points beyond the knots extrapolate with the end pieces.
     Non-finite values raise scipy's ValueError.
@@ -285,20 +289,30 @@ class GridSpline:
             best = max(best, float(np.max(piece)))
         return best
 
-    def __call__(self, values, x, slope):
+    def fit(self, values, slope):
+        """The spline through `values` clamped to (0, slope), as a function
+        of the points x: one slope solve, however often it is evaluated."""
         y, secant, m = self._slopes(values, slope)
         dx = self.dx
         # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
         t = (m[:-1] + m[1:] - 2 * secant) / dx
         c0 = t / dx
         c1 = (secant - m[:-1]) / dx - t
-        # the piece containing x: half-open intervals, the last one closed,
-        # and the end pieces extrapolate
-        x = np.asarray(x, dtype=float)
-        i = np.searchsorted(self._inner_knots, x, "right")
-        z = x - self.knots[i]
-        zz = z * z
-        return 0.0 + y[i] + m[i] * z + c1[i] * zz + c0[i] * (zz * z)
+        inner_knots, knots = self._inner_knots, self.knots
+
+        def evaluate(x):
+            # the piece containing x: half-open intervals, the last one
+            # closed, and the end pieces extrapolate
+            x = np.asarray(x, dtype=float)
+            i = np.searchsorted(inner_knots, x, "right")
+            z = x - knots[i]
+            zz = z * z
+            return 0.0 + y[i] + m[i] * z + c1[i] * zz + c0[i] * (zz * z)
+
+        return evaluate
+
+    def __call__(self, values, x, slope):
+        return self.fit(values, slope)(x)
 
 
 @dataclass
@@ -330,6 +344,23 @@ class ConformalState:
     def curvature(self):
         """Scalar curvature field R (computed once)."""
         return scalar_curvature(self)
+
+    @cached_property
+    def stiffness(self):
+        """rho = max(e^{-u~} rows), rows the grid's `gershgorin_rows`: a bound
+        on the spectral radius of e^{-u~} Lap_E for every diffusivity, which
+        sets an RKC2 step's stage count and caps its dt (computed once)."""
+        return self.diffusion_rate(self.grid.gershgorin_rows)
+
+    def diffusion_rate(self, weights):
+        """max_i e^{-u~_i} weights_i for per-node weights of the Laplacian;
+        a ValueError where e^{-u~} overflowed."""
+        if not np.all(np.isfinite(self.diffusivity)):
+            raise ValueError(
+                "diffusivity e^{-u} overflowed; rescale the initial data or use "
+                "the co-moving frame"
+            )
+        return float(np.max(self.diffusivity * weights))
 
 
 def _check_field(f, grid):

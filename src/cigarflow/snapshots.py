@@ -16,6 +16,17 @@ run's diagnostics bit for bit):
     ... more arrays (initial-data snapshot and accumulators) ...
     checksum <crc32>
 
+Each array's values are written by one `%` operation over the array as
+Python floats, one "%.17g" per line: the same text as format(x, ".17g")
+for each value, since both go through CPython's PyOS_double_to_string
+(-0, inf, nan and subnormals included).  The init_* arrays are the same in
+every snapshot of a run: every state of a run shares one InitialData, which
+`dataclasses.replace` does not copy and nothing mutates after construction.
+Their text is therefore formatted once per InitialData object, in a
+one-entry cache that holds the object and compares it by identity (`is`),
+so a cached id cannot be reused by another object; a new run or a loaded
+snapshot brings a new object and is formatted afresh.
+
 Only the stepped fields are named here; the rest of the layout comes from
 the fields of InitialData and Accumulators (arrays as init_<name> and
 acc_<name>) that are not derived on construction (init=False).  Changing
@@ -66,8 +77,14 @@ def _part_layout(part, arrays, prefix=""):
 # data's arrays before the accumulators'.
 _SCALARS = ([(name, None, name) for name in ("t", "log_scale", "potential_slope", "u_slope")]
             + _part_layout("acc", False) + _part_layout("init", False))
-_ARRAYS = ([(name, None, name) for name in ("u_tilde", "potential")]
-           + _part_layout("init", True, "init_") + _part_layout("acc", True, "acc_"))
+_STEPPED_ARRAYS = [(name, None, name) for name in ("u_tilde", "potential")]
+_INIT_ARRAYS = _part_layout("init", True, "init_")
+_ACC_ARRAYS = _part_layout("acc", True, "acc_")
+_ARRAYS = _STEPPED_ARRAYS + _INIT_ARRAYS + _ACC_ARRAYS
+
+# The InitialData whose arrays the last snapshot wrote, and their text.  It
+# holds the object itself, so an id cannot be reused while it is cached.
+_init_text = (None, "")
 
 
 class SnapshotError(ValueError):
@@ -76,6 +93,22 @@ class SnapshotError(ValueError):
 
 def _fmt(x):
     return format(float(x), ".17g")
+
+
+def _array_text(label, values):
+    """An `array` line and its value lines, without the final newline: one
+    `%` over the values as Python floats, the same text as `_fmt` on each."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    return f"array {label} {len(values)}" + ("\n%.17g" * len(values)) % tuple(values)
+
+
+def _init_arrays_text(init):
+    """The text of the init_* arrays, formatted once per InitialData."""
+    global _init_text
+    if _init_text[0] is not init:
+        _init_text = (init, "\n".join(_array_text(label, getattr(init, name))
+                                      for label, _, name in _INIT_ARRAYS))
+    return _init_text[1]
 
 
 def _crc32(data):
@@ -99,10 +132,9 @@ def save_snapshot(state, path):
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"grid {grid.n} {_fmt(grid.s_max)}",
              f"frame {state.frame}"]
     lines += [f"scalar {label} {_fmt(parts[part][name])}" for label, part, name in _SCALARS]
-    for label, part, name in _ARRAYS:
-        arr = np.asarray(parts[part][name], dtype=float).ravel()
-        lines.append(f"array {label} {arr.size}")
-        lines.extend(_fmt(x) for x in arr)
+    lines += [_array_text(label, parts[part][name]) for label, part, name in _STEPPED_ARRAYS]
+    lines.append(_init_arrays_text(state.init))
+    lines += [_array_text(label, parts[part][name]) for label, part, name in _ACC_ARRAYS]
     body = ("\n".join(lines) + "\n").encode()
     with open(path, "wb") as fh:
         fh.write(body + f"checksum {_crc32(body)}\n".encode())

@@ -56,8 +56,8 @@ def overdrive(monkeypatch):
     def overdriven():
         with monkeypatch.context() as patch:
             patch.setattr(flow, "_stage_count", lambda stiffness: 2)
-            patch.setattr(flow, "adaptive_dt", lambda state, safety=0.9: 4.0 / flow._diffusion_rate(
-                state, state.grid.lap_diag))
+            patch.setattr(flow, "adaptive_dt", lambda state, safety=0.9:
+                          4.0 / state.conformal.diffusion_rate(state.grid.lap_diag))
             yield
 
     return overdriven

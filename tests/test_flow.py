@@ -13,6 +13,7 @@ from cigarflow.geometry import (
     MAX_S_MAX,
     MAX_SPACING,
     ConformalState,
+    GridSpline,
     RadialGrid,
     background_laplacian,
 )
@@ -196,6 +197,28 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
                       record_interval=config.record_interval)
     assert not result.aborted
     assert sum(stages) <= 2177
+
+
+def test_shipped_run_solve_count(config_dir, monkeypatch):
+    """The spline slope solves of the shipped run, set-up included: one for
+    u~0's maximum, one per accepted step (348, the map of f) and one per
+    record (21, u~'s fit in `fixed_fields`, which `profile_distance` reuses).
+    The count is exact; refitting u~ for the normalized profile takes 390,
+    one more per record after t = 0."""
+    config = load_config(config_dir / "perturbed_relax_129.json")
+    solves = []
+    solve = GridSpline._solve
+
+    def spy(self, b):
+        solves.append(len(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(GridSpline, "_solve", spy)
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted
+    assert len(result.records) == 21
+    assert len(solves) == 370
 
 
 def test_adaptive_dt_curvature_bound():
@@ -511,6 +534,31 @@ def test_normalize_shifted_flat_plane():
     np.testing.assert_allclose(normalized.log_factor, 0.0, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [65, 129])
+def test_profile_distance_on_the_cached_window_is_a_fresh_grid_bit_for_bit(n, monkeypatch):
+    # the window grid and its cigar profile are cached per (k, h); the
+    # distance must be the one on a freshly built RadialGrid(k, (k - 1) h),
+    # with and without the record's u~ fit, at t = 0 and on evolved data
+    bump = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5}
+    config = radial_config(n=n, initial=bump, t_end=0.3, record=0.3)
+    start = build_scenario(config)
+    final = flow.run(start, config.t_end, record_interval=config.record_interval).final_state
+    fresh_window = flow._profile_window.__wrapped__
+    for state in (start, final):
+        u_fit = flow.fixed_fields(state)["u_fit"]
+        for s_window in (None, 2.0, 4.0, 7.9):
+            cached = [flow.profile_distance(state, s_window) for _ in range(2)]
+            cached.append(flow.profile_distance(state, s_window, u_fit))
+            with monkeypatch.context() as patch:
+                patch.setattr(flow, "_profile_window", fresh_window)
+                fresh = flow.profile_distance(state, s_window)
+            assert cached == [fresh] * 3, s_window
+            if s_window is not None:
+                k = int(np.floor(s_window / state.grid.h + 1e-9)) + 1
+                window = flow.normalize(state, s_window)[0].grid
+                assert window.s.tobytes() == RadialGrid(k, (k - 1) * state.grid.h).s.tobytes()
+
+
 def test_normalize_window_shrink_error():
     state = cigar_flow_state(129, frame="fixed")
     result = flow.run(state, 0.5, safety=0.9, record_interval=0.5)
@@ -627,6 +675,10 @@ def test_frame_map_is_scipy_cubic_spline_bit_for_bit(data, log_scale, factor):
     # normalize's positions, clipped to the last knot (a closed interval)
     pos = np.minimum(np.arcsinh(factor * grid.r), grid.s_max)
     assert grid.spline(values, pos, slope).tobytes() == reference(pos).tobytes()
+    # one fit serves both point sets, as a record's u~ fit does
+    fit = grid.spline.fit(values, slope)
+    assert fit(pos).tobytes() == reference(pos).tobytes()
+    assert fit(np.arcsinh(grid.r * np.exp(-log_scale))).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

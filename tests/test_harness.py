@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from cigarflow import cli, flow, scenarios
+from cigarflow import cli, flow, scenarios, snapshots
 from cigarflow.diagnostics import CSV_COLUMNS, emit_diagnostics, read_diagnostics
 from cigarflow.geometry import ConformalState, RadialGrid
 from cigarflow.scenarios import (
@@ -379,6 +379,39 @@ def test_snapshot_round_trip_is_bit_exact(data):
                           getattr(getattr(state, part), f.name)))
     for got, want in pairs:
         np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+# every kind of float64 the formatter meets: signed zeros, subnormals, the
+# largest finite values, infinities and NaN
+FORMAT_FLOATS = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                  1.7976931348623157e308, -1.7976931348623157e308,
+                                  np.inf, -np.inf, np.nan])
+                 | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(arrays(np.float64, st.integers(0, 70), elements=FORMAT_FLOATS))
+def test_snapshot_array_text_is_format_17g_per_value(values):
+    expected = "\n".join([f"array x {values.size}"]
+                         + [format(float(x), ".17g") for x in values])
+    assert snapshots._array_text("x", values) == expected
+
+
+def test_snapshot_init_text_is_never_stale(tmp_path):
+    # two runs on one grid size with different initial data, their snapshots
+    # written alternately: each file reads back to its own InitialData
+    exact = build_scenario(parse_config(base_config()))
+    bump = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5}
+    bumped = build_scenario(parse_config(base_config(initial=bump)))
+    states = [exact, bumped, flow.step(exact, 1e-3), flow.step(bumped, 1e-3)]
+    assert exact.init is states[2].init and bumped.init is states[3].init
+    for i, state in enumerate(states * 2):
+        path = tmp_path / f"s{i}.txt"
+        save_snapshot(state, path)
+        loaded = load_snapshot(path)
+        for f in fields(flow.InitialData):
+            np.testing.assert_array_equal(_bits(getattr(loaded.init, f.name)),
+                                          _bits(getattr(state.init, f.name)))
 
 
 def test_snapshot_checksum_rejects_corruption(tmp_path):
