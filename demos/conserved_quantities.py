@@ -2,10 +2,11 @@
 """Every conserved and monotone quantity of the flow, watched live.
 
 A bump-perturbed cigar evolves while the monitors track:
-  w = log u + f - f0   conserved pointwise (here: to rounding),
+  w = log u + f - f0   conserved pointwise (by construction, f = w0 - u~:
+                       the drift is the closed form's rounding),
   sup u~               non-increasing (maximum principle),
   sup h, h = v+log u0  non-increasing (heat equation with negative forcing),
-  Lap_g f - R          the Ricci-potential identity, propagated not enforced,
+  Lap_g f - R          the Ricci-potential identity, held by the closed form,
   R_t - Lap_g R - R^2  the curvature evolution identity, probed per record.
 """
 

@@ -4,8 +4,8 @@ Submodules (import directly, e.g. ``from cigarflow import flow``):
 
     cigar       closed-form cigar/soliton evaluators (the test oracle)
     geometry    the radial grid, conformal states, discrete Laplacians, curvature,
-                the initial Ricci-potential solve, width estimators
-    flow        time integration with co-evolved Ricci potential, monitors,
+                the Ricci potential in closed form, width estimators
+    flow        time integration of the log factor, monitors,
                 normalization, the Kahler-potential cross-check
     scenarios   declarative scenario configs and initial-data construction
     diagnostics per-step scalar records and their CSV form

@@ -1,22 +1,24 @@
-"""Time integration of the conformal Ricci flow with a co-evolved potential.
+"""Time integration of the conformal Ricci flow and its Ricci potential.
 
 The evolving metric is written g(t) = e^{u~} g_E, so the flow is the
 logarithmic fast diffusion equation
 
-    d u~/dt = e^{-u~} Lap_E u~  = -R,
+    d u~/dt = e^{-u~} Lap_E u~  = -R.
 
-and the Ricci potential f rides along by the heat equation of the evolving
-metric, df/dt = Lap_g f.  Both are advanced together by the damped
-second-order Runge-Kutta-Chebyshev method (RKC2; Verwer, Hundsdorfer and
-Sommeijer 1990, Sommeijer, Shampine and Verwer 1997).  Its real stability
-interval grows as ~0.65 s^2 with the stage count s, so the step size follows
-the curvature (u~ moves by about h per step) and the stage count follows the
-stiffness of the diffusion, rather than dt following h^2.  The stiffness rho
+The Ricci potential needs no equation of its own: R = -e^{-u~} Lap_E u~
+says Lap_g (-u~) = R, so f + u~ is a radial harmonic function regular at the
+tip, a constant, and f = w0 - u~ with w0 = u~0(0) (`solve_initial_potential`;
+it also solves f's heat equation df/dt = Lap_g f, since d(-u~)/dt = R =
+Lap_g (-u~)).  Only u~ is stepped, by the damped second-order
+Runge-Kutta-Chebyshev method (RKC2; Verwer, Hundsdorfer and Sommeijer 1990,
+Sommeijer, Shampine and Verwer 1997).  Its real stability interval grows as
+~0.65 s^2 with the stage count s, so the step size follows the curvature (u~
+moves by about h per step) and the stage count follows the stiffness of the
+diffusion, rather than dt following h^2.  The stiffness rho
 is Gershgorin's bound of a diagonally scaled copy of e^{-u~} Lap_E
 (`RadialGrid.gershgorin_rows`): a bound for every diffusivity, the tip and
 the ghost edge row included, and within 7% of the true radius on the cigar.
-A stage evaluates the rates of u~ and f together, from shared differences
-(`_stage_rhs`).
+A stage evaluates the rates of u~ and log L together (`_stage_rhs`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -27,23 +29,22 @@ the end): with a = x/L and u^(a,t) = u~(La,t) + 2 log L, conformal
 invariance of the 2-D Laplacian gives
 
     d u^/dt = e^{-u^} Lap_E u^ + gamma (a . grad u^ + 2),    gamma = dlogL/dt,
-    d f^/dt = e^{-u^} Lap_E f^ + gamma (a . grad f^),
 
-and choosing gamma = R(origin)/2 pins u^(0,t) exactly (the discrete rhs at
+and the potential there is f^ = w0 - u^ + 2 log L (`FlowState.potential`).
+Choosing gamma = R(origin)/2 pins u^(0,t) exactly (the discrete rhs at
 the tip vanishes identically), so the profile stays O(1) and so do the
 curvature and the stiffness that set dt and the stage count.  For the exact
 soliton this gauge is static.  Fixed-coordinate fields at the original grid
 nodes come by cubic interpolation (the map pulls points inward, never
-outside the grid, while the scale grows); a step maps only f, for the phi
-accumulator (`map_to_fixed`), and `fixed_fields` reuses that mapped f.  The
+outside the grid, while the scale grows); a step maps only u~, for the phi
+accumulator (`map_to_fixed`), and `fixed_fields` reuses that mapped u~.  The
 clamped spline's slope system is factored once per grid (`RadialGrid.spline`),
 so a fit is one tridiagonal forward and back sweep and each evaluation of it
 a piecewise-cubic one, bit for bit what scipy's cubic spline returns.  A
-record fits u~ once, in `fixed_fields`: that fit maps u~ for the monitor and
-the Kahler check and resamples it for the normalized profile
-(`profile_distance`).  The curvature evolution residual needs no map (it is
-taken on the co-moving nodes), and its probe advances without the
-accumulators.  gamma = 0 recovers plain fixed-frame stepping.
+record fits u~ once, in `fixed_fields`, and resamples it for the normalized
+profile (`profile_distance`).  The curvature evolution residual needs no
+map (it is taken on the co-moving nodes), and its probe advances without
+the accumulators.  gamma = 0 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -55,8 +56,13 @@ Monitored structure, all recorded per step interval:
     R_t - Lap_g R - R^2           curvature evolution residual;
     width / circumference         level-length estimators.
 
-The Kahler cross-check accumulates phi(t) - phi(0) = -int_0^t f dtau at the
-fixed nodes and reconstructs the metric density as rho(t) = rho(0) +
+With f = w0 - u~ the first and the fifth hold by construction: w's drift
+and Lap_g f - R measure the rounding of the closed form.  The tests keep an
+independent check: a coupled stepper that advances f by its own heat
+equation stays on w0 - u~ to rounding.
+
+The Kahler cross-check accumulates phi(t) - phi(0) = -int_0^t (w0 - u~) dtau
+at the fixed nodes and reconstructs the metric density as rho(t) = rho(0) +
 Lap_E (phi - phi(0)); the unit normalization constant of that flat Laplacian
 is pinned once by exactness on the soliton family and frozen.
 """
@@ -80,6 +86,7 @@ from cigarflow.geometry import (
     _tip_row,
     background_laplacian,
     metric_laplacian,
+    solve_initial_potential,
     width_report,
 )
 
@@ -134,15 +141,16 @@ class InitialData:
 
     The fields with init=False are derived from the others on construction.
     `grid` and `edge_slope` (u~0's Neumann slope) are used there and not
-    stored: `sup_u_tilde0` is the maximum of u~0's clamped spline
-    (`GridSpline.maximum`), which the maximum principle keeps every later
-    profile under, wherever its nodes sit.
+    stored: the potential f(0) = w0 - u~0 and the constant w0 = u~0(0) come
+    from `solve_initial_potential`, and `sup_u_tilde0` is the maximum of
+    u~0's clamped spline (`GridSpline.maximum`), which the maximum principle
+    keeps every later profile under, wherever its nodes sit.
     """
 
     u_tilde0: np.ndarray      # Euclidean log factor
     log_u0: np.ndarray        # cigar-gauge log u(0)
-    potential0: np.ndarray    # Ricci potential f(0), gauge f(0)(origin) = 0
-    w0: np.ndarray = field(init=False)       # u_tilde0 + potential0
+    potential0: np.ndarray = field(init=False)  # Ricci potential f(0), f(0)(origin) = 0
+    w0: float = field(init=False)               # u~ + f, the same at every node and time
     sup_u_tilde0: float = field(init=False)
     res_poisson0: float
     sup_potential_gap: float  # sup |f0_cigar - f(0)|, boundedness hypothesis value
@@ -152,7 +160,8 @@ class InitialData:
     edge_slope: InitVar[float]
 
     def __post_init__(self, grid, edge_slope):
-        self.w0 = self.u_tilde0 + self.potential0
+        self.potential0, _ = solve_initial_potential(ConformalState(grid, self.u_tilde0, edge_slope))
+        self.w0 = float(self.u_tilde0[0])
         self.sup_u_tilde0 = grid.spline.maximum(self.u_tilde0, edge_slope)
         self.sup_log_u0 = float(np.max(np.abs(self.log_u0)))
 
@@ -163,7 +172,7 @@ class Accumulators:
 
     v_integral: float         # int_0^t R(origin) dtau
     phi: np.ndarray           # phi(t) - phi(0) = -int_0^t f dtau, fixed nodes
-    f_fixed: np.ndarray       # f at the fixed nodes at the current time
+    u_fixed: np.ndarray       # u~ at the fixed nodes at the current time
 
 
 @dataclass
@@ -172,8 +181,6 @@ class FlowState:
     returns a new state."""
 
     conformal: ConformalState  # log factor in the (possibly co-moving) frame
-    potential: np.ndarray      # Ricci potential in the same frame
-    potential_slope: float     # Neumann slope of f at the outer edge
     t: float
     log_scale: float           # log L of the co-moving rescaling (0 = fixed)
     frame: str
@@ -187,6 +194,17 @@ class FlowState:
     @property
     def curvature(self):
         return self.conformal.curvature
+
+    @property
+    def potential(self):
+        """The Ricci potential in the stepped frame, w0 - u^ + 2 log L: the
+        fixed-frame f = w0 - u~ at the node's radius."""
+        return self.init.w0 - self.conformal.log_factor + 2.0 * self.log_scale
+
+    @property
+    def potential_slope(self):
+        """The potential's Neumann slope at the outer edge, minus u^'s."""
+        return -self.conformal.edge_slope
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +234,15 @@ def map_to_fixed(state, values, slope):
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes.
 
-    f is the accumulator's copy, which `step` maps once per accepted step.
-    "u_fit" is u~'s clamped spline on the stepped nodes (`GridSpline.fit`),
-    which maps u~ here and which `normalize` and `profile_distance` take, so
-    a record solves u~'s slope system once.
+    u~ is the accumulator's copy, which `step` maps once per accepted step,
+    and f = w0 - u~.  "u_fit" is u~'s clamped spline on the stepped nodes
+    (`GridSpline.fit`), which `normalize` and `profile_distance` take, so a
+    record solves u~'s slope system once.
     """
     conf = state.conformal
     u_fit = state.grid.spline.fit(conf.log_factor, conf.edge_slope)
-    u_tilde = conf.log_factor if state.log_scale == 0.0 else u_fit(_fixed_nodes(state))
-    u_tilde = u_tilde - 2.0 * state.log_scale
-    f = state.acc.f_fixed
+    u_tilde = state.acc.u_fixed
+    f = state.init.w0 - u_tilde
     w = u_tilde + f
     v = state.init.potential0 - f
     h = v + state.init.log_u0
@@ -237,49 +254,36 @@ def fixed_fields(state):
 # ---------------------------------------------------------------------------
 
 def _stage_rhs(state, y, diffusivity=None):
-    """The rate of y = (u_hat, f_hat, log L) at one RKC2 stage, one vector of
-    length 2n + 1.
+    """The rate of y = (u_hat, log L) at one RKC2 stage, one vector of length
+    n + 1.
 
-    Both fields share one difference d = y[1:] - y[:-1] and one set of
-    numpy calls: the interior rows of both Laplacians come from the grid's
-    pair coefficients, the formula of `background_laplacian`, and the tip
-    and edge rows from its Python-float helpers, so the fixed-frame u rate
-    is -R bit for bit.  e^{-u_hat} multiplies each row after the
-    subtraction (`diffusivity` where already known: the first stage passes
-    the state's cached e^{-u}); folded into the coefficients it would
-    amplify its own rounding through the cancellation in the tail.  In the
-    co-moving frame the advection gamma tanh(s) d/ds is the centred
+    The interior rows of the Laplacian come from the grid's coefficients on
+    the differences d = diff(u_hat), the formula of `background_laplacian`,
+    and the tip and edge rows from its Python-float helpers, so the
+    fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies each row
+    after the subtraction (`diffusivity` where already known: the first
+    stage passes the state's cached e^{-u}); folded into the coefficients it
+    would amplify its own rounding through the cancellation in the tail.  In
+    the co-moving frame the advection gamma tanh(s) d/ds is the centred
     gamma tanh(s)/(2h) (d_i + d_{i-1}), and the tip rate of u_hat is
     exactly 0.
     """
     grid = state.grid
-    n = grid.n
     out = np.empty_like(y)
-    # d and the interior rows run across the seam between u_hat and f_hat
-    # too; the rows there are the edge of u_hat and the tip of f_hat, which
-    # are then written over
-    d = y[1:-1] - y[:-2]
-    inner = out[1:-2]
-    np.multiply(grid.pair_up, d[1:], out=inner)
-    inner -= grid.pair_down * d[:-1]
-    # u_hat's last three values and f_hat's first three are neighbours in y
-    u_edge_f_tip = y[n - 3:n + 3].tolist()
-    slope_u, slope_f = state.conformal.edge_slope, state.potential_slope
-    out[0] = _tip_row(*y[:3].tolist(), grid.h2)
-    out[n - 1] = _edge_row(grid, u_edge_f_tip[:3], slope_u)
-    out[n] = _tip_row(*u_edge_f_tip[3:], grid.h2)
-    out[-2] = _edge_row(grid, y[-4:-1].tolist(), slope_f)
-    if diffusivity is None:
-        diffusivity = np.exp(-y[:n])
-    out[:n] *= diffusivity
-    out[n:-1] *= diffusivity
-    gamma = -0.5 * float(out[0]) if state.frame == COMOVING else 0.0  # R(origin) / 2
+    u_hat, rate = y[:-1], out[:-1]
+    d = u_hat[1:] - u_hat[:-1]
+    inner = rate[1:-1]
+    np.multiply(grid.lap_up, d[1:], out=inner)
+    inner -= grid.lap_down * d[:-1]
+    slope = state.conformal.edge_slope
+    rate[0] = _tip_row(*u_hat[:3].tolist(), grid.h2)
+    rate[-1] = _edge_row(grid, u_hat[-3:].tolist(), slope)
+    rate *= np.exp(-u_hat) if diffusivity is None else diffusivity
+    gamma = -0.5 * float(rate[0]) if state.frame == COMOVING else 0.0  # R(origin) / 2
     if gamma != 0.0:
-        inner += (gamma * grid.pair_advection) * (d[1:] + d[:-1])
-        edge = gamma * grid.tanh_edge
-        out[n - 1] += edge * slope_u
-        out[-2] += edge * slope_f
-        out[:n] += 2.0 * gamma
+        inner += (gamma * grid.advection) * (d[1:] + d[:-1])
+        rate[-1] += gamma * grid.tanh_edge * slope
+        rate += 2.0 * gamma
     out[-1] = gamma
     return out
 
@@ -362,14 +366,14 @@ def _advance(state, dt):
     left as they were.  The monitor's curvature probe steps with this alone,
     since it throws the accumulators away.
 
-    The stage count is the fewest s >= 2 with beta(s) >= dt * rho, rho =
-    max(e^{-u} rows) from the grid's `gershgorin_rows`, which bounds the
-    spectral radius of the diffusion operator; each stage is one call of the
-    fused `_stage_rhs`.
+    The stepped vector is (u^, log L), n + 1 values; the potential is read
+    from it, never stepped.  The stage count is the fewest s >= 2 with
+    beta(s) >= dt * rho, rho = max(e^{-u} rows) from the grid's
+    `gershgorin_rows`, which bounds the spectral radius of the diffusion
+    operator; each stage is one call of `_stage_rhs`.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
-    n = state.grid.n
     t1 = state.t + dt
     stiffness = dt * state.conformal.stiffness
     if not stiffness <= _rkc_coefficients(STAGE_LIMIT)[0]:
@@ -377,13 +381,13 @@ def _advance(state, dt):
             f"dt * rho = {stiffness:.6g} needs more than {STAGE_LIMIT} stages: unstable step", t1
         )
     conf = state.conformal
-    y0 = np.concatenate((conf.log_factor, state.potential, [state.log_scale]))
+    y0 = np.append(conf.log_factor, state.log_scale)
     # the first stage is at the state itself, with its cached e^{-u}
     rate0 = _stage_rhs(state, y0, conf.diffusivity)
     y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, dt, _stage_count(stiffness), rate0)
-    u1, f1, log_scale1 = y1[:n], y1[n:-1], float(y1[-1])
+    u1, log_scale1 = y1[:-1], float(y1[-1])
 
-    if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(f1)) and np.isfinite(log_scale1)):
+    if not (np.all(np.isfinite(u1)) and np.isfinite(log_scale1)):
         raise FlowInstabilityError("non-finite fields after step", t1)
 
     # the node maximum against the initial profile's (its spline's): the
@@ -396,12 +400,13 @@ def _advance(state, dt):
             f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
         )
     return replace(state, conformal=ConformalState(state.grid, u1, conf.edge_slope),
-                   potential=f1, t=t1, log_scale=log_scale1)
+                   t=t1, log_scale=log_scale1)
 
 
 def step(state, dt):
-    """Advance (u, f, log L) jointly by one damped RKC2 step of size dt,
-    then the accumulators across it.
+    """Advance (u, log L) by one damped RKC2 step of size dt, then the
+    accumulators across it: u~ is mapped to the fixed nodes once, and phi
+    takes the trapezoid of f = w0 - u~ there.
 
     The stage count is the fewest s >= 2 whose stability interval
     beta(s) ~ 0.65 s^2 covers dt * rho (see `adaptive_dt`), so any dt is
@@ -415,12 +420,14 @@ def step(state, dt):
     # trapezoidal accumulators across the accepted step
     r0 = float(state.curvature[0])
     r0_new = float(new_state.curvature[0])
-    f_fixed_new = map_to_fixed(new_state, new_state.potential, state.potential_slope)
+    conf = new_state.conformal
+    u_fixed = map_to_fixed(new_state, conf.log_factor, conf.edge_slope) - 2.0 * new_state.log_scale
     acc = state.acc
+    w0 = state.init.w0
     acc1 = Accumulators(
         v_integral=acc.v_integral + 0.5 * dt * (r0 + r0_new),
-        phi=acc.phi - 0.5 * dt * (acc.f_fixed + f_fixed_new),
-        f_fixed=f_fixed_new,
+        phi=acc.phi - 0.5 * dt * ((w0 - acc.u_fixed) + (w0 - u_fixed)),
+        u_fixed=u_fixed,
     )
     return replace(new_state, acc=acc1)
 
@@ -604,14 +611,14 @@ def kahler_residual(state, fields=None):
     `fields` is the state's `fixed_fields` where the caller has them.
     Exactly zero at t = 0 by construction.  The outermost node is excluded:
     the accumulated potential has no ghost information of its own beyond the
-    frozen slope estimate -t * slope_f used here.
+    slope t * edge_slope used here, the integral of f's slope -edge_slope.
     """
     grid = state.grid
     if fields is None:
         fields = fixed_fields(state)
     rho_t = np.exp(fields["u_tilde"])
     rho_0 = np.exp(state.init.u_tilde0)
-    phi_slope = -state.t * state.potential_slope
+    phi_slope = state.t * state.conformal.edge_slope
     lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
     resid = rho_t - rho_0 - KAHLER_CONSTANT * lap_phi
     return float(np.max(np.abs(resid[:-1])))
@@ -718,21 +725,18 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
 def exact_soliton_state(grid, t=0.0):
     """FlowState built from the closed-form evolving family at time t.
 
-    The log factor is u~ = -log(e^{4t} + r^2) and the potential is its
-    negative.  Built in the fixed frame (log_scale 0); accumulators carry
-    the analytic int R(origin) = 4t, while the phi accumulator is only
+    The log factor is u~ = -log(e^{4t} + r^2), so the potential is its
+    negative (w0 = 0).  Built in the fixed frame (log_scale 0); accumulators
+    carry the analytic int R(origin) = 4t, while the phi accumulator is only
     meaningful for states produced by stepping from t = 0.
     """
     u_t = cigar.soliton_log_factor(grid.r, t)
     u_slope = _soliton_edge_slope(grid, t)
     conf = ConformalState(grid, u_t, u_slope)
-    f = cigar.soliton_potential(grid.r, t)
     u0 = cigar.soliton_log_factor(grid.r, 0.0)
-    f0 = cigar.soliton_potential(grid.r, 0.0)
     init = InitialData(
         u_tilde0=u0,
         log_u0=np.zeros(grid.n),
-        potential0=f0,
         res_poisson0=0.0,
         sup_potential_gap=0.0,
         sup_grad_log_u0=0.0,
@@ -742,12 +746,10 @@ def exact_soliton_state(grid, t=0.0):
     acc = Accumulators(
         v_integral=4.0 * t,
         phi=np.zeros(grid.n),
-        f_fixed=f.copy(),
+        u_fixed=u_t.copy(),
     )
     return FlowState(
         conformal=conf,
-        potential=f,
-        potential_slope=-u_slope,
         t=t,
         log_scale=0.0,
         frame=FIXED,

@@ -18,12 +18,11 @@ cigar-tailed data the exact slope of the log factor is -2 tanh s_max).
 
 Scalar curvature follows the conformal formula R(g) = -e^{-u~} Lap_E u~.
 
-The Ricci potential f (Lap_g f = R, f = 0 at the tip) needs no linear
-algebra: each interior row of the conservative stencil says that the flux
-a_{i+1/2} (f_{i+1} - f_i) grows by a known source from node to node, so
-`solve_initial_potential` is two cumulative sums behind a 2x2 tip block.
-The radial first-derivative stencils (centred d/ds, the one-sided edge
-slope, the metric gradient norm) live here beside the ghost formula too.
+The Ricci potential f (Lap_g f = R, f = 0 at the tip) needs no solve at
+all: R = -e^{-u~} Lap_E u~ says Lap_g (-u~) = R, so f = u~(0) - u~, with the
+edge slope -u~'s (`solve_initial_potential`).  The radial first-derivative
+stencils (centred d/ds, the one-sided edge slope, the metric gradient norm)
+live here beside the ghost formula too.
 
 Each grid also carries its cubic spline, `RadialGrid.spline`: the slope
 system of a spline through fixed knots has a fixed tridiagonal matrix, so it
@@ -69,11 +68,10 @@ class RadialGrid:
     """Uniform grid in cigar arc length s on [0, s_max]; node 0 is the tip.
 
     It carries what the radial operators reuse on every call: the
-    Laplacian's interior coefficients (`lap_up`, `lap_down`, and their
-    `pair_*` forms for two fields laid end to end, which an RKC2 stage
-    evaluates together), the edge row's coefficients as Python floats, the
-    Laplacian's diagonal `lap_diag`, the stiffness weights `gershgorin_rows`
-    and the factored cubic `spline`.
+    Laplacian's interior coefficients `lap_up` and `lap_down`, the centred
+    advection's `advection`, the edge row's coefficients as Python floats,
+    the Laplacian's diagonal `lap_diag`, the stiffness weights
+    `gershgorin_rows` and the factored cubic `spline`.
     """
 
     n: int
@@ -98,19 +96,10 @@ class RadialGrid:
         # Interior row i of the Laplacian is up_i d_i - down_i d_{i-1}, d =
         # diff(f): the fluxes a_{i+1/2} d_i on either side of node i, over
         # b_i h^2.  The centred advection tanh(s_i) (f_{i+1} - f_{i-1}) / (2h)
-        # is adv_i (d_i + d_{i-1}).  Each pair_* vector covers two fields laid
-        # end to end, as an RKC2 stage lays u and f (`flow._stage_rhs`), with
-        # 0 at the two rows across the seam; lap_up and lap_down are the
-        # first field's part.
-        seam = np.zeros(2)
-        up = self.a_half[1:-1] / self.bh2[1:-1]
-        down = self.a_half[:-2] / self.bh2[1:-1]
-        adv = self.tanh_s[1:-1] / (2.0 * self.h)
-        self.pair_up = np.concatenate((up, seam, up))
-        self.pair_down = np.concatenate((down, seam, down))
-        self.pair_advection = np.concatenate((adv, seam, adv))
-        self.lap_up = self.pair_up[:self.n - 2]
-        self.lap_down = self.pair_down[:self.n - 2]
+        # is adv_i (d_i + d_{i-1}).
+        self.lap_up = self.a_half[1:-1] / self.bh2[1:-1]
+        self.lap_down = self.a_half[:-2] / self.bh2[1:-1]
+        self.advection = self.tanh_s[1:-1] / (2.0 * self.h)
         # the edge row's a_{n-1/2}, a_{n-3/2}, b h^2 and h, and tanh s_max
         self.edge_coefficients = (float(self.a_half[-1]), float(self.a_half[-2]),
                                   float(self.bh2[-1]), float(self.h))
@@ -459,38 +448,20 @@ def metric_laplacian(f, state, edge_slope=0.0):
 
 
 # ---------------------------------------------------------------------------
-# initial Ricci potential: solve Lap_g f = R with f(origin) = 0
+# the Ricci potential: Lap_g f = R with f(origin) = 0
 # ---------------------------------------------------------------------------
 
 def solve_initial_potential(state):
-    """Solve Lap_g f = R for the Ricci potential of the state's metric.
+    """The Ricci potential of the state's metric, in closed form.
 
-    Returns (f, edge_slope), f in the gauge f_0 = 0.  The rows that
-    `metric_laplacian` applies are integrated exactly rather than inverted:
-    with the flux q_i = a_{i+1/2} (f_{i+1} - f_i), interior row i says
-    q_i - q_{i-1} = b_i h^2 e^{u~_i} R_i.  The tip row and row 1 fix f_1 and
-    f_2 (one 2x2 system), the fluxes are then a cumulative sum of the
-    sources and f a cumulative sum of q / a, so the discrete residual is at
-    rounding level at every node.  The outer row's flux q_{n-1} / a_{n-1} is
-    the ghost jump, from which the Neumann slope the potential carries from
-    that point on is read off rather than prescribed.
+    Returns (f, edge_slope), f in the gauge f_0 = 0.  Since R = -e^{-u~}
+    Lap_E u~, the potential is f = u~_0 - u~, whose Neumann slope is minus
+    u~'s: `metric_laplacian` applied to it gives R up to rounding, at every
+    node and for every state.  With w0 = u~_0 this is the identity
+    f = w0 - u~, which `flow.FlowState.potential` reads at every later time.
     """
-    rhs = _check_field(state.curvature, state.grid)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("field contains non-finite values")
-    grid = state.grid
-    h, a = grid.h, grid.a_half
-    target = rhs * np.exp(state.log_factor)  # rows of Lap_E f = e^{u~} R
-    source = target * grid.b_euclidean * h**2
-    # tip row (the difference form of the tip stencil) and row 1, with f_0 = 0
-    f1, _ = np.linalg.solve(
-        [[(10.0 / 3.0) / h**2 - 2.0 / 3.0, 1.0 / (6.0 * h**2)], [-(a[0] + a[1]), a[1]]],
-        [target[0], source[1]],
-    )
-    q = np.cumsum(np.concatenate([[a[0] * f1], source[1:]]))
-    f = np.concatenate([[0.0], np.cumsum(q[:-1] / a[:-1])])
-    slope = (q[-1] / a[-1] - _edge_ghost_jump(f, h, 0.0)) / (3.0 * h)
-    return f, slope
+    u_tilde = state.log_factor
+    return u_tilde[0] - u_tilde, -state.edge_slope
 
 
 # ---------------------------------------------------------------------------

@@ -327,7 +327,6 @@ def build_scenario(config):
     init = InitialData(
         u_tilde0=u_tilde0.copy(),
         log_u0=log_u0.copy(),
-        potential0=potential0.copy(),
         res_poisson0=res0,
         sup_potential_gap=float(gap),
         sup_grad_log_u0=float(np.sqrt(np.max(grad_sq))),
@@ -337,12 +336,10 @@ def build_scenario(config):
     acc = Accumulators(
         v_integral=0.0,
         phi=np.zeros_like(u_tilde0),
-        f_fixed=potential0.copy(),
+        u_fixed=u_tilde0.copy(),
     )
     return FlowState(
         conformal=conformal,
-        potential=potential0.copy(),
-        potential_slope=float(f_slope),
         t=0.0,
         log_scale=0.0,
         frame=config.frame,

@@ -4,17 +4,19 @@ Format, one item per line, all floats as 17-significant-digit decimals
 (which round-trip float64 exactly, so a resumed run reproduces the unbroken
 run's diagnostics bit for bit):
 
-    cigarflow-snapshot 2
+    cigarflow-snapshot 3
     grid 129 8
     frame comoving
     scalar t 0.5
     scalar log_scale ...
-    ... more scalars ...
+    scalar u_slope ...         # u~'s Neumann slope at the outer edge
+    ... more scalars (accumulators and initial data) ...
     array u_tilde <n>          # log conformal factor in the stepped frame
     <n value lines>
-    array potential <n>        # Ricci potential in the stepped frame
-    ... more arrays (initial-data snapshot and accumulators) ...
+    ... more arrays (initial data and accumulators) ...
     checksum <crc32>
+
+The Ricci potential is not stored: it is w0 - u~ (`FlowState.potential`).
 
 Each array's values are written by one `%` operation over the array as
 Python floats, one "%.17g" per line: the same text as format(x, ".17g")
@@ -38,13 +40,14 @@ The checksum, the last line, is zlib.crc32 of every byte before it: tag,
 grid line, frame word, scalars and arrays; a line after it is refused.
 CRC-32 detects every change within 32 consecutive bits, so every
 substitution of up to four adjacent characters, and passes any other change
-with a chance of about 2^-32.  On an n = 65 snapshot of perturbed data at t = 0.5, all
-71964 single-digit changes (each digit of the grid line and of every value
-replaced by each other digit), the changed frame word and all 103281 swaps
-of two distinct array value lines were refused.  The version is read
-before the checksum, so a file of another version is refused as such; the
-parser refuses an unknown frame, a wrong name or count, a non-number and a
-missing or extra line.  `load_snapshot` raises only SnapshotError.
+with a chance of about 2^-32.  On an n = 65 format 2 snapshot of perturbed
+data at t = 0.5, all 71964 single-digit changes (each digit of the grid line
+and of every value replaced by each other digit), the changed frame word and
+all 103281 swaps of two distinct array value lines were refused.  The
+version is read before the checksum, so a file of another version is
+refused as such; the parser refuses an unknown frame, a wrong name or count,
+a non-number and a missing or extra line.  `load_snapshot` raises only
+SnapshotError.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from cigarflow.geometry import ConformalState, RadialGrid
 __all__ = ["save_snapshot", "load_snapshot", "SnapshotError"]
 
 FORMAT_TAG = "cigarflow-snapshot"
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 _PARTS = {"acc": Accumulators, "init": InitialData}
 
@@ -75,9 +78,9 @@ def _part_layout(part, arrays, prefix=""):
 # (label, part, field) in file order; part None is a stepped field.  The file
 # puts the accumulators' scalars before the initial data's, but the initial
 # data's arrays before the accumulators'.
-_SCALARS = ([(name, None, name) for name in ("t", "log_scale", "potential_slope", "u_slope")]
+_SCALARS = ([(name, None, name) for name in ("t", "log_scale", "u_slope")]
             + _part_layout("acc", False) + _part_layout("init", False))
-_STEPPED_ARRAYS = [(name, None, name) for name in ("u_tilde", "potential")]
+_STEPPED_ARRAYS = [("u_tilde", None, "u_tilde")]
 _INIT_ARRAYS = _part_layout("init", True, "init_")
 _ACC_ARRAYS = _part_layout("acc", True, "acc_")
 _ARRAYS = _STEPPED_ARRAYS + _INIT_ARRAYS + _ACC_ARRAYS
@@ -121,10 +124,8 @@ def save_snapshot(state, path):
         None: {  # the stepped fields
             "t": state.t,
             "log_scale": state.log_scale,
-            "potential_slope": state.potential_slope,
             "u_slope": state.conformal.edge_slope,
             "u_tilde": state.conformal.log_factor,
-            "potential": state.potential,
         },
         **{part: vars(getattr(state, part)) for part in _PARTS},
     }
@@ -210,8 +211,6 @@ def _parse(data):
     stepped = parts[None]
     return FlowState(
         conformal=ConformalState(grid, stepped["u_tilde"], stepped["u_slope"]),
-        potential=stepped["potential"],
-        potential_slope=stepped["potential_slope"],
         t=stepped["t"],
         log_scale=stepped["log_scale"],
         frame=frame,

@@ -2,11 +2,13 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cigarflow import flow, scenarios  # noqa: E402
+from cigarflow.geometry import _radial_derivative, background_laplacian  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -61,3 +63,46 @@ def overdrive(monkeypatch):
             yield
 
     return overdriven
+
+
+def _coupled_step(state, y, dt):
+    """One RKC2 step of the coupled system y = (u^, f^, log L) from `state`,
+    with the program's stage count for dt.
+
+    u^ and log L take `flow._stage_rhs`'s rate.  f^ takes its own heat
+    equation, d f^/dt = e^{-u^} Lap_E f^ + gamma tanh(s) d f^/ds, from the
+    separate operators, with the program's edge slope of f.  Nothing here
+    uses f = w0 - u~.
+    """
+    grid, n = state.grid, state.grid.n
+    slope_f = state.potential_slope
+
+    def rhs(y):
+        u_hat, f_hat = y[:n], y[n:-1]
+        rate = flow._stage_rhs(state, np.append(u_hat, y[-1]))
+        gamma = rate[-1]
+        df = np.exp(-u_hat) * background_laplacian(f_hat, grid, slope_f)
+        if gamma != 0.0:
+            df = df + gamma * grid.tanh_s * _radial_derivative(grid, f_hat, slope_f)
+        return np.concatenate((rate[:-1], df, [gamma]))
+
+    return flow._rkc_step(rhs, y, dt, flow._stage_count(dt * state.conformal.stiffness))
+
+
+@pytest.fixture(scope="session")
+def coupled_oracle():
+    """run(config, t_end): `flow.step` from the config's initial state to
+    t_end at the program's dt, beside the coupled stepper started from the
+    same u^, f^ and log L; the list of (state, coupled y) after each step."""
+    def run(config, t_end):
+        state = scenarios.build_scenario(config)
+        y = np.concatenate((state.conformal.log_factor, state.potential, [state.log_scale]))
+        trail = []
+        while state.t < t_end - 1e-13:
+            dt = min(flow.adaptive_dt(state, config.safety), t_end - state.t)
+            y = _coupled_step(state, y, dt)
+            state = flow.step(state, dt)
+            trail.append((state, y))
+        return trail
+
+    return run

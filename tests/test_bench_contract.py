@@ -19,3 +19,23 @@ def test_every_wrapped_name_is_a_cigarflow_function():
         if not inspect.isfunction(getattr(importlib.import_module(f"cigarflow.{module}"), name, None))
     ]
     assert wrapped and not missing
+
+
+def test_benchmark_round_trip_check_accepts_a_reloaded_snapshot(tmp_path):
+    # record_dense's check compares every field a snapshot stores, through
+    # names such as FlowState.potential; a name it reads that goes away must
+    # fail here, not only inside a benchmark run
+    workloads = runpy.run_path(str(TRACER.parent / "workloads.py"))
+    from cigarflow import flow, scenarios, snapshots
+
+    config = scenarios.parse_config({
+        "name": "round_trip",
+        "grid": {"kind": "radial", "n": 17, "s_max": 8.0},
+        "initial": {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5},
+        "stepping": {"safety": 0.9, "t_end": 0.1, "record_interval": 0.05},
+    })
+    state = flow.run(scenarios.build_scenario(config), config.t_end,
+                     record_interval=config.record_interval).final_state
+    path = tmp_path / "snapshot.txt"
+    snapshots.save_snapshot(state, path)
+    assert workloads["states_identical"](state, snapshots.load_snapshot(path)) is True

@@ -53,19 +53,20 @@ def test_frames_agree_on_monitors():
         assert abs(a - b) <= 20 * h2 * max(1.0, abs(a)), (name, a, b)
 
 
-def test_potential_evolution_tracks_direct_solve():
-    # co-evolved f stays within O(h^2) of a fresh potential solve on the
-    # evolved metric (same gauge: both vanish at the origin)
+def test_potential_evolution_tracks_direct_solve(coupled_oracle):
+    # f stepped by its own heat equation (the coupled oracle) stays within
+    # O(h^2) of the potential of the evolved metric (same gauge: both vanish
+    # at the origin)
     from cigarflow.geometry import solve_initial_potential
 
-    state = build_scenario(config_for(
+    config = config_for(
         {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5},
         "comoving",
-    ))
-    result = flow.run(state, 0.5, safety=0.9, record_interval=0.5)
-    final = result.final_state
+    )
+    final, y = coupled_oracle(config, 0.5)[-1]
+    f_hat = y[final.grid.n:-1]
     fresh, _ = solve_initial_potential(final.conformal)
-    evolved = final.potential - final.potential[0]
+    evolved = f_hat - f_hat[0]
     h2 = (8.0 / 128) ** 2
     assert np.max(np.abs(fresh - evolved)) <= 50 * h2
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -58,8 +59,9 @@ def test_rhs_is_minus_curvature_exactly():
     state = cigar_flow_state(65, frame="fixed")
     conf = state.conformal
     # the fixed-frame stage rate of u~ is -R exactly
-    rate = flow._stage_rhs(state, np.concatenate((conf.log_factor, state.potential, [0.0])))
-    du, gamma = rate[:state.grid.n], rate[-1]
+    rate = flow._stage_rhs(state, np.append(conf.log_factor, 0.0))
+    assert rate.shape == (state.grid.n + 1,)
+    du, gamma = rate[:-1], rate[-1]
     assert gamma == 0.0
     np.testing.assert_array_equal(du, -state.curvature)
     # and -R equals the rearranged diffusion form e^{-u~} Lap_E u~ to rounding
@@ -70,32 +72,53 @@ def test_rhs_is_minus_curvature_exactly():
 
 
 def test_fused_stage_rate_matches_the_separate_operators():
-    # one difference of the stacked fields gives both rates: the fixed-frame
-    # f rate is Lap_g f bit for bit, and the co-moving rates match e^{-u} Lap_E plus
-    # the centred advection gamma tanh(s) d/ds (and 2 gamma for u) to
-    # rounding, with the tip rate of u exactly 0
+    # the stage rate of (u, log L): in the fixed frame e^{-u} Lap_E u bit for
+    # bit, and in the co-moving frame e^{-u} Lap_E u plus the centred
+    # advection gamma tanh(s) d/ds and 2 gamma to rounding, with the tip rate
+    # exactly 0
     bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 2.0, "width": 0.5}
     for frame in ("fixed", "comoving"):
         state = build_scenario(radial_config(n=65, initial=bump, frame=frame))
         grid, conf, n = state.grid, state.conformal, state.grid.n
         u = conf.log_factor + 0.01 * np.sin(grid.s)
-        f = state.potential
-        rate = flow._stage_rhs(state, np.concatenate((u, f, [0.0])))
-        e = np.exp(-u)
-        du = e * background_laplacian(u, grid, conf.edge_slope)
-        df = e * background_laplacian(f, grid, state.potential_slope)
+        rate = flow._stage_rhs(state, np.append(u, 0.0))
+        assert rate.shape == (n + 1,)
+        du = np.exp(-u) * background_laplacian(u, grid, conf.edge_slope)
         if frame == "fixed":
             assert rate[-1] == 0.0
             np.testing.assert_array_equal(rate[:n], du)
-            np.testing.assert_array_equal(rate[n:-1], df)
             continue
         gamma = -0.5 * du[0]
         assert rate[-1] == gamma and rate[0] == 0.0
         adv = gamma * grid.tanh_s
         du = du + adv * flow._radial_derivative(grid, u, conf.edge_slope) + 2.0 * gamma
-        df = df + adv * flow._radial_derivative(grid, f, state.potential_slope)
         np.testing.assert_allclose(rate[:n], du, rtol=1e-12, atol=1e-12 * np.max(np.abs(du)))
-        np.testing.assert_allclose(rate[n:-1], df, rtol=1e-12, atol=1e-12 * np.max(np.abs(df)))
+
+
+def oracle_config(config_dir, seed=None):
+    """The shipped perturbed_relax_129 data, with two seeded random bumps
+    when `seed` is given."""
+    data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+    if seed is not None:
+        data["initial"]["random_bumps"] = 2
+        data["seed"] = seed
+    return parse_config(data)
+
+
+@pytest.mark.parametrize("seed", [None, 9], ids=["shipped", "random_bumps_2_seed_9"])
+def test_coupled_oracle_keeps_the_potential_at_w0_minus_u(coupled_oracle, config_dir, seed):
+    # f stepped by its own heat equation beside u and log L stays on the
+    # closed form w0 - u^ + 2 log L that the program reads, and stepping f
+    # leaves u and log L as they are, bit for bit, at every step to t = 5
+    config = oracle_config(config_dir, seed)
+    trail = coupled_oracle(config, config.t_end)
+    n = config.grid["n"]
+    for state, y in trail:
+        assert y[:n].tobytes() == state.conformal.log_factor.tobytes(), state.t
+        assert y[-1:].tobytes() == np.float64(state.log_scale).tobytes(), state.t
+    gap = max(float(np.max(np.abs(y[n:-1] - state.potential))) for state, y in trail)
+    assert trail[-1][0].t == config.t_end and trail[-1][0].log_scale > 1.0
+    assert gap <= 1e-12
 
 
 def test_rhs_cigar_origin_rate():
@@ -235,8 +258,6 @@ def test_adaptive_dt_scales_with_diffusivity():
     base = flat_radial_state()
     shifted = flow.FlowState(
         conformal=ConformalState(base.grid, base.conformal.log_factor - np.log(4.0)),
-        potential=base.potential,
-        potential_slope=base.potential_slope,
         t=0.0,
         log_scale=0.0,
         frame="fixed",
@@ -620,12 +641,13 @@ def test_kahler_cross_check_matches_online_accumulator():
     assert recomputed == pytest.approx(online, rel=1e-10, abs=1e-15)
 
 
-def test_f_fixed_is_the_mapped_potential(tmp_path):
-    # fixed_fields reads f from acc.f_fixed, so it must equal the mapped
-    # potential bit for bit wherever a state comes from
+def test_u_fixed_is_the_mapped_log_factor(tmp_path):
+    # fixed_fields reads u~ from acc.u_fixed, so it must equal the mapped u^
+    # less 2 log L bit for bit wherever a state comes from
     def assert_mapped(state):
-        mapped = flow.map_to_fixed(state, state.potential, state.potential_slope)
-        assert state.acc.f_fixed.tobytes() == mapped.tobytes()
+        conf = state.conformal
+        mapped = flow.map_to_fixed(state, conf.log_factor, conf.edge_slope) - 2.0 * state.log_scale
+        assert state.acc.u_fixed.tobytes() == mapped.tobytes()
 
     state = build_scenario(radial_config(
         n=65, initial={"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0,

@@ -200,7 +200,7 @@ def test_build_exact_cigar():
     np.testing.assert_array_equal(state.init.log_u0, np.zeros(65))
     f0 = np.log1p(np.sinh(state.grid.s) ** 2)
     assert np.max(np.abs(state.init.potential0 - f0)) <= 1e-10
-    # w(.,0) = log u0 + f(0) - f0 vanishes up to the solve tolerance
+    # w = log u0 + f(0) - f0 = u~0(0) vanishes on the exact cigar
     assert np.max(np.abs(state.init.w0)) <= 1e-10
     assert state.init.res_poisson0 <= 1e-10
 
@@ -320,7 +320,8 @@ def test_snapshot_round_trip_is_text_identical(tmp_path):
 
 
 # finite float64 values including -0.0 and subnormals; kept below 1e300 so
-# the derived w0 = u_tilde0 + potential0 cannot overflow
+# the derived potentials u_tilde0[0] - u_tilde0 and w0 - u~ + 2 log L cannot
+# overflow
 SNAPSHOT_FLOATS = (st.sampled_from([-0.0, 5e-324, -2.5e-310, 1e300, -1e300])
                    | st.floats(min_value=-1e300, max_value=1e300))
 
@@ -344,17 +345,15 @@ def test_snapshot_round_trip_is_bit_exact(data):
     u_slope = scalar()
     state = flow.FlowState(
         conformal=ConformalState(grid, array(), u_slope),
-        potential=array(),
-        potential_slope=scalar(),
         t=scalar(),
         log_scale=scalar(),
         frame=data.draw(st.sampled_from([flow.COMOVING, flow.FIXED])),
         init=flow.InitialData(
-            u_tilde0=array(), log_u0=array(), potential0=array(),
+            u_tilde0=array(), log_u0=array(),
             res_poisson0=scalar(), sup_potential_gap=scalar(), sup_grad_log_u0=scalar(),
             grid=grid, edge_slope=u_slope,
         ),
-        acc=flow.Accumulators(v_integral=scalar(), phi=array(), f_fixed=array()),
+        acc=flow.Accumulators(v_integral=scalar(), phi=array(), u_fixed=array()),
     )
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
@@ -442,7 +441,7 @@ def _swap_two_values(lines):
 
 
 def _bump_last_digit(lines):
-    k = next(i for i, line in enumerate(lines) if line.startswith("array potential")) + 5
+    k = next(i for i, line in enumerate(lines) if line.startswith("array init_u_tilde0")) + 5
     mantissa, _, exponent = lines[k].partition("e")
     mantissa = mantissa[:-1] + str((int(mantissa[-1]) + 1) % 10)
     lines[k] = mantissa + ("e" + exponent if exponent else "")
@@ -475,6 +474,14 @@ def test_snapshot_refuses_committed_v1_file():
     v1 = Path(__file__).resolve().parent / "data" / "snapshot_v1_n17.txt"
     with pytest.raises(SnapshotError, match="version 1 not supported"):
         load_snapshot(v1)
+
+
+def test_snapshot_refuses_committed_v2_file():
+    # format 2 stored the Ricci potential and its slope, which format 3
+    # derives from u~
+    v2 = Path(__file__).resolve().parent / "data" / "snapshot_v2_n17.txt"
+    with pytest.raises(SnapshotError, match="snapshot version 2 not supported"):
+        load_snapshot(v2)
 
 
 def test_snapshot_refuses_sealed_extra_line(tmp_path):
@@ -513,8 +520,8 @@ def test_snapshot_version_check(tmp_path):
     (2, "frame"),
     (2, "frame sideways"),
     (3, "scalar t"),
-    (11, "array u_tilde 64"),
-    (12, "not-a-number"),
+    (10, "array u_tilde 64"),
+    (11, "not-a-number"),
     (-1, ""),
     (-1, "checksum"),
     (40, None),   # None cuts the file at that line
