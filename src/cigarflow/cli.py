@@ -132,7 +132,9 @@ def cmd_converge(args):
         return EXIT_USAGE
     n = int(config.grid["n"])
     s_max = float(config.grid["s_max"])
-    levels = [max(17, (n - 1) // 2 + 1), n, 2 * (n - 1) + 1]
+    # a level the config rules refuse (fewer than 16 nodes, or a spacing
+    # above sqrt 5) is a config error before any level runs
+    levels = [(n - 1) // 2 + 1, n, 2 * (n - 1) + 1]
     errors = []
     print(f"refinement study on [0, {s_max}] to t={config.t_end} (safety {config.safety}):")
     for nn in levels:

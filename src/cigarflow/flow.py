@@ -40,11 +40,12 @@ outside the grid, while the scale grows); a step maps only u~, for the phi
 accumulator (`map_to_fixed`), and `fixed_fields` reuses that mapped u~.  The
 clamped spline's slope system is factored once per grid (`RadialGrid.spline`),
 so a fit is one tridiagonal forward and back sweep and each evaluation of it
-a piecewise-cubic one, bit for bit what scipy's cubic spline returns.  A
-record fits u~ once, in `fixed_fields`, and resamples it for the normalized
-profile (`profile_distance`).  The curvature evolution residual needs no
-map (it is taken on the co-moving nodes), and its probe advances without
-the accumulators.  gamma = 0 recovers plain fixed-frame stepping.
+a piecewise-cubic one, bit for bit what scipy's cubic spline returns.  Each
+state fits u~ at most once (`ConformalState.fit`): the step's map and the
+record's normalized profile (`profile_distance`) evaluate the same fit.  The
+curvature evolution residual needs no map (it is taken on the co-moving
+nodes), and its probe advances without the accumulators.  gamma = 0
+recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -79,11 +80,10 @@ from cigarflow.diagnostics import DiagnosticsRecord
 from cigarflow.geometry import (
     ConformalState,
     RadialGrid,
-    _edge_row,
     _edge_slope_estimate,
+    _laplacian_rows,
     _metric_gradient_sq,
     _radial_derivative,
-    _tip_row,
     background_laplacian,
     metric_laplacian,
     solve_initial_potential,
@@ -211,77 +211,64 @@ class FlowState:
 # frame mapping
 # ---------------------------------------------------------------------------
 
-def _fixed_nodes(state):
-    """The fixed grid nodes' co-moving arc lengths arcsinh(r / L)."""
-    grid = state.grid
-    return np.arcsinh(grid.r * np.exp(-state.log_scale))
+def map_to_fixed(state):
+    """u~ at the fixed grid nodes: the stepped log factor u^ there, less
+    2 log L.
 
-
-def map_to_fixed(state, values, slope):
-    """Evaluate a co-moving scalar field at the fixed grid nodes.
-
-    The fixed node r sits at co-moving arc length arcsinh(r / L).  With
-    L >= 1 these always land inside the grid; transient L < 1 can push the
-    outermost node marginally outside, where the clamped spline extrapolates
-    its last piece.  The spline is clamped to the first derivatives
-    (0, slope), the field's edge slope (see `RadialGrid.spline`).
+    The fixed node r sits at co-moving arc length arcsinh(r / L), where u^
+    is read from its clamped spline (`ConformalState.fit`).  With L >= 1
+    these always land inside the grid; transient L < 1 can push the
+    outermost node marginally outside, where the spline extrapolates its
+    last piece.  In the fixed frame (log L = 0) the nodes are the grid's
+    own and no spline is fitted.
     """
+    conf = state.conformal
     if state.log_scale == 0.0:
-        return np.asarray(values, dtype=float)
-    return state.grid.spline(values, _fixed_nodes(state), slope)
+        values = conf.log_factor
+    else:
+        values = conf.fit(np.arcsinh(state.grid.r * np.exp(-state.log_scale)))
+    return values - 2.0 * state.log_scale
 
 
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes.
 
     u~ is the accumulator's copy, which `step` maps once per accepted step,
-    and f = w0 - u~.  "u_fit" is u~'s clamped spline on the stepped nodes
-    (`GridSpline.fit`), which `normalize` and `profile_distance` take, so a
-    record solves u~'s slope system once.
+    and f = w0 - u~.
     """
-    conf = state.conformal
-    u_fit = state.grid.spline.fit(conf.log_factor, conf.edge_slope)
     u_tilde = state.acc.u_fixed
     f = state.init.w0 - u_tilde
     w = u_tilde + f
     v = state.init.potential0 - f
     h = v + state.init.log_u0
-    return {"u_tilde": u_tilde, "f": f, "w": w, "v": v, "h": h, "u_fit": u_fit}
+    return {"u_tilde": u_tilde, "f": f, "w": w, "v": v, "h": h}
 
 
 # ---------------------------------------------------------------------------
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _stage_rhs(state, y, diffusivity=None):
+def _stage_rhs(state, y):
     """The rate of y = (u_hat, log L) at one RKC2 stage, one vector of length
     n + 1.
 
-    The interior rows of the Laplacian come from the grid's coefficients on
-    the differences d = diff(u_hat), the formula of `background_laplacian`,
-    and the tip and edge rows from its Python-float helpers, so the
-    fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies each row
-    after the subtraction (`diffusivity` where already known: the first
-    stage passes the state's cached e^{-u}); folded into the coefficients it
-    would amplify its own rounding through the cancellation in the tail.  In
-    the co-moving frame the advection gamma tanh(s) d/ds is the centred
-    gamma tanh(s)/(2h) (d_i + d_{i-1}), and the tip rate of u_hat is
-    exactly 0.
+    The Laplacian's rows are `background_laplacian`'s (`_laplacian_rows`),
+    so the fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies
+    each row after the subtraction; folded into the coefficients it would
+    amplify its own rounding through the cancellation in the tail.  In the
+    co-moving frame the advection gamma tanh(s) d/ds is the centred
+    gamma tanh(s)/(2h) (d_i + d_{i-1}) on the differences d = diff(u_hat),
+    and the tip rate of u_hat is exactly 0.
     """
     grid = state.grid
     out = np.empty_like(y)
     u_hat, rate = y[:-1], out[:-1]
-    d = u_hat[1:] - u_hat[:-1]
-    inner = rate[1:-1]
-    np.multiply(grid.lap_up, d[1:], out=inner)
-    inner -= grid.lap_down * d[:-1]
     slope = state.conformal.edge_slope
-    rate[0] = _tip_row(*u_hat[:3].tolist(), grid.h2)
-    rate[-1] = _edge_row(grid, u_hat[-3:].tolist(), slope)
-    rate *= np.exp(-u_hat) if diffusivity is None else diffusivity
+    d = _laplacian_rows(u_hat, grid, slope, rate)
+    rate *= np.exp(-u_hat)
     gamma = -0.5 * float(rate[0]) if state.frame == COMOVING else 0.0  # R(origin) / 2
     if gamma != 0.0:
-        inner += (gamma * grid.advection) * (d[1:] + d[:-1])
+        rate[1:-1] += (gamma * grid.advection) * (d[1:] + d[:-1])
         rate[-1] += gamma * grid.tanh_edge * slope
         rate += 2.0 * gamma
     out[-1] = gamma
@@ -324,15 +311,14 @@ def _stage_count(stiffness):
     return s
 
 
-def _rkc_step(rhs, y0, dt, s, rate0=None):
+def _rkc_step(rhs, y0, dt, s):
     """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
 
-    `rate0` is rhs(y0) when the caller already has it.  The increment form
-    keeps every component whose rate vanishes (the co-moving tip) at exactly
-    its old value.
+    The increment form keeps every component whose rate vanishes (the
+    co-moving tip) at exactly its old value.
     """
     _, mu_tilde_1, rows = _rkc_coefficients(s)
-    f0 = dt * (rhs(y0) if rate0 is None else rate0)
+    f0 = dt * rhs(y0)
     d_older, d_old = 0.0, mu_tilde_1 * f0
     for mu, nu, mu_tilde, gamma_tilde in rows:
         d_older, d_old = d_old, (mu * d_old + nu * d_older
@@ -370,7 +356,8 @@ def _advance(state, dt):
     from it, never stepped.  The stage count is the fewest s >= 2 with
     beta(s) >= dt * rho, rho = max(e^{-u} rows) from the grid's
     `gershgorin_rows`, which bounds the spectral radius of the diffusion
-    operator; each stage is one call of `_stage_rhs`.
+    operator; each stage is one call of `_stage_rhs`, the first one at the
+    state itself.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
@@ -382,9 +369,7 @@ def _advance(state, dt):
         )
     conf = state.conformal
     y0 = np.append(conf.log_factor, state.log_scale)
-    # the first stage is at the state itself, with its cached e^{-u}
-    rate0 = _stage_rhs(state, y0, conf.diffusivity)
-    y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, dt, _stage_count(stiffness), rate0)
+    y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, dt, _stage_count(stiffness))
     u1, log_scale1 = y1[:-1], float(y1[-1])
 
     if not (np.all(np.isfinite(u1)) and np.isfinite(log_scale1)):
@@ -420,8 +405,7 @@ def step(state, dt):
     # trapezoidal accumulators across the accepted step
     r0 = float(state.curvature[0])
     r0_new = float(new_state.curvature[0])
-    conf = new_state.conformal
-    u_fixed = map_to_fixed(new_state, conf.log_factor, conf.edge_slope) - 2.0 * new_state.log_scale
+    u_fixed = map_to_fixed(new_state)
     acc = state.acc
     w0 = state.init.w0
     acc1 = Accumulators(
@@ -436,24 +420,23 @@ def step(state, dt):
 # monitors
 # ---------------------------------------------------------------------------
 
-def monitor(state, dt_hint=None, fields=None):
+def monitor(state, dt_hint=None):
     """Compute a DiagnosticsRecord for the state.
 
     `dt_hint` is echoed into the record's dt column (the step size the run
-    is using); `fields` is the state's `fixed_fields` where the caller has
-    them.  The curvature-evolution residual is probed by taking two extra
-    RKC2 advances from the state, without the accumulators.  The probe's
-    steps have the diffusive size 0.9 / max(e^{-u} diag), whatever the run's
-    dt, so res_curv_evo keeps measuring the same O(dt^2 + h^2) residual on
-    the state's own nodes.
+    is using).  The fixed-frame columns come from `fixed_fields`, which reads
+    the u~ that `step` mapped and fits no spline.  The curvature-evolution
+    residual is probed by taking two extra RKC2 advances from the state,
+    without the accumulators.  The probe's steps have the diffusive size
+    0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
+    measuring the same O(dt^2 + h^2) residual on the state's own nodes.
     """
     u_hat = state.conformal.log_factor
     if not np.all(np.isfinite(u_hat)):
         nan = float("nan")
         return DiagnosticsRecord(state.t, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan)
 
-    if fields is None:
-        fields = fixed_fields(state)
+    fields = fixed_fields(state)
     curv = state.curvature
     rep = width_report(state.conformal)
     res_poisson = float(
@@ -548,7 +531,7 @@ def _window(grid, s_window):
     return _profile_window(max(k, 16), float(grid.h))
 
 
-def normalize(state, s_window=None, u_fit=None):
+def normalize(state, s_window=None):
     """Pull the metric back by the normalizing dilation.
 
     Returns (normalized ConformalState, scale): coordinates are rescaled by
@@ -558,9 +541,9 @@ def normalize(state, s_window=None, u_fit=None):
     outside the grid raises a ValueError asking for a smaller reporting
     window.  In the co-moving frame the running scale L cancels, so only
     the residual rescale by e^{-u^(origin)/2} remains and the full grid is
-    normally available.  `u_fit` is the state's u~ spline, the "u_fit" of
-    its `fixed_fields`, where the caller has it; the window grid is built
-    once per window size and spacing.
+    normally available.  The profile is read from the state's u~ spline
+    (`ConformalState.fit`), which the step's frame map has usually fitted
+    already; the window grid is built once per window size and spacing.
     """
     grid = state.grid
     conf = state.conformal
@@ -573,9 +556,7 @@ def normalize(state, s_window=None, u_fit=None):
             f"normalization (scale {factor:.4g}) needs data outside the grid; "
             "shrink the reporting window"
         )
-    if u_fit is None:
-        u_fit = grid.spline.fit(conf.log_factor, conf.edge_slope)
-    u_norm = u_fit(np.minimum(pos, grid.s_max)) - c0
+    u_norm = conf.fit(np.minimum(pos, grid.s_max)) - c0
     beyond = pos > grid.s_max
     if np.any(beyond):  # linear continuation with the physical edge slope
         u_norm[beyond] += conf.edge_slope * (pos[beyond] - grid.s_max)
@@ -583,13 +564,13 @@ def normalize(state, s_window=None, u_fit=None):
     return out, normalization_scale(state)
 
 
-def profile_distance(state, s_window=4.0, u_fit=None):
+def profile_distance(state, s_window=4.0):
     """Sup distance of the normalized profile to the static cigar on |s| <= s_window.
 
-    `u_fit` is passed on to `normalize`; the cigar's profile on the window
-    is built with the window grid, once per window size and spacing.
+    The profile is `normalize`'s; the cigar's profile on the window is built
+    with the window grid, once per window size and spacing.
     """
-    normalized, _ = normalize(state, s_window, u_fit)
+    normalized, _ = normalize(state, s_window)
     _, target = _window(state.grid, s_window)
     return float(np.max(np.abs(normalized.log_factor - target)))
 
@@ -605,18 +586,17 @@ def profile_distance(state, s_window=4.0, u_fit=None):
 KAHLER_CONSTANT = 1.0
 
 
-def kahler_residual(state, fields=None):
+def kahler_residual(state):
     """Max mismatch between the evolved density and the potential reconstruction.
 
-    `fields` is the state's `fixed_fields` where the caller has them.
-    Exactly zero at t = 0 by construction.  The outermost node is excluded:
-    the accumulated potential has no ghost information of its own beyond the
-    slope t * edge_slope used here, the integral of f's slope -edge_slope.
+    The evolved density is e^{u~} at the fixed nodes, from the u~ that `step`
+    mapped (`Accumulators.u_fixed`).  Exactly zero at t = 0 by construction.
+    The outermost node is excluded: the accumulated potential has no ghost
+    information of its own beyond the slope t * edge_slope used here, the
+    integral of f's slope -edge_slope.
     """
     grid = state.grid
-    if fields is None:
-        fields = fixed_fields(state)
-    rho_t = np.exp(fields["u_tilde"])
+    rho_t = np.exp(state.acc.u_fixed)
     rho_0 = np.exp(state.init.u_tilde0)
     phi_slope = state.t * state.conformal.edge_slope
     lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
@@ -662,23 +642,29 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     events.add(t_end)
     events = sorted(e for e in events if state.t < e <= t_end)
 
-    def snap_dist(st, fields):
+    records, dist_trace, kahler_trace = [], [], []
+
+    def record(state):
+        """Append the state's record and traces, report them and take a
+        snapshot where one is due; returns the record."""
+        rec = monitor(state, dt_hint=dt_free)
+        records.append(rec)
         try:
-            return profile_distance(st, min(s_report, st.grid.s_max), fields["u_fit"])
+            dist = profile_distance(state, min(s_report, state.grid.s_max))
         except ValueError:
-            return None
+            dist = None
+        dist_trace.append((state.t, dist))
+        kahler_trace.append((state.t, kahler_residual(state)))
+        if progress:
+            progress(rec)
+        if snapshot_hook and round(state.t, 12) in snapshot_set:
+            snapshot_hook(state)
+        return rec
 
     # the free step size of the current state, taken once per state: each
     # record echoes it and the next step is clipped from it
     dt_free = adaptive_dt(state, safety)
-    fields = fixed_fields(state)
-    records = [monitor(state, dt_hint=dt_free, fields=fields)]
-    dist_trace = [(state.t, snap_dist(state, fields))]
-    kahler_trace = [(state.t, kahler_residual(state, fields))]
-    if progress:
-        progress(records[-1])
-    if snapshot_hook and round(state.t, 12) in snapshot_set:
-        snapshot_hook(state)
+    record(state)
 
     aborted = False
     abort_message = None
@@ -694,16 +680,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
             dt_free = adaptive_dt(state, safety)
         if aborted:
             break
-        fields = fixed_fields(state)
-        rec = monitor(state, dt_hint=dt_free, fields=fields)
-        records.append(rec)
-        dist_trace.append((state.t, snap_dist(state, fields)))
-        kahler_trace.append((state.t, kahler_residual(state, fields)))
-        if progress:
-            progress(rec)
-        if snapshot_hook and target in snapshot_set:
-            snapshot_hook(state)
-        if not rec.finite:
+        if not record(state).finite:
             aborted, abort_message = True, f"non-finite diagnostics at t={state.t:.6g}"
             break
 

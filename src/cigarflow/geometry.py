@@ -161,8 +161,8 @@ class GridSpline:
     `spline.fit(values, slope)` is the spline clamped to first derivatives
     (0, slope) at the ends: zero by symmetry at the tip, the physical
     Neumann slope at s_max.  It solves the slope system once and returns an
-    evaluator of points x; `spline(values, x, slope)` is
-    `spline.fit(values, slope)(x)`.  The result is bit for bit scipy's cubic
+    evaluator of points x; a conformal state keeps its log factor's fit
+    (`ConformalState.fit`).  The result is bit for bit scipy's cubic
     spline with the same end conditions.  The tridiagonal slope system is
     built from the same expressions and solved by the eliminations of
     LAPACK's gtsv, which scipy calls: `__init__` runs gttrf's LU
@@ -300,9 +300,6 @@ class GridSpline:
 
         return evaluate
 
-    def __call__(self, values, x, slope):
-        return self.fit(values, slope)(x)
-
 
 @dataclass
 class ConformalState:
@@ -333,6 +330,14 @@ class ConformalState:
     def curvature(self):
         """Scalar curvature field R (computed once)."""
         return scalar_curvature(self)
+
+    @cached_property
+    def fit(self):
+        """u~'s cubic spline on the grid, clamped to (0, edge_slope), as a
+        function of the points s (`GridSpline.fit`; computed once).  The frame
+        map and the normalized profile both evaluate it, so a state solves
+        its slope system at most once."""
+        return self.grid.spline.fit(self.log_factor, self.edge_slope)
 
     @cached_property
     def stiffness(self):
@@ -369,18 +374,33 @@ def _edge_ghost_jump(f, h, edge_slope):
     return 3.0 * (f[-2] - f[-1]) + 0.5 * (f[-1] - f[-3]) + 3.0 * h * edge_slope
 
 
-def _tip_row(f0, f1, f2, h2):
-    """Lap_E f at the tip from its first three values, in Python floats."""
-    return ((10.0 / 3.0) * (f1 - f0) + (f2 - f0) / 6.0) / h2 - (2.0 / 3.0) * (f1 - f0)
+def _laplacian_rows(f, grid, edge_slope, out):
+    """Write Lap_E f into `out` and return the differences d = diff(f).
 
-
-def _edge_row(grid, last3, edge_slope):
-    """Lap_E f at the outer edge from its last three values, a list of Python
-    floats: the ghost flux a_{n-1/2} (ghost - f_{n-1}) less the flux
-    a_{n-3/2} (f_{n-1} - f_{n-2}), over b h^2."""
+    Interior row i is lap_up_i d_i - lap_down_i d_{i-1}.  The tip and edge
+    rows are taken in Python floats, which are cheaper than numpy scalars and
+    round the same.  `background_laplacian` and `flow._stage_rhs` both write
+    their rows here, so both give the same bits.
+    """
+    # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
+    # matching the s->0 limit of the interior conservative stencil.  A plain
+    # 4(f1-f0)/h^2 tip carries F''''/6 instead; the O(1) coefficient jump is
+    # invisible in the operator itself but pollutes compositions such as
+    # Lap_g(R^h) at the axis with an O(1) error.  The edge row uses the
+    # cubic-Hermite ghost for the same reason: the ghost flux
+    # a_{n-1/2} (ghost - f_{n-1}) less the flux a_{n-3/2} (f_{n-1} - f_{n-2}),
+    # over b h^2.
+    d = f[1:] - f[:-1]
+    inner = out[1:-1]
+    np.multiply(grid.lap_up, d[1:], out=inner)
+    inner -= grid.lap_down * d[:-1]
+    f0, f1, f2 = f[:3].tolist()
+    out[0] = ((10.0 / 3.0) * (f1 - f0) + (f2 - f0) / 6.0) / grid.h2 - (2.0 / 3.0) * (f1 - f0)
     a_out, a_in, bh2, h = grid.edge_coefficients
+    last3 = f[-3:].tolist()
     jump = _edge_ghost_jump(last3, h, edge_slope)
-    return (a_out * jump - a_in * (last3[2] - last3[1])) / bh2
+    out[-1] = (a_out * jump - a_in * (last3[2] - last3[1])) / bh2
+    return d
 
 
 def _radial_derivative(grid, f, edge_slope):
@@ -411,26 +431,12 @@ def background_laplacian(f, grid, edge_slope=0.0):
 
     `f` is a rotationally symmetric profile in s; the outer ghost node
     carries `edge_slope` as the Neumann slope of f.  With the default slope 0
-    the operator annihilates constants exactly at every node.  Interior row i
-    is lap_up_i d_i - lap_down_i d_{i-1} on the differences d = diff(f), and
-    the tip and edge rows come from `_tip_row` and `_edge_row`: the same
-    arithmetic as `flow._stage_rhs`, so both give the same bits.
+    the operator annihilates constants exactly at every node.  Its rows are
+    `_laplacian_rows`, the stencil each RKC2 stage writes too.
     """
-    # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
-    # matching the s->0 limit of the interior conservative stencil.  A plain
-    # 4(f1-f0)/h^2 tip carries F''''/6 instead; the O(1) coefficient jump is
-    # invisible in the operator itself but pollutes compositions such as
-    # Lap_g(R^h) at the axis with an O(1) error.  The edge row uses the
-    # cubic-Hermite ghost for the same reason.
     f = _check_field(f, grid)
     out = np.empty_like(f)
-    # the tip and edge rows in Python floats, which are cheaper than numpy
-    # scalars and round the same
-    d = f[1:] - f[:-1]
-    np.multiply(grid.lap_up, d[1:], out=out[1:-1])
-    out[1:-1] -= grid.lap_down * d[:-1]
-    out[0] = _tip_row(*f[:3].tolist(), grid.h2)
-    out[-1] = _edge_row(grid, f[-3:].tolist(), edge_slope)
+    _laplacian_rows(f, grid, edge_slope, out)
     return out
 
 

@@ -35,7 +35,9 @@ The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
 value with a ConfigError before anything is built, including a spacing
 h = s_max/(n-1) above sqrt 5, where the tip stencil loses its maximum
-principle.
+principle, and a value of the wrong JSON type: `grid.n`, `seed` and
+`random_bumps` are integers, every other number is a JSON number, and
+neither may be a string or a boolean.
 """
 
 from __future__ import annotations
@@ -130,8 +132,17 @@ def _power_of_two_plus_one(n):
     return n >= 2 and (n - 1) & (n - 2) == 0
 
 
+def _json_number(value, key, integer=False):
+    """`value` if it is a JSON number, or a JSON integer where `integer`:
+    never a string or a boolean, and never a fraction read as an integer."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}")
+    return value
+
+
 def _positive(section, key):
-    value = float(section[key])
+    value = float(_json_number(section[key], key))
     if not (np.isfinite(value) and value > 0):
         raise ConfigError(f"{key} must be positive and finite, got {value!r}")
     return value
@@ -165,7 +176,7 @@ def _parse_config(data):
     if grid.get("kind") != "radial":
         raise ConfigError(f"grid.kind must be 'radial', got {grid.get('kind')!r}")
     _require_keys(grid, _GRID_KEYS, "grid")
-    n = int(grid["n"])
+    n = _json_number(grid["n"], "grid.n", integer=True)
     if not (_power_of_two_plus_one(n) and n >= MIN_NODES):
         raise ConfigError(f"grid.n must be a power of two plus one for refinement "
                           f"studies, at least {MIN_NODES}, got {n}")
@@ -185,12 +196,18 @@ def _parse_config(data):
         _positive(initial, "scale")
     if itype == "perturbed_cigar":
         _positive(initial, "width")
-        if not np.isfinite(float(initial["amplitude"]) + float(initial["center"])):
+        if not np.isfinite(float(_json_number(initial["amplitude"], "amplitude"))
+                           + float(_json_number(initial["center"], "center"))):
             raise ConfigError("perturbed_cigar.amplitude and center must be finite")
-        if int(initial.get("random_bumps", 0)) < 0:
+        if _json_number(initial.get("random_bumps", 0), "random_bumps", integer=True) < 0:
             raise ConfigError("perturbed_cigar.random_bumps must be non-negative")
     if itype == "custom_table":
-        values = np.asarray(initial["log_u0"], dtype=float)
+        table = initial["log_u0"]
+        if not isinstance(table, list):
+            raise ConfigError(f"custom_table.log_u0 must be a list of numbers, got {table!r}")
+        for value in table:
+            _json_number(value, "each custom_table.log_u0 entry")
+        values = np.asarray(table, dtype=float)
         if values.shape != (n,):
             raise ConfigError(f"custom_table.log_u0 has {values.size} values, grid has {n} nodes")
         if not np.all(np.isfinite(values)):
@@ -213,7 +230,7 @@ def _parse_config(data):
     for key, interval in intervals.items():
         if t_end / interval > MAX_EVENTS:
             raise ConfigError(f"{key} {interval:g} gives more than {MAX_EVENTS} stops")
-    seed = int(data.get("seed", 0))
+    seed = _json_number(data.get("seed", 0), "seed", integer=True)
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 

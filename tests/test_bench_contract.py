@@ -1,11 +1,15 @@
 """The benchmark in bench/ times cigarflow functions it wraps by name from
-outside the package; a rename or removal must fail here, not in a later
-traced benchmark run."""
+outside the package, and checks each workload's output with its own gates;
+a rename, a removal or a failed gate must fail here, not in a later
+benchmark run."""
 
 import importlib
 import inspect
+import math
 import runpy
 from pathlib import Path
+
+import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -39,3 +43,16 @@ def test_benchmark_round_trip_check_accepts_a_reloaded_snapshot(tmp_path):
     path = tmp_path / "snapshot.txt"
     snapshots.save_snapshot(state, path)
     assert workloads["states_identical"](state, snapshots.load_snapshot(path)) is True
+
+
+@pytest.mark.parametrize("name", ["relax_long", "refine", "record_dense"])
+def test_benchmark_workload_passes_its_own_checks(tmp_path, name):
+    # one iteration of each benchmark workload, checked by the benchmark's
+    # own gates: a change that would end a benchmark run as incorrect or
+    # failed fails here first
+    workloads = runpy.run_path(str(TRACER.parent / "workloads.py"))
+    workload = workloads["WORKLOADS"][name]()
+    workload.setup(0, tmp_path / name)
+    output = workload.iterate()
+    assert workload.check(output) == []
+    assert math.isfinite(workload.max_err(output))

@@ -76,7 +76,8 @@ def test_v_equals_minus_curvature_time_integral_pointwise():
     # mid-grid point is O(h^2) and shrinks at second order
     def fixed_curvature(st):
         r = st.curvature
-        return flow.map_to_fixed(st, r, _edge_slope_estimate(st.grid, r))
+        nodes = np.arcsinh(st.grid.r * np.exp(-st.log_scale))
+        return st.grid.spline.fit(r, _edge_slope_estimate(st.grid, r))(nodes)
 
     def gap(n):
         state = build_scenario(config_for({"type": "exact_cigar"}, "comoving", n=n))

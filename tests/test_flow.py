@@ -211,9 +211,9 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
     stages = []
     rkc_step = flow._rkc_step
 
-    def spy(rhs, y0, dt, s, rate0=None):
+    def spy(rhs, y0, dt, s):
         stages.append(s)
-        return rkc_step(rhs, y0, dt, s, rate0)
+        return rkc_step(rhs, y0, dt, s)
 
     monkeypatch.setattr(flow, "_rkc_step", spy)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
@@ -224,10 +224,12 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
     """The spline slope solves of the shipped run, set-up included: one for
-    u~0's maximum, one per accepted step (348, the map of f) and one per
-    record (21, u~'s fit in `fixed_fields`, which `profile_distance` reuses).
-    The count is exact; refitting u~ for the normalized profile takes 390,
-    one more per record after t = 0."""
+    u~0's maximum, one for the t = 0 record's normalized profile (the initial
+    state has log L = 0, so it is never mapped) and one per accepted step
+    (348, u~'s fit for the frame map, `ConformalState.fit`).  The 20 later
+    records reuse their step's fit.  The count is exact; fitting u~ anew at
+    each record takes 370, and refitting it for the normalized profile as
+    well took 390."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     solves = []
     solve = GridSpline._solve
@@ -241,7 +243,7 @@ def test_shipped_run_solve_count(config_dir, monkeypatch):
                       record_interval=config.record_interval)
     assert not result.aborted
     assert len(result.records) == 21
-    assert len(solves) == 370
+    assert len(solves) == 350
 
 
 def test_adaptive_dt_curvature_bound():
@@ -559,17 +561,20 @@ def test_normalize_shifted_flat_plane():
 def test_profile_distance_on_the_cached_window_is_a_fresh_grid_bit_for_bit(n, monkeypatch):
     # the window grid and its cigar profile are cached per (k, h); the
     # distance must be the one on a freshly built RadialGrid(k, (k - 1) h),
-    # with and without the record's u~ fit, at t = 0 and on evolved data
+    # with the state's cached u~ fit and with a fresh state's own, at t = 0
+    # and on evolved data
     bump = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5}
     config = radial_config(n=n, initial=bump, t_end=0.3, record=0.3)
     start = build_scenario(config)
     final = flow.run(start, config.t_end, record_interval=config.record_interval).final_state
     fresh_window = flow._profile_window.__wrapped__
     for state in (start, final):
-        u_fit = flow.fixed_fields(state)["u_fit"]
+        conf = state.conformal
         for s_window in (None, 2.0, 4.0, 7.9):
             cached = [flow.profile_distance(state, s_window) for _ in range(2)]
-            cached.append(flow.profile_distance(state, s_window, u_fit))
+            unfitted = ConformalState(state.grid, conf.log_factor, conf.edge_slope)
+            assert "fit" not in vars(unfitted)
+            cached.append(flow.profile_distance(replace(state, conformal=unfitted), s_window))
             with monkeypatch.context() as patch:
                 patch.setattr(flow, "_profile_window", fresh_window)
                 fresh = flow.profile_distance(state, s_window)
@@ -617,14 +622,21 @@ def test_kahler_perturbed_stays_within_tenfold_of_soliton():
     )
 
 
+def fixed_potential(state):
+    """The state's potential at the fixed nodes arcsinh(r / L), from its own
+    clamped spline."""
+    nodes = np.arcsinh(state.grid.r * np.exp(-state.log_scale))
+    return state.grid.spline.fit(state.potential, state.potential_slope)(nodes)
+
+
 def kahler_cross_check(states):
     """Reference for the runner's phi accumulator: kahler_residual of the
     last state, with phi rebuilt from an explicit trajectory that starts at
     t = 0 by the same trapezoidal rule `step` applies."""
     phi = np.zeros(states[0].grid.n)
-    f_prev = flow.map_to_fixed(states[0], states[0].potential, states[0].potential_slope)
+    f_prev = fixed_potential(states[0])
     for prev, st in zip(states, states[1:]):
-        f_now = flow.map_to_fixed(st, st.potential, st.potential_slope)
+        f_now = fixed_potential(st)
         phi = phi - 0.5 * (st.t - prev.t) * (f_prev + f_now)
         f_prev = f_now
     last = replace(states[-1], acc=replace(states[-1].acc, phi=phi))
@@ -645,9 +657,7 @@ def test_u_fixed_is_the_mapped_log_factor(tmp_path):
     # fixed_fields reads u~ from acc.u_fixed, so it must equal the mapped u^
     # less 2 log L bit for bit wherever a state comes from
     def assert_mapped(state):
-        conf = state.conformal
-        mapped = flow.map_to_fixed(state, conf.log_factor, conf.edge_slope) - 2.0 * state.log_scale
-        assert state.acc.u_fixed.tobytes() == mapped.tobytes()
+        assert state.acc.u_fixed.tobytes() == flow.map_to_fixed(state).tobytes()
 
     state = build_scenario(radial_config(
         n=65, initial={"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0,
@@ -688,19 +698,21 @@ def test_frame_map_is_scipy_cubic_spline_bit_for_bit(data, log_scale, factor):
     grid, values, slope = data
     assume(log_scale != 0.0)  # log L = 0 maps by the identity
     reference = scipy_spline(grid, values, slope)
-    # map_to_fixed reads only the grid and log L of its state; L < 1
-    # pushes the outer nodes beyond s_max, where the end piece extrapolates
-    state = SimpleNamespace(grid=grid, log_scale=log_scale)
-    mapped = flow.map_to_fixed(state, values, slope)
-    expected = reference(np.arcsinh(grid.r * np.exp(-log_scale)))
-    assert mapped.tobytes() == expected.tobytes()
-    # normalize's positions, clipped to the last knot (a closed interval)
+    # map_to_fixed reads the grid, the conformal state and log L of its
+    # state; L < 1 pushes the outer nodes beyond s_max, where the end piece
+    # extrapolates
+    state = SimpleNamespace(grid=grid, conformal=ConformalState(grid, values, slope),
+                            log_scale=log_scale)
+    nodes = np.arcsinh(grid.r * np.exp(-log_scale))
+    expected = reference(nodes) - 2.0 * log_scale
+    assert flow.map_to_fixed(state).tobytes() == expected.tobytes()
+    # normalize's positions, clipped to the last knot (a closed interval),
+    # from the same cached fit, as a record reuses its step's
+    fit = state.conformal.fit
     pos = np.minimum(np.arcsinh(factor * grid.r), grid.s_max)
-    assert grid.spline(values, pos, slope).tobytes() == reference(pos).tobytes()
-    # one fit serves both point sets, as a record's u~ fit does
-    fit = grid.spline.fit(values, slope)
     assert fit(pos).tobytes() == reference(pos).tobytes()
-    assert fit(np.arcsinh(grid.r * np.exp(-log_scale))).tobytes() == expected.tobytes()
+    assert fit(nodes).tobytes() == reference(nodes).tobytes()
+    assert state.conformal.fit is fit
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -709,9 +721,10 @@ def test_frame_map_refuses_non_finite_values(bad, slope):
     grid = RadialGrid(65, 8.0)
     values = -cigar.cigar_potential_arclength(grid.s)
     values[40] = bad
-    state = SimpleNamespace(grid=grid, log_scale=0.3)
+    state = SimpleNamespace(grid=grid, conformal=ConformalState(grid, values, slope),
+                            log_scale=0.3)
     for call in (lambda: scipy_spline(grid, values, slope),
-                 lambda: flow.map_to_fixed(state, values, slope)):
+                 lambda: flow.map_to_fixed(state)):
         with pytest.raises(ValueError, match="`y` must contain only finite values"):
             call()
 

@@ -151,6 +151,16 @@ def test_parse_config_raises_only_config_error(mutations):
     # spacing h above sqrt 5 turns the tip row's coefficient of f_1 negative
     {"grid": {"kind": "radial", "n": 65, "s_max": 170}},
     {"grid": {"kind": "radial", "n": 17, "s_max": 50}},
+    # numbers of the wrong JSON type, which int() and float() would accept
+    {"grid": {"kind": "radial", "n": 65.7, "s_max": 8.0}},
+    {"grid": {"kind": "radial", "n": "65", "s_max": 8.0}},
+    {"seed": 1.5},
+    {"seed": True},
+    {"initial": {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5,
+                 "random_bumps": 2.9}},
+    {"stepping": {"safety": "0.9", "t_end": 0.2, "record_interval": 0.1}},
+    {"stepping": {"safety": 0.9, "t_end": True, "record_interval": 0.1}},
+    {"initial": {"type": "custom_table", "log_u0": [0.0] * 64 + [True]}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     path = tmp_path / "config.json"
@@ -660,12 +670,21 @@ def test_verify_fails_conservation_when_the_companion_run_aborts(monkeypatch, ov
     assert detail.startswith("companion cigar-data run aborted: sup u~ rose")
 
 
-def test_cli_converge_refuses_a_coarse_level_above_the_spacing_limit(tmp_path, capsys):
+@pytest.mark.parametrize("n, s_max, message", [
     # n = 65 has h = 1.5625, but the study's n = 33 level has h = 3.125 > sqrt 5
-    cfg_path = write_config(tmp_path, base_config(grid={"kind": "radial", "n": 65,
-                                                        "s_max": 100.0}))
+    (65, 100.0, "sqrt(5)"),
+    # n = 17 is a valid grid, but the study's n = 9 level has fewer than 16
+    # nodes: refused, not replaced by a second run at n = 17
+    (17, 8.0, "at least 16"),
+], ids=["spacing", "nodes"])
+def test_cli_converge_refuses_a_coarse_level_above_the_spacing_limit(tmp_path, capsys, n,
+                                                                     s_max, message):
+    cfg_path = write_config(tmp_path, base_config(grid={"kind": "radial", "n": n,
+                                                        "s_max": s_max}))
     assert cli.main(["converge", str(cfg_path)]) == 2
-    assert "sqrt(5)" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "max|u~ - exact|" not in captured.out  # refused before any level runs
 
 
 def test_cli_converge_requires_exact_family(tmp_path):
@@ -740,7 +759,7 @@ def test_cli_a_scenario_build_a_step_and_a_map_leave_scipy_unimported(config_dir
         "state = scenarios.build_scenario(config)\n"
         "state = flow.step(state, flow.adaptive_dt(state))\n"
         "assert state.frame == flow.COMOVING and state.log_scale != 0.0\n"
-        "flow.map_to_fixed(state, state.conformal.log_factor, state.conformal.edge_slope)\n"
+        "flow.map_to_fixed(state)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
