@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from cigarflow.diagnostics import emit_diagnostics, read_diagnostics
+from cigarflow.flow import RunTelemetry
 from cigarflow.scenarios import (
     ConfigError,
     load_config,
@@ -89,6 +91,7 @@ def cmd_run(args):
             "profile_distance_final": result.profile_distance_final,
             "dist_trace": result.dist_trace,
             "kahler_trace": result.kahler_trace,
+            "telemetry": asdict(result.telemetry),
             "hypothesis": {
                 "sup_log_u0": result.final_state.init.sup_log_u0,
                 "sup_grad_log_u0": result.final_state.init.sup_grad_log_u0,
@@ -153,8 +156,13 @@ def cmd_converge(args):
     return EXIT_OK
 
 
+_TELEMETRY_KEYS = tuple(f.name for f in fields(RunTelemetry))
+
+
 def _read_run_dir(run_dir):
-    """Records, summary and its (t, value) traces; ValueError if malformed."""
+    """Records, summary and its (t, value) traces; ValueError if malformed.
+    A summary without "telemetry" (written before runs counted their steps)
+    is well formed."""
     records = read_diagnostics(run_dir / "diagnostics.csv")
     if not records:
         raise ValueError("diagnostics.csv has no records")
@@ -171,6 +179,10 @@ def _read_run_dir(run_dir):
                            if v is not None]
         except (TypeError, ValueError) as err:
             raise ValueError(f"summary.json {key} is not a list of [t, value] pairs") from err
+    telemetry = summary.get("telemetry")
+    if telemetry is not None and not (isinstance(telemetry, dict) and all(
+            type(telemetry.get(key)) is int for key in _TELEMETRY_KEYS)):
+        raise ValueError(f"summary.json telemetry is not an object of the counts {_TELEMETRY_KEYS}")
     return records, summary, traces
 
 
@@ -197,6 +209,11 @@ def cmd_report(args):
     kah = traces["kahler_trace"]
     if kah:
         print(f"  Kahler reconstruction residual at t={kah[-1][0]:g}: {kah[-1][1]:.6e}")
+    tel = summary.get("telemetry")
+    if tel is not None:
+        print(f"  steps: {tel['steps']} accepted, {tel['clipped_steps']} clipped to an event "
+              f"time; RKC2 stages: {tel['stages']}, and {tel['probe_stages']} in the "
+              f"curvature probe")
     drift = max(rec.w_drift for rec in records)
     print(f"  max w drift: {drift:.6e}")
     print(f"  width bound: {records[0].width_bound:.6f} -> {records[-1].width_bound:.6f}")

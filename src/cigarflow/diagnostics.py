@@ -35,8 +35,9 @@ class DiagnosticsRecord:
 
     The first twelve fields are the CSV columns; `v_discrepancy` (the gap
     between the evolved v = f(0) - f at the origin and the independently
-    accumulated -integral of R(origin)) travels with the record but is not
-    serialized.
+    accumulated -integral of R(origin)) and `probe_stages` (the RKC2 stages
+    of the curvature probe behind `res_curv_evo`) travel with the record but
+    are not serialized.
     """
 
     t: float
@@ -52,6 +53,7 @@ class DiagnosticsRecord:
     res_poisson: float
     res_curv_evo: float
     v_discrepancy: float = float("nan")
+    probe_stages: int = 0
 
     def csv_row(self):
         return [repr(float(getattr(self, name))) for name in CSV_COLUMNS]

@@ -13,8 +13,8 @@ Lap_g (-u~)).  Only u~ is stepped, by the damped second-order
 Runge-Kutta-Chebyshev method (RKC2; Verwer, Hundsdorfer and Sommeijer 1990,
 Sommeijer, Shampine and Verwer 1997).  Its real stability interval grows as
 ~0.65 s^2 with the stage count s, so the step size follows the curvature (u~
-moves by about h per step) and the stage count follows the stiffness of the
-diffusion, rather than dt following h^2.  The stiffness rho
+moves by about CURVATURE_STEP * h = 1.4 h per step) and the stage count
+follows the stiffness of the diffusion, rather than dt following h^2.  The stiffness rho
 is Gershgorin's bound of a diagonally scaled copy of e^{-u~} Lap_E
 (`RadialGrid.gershgorin_rows`): a bound for every diffusivity, the tip and
 the ghost edge row included, and within 7% of the true radius on the cigar.
@@ -124,6 +124,9 @@ RKC_DAMPING = 2.0 / 13.0
 # unstable step rather than run with a stage table that grows without bound.
 MAX_STAGES = 20
 STAGE_LIMIT = 10 * MAX_STAGES
+# C of `adaptive_dt`'s accuracy bound C h / sup|R|, chosen there from the
+# balance of time and spatial error (README, "Step size")
+CURVATURE_STEP = 1.4
 
 
 class FlowInstabilityError(RuntimeError):
@@ -311,6 +314,12 @@ def _stage_count(stiffness):
     return s
 
 
+def _stages(state, dt):
+    """The stage count `_advance` takes for a step of size dt from the state
+    (a dt within STAGE_LIMIT stages)."""
+    return _stage_count(dt * state.conformal.stiffness)
+
+
 def _rkc_step(rhs, y0, dt, s):
     """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
 
@@ -327,11 +336,16 @@ def _rkc_step(rhs, y0, dt, s):
 
 
 def adaptive_dt(state, safety=0.9):
-    """The step size: safety * min(h / sup|R|, beta(MAX_STAGES) / rho).
+    """The step size: safety * min(C h / sup|R|, beta(MAX_STAGES) / rho),
+    C = CURVATURE_STEP.
 
-    The first term bounds accuracy: u~ moves by about h per step (d u~/dt =
+    The first term bounds accuracy: u~ moves by about C h per step (d u~/dt =
     -R), and in the co-moving frame it implies the advective limit
-    h / |gamma| of the transport term, since |gamma| = |R(origin)| / 2.  The
+    C h / |gamma| of the transport term, since |gamma| = |R(origin)| / 2.
+    C = 1.4 is the largest of {1, 1.25, 1.4, 1.5, 1.75} that keeps the
+    shipped run's time error at t = 5 at most 1/100 of its spatial error at
+    n = 129 and 257 (measured 106 and 111; 203 and 214 at C = 1); with
+    dt ~ h both errors are O(h^2), so one constant serves every grid.  The
     second caps the stage count at MAX_STAGES, and keeps dt finite on the
     flat plane, where R = 0.  rho = max(e^{-u} rows) bounds the spectrum of
     the diffusion operator, rows the grid's `gershgorin_rows`
@@ -343,7 +357,7 @@ def adaptive_dt(state, safety=0.9):
         raise ValueError("safety must be positive")
     rho = state.conformal.stiffness
     sup_r = float(np.max(np.abs(state.curvature)))
-    dt_curv = state.grid.h / sup_r if sup_r > 0.0 else np.inf
+    dt_curv = CURVATURE_STEP * state.grid.h / sup_r if sup_r > 0.0 else np.inf
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
 
 
@@ -430,6 +444,7 @@ def monitor(state, dt_hint=None):
     without the accumulators.  The probe's steps have the diffusive size
     0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
     measuring the same O(dt^2 + h^2) residual on the state's own nodes.
+    The record carries the probe's stage count (0 when the probe fails).
     """
     u_hat = state.conformal.log_factor
     if not np.all(np.isfinite(u_hat)):
@@ -447,8 +462,9 @@ def monitor(state, dt_hint=None):
         s1 = _advance(state, dtp)
         s2 = _advance(s1, dtp)
         res_curv = float(np.max(np.abs(curvature_evolution_residual(state, s1, s2))))
+        probe_stages = _stages(state, dtp) + _stages(s1, dtp)
     except FlowInstabilityError:
-        res_curv = float("nan")
+        res_curv, probe_stages = float("nan"), 0
     v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
     return DiagnosticsRecord(
         t=state.t,
@@ -465,6 +481,7 @@ def monitor(state, dt_hint=None):
         res_poisson=res_poisson,
         res_curv_evo=res_curv,
         v_discrepancy=v_disc,
+        probe_stages=probe_stages,
     )
 
 
@@ -609,6 +626,17 @@ def kahler_residual(state):
 # ---------------------------------------------------------------------------
 
 @dataclass
+class RunTelemetry:
+    """Deterministic counts of a run's stepping (`summary.json`'s
+    "telemetry" and `cigarflow report`; not in the diagnostics CSV)."""
+
+    steps: int = 0            # accepted steps
+    clipped_steps: int = 0    # accepted steps whose dt was cut to a record, snapshot or final time
+    stages: int = 0           # RKC2 stages of the accepted steps
+    probe_stages: int = 0     # RKC2 stages of the records' curvature probes
+
+
+@dataclass
 class RunResult:
     """Trajectory-level output of `run`."""
 
@@ -619,6 +647,7 @@ class RunResult:
     dist_trace: list          # [(t, profile distance)]
     kahler_trace: list        # [(t, reconstruction residual)]
     profile_distance_final: float | None
+    telemetry: RunTelemetry
 
 
 def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
@@ -630,6 +659,8 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     final times exactly).  On instability the run stops and carries the last
     good records with `aborted` set.  `snapshot_hook(state)` is called at
     each requested snapshot time; `progress(record)` after each record.
+    The result's `telemetry` counts the accepted steps, those clipped to an
+    event time, and the RKC2 stages of the steps and of the records' probes.
     """
     if t_end <= state.t:
         raise ValueError("t_end must exceed the state's time")
@@ -643,12 +674,14 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     events = sorted(e for e in events if state.t < e <= t_end)
 
     records, dist_trace, kahler_trace = [], [], []
+    telemetry = RunTelemetry()
 
     def record(state):
         """Append the state's record and traces, report them and take a
         snapshot where one is due; returns the record."""
         rec = monitor(state, dt_hint=dt_free)
         records.append(rec)
+        telemetry.probe_stages += rec.probe_stages
         try:
             dist = profile_distance(state, min(s_report, state.grid.s_max))
         except ValueError:
@@ -670,11 +703,16 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     abort_message = None
     for target in events:
         while state.t < target - 1e-13:
+            dt = min(dt_free, target - state.t)
             try:
-                state = step(state, min(dt_free, target - state.t))
+                new_state = step(state, dt)
             except FlowInstabilityError as err:
                 aborted, abort_message = True, str(err)
                 break
+            telemetry.steps += 1
+            telemetry.clipped_steps += int(dt < dt_free)
+            telemetry.stages += _stages(state, dt)
+            state = new_state
             if abs(state.t - target) < 1e-12:
                 state = replace(state, t=target)
             dt_free = adaptive_dt(state, safety)
@@ -692,6 +730,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         dist_trace=dist_trace,
         kahler_trace=kahler_trace,
         profile_distance_final=dist_trace[-1][1],
+        telemetry=telemetry,
     )
 
 

@@ -234,8 +234,13 @@ def _parse_config(data):
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
 
+    name = data["name"]
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"name must be a non-empty string without '/' or '\\' and not "
+                          f"'.' or '..' (it names the default output directory), got {name!r}")
+
     return ScenarioConfig(
-        name=str(data["name"]),
+        name=name,
         grid=dict(grid),
         initial=dict(initial),
         safety=_positive(stepping, "safety"),

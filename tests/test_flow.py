@@ -204,9 +204,11 @@ def test_raised_tip_takes_enough_stages():
 
 
 def test_shipped_run_stage_count(config_dir, monkeypatch):
-    # the stages of every RKC2 step of the shipped run: the accepted steps'
-    # (2093) and the curvature probe's two 2-stage steps per record (84).
-    # The count is exact; a looser stiffness bound takes more (2549).
+    # the stages of every RKC2 step of the shipped run: the 252 accepted
+    # steps' (1761) and the curvature probe's two 2-stage steps per record
+    # (84), as the run's telemetry counts them.  The count is exact; the
+    # accuracy bound h / sup|R| took 2093 + 84, and a looser stiffness bound
+    # took more still (2549 + 84).
     config = load_config(config_dir / "perturbed_relax_129.json")
     stages = []
     rkc_step = flow._rkc_step
@@ -219,17 +221,18 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted
-    assert sum(stages) <= 2177
+    assert sum(stages) == 1761 + 84
+    assert (result.telemetry.stages, result.telemetry.probe_stages) == (1761, 84)
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
     """The spline slope solves of the shipped run, set-up included: one for
     u~0's maximum, one for the t = 0 record's normalized profile (the initial
     state has log L = 0, so it is never mapped) and one per accepted step
-    (348, u~'s fit for the frame map, `ConformalState.fit`).  The 20 later
+    (252, u~'s fit for the frame map, `ConformalState.fit`).  The 20 later
     records reuse their step's fit.  The count is exact; fitting u~ anew at
-    each record takes 370, and refitting it for the normalized profile as
-    well took 390."""
+    each record takes 274 (under the accuracy bound h / sup|R|, 348 steps
+    made 350 solves)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     solves = []
     solve = GridSpline._solve
@@ -243,17 +246,68 @@ def test_shipped_run_solve_count(config_dir, monkeypatch):
                       record_interval=config.record_interval)
     assert not result.aborted
     assert len(result.records) == 21
-    assert len(solves) == 350
+    assert len(solves) == 254
 
 
 def test_adaptive_dt_curvature_bound():
-    # on cigar data the accuracy bound h / sup|R| is the smaller term, in
+    # on cigar data the accuracy bound C h / sup|R| is the smaller term, in
     # both frames; sup|R| = 4 at the tip
+    assert flow.CURVATURE_STEP == 1.4
     for frame in ("comoving", "fixed"):
         state = cigar_flow_state(129, frame=frame)
         sup_r = np.max(np.abs(state.curvature))
         assert sup_r == pytest.approx(4.0, abs=5 * state.grid.h**2)
-        assert flow.adaptive_dt(state, 0.9) == 0.9 * (state.grid.h / sup_r)
+        assert flow.adaptive_dt(state, 0.9) == 0.9 * (flow.CURVATURE_STEP * state.grid.h / sup_r)
+
+
+def test_time_error_stays_a_hundredth_of_the_spatial_error(config_dir):
+    """The rule behind CURVATURE_STEP, on the shipped run: at t = 5 its time
+    error stays at most 1/100 of its spatial error, both taken on u~ at the
+    fixed nodes at n = 129.  The time error is a Richardson estimate, the
+    gap between the run at the shipped safety 0.9 and its extrapolation
+    u(0.45) + (u(0.45) - u(0.9)) / 3; the spatial error is the gap between
+    the extrapolated runs at n = 129 and 257 on the shared nodes.  Measured
+    108 (a dt-converged reference gives 106); C = 1.5 gives 94, C = 1 gives
+    206."""
+    data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+
+    def u_fixed(n, safety):
+        data["grid"]["n"], data["stepping"]["safety"] = n, safety
+        config = parse_config(data)
+        result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                          record_interval=config.record_interval)
+        assert not result.aborted and result.final_state.t == 5.0
+        return result.final_state.acc.u_fixed
+
+    runs = {(n, safety): u_fixed(n, safety) for n in (129, 257) for safety in (0.9, 0.45)}
+
+    def extrapolated(n):
+        return runs[n, 0.45] + (runs[n, 0.45] - runs[n, 0.9]) / 3.0
+
+    time_error = np.max(np.abs(runs[129, 0.9] - extrapolated(129)))
+    spatial_error = np.max(np.abs(extrapolated(129) - extrapolated(257)[::2]))
+    assert spatial_error / time_error >= 100.0
+
+
+def test_shipped_run_telemetry(shipped_reports):
+    # every record time ends one clipped step; the stage counts are pinned
+    # exactly by test_shipped_run_stage_count
+    telemetry = shipped_reports["perturbed_relax_129"].result.telemetry
+    assert (telemetry.steps, telemetry.clipped_steps) == (252, 20)
+
+
+def test_record_dense_steps_are_all_clipped():
+    # records every 0.005 come before the free step at n = 65, so each step
+    # is cut to the next record and the accuracy bound never sets dt
+    bumps = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5,
+             "random_bumps": 2}
+    config = radial_config(n=65, initial=bumps, t_end=0.25, record=0.005, extra={"seed": 0})
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted
+    telemetry = result.telemetry
+    assert telemetry.steps == telemetry.clipped_steps == 50
+    assert min(rec.dt for rec in result.records) > 0.005
 
 
 def test_adaptive_dt_scales_with_diffusivity():
@@ -442,8 +496,8 @@ def test_v_consistency_accumulates_at_scheme_order():
         result = flow.run(cigar_flow_state(n), 0.5, safety=0.9, record_interval=0.5)
         discrepancies[n] = result.records[-1].v_discrepancy
     assert discrepancies[129] <= 2e-6
-    # dt = 0.9 h / sup|R| scales with h; the drift fell 14x from n = 65 to
-    # 129 and 16x from 129 to 257
+    # dt = 0.9 CURVATURE_STEP h / sup|R| scales with h; under dt = 0.9 h /
+    # sup|R| the drift fell 14x from n = 65 to 129 and 16x from 129 to 257
     assert discrepancies[65] / discrepancies[129] >= 6.0
 
 

@@ -161,6 +161,17 @@ def test_parse_config_raises_only_config_error(mutations):
     {"stepping": {"safety": "0.9", "t_end": 0.2, "record_interval": 0.1}},
     {"stepping": {"safety": 0.9, "t_end": True, "record_interval": 0.1}},
     {"initial": {"type": "custom_table", "log_u0": [0.0] * 64 + [True]}},
+    # a name that is no JSON string, or that would put the default output
+    # directory runs/<name> at runs/ itself or outside it
+    {"name": None},
+    {"name": 5},
+    {"name": True},
+    {"name": ""},
+    {"name": "."},
+    {"name": ".."},
+    {"name": "../x"},
+    {"name": "a/b"},
+    {"name": "a\\b"},
 ])
 def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     path = tmp_path / "config.json"
@@ -596,6 +607,24 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert cli.main(["report", str(out_dir)]) == 0
     text = capsys.readouterr().out
     assert "max w drift" in text
+    telemetry = json.loads((out_dir / "summary.json").read_text())["telemetry"]
+    assert set(telemetry) == {"steps", "clipped_steps", "stages", "probe_stages"}
+    assert (f"steps: {telemetry['steps']} accepted, {telemetry['clipped_steps']} clipped"
+            in text)
+
+
+def test_cli_report_reads_a_summary_without_telemetry(tmp_path, capsys):
+    # run directories written before runs counted their steps still report
+    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
+    summary_path = tmp_path / "out" / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    del summary["telemetry"]
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert cli.main(["report", str(tmp_path / "out")]) == 0
+    text = capsys.readouterr().out
+    assert "max w drift" in text and "steps:" not in text
 
 
 def test_cli_run_instability_exit_code(tmp_path, overdrive):
@@ -711,6 +740,9 @@ def test_cli_usage_errors(tmp_path):
     (None, "[1, 2]"),                                            # not an object
     (None, '{"dist_trace": [[0.0, "far"]]}'),
     (None, '{"kahler_trace": 3}'),
+    (None, '{"telemetry": [252]}'),
+    (None, '{"telemetry": {"steps": 252.0, "clipped_steps": 20, "stages": 1761, '
+           '"probe_stages": 84}}'),
 ])
 def test_cli_report_on_a_malformed_run_dir_exits_2(tmp_path, capsys, csv_text,
                                                    summary_text):
