@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cigarflow.diagnostics import emit_diagnostics, read_diagnostics
+from cigarflow.diagnostics import cigar_number, emit_diagnostics, read_diagnostics
 from cigarflow.flow import RunTelemetry
 from cigarflow.scenarios import (
     ConfigError,
@@ -83,6 +83,10 @@ def cmd_run(args):
         with open(out_dir / "diagnostics.csv", "w") as fh:
             emit_diagnostics(result.records, fh)
         save_snapshot(result.final_state, out_dir / "snapshot_final.txt")
+        # the outermost fixed node's co-moving position a(r_max) =
+        # arcsinh(sinh s_max / L): once it is within 2h of the tip, the
+        # fixed-frame columns sample one spline piece there
+        r_max = result.final_state.grid.r[-1]
         summary = {
             "name": config.name,
             "t_final": result.final_state.t,
@@ -91,6 +95,11 @@ def cmd_run(args):
             "profile_distance_final": result.profile_distance_final,
             "dist_trace": result.dist_trace,
             "kahler_trace": result.kahler_trace,
+            "q_minus_4_trace": [(rec.t, cigar_number(rec.sup_R, rec.cinf_est) - 4.0)
+                                for rec in result.records],
+            "log_scale_trace": result.scale_trace,
+            "fixed_edge_trace": [(t, float(np.arcsinh(r_max * np.exp(-log_scale))))
+                                 for t, log_scale in result.scale_trace],
             "telemetry": asdict(result.telemetry),
             "hypothesis": {
                 "sup_log_u0": result.final_state.init.sup_log_u0,
@@ -157,12 +166,15 @@ def cmd_converge(args):
 
 
 _TELEMETRY_KEYS = tuple(f.name for f in fields(RunTelemetry))
+_TRACE_KEYS = ("dist_trace", "kahler_trace", "q_minus_4_trace", "log_scale_trace",
+               "fixed_edge_trace")
 
 
 def _read_run_dir(run_dir):
-    """Records, summary and its (t, value) traces; ValueError if malformed.
-    A summary without "telemetry" (written before runs counted their steps)
-    is well formed."""
+    """Records, summary, its (t, value) traces and the grid spacing h (None
+    without a fixed_edge_trace); ValueError if malformed.  A summary without
+    "telemetry" or without the last three traces (written before runs
+    counted their steps or traced Q and log L) is well formed."""
     records = read_diagnostics(run_dir / "diagnostics.csv")
     if not records:
         raise ValueError("diagnostics.csv has no records")
@@ -173,7 +185,7 @@ def _read_run_dir(run_dir):
         if not isinstance(summary, dict):
             raise ValueError("summary.json is not a JSON object")
     traces = {}
-    for key in ("dist_trace", "kahler_trace"):
+    for key in _TRACE_KEYS:
         try:
             traces[key] = [(float(t), float(v)) for t, v in summary.get(key) or []
                            if v is not None]
@@ -183,7 +195,14 @@ def _read_run_dir(run_dir):
     if telemetry is not None and not (isinstance(telemetry, dict) and all(
             type(telemetry.get(key)) is int for key in _TELEMETRY_KEYS)):
         raise ValueError(f"summary.json telemetry is not an object of the counts {_TELEMETRY_KEYS}")
-    return records, summary, traces
+    spacing = None
+    if traces["fixed_edge_trace"]:
+        try:
+            grid = summary["config"]["grid"]
+            spacing = float(grid["s_max"]) / (int(grid["n"]) - 1)
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+            raise ValueError("summary.json has a fixed_edge_trace but no config grid") from err
+    return records, summary, traces, spacing
 
 
 def cmd_report(args):
@@ -193,7 +212,7 @@ def cmd_report(args):
         print(f"error: {csv_path} not found", file=sys.stderr)
         return EXIT_USAGE
     try:
-        records, summary, traces = _read_run_dir(run_dir)
+        records, summary, traces, spacing = _read_run_dir(run_dir)
     except (OSError, ValueError) as err:
         print(f"error: malformed run directory {run_dir}: {err}", file=sys.stderr)
         return EXIT_USAGE
@@ -209,6 +228,21 @@ def cmd_report(args):
     kah = traces["kahler_trace"]
     if kah:
         print(f"  Kahler reconstruction residual at t={kah[-1][0]:g}: {kah[-1][1]:.6e}")
+    q = traces["q_minus_4_trace"]
+    if q:
+        print(f"  Q - 4, Q = sup R (C_inf / 2 pi)^2 (0 on every cigar): {q[0][1]:.6e} at "
+              f"t={q[0][0]:g} -> {q[-1][1]:.6e} at t={q[-1][0]:g}")
+    scale = traces["log_scale_trace"]
+    if scale:
+        print(f"  log L: {scale[0][1]:.6g} at t={scale[0][0]:g} -> {scale[-1][1]:.6g} at "
+              f"t={scale[-1][0]:g}")
+    edge = traces["fixed_edge_trace"]
+    if edge:
+        tip_only = next((t for t, a in edge if a < 2.0 * spacing), None)
+        where = (f"below 2h from t={tip_only:g} on (the fixed-frame columns then see only "
+                 f"the tip)" if tip_only is not None else "never below 2h")
+        print(f"  outermost fixed node at co-moving a = {edge[-1][1]:.6g} at t={edge[-1][0]:g}; "
+              f"{where}")
     tel = summary.get("telemetry")
     if tel is not None:
         print(f"  steps: {tel['steps']} accepted, {tel['clipped_steps']} clipped to an event "

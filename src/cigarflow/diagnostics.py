@@ -11,7 +11,8 @@ import csv
 import math
 from dataclasses import dataclass
 
-__all__ = ["DiagnosticsRecord", "CSV_COLUMNS", "emit_diagnostics", "read_diagnostics"]
+__all__ = ["DiagnosticsRecord", "CSV_COLUMNS", "cigar_number", "emit_diagnostics",
+           "read_diagnostics"]
 
 CSV_COLUMNS = [
     "t",
@@ -61,6 +62,18 @@ class DiagnosticsRecord:
     @property
     def finite(self):
         return all(math.isfinite(getattr(self, name)) for name in CSV_COLUMNS)
+
+
+def cigar_number(sup_R, cinf_est):
+    """Q = sup R (C_inf / 2 pi)^2 from a record's `sup_R` and `cinf_est`.
+
+    Q is scale-free and equals 4 on every member of the cigar family (the
+    cigar scaled by lambda has sup R = 4 / lambda at the tip and C_inf =
+    2 pi sqrt(lambda)), so Q - 4 measures how far a profile is from a cigar.
+    Both inputs are co-moving quantities, which keep seeing the whole
+    profile at long horizons.
+    """
+    return sup_R * (cinf_est / (2.0 * math.pi)) ** 2
 
 
 def emit_diagnostics(records, stream):

@@ -18,7 +18,12 @@ follows the stiffness of the diffusion, rather than dt following h^2.  The stiff
 is Gershgorin's bound of a diagonally scaled copy of e^{-u~} Lap_E
 (`RadialGrid.gershgorin_rows`): a bound for every diffusivity, the tip and
 the ghost edge row included, and within 7% of the true radius on the cigar.
-A stage evaluates the rates of u~ and log L together (`_stage_rhs`).
+A stage evaluates the rates of u~ and log L together (`_stage_rhs`).  Each
+state's fields are computed once on the step path: its Laplacian rows
+(`ConformalState.laplacian`) give both its curvature and its stage rate
+(`FlowState.rate`), which is stage 0 of every step taken from it, so the
+accepted step, the record's curvature and the curvature probe share one
+evaluation; the RKC2 recursion runs in three preallocated work vectors.
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -70,8 +75,9 @@ is pinned once by exactness on the soliton family and frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -209,6 +215,18 @@ class FlowState:
         """The potential's Neumann slope at the outer edge, minus u^'s."""
         return -self.conformal.edge_slope
 
+    @cached_property
+    def rate(self):
+        """The stage rate of (u^, log L) at this state, bit for bit
+        `_stage_rhs(state, (u^, log L))` (computed once): e^{-u^} times the
+        conformal state's cached Laplacian rows, plus the co-moving terms.
+        It is stage 0 of every RKC2 step from the state, so the accepted step
+        and the monitor's curvature probe share it."""
+        conf = self.conformal
+        out = np.empty(self.grid.n + 1)
+        np.multiply(conf.laplacian, conf.diffusivity, out=out[:-1])
+        return _with_transport(self, out, conf.differences)
+
 
 # ---------------------------------------------------------------------------
 # frame mapping
@@ -258,21 +276,34 @@ def _stage_rhs(state, y):
     The Laplacian's rows are `background_laplacian`'s (`_laplacian_rows`),
     so the fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies
     each row after the subtraction; folded into the coefficients it would
-    amplify its own rounding through the cancellation in the tail.  In the
-    co-moving frame the advection gamma tanh(s) d/ds is the centred
-    gamma tanh(s)/(2h) (d_i + d_{i-1}) on the differences d = diff(u_hat),
-    and the tip rate of u_hat is exactly 0.
+    amplify its own rounding through the cancellation in the tail.  The
+    co-moving terms are `_with_transport`'s.  Stage 0, the rate at the state
+    itself, is `FlowState.rate`, which gives the same bits from the state's
+    cached rows.
     """
-    grid = state.grid
     out = np.empty_like(y)
     u_hat, rate = y[:-1], out[:-1]
-    slope = state.conformal.edge_slope
-    d = _laplacian_rows(u_hat, grid, slope, rate)
+    d = _laplacian_rows(u_hat, state.grid, state.conformal.edge_slope, rate)
     rate *= np.exp(-u_hat)
+    return _with_transport(state, out, d)
+
+
+def _with_transport(state, out, d):
+    """Complete a stage rate in place and return it: out[:-1] holds the
+    diffusion rate e^{-u_hat} Lap_E u_hat, taken on the differences
+    d = diff(u_hat), and out[-1] receives gamma = d log L/dt.
+
+    In the co-moving frame gamma = R(origin) / 2, and the rate of u_hat gains
+    the advection gamma tanh(s) d/ds, the centred
+    gamma tanh(s)/(2h) (d_i + d_{i-1}) with the edge slope at the outer node,
+    and 2 gamma; the tip rate of u_hat is then exactly 0.  In the fixed frame
+    gamma = 0 and the rate stays as it is.
+    """
+    grid, rate = state.grid, out[:-1]
     gamma = -0.5 * float(rate[0]) if state.frame == COMOVING else 0.0  # R(origin) / 2
     if gamma != 0.0:
         rate[1:-1] += (gamma * grid.advection) * (d[1:] + d[:-1])
-        rate[-1] += gamma * grid.tanh_edge * slope
+        rate[-1] += gamma * grid.tanh_edge * state.conformal.edge_slope
         rate += 2.0 * gamma
     out[-1] = gamma
     return out
@@ -320,18 +351,33 @@ def _stages(state, dt):
     return _stage_count(dt * state.conformal.stiffness)
 
 
-def _rkc_step(rhs, y0, dt, s):
+def _rkc_step(rhs, y0, rate0, dt, s):
     """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
 
-    The increment form keeps every component whose rate vanishes (the
-    co-moving tip) at exactly its old value.
+    `rate0` is rhs(y0), stage 0, which the caller already holds
+    (`FlowState.rate`); rhs is called s - 1 times and must return a new
+    array.  Each stage is
+    d_j = ((mu d_{j-1} + nu d_{j-2}) + (mu~ dt) rhs(y0 + d_{j-1})) + gamma~ f0,
+    f0 = dt rate0, in that order of operations, in three work vectors: the
+    stage point, which is free once rhs has returned, takes the sum, and
+    d_{j-2}'s vector takes each product.  d_0 = 0 is a vector of +0.0, so
+    the first stage adds nu * 0.0 with its sign, as the scalar did.  The
+    increment form keeps every component whose rate vanishes (the co-moving
+    tip) at exactly its old value.
     """
     _, mu_tilde_1, rows = _rkc_coefficients(s)
-    f0 = dt * rhs(y0)
-    d_older, d_old = 0.0, mu_tilde_1 * f0
+    f0 = dt * rate0
+    d_old = mu_tilde_1 * f0
+    d_older = np.zeros_like(y0)
+    work = np.empty_like(y0)
     for mu, nu, mu_tilde, gamma_tilde in rows:
-        d_older, d_old = d_old, (mu * d_old + nu * d_older
-                                 + mu_tilde * dt * rhs(y0 + d_old) + gamma_tilde * f0)
+        r = rhs(np.add(y0, d_old, out=work))
+        d_older *= nu
+        np.multiply(d_old, mu, out=work)
+        work += d_older
+        work += np.multiply(r, mu_tilde * dt, out=d_older)
+        work += np.multiply(f0, gamma_tilde, out=d_older)
+        d_older, d_old, work = d_old, work, d_older
     return y0 + d_old
 
 
@@ -370,10 +416,12 @@ def _advance(state, dt):
     from it, never stepped.  The stage count is the fewest s >= 2 with
     beta(s) >= dt * rho, rho = max(e^{-u} rows) from the grid's
     `gershgorin_rows`, which bounds the spectral radius of the diffusion
-    operator; each stage is one call of `_stage_rhs`, the first one at the
-    state itself.
+    operator.  Stage 0 is the state's cached `FlowState.rate`, shared with
+    any other step from the same state; each later stage is one call of
+    `_stage_rhs`.  The new state is built directly, with the accumulators
+    as they were.
     """
-    if not (np.isfinite(dt) and dt > 0):
+    if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     t1 = state.t + dt
     stiffness = dt * state.conformal.stiffness
@@ -382,11 +430,12 @@ def _advance(state, dt):
             f"dt * rho = {stiffness:.6g} needs more than {STAGE_LIMIT} stages: unstable step", t1
         )
     conf = state.conformal
-    y0 = np.append(conf.log_factor, state.log_scale)
-    y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, dt, _stage_count(stiffness))
+    y0 = np.empty(state.grid.n + 1)
+    y0[:-1], y0[-1] = conf.log_factor, state.log_scale
+    y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, state.rate, dt, _stage_count(stiffness))
     u1, log_scale1 = y1[:-1], float(y1[-1])
 
-    if not (np.all(np.isfinite(u1)) and np.isfinite(log_scale1)):
+    if not (np.all(np.isfinite(u1)) and math.isfinite(log_scale1)):
         raise FlowInstabilityError("non-finite fields after step", t1)
 
     # the node maximum against the initial profile's (its spline's): the
@@ -398,8 +447,8 @@ def _advance(state, dt):
             f"sup u~ rose to {sup_u_tilde:.6g} above the initial profile's maximum "
             f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
         )
-    return replace(state, conformal=ConformalState(state.grid, u1, conf.edge_slope),
-                   t=t1, log_scale=log_scale1)
+    return FlowState(ConformalState(state.grid, u1, conf.edge_slope), t1, log_scale1,
+                     state.frame, state.init, state.acc)
 
 
 def step(state, dt):
@@ -427,7 +476,8 @@ def step(state, dt):
         phi=acc.phi - 0.5 * dt * ((w0 - acc.u_fixed) + (w0 - u_fixed)),
         u_fixed=u_fixed,
     )
-    return replace(new_state, acc=acc1)
+    return FlowState(new_state.conformal, new_state.t, new_state.log_scale, new_state.frame,
+                     new_state.init, acc1)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +491,8 @@ def monitor(state, dt_hint=None):
     is using).  The fixed-frame columns come from `fixed_fields`, which reads
     the u~ that `step` mapped and fits no spline.  The curvature-evolution
     residual is probed by taking two extra RKC2 advances from the state,
-    without the accumulators.  The probe's steps have the diffusive size
+    without the accumulators; the first starts from the state's cached stage
+    rate, as the next accepted step does.  The probe's steps have the diffusive size
     0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
     measuring the same O(dt^2 + h^2) residual on the state's own nodes.
     The record carries the probe's stage count (0 when the probe fails).
@@ -646,6 +697,7 @@ class RunResult:
     abort_message: str | None
     dist_trace: list          # [(t, profile distance)]
     kahler_trace: list        # [(t, reconstruction residual)]
+    scale_trace: list         # [(t, log L)]
     profile_distance_final: float | None
     telemetry: RunTelemetry
 
@@ -661,6 +713,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     each requested snapshot time; `progress(record)` after each record.
     The result's `telemetry` counts the accepted steps, those clipped to an
     event time, and the RKC2 stages of the steps and of the records' probes.
+    Each record also appends (t, log L) to the result's `scale_trace`.
     """
     if t_end <= state.t:
         raise ValueError("t_end must exceed the state's time")
@@ -673,7 +726,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     events.add(t_end)
     events = sorted(e for e in events if state.t < e <= t_end)
 
-    records, dist_trace, kahler_trace = [], [], []
+    records, dist_trace, kahler_trace, scale_trace = [], [], [], []
     telemetry = RunTelemetry()
 
     def record(state):
@@ -688,6 +741,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
             dist = None
         dist_trace.append((state.t, dist))
         kahler_trace.append((state.t, kahler_residual(state)))
+        scale_trace.append((state.t, state.log_scale))
         if progress:
             progress(rec)
         if snapshot_hook and round(state.t, 12) in snapshot_set:
@@ -729,6 +783,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         abort_message=abort_message,
         dist_trace=dist_trace,
         kahler_trace=kahler_trace,
+        scale_trace=scale_trace,
         profile_distance_final=dist_trace[-1][1],
         telemetry=telemetry,
     )

@@ -306,7 +306,11 @@ class ConformalState:
     """A conformal metric on a grid: g = e^{log_factor} g_E.
 
     The log factor is u~; `edge_slope` is its Neumann slope, carried by the
-    outer ghost node.
+    outer ghost node.  Each derived field is computed once, on first use:
+    e^{-u~} (`diffusivity`), the Laplacian rows (`laplacian`, with the
+    `differences` they were taken from), R (`curvature`), u~'s spline
+    (`fit`) and the stiffness rho (`stiffness`).  A state is treated as an
+    immutable value, so the caches never go stale.
     """
 
     grid: RadialGrid
@@ -325,6 +329,24 @@ class ConformalState:
     def diffusivity(self):
         """e^{-u~}, the factor of Lap_g = e^{-u~} Lap_E (computed once)."""
         return np.exp(-self.log_factor)
+
+    @cached_property
+    def _rows(self):
+        """Lap_E u~ with the edge slope and the differences diff(u~) its rows
+        were taken from (`_laplacian_rows`; computed once)."""
+        rows = np.empty(self.grid.n)
+        return rows, _laplacian_rows(self.log_factor, self.grid, self.edge_slope, rows)
+
+    @property
+    def laplacian(self):
+        """Lap_E u~, the rows that the curvature and the stepped rate at this
+        state (`flow.FlowState.rate`) share."""
+        return self._rows[0]
+
+    @property
+    def differences(self):
+        """diff(u~), which the co-moving advection of the stepped rate reads."""
+        return self._rows[1]
 
     @cached_property
     def curvature(self):
@@ -379,8 +401,8 @@ def _laplacian_rows(f, grid, edge_slope, out):
 
     Interior row i is lap_up_i d_i - lap_down_i d_{i-1}.  The tip and edge
     rows are taken in Python floats, which are cheaper than numpy scalars and
-    round the same.  `background_laplacian` and `flow._stage_rhs` both write
-    their rows here, so both give the same bits.
+    round the same.  `background_laplacian`, `ConformalState.laplacian` and
+    `flow._stage_rhs` all write their rows here, so all give the same bits.
     """
     # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
     # matching the s->0 limit of the interior conservative stencil.  A plain
@@ -441,10 +463,9 @@ def background_laplacian(f, grid, edge_slope=0.0):
 
 
 def scalar_curvature(state):
-    """R = -e^{-u~} Lap_E u~."""
-    lap = background_laplacian(state.log_factor, state.grid, state.edge_slope)
+    """R = -e^{-u~} Lap_E u~, from the state's cached Laplacian rows."""
     # 0.0 - lap, not -lap: the flat plane's curvature stays +0.0, never -0.0
-    return state.diffusivity * (0.0 - lap)
+    return state.diffusivity * (0.0 - state.laplacian)
 
 
 def metric_laplacian(f, state, edge_slope=0.0):

@@ -86,7 +86,7 @@ def _coupled_step(state, y, dt):
             df = df + gamma * grid.tanh_s * _radial_derivative(grid, f_hat, slope_f)
         return np.concatenate((rate[:-1], df, [gamma]))
 
-    return flow._rkc_step(rhs, y, dt, flow._stage_count(dt * state.conformal.stiffness))
+    return flow._rkc_step(rhs, y, rhs(y), dt, flow._stage_count(dt * state.conformal.stiffness))
 
 
 @pytest.fixture(scope="session")

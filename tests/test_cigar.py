@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from cigarflow import cigar
+from cigarflow.diagnostics import cigar_number
 
 
 def log_sample():
@@ -157,3 +158,20 @@ def test_log_cosh_precision():
     np.testing.assert_allclose(cigar.log_cosh(tiny), tiny**2 / 2 - tiny**4 / 12, rtol=1e-12)
     # far beyond cosh overflow
     assert cigar.log_cosh(1000.0) == pytest.approx(1000.0 - np.log(2.0), rel=1e-15)
+
+
+def test_cigar_number_is_four_on_every_cigar():
+    # Q = sup R (C_inf / 2 pi)^2 is scale-free: 4 on the static cigar, on its
+    # scalings lambda g_c (sup R = 4 / lambda, C_inf = 2 pi sqrt lambda) and on
+    # every member of the evolving family; C_inf is the circle length
+    # 2 pi r e^{u~/2} at a radius where it has converged to 1e-15
+    r = np.linspace(0.0, 20.0, 2001)
+    r_far = 1e9
+    sup_r = float(np.max(cigar.cigar_scalar_curvature(r)))
+    members = [(sup_r / lam, 2.0 * np.pi * r_far * np.sqrt(lam * cigar.cigar_density(r_far)))
+               for lam in (1.0, 0.25, 2.0, 9.0)]
+    members += [(float(np.max(cigar.soliton_scalar_curvature(r, t))),
+                 2.0 * np.pi * r_far * np.exp(0.5 * cigar.soliton_log_factor(r_far, t)))
+                for t in (0.0, 0.5, 2.0)]
+    for sup_r, cinf in members:
+        assert abs(cigar_number(sup_r, cinf) - 4.0) <= 1e-12, (sup_r, cinf)

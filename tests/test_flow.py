@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
-from cigarflow import cigar, flow
+from cigarflow import cigar, flow, geometry
+from cigarflow.diagnostics import cigar_number
 from cigarflow.geometry import (
     MAX_S_MAX,
     MAX_SPACING,
@@ -93,6 +94,54 @@ def test_fused_stage_rate_matches_the_separate_operators():
         adv = gamma * grid.tanh_s
         du = du + adv * flow._radial_derivative(grid, u, conf.edge_slope) + 2.0 * gamma
         np.testing.assert_allclose(rate[:n], du, rtol=1e-12, atol=1e-12 * np.max(np.abs(du)))
+
+
+@pytest.mark.parametrize("frame", ["fixed", "comoving"])
+def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame):
+    # the cached stage 0 equals `_stage_rhs` at the state itself, on a state
+    # stepped away from its data (gamma != 0 in the co-moving frame) and on
+    # one rebuilt by `replace`, which caches nothing
+    bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 2.0, "width": 0.5}
+    state = build_scenario(radial_config(n=65, initial=bump, frame=frame))
+    for _ in range(3):
+        state = flow.step(state, flow.adaptive_dt(state))
+    assert (state.log_scale != 0.0) == (frame == "comoving")
+    for candidate in (state, replace(state, t=0.25)):
+        y0 = np.append(candidate.conformal.log_factor, candidate.log_scale)
+        assert candidate.rate.tobytes() == flow._stage_rhs(candidate, y0).tobytes()
+
+
+def _rkc_step_reference(rhs, y0, dt, s):
+    """The RKC2 recursion as one expression per stage, stage 0 included: the
+    reference for `flow._rkc_step`'s work vectors."""
+    _, mu_tilde_1, rows = flow._rkc_coefficients(s)
+    f0 = dt * rhs(y0)
+    d_older, d_old = 0.0, mu_tilde_1 * f0
+    for mu, nu, mu_tilde, gamma_tilde in rows:
+        d_older, d_old = d_old, (mu * d_old + nu * d_older
+                                 + mu_tilde * dt * rhs(y0 + d_old) + gamma_tilde * f0)
+    return y0 + d_old
+
+
+def test_rkc_step_in_work_vectors_is_the_expression_bit_for_bit():
+    # random data with signed zeros in y0 and in the rate's coefficients,
+    # through a nonlinear rate that keeps them: every bit of every component,
+    # the zeros' signs included, at every stage count a run can take
+    rng = np.random.default_rng(20)
+    for s in range(2, flow.MAX_STAGES + 1):
+        y0 = rng.standard_normal(40)
+        y0[rng.integers(0, 40, 8)] = 0.0
+        y0[rng.integers(0, 40, 8)] = -0.0
+        coef = -rng.uniform(0.0, 3.0, 40)
+        coef[rng.integers(0, 40, 6)] = 0.0
+        coef[rng.integers(0, 40, 6)] = -0.0
+
+        def rhs(y, coef=coef):
+            return coef * y + 0.1 * coef * np.sin(y)
+
+        dt = flow._rkc_coefficients(s)[0] / 3.3  # dt |coef| inside [0, beta(s)]
+        got = flow._rkc_step(rhs, y0, rhs(y0), dt, s)
+        assert got.tobytes() == _rkc_step_reference(rhs, y0, dt, s).tobytes(), s
 
 
 def oracle_config(config_dir, seed=None):
@@ -213,9 +262,9 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
     stages = []
     rkc_step = flow._rkc_step
 
-    def spy(rhs, y0, dt, s):
+    def spy(rhs, y0, rate0, dt, s):
         stages.append(s)
-        return rkc_step(rhs, y0, dt, s)
+        return rkc_step(rhs, y0, rate0, dt, s)
 
     monkeypatch.setattr(flow, "_rkc_step", spy)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
@@ -223,6 +272,29 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
     assert not result.aborted
     assert sum(stages) == 1761 + 84
     assert (result.telemetry.stages, result.telemetry.probe_stages) == (1761, 84)
+
+
+def test_shipped_run_laplacian_count(config_dir, monkeypatch):
+    """The Laplacian row passes of the shipped run, set-up included: each
+    state's rows are taken once (`ConformalState.laplacian`) and serve its
+    curvature and its stage rate (`FlowState.rate`), which is stage 0 of the
+    accepted step and of the curvature probe's first advance; the probe's
+    second advance and the curvature residual share s1's rows.  The count is
+    exact; taking stage 0 afresh in every RKC2 step made 2205."""
+    config = load_config(config_dir / "perturbed_relax_129.json")
+    calls = []
+    for module in (geometry, flow):
+        rows = module._laplacian_rows
+
+        def spy(*args, rows=rows):
+            calls.append(1)
+            return rows(*args)
+
+        monkeypatch.setattr(module, "_laplacian_rows", spy)
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted and result.telemetry.steps == 252
+    assert len(calls) == 1911
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
@@ -287,6 +359,25 @@ def test_time_error_stays_a_hundredth_of_the_spatial_error(config_dir):
     time_error = np.max(np.abs(runs[129, 0.9] - extrapolated(129)))
     spatial_error = np.max(np.abs(extrapolated(129) - extrapolated(257)[::2]))
     assert spatial_error / time_error >= 100.0
+
+
+def test_cigar_number_converges_to_four_at_second_order(config_dir):
+    """Q(20) - 4 of the shipped data at n = 129 and 257, Q = sup R
+    (C_inf / 2 pi)^2 from the t = 20 record: the co-moving profile relaxes
+    to a cigar, so Q - 4 is the spatial error alone and falls 4x per
+    halving of h.  Measured -3.906e-3 and -9.792e-4, order 1.996."""
+    data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+    data["stepping"].update(t_end=20.0, record_interval=5.0)
+    gaps = []
+    for n in (129, 257):
+        data["grid"]["n"] = n
+        config = parse_config(data)
+        result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                          record_interval=config.record_interval)
+        final = result.records[-1]
+        assert not result.aborted and final.t == 20.0
+        gaps.append(cigar_number(final.sup_R, final.cinf_est) - 4.0)
+    assert 1.8 <= np.log2(gaps[0] / gaps[1]) <= 2.2, gaps
 
 
 def test_shipped_run_telemetry(shipped_reports):
@@ -380,11 +471,11 @@ def test_rkc_stability_polynomial():
     for s in range(2, flow.MAX_STAGES + 1):
         beta = flow._rkc_coefficients(s)[0]
         z = np.linspace(-beta, 0.0, 4001)
-        p = flow._rkc_step(lambda y, z=z: z * y, np.ones(z.size), 1.0, s)
+        p = flow._rkc_step(lambda y, z=z: z * y, np.ones(z.size), z, 1.0, s)
         assert np.max(np.abs(p)) <= 1.0 + 1e-12, s
         assert np.max(np.abs(p[z <= -beta / 20])) <= 0.97, s
         z = np.array([-1e-2, -5e-3, -2.5e-3])
-        p = flow._rkc_step(lambda y, z=z: z * y, np.ones(z.size), 1.0, s)
+        p = flow._rkc_step(lambda y, z=z: z * y, np.ones(z.size), z, 1.0, s)
         assert np.all(np.abs(p - (1.0 + z + 0.5 * z * z)) <= 0.2 * np.abs(z) ** 3), s
         assert flow._stage_count(beta) == s
         assert flow._stage_count(beta * (1.0 + 1e-12)) == s + 1

@@ -17,7 +17,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cigarflow import cli, flow, scenarios, snapshots
-from cigarflow.diagnostics import CSV_COLUMNS, emit_diagnostics, read_diagnostics
+from cigarflow.diagnostics import (
+    CSV_COLUMNS,
+    cigar_number,
+    emit_diagnostics,
+    read_diagnostics,
+)
 from cigarflow.geometry import ConformalState, RadialGrid
 from cigarflow.scenarios import (
     ConfigError,
@@ -627,6 +632,56 @@ def test_cli_report_reads_a_summary_without_telemetry(tmp_path, capsys):
     assert "max w drift" in text and "steps:" not in text
 
 
+def test_cli_summary_traces_q_log_scale_and_the_fixed_edge(tmp_path, capsys):
+    # one entry per record: Q - 4 from the record's sup_R and cinf_est, the
+    # run's log L, and the outermost fixed node's co-moving position
+    # arcsinh(sinh s_max / L); the report prints their ends
+    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
+    out_dir = tmp_path / "out"
+    records = read_diagnostics(out_dir / "diagnostics.csv")
+    summary = json.loads((out_dir / "summary.json").read_text())
+    q, scale, edge = (summary[key] for key in ("q_minus_4_trace", "log_scale_trace",
+                                               "fixed_edge_trace"))
+    assert [t for t, _ in q] == [t for t, _ in scale] == [t for t, _ in edge] == [
+        rec.t for rec in records]
+    assert [v for _, v in q] == [cigar_number(rec.sup_R, rec.cinf_est) - 4.0 for rec in records]
+    assert scale[0] == [0.0, 0.0] and scale[-1][1] > 0.0
+    assert [a for _, a in edge] == [float(np.arcsinh(np.sinh(8.0) * np.exp(-log_scale)))
+                                    for _, log_scale in scale]
+    capsys.readouterr()
+    assert cli.main(["report", str(out_dir)]) == 0
+    text = capsys.readouterr().out
+    assert f"Q - 4, Q = sup R (C_inf / 2 pi)^2 (0 on every cigar): {q[0][1]:.6e} at t=0" in text
+    assert f"log L: 0 at t=0 -> {scale[-1][1]:.6g} at t={scale[-1][0]:g}" in text
+    assert "never below 2h" in text
+
+
+def test_cli_report_shows_when_the_fixed_nodes_reach_the_tip(capsys):
+    # on the shipped run the outermost fixed node comes within 2h = 0.125 of
+    # the co-moving tip at t = 5 (a = 0.101)
+    assert cli.main(["report", str(Path(__file__).resolve().parent.parent / "runs"
+                                   / "perturbed_relax_129")]) == 0
+    text = capsys.readouterr().out
+    assert "at co-moving a = 0.10135 at t=5; below 2h from t=5 on" in text
+
+
+def test_cli_report_reads_a_summary_without_the_record_traces(tmp_path, capsys):
+    # run directories written before runs traced Q and log L still report
+    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
+    summary_path = tmp_path / "out" / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    for key in ("q_minus_4_trace", "log_scale_trace", "fixed_edge_trace", "config"):
+        del summary[key]
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert cli.main(["report", str(tmp_path / "out")]) == 0
+    text = capsys.readouterr().out
+    assert "steps:" in text and "Q - 4" not in text and "log L" not in text
+    assert "fixed node" not in text
+
+
 def test_cli_run_instability_exit_code(tmp_path, overdrive):
     cfg_path = write_config(tmp_path, base_config(
         stepping={"safety": 0.9, "t_end": 0.5, "record_interval": 0.1},
@@ -741,6 +796,10 @@ def test_cli_usage_errors(tmp_path):
     (None, '{"dist_trace": [[0.0, "far"]]}'),
     (None, '{"kahler_trace": 3}'),
     (None, '{"telemetry": [252]}'),
+    (None, '{"q_minus_4_trace": [[0.0, "far"]]}'),
+    (None, '{"log_scale_trace": 3}'),
+    (None, '{"fixed_edge_trace": [[0.0, 1.0]]}'),                # no config grid for h
+    (None, '{"fixed_edge_trace": [[0.0, 1.0]], "config": {"grid": {"n": 1, "s_max": 8}}}'),
     (None, '{"telemetry": {"steps": 252.0, "clipped_steps": 20, "stages": 1761, '
            '"probe_stages": 84}}'),
 ])
