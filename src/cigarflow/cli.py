@@ -100,6 +100,8 @@ def cmd_run(args):
             "log_scale_trace": result.scale_trace,
             "fixed_edge_trace": [(t, float(np.arcsinh(r_max * np.exp(-log_scale))))
                                  for t, log_scale in result.scale_trace],
+            "v_discrepancy_trace": [(rec.t, rec.v_discrepancy) for rec in result.records],
+            "sup_log_u_trace": [(rec.t, rec.sup_log_u) for rec in result.records],
             "telemetry": asdict(result.telemetry),
             "hypothesis": {
                 "sup_log_u0": result.final_state.init.sup_log_u0,
@@ -167,14 +169,14 @@ def cmd_converge(args):
 
 _TELEMETRY_KEYS = tuple(f.name for f in fields(RunTelemetry))
 _TRACE_KEYS = ("dist_trace", "kahler_trace", "q_minus_4_trace", "log_scale_trace",
-               "fixed_edge_trace")
+               "fixed_edge_trace", "v_discrepancy_trace", "sup_log_u_trace")
 
 
 def _read_run_dir(run_dir):
     """Records, summary, its (t, value) traces and the grid spacing h (None
     without a fixed_edge_trace); ValueError if malformed.  A summary without
-    "telemetry" or without the last three traces (written before runs
-    counted their steps or traced Q and log L) is well formed."""
+    "telemetry" or without the last five traces (written before runs
+    counted their steps or traced Q, log L, v and log u) is well formed."""
     records = read_diagnostics(run_dir / "diagnostics.csv")
     if not records:
         raise ValueError("diagnostics.csv has no records")
@@ -243,6 +245,16 @@ def cmd_report(args):
                  f"the tip)" if tip_only is not None else "never below 2h")
         print(f"  outermost fixed node at co-moving a = {edge[-1][1]:.6g} at t={edge[-1][0]:g}; "
               f"{where}")
+    v_disc = traces["v_discrepancy_trace"]
+    if v_disc:
+        print(f"  max v discrepancy (evolved v(origin) against -int R(origin)): "
+              f"{max(v for _, v in v_disc):.6e}")
+    log_u = traces["sup_log_u_trace"]
+    if log_u:
+        rise = max((b - a for (_, a), (_, b) in zip(log_u, log_u[1:])), default=0.0)
+        print(f"  co-moving sup log u: {log_u[0][1]:.6e} at t={log_u[0][0]:g} -> "
+              f"{log_u[-1][1]:.6e} at t={log_u[-1][0]:g}; largest rise between records "
+              f"{rise:.3e}")
     tel = summary.get("telemetry")
     if tel is not None:
         print(f"  steps: {tel['steps']} accepted, {tel['clipped_steps']} clipped to an event "

@@ -36,9 +36,10 @@ class DiagnosticsRecord:
 
     The first twelve fields are the CSV columns; `v_discrepancy` (the gap
     between the evolved v = f(0) - f at the origin and the independently
-    accumulated -integral of R(origin)) and `probe_stages` (the RKC2 stages
-    of the curvature probe behind `res_curv_evo`) travel with the record but
-    are not serialized.
+    accumulated -integral of R(origin)), `sup_log_u` (the largest log u on
+    the stepped nodes, which in the co-moving frame cover the whole grown
+    domain) and `probe_stages` (the RKC2 stages of the curvature probe
+    behind `res_curv_evo`) travel with the record but are not serialized.
     """
 
     t: float
@@ -54,6 +55,7 @@ class DiagnosticsRecord:
     res_poisson: float
     res_curv_evo: float
     v_discrepancy: float = float("nan")
+    sup_log_u: float = float("nan")
     probe_stages: int = 0
 
     def csv_row(self):

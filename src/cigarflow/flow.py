@@ -43,11 +43,11 @@ soliton this gauge is static.  Fixed-coordinate fields at the original grid
 nodes come by cubic interpolation (the map pulls points inward, never
 outside the grid, while the scale grows); a step maps only u~, for the phi
 accumulator (`map_to_fixed`), and `fixed_fields` reuses that mapped u~.  The
-clamped spline's slope system is factored once per grid (`RadialGrid.spline`),
-so a fit is one tridiagonal forward and back sweep and each evaluation of it
-a piecewise-cubic one, bit for bit what scipy's cubic spline returns.  Each
-state fits u~ at most once (`ConformalState.fit`): the step's map and the
-record's normalized profile (`profile_distance`) evaluate the same fit.  The
+clamped spline's slope system is inverted once per grid size
+(`RadialGrid.spline`), so a fit is one matrix-vector product and each
+evaluation of it a piecewise-cubic one.  Each state fits u~ at most once
+(`ConformalState.fit`): the step's map and the record's normalized profile
+(`profile_distance`) evaluate the same fit.  The
 curvature evolution residual needs no map (it is taken on the co-moving
 nodes), and its probe advances without the accumulators.  gamma = 0
 recovers plain fixed-frame stepping.
@@ -495,7 +495,8 @@ def monitor(state, dt_hint=None):
     rate, as the next accepted step does.  The probe's steps have the diffusive size
     0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
     measuring the same O(dt^2 + h^2) residual on the state's own nodes.
-    The record carries the probe's stage count (0 when the probe fails).
+    The record carries the probe's stage count (0 when the probe fails) and
+    the largest log u on the stepped nodes.
     """
     u_hat = state.conformal.log_factor
     if not np.all(np.isfinite(u_hat)):
@@ -517,6 +518,9 @@ def monitor(state, dt_hint=None):
     except FlowInstabilityError:
         res_curv, probe_stages = float("nan"), 0
     v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
+    # log u = u~ + log(1 + r^2) at the node's fixed-frame radius r = L sinh a,
+    # written so that nothing overflows as L grows
+    log_u = u_hat + np.log(np.exp(-2.0 * state.log_scale) + state.grid.r**2)
     return DiagnosticsRecord(
         t=state.t,
         dt=float(dt_hint) if dt_hint else float("nan"),
@@ -532,6 +536,7 @@ def monitor(state, dt_hint=None):
         res_poisson=res_poisson,
         res_curv_evo=res_curv,
         v_discrepancy=v_disc,
+        sup_log_u=float(np.max(log_u)),
         probe_stages=probe_stages,
     )
 

@@ -25,18 +25,17 @@ stencils (centred d/ds, the one-sided edge slope, the metric gradient norm)
 live here beside the ghost formula too.
 
 Each grid also carries its cubic spline, `RadialGrid.spline`: the slope
-system of a spline through fixed knots has a fixed tridiagonal matrix, so it
-is LU-factored once per grid and every fit to new values is one forward and
-one back sweep; the fit then evaluates at any points.  Both follow LAPACK's
-gttrf and gttrs step for step in Python floats, so the module needs numpy
-alone.  `GridSpline.maximum` gives the spline's exact maximum, from the
-critical points of each piece.
+system of a spline through fixed knots has a fixed tridiagonal matrix, so its
+inverse is formed once per grid size and every fit to new values is one
+matrix-vector product; the fit then evaluates at any points.
+`GridSpline.maximum` gives the spline's exact maximum, from the critical
+points of each piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -71,7 +70,7 @@ class RadialGrid:
     Laplacian's interior coefficients `lap_up` and `lap_down`, the centred
     advection's `advection`, the edge row's coefficients as Python floats,
     the Laplacian's diagonal `lap_diag`, the stiffness weights
-    `gershgorin_rows` and the factored cubic `spline`.
+    `gershgorin_rows`, and the cubic `spline` of its size.
     """
 
     n: int
@@ -148,11 +147,19 @@ class RadialGrid:
         rows[-2] += (1.0 / d_edge - 1.0) * a[-2] / bh2[-2]
         return rows
 
-    @cached_property
+    @property
     def spline(self):
-        """The grid's cubic spline, its slope system factored on first use
-        (gttrf's elimination in Python floats, under 1 ms at n = 513)."""
-        return GridSpline(self.s)
+        """The cubic spline on the grid's nodes, shared by every grid of the
+        same (n, s_max) (`_grid_spline`)."""
+        return _grid_spline(self.n, float(self.s_max))
+
+
+@lru_cache(maxsize=16)
+def _grid_spline(n, s_max):
+    """The spline of RadialGrid(n, s_max), built once per grid size: its
+    inverse takes n^2 floats and 2 ms to form at n = 257, and a refinement
+    study or a loaded snapshot builds new grids of the same sizes."""
+    return GridSpline(np.linspace(0.0, s_max, n))
 
 
 class GridSpline:
@@ -162,16 +169,12 @@ class GridSpline:
     (0, slope) at the ends: zero by symmetry at the tip, the physical
     Neumann slope at s_max.  It solves the slope system once and returns an
     evaluator of points x; a conformal state keeps its log factor's fit
-    (`ConformalState.fit`).  The result is bit for bit scipy's cubic
-    spline with the same end conditions.  The tridiagonal slope system is
-    built from the same expressions and solved by the eliminations of
-    LAPACK's gtsv, which scipy calls: `__init__` runs gttrf's LU
-    factorization with its row interchanges once, and each fit runs gttrs's
-    forward and back sweeps for one right-hand side, in the same order of
-    operations.  The
-    Hermite coefficients and the evaluation follow scipy's piecewise
-    polynomial, and points beyond the knots extrapolate with the end pieces.
-    Non-finite values raise scipy's ValueError.
+    (`ConformalState.fit`).  The slope system is scipy's cubic spline's, and
+    `__init__` inverts it once, so a solve is one product with the inverse;
+    it agrees with scipy to a few ulps of the data's scale.  The Hermite
+    coefficients and the evaluation follow scipy's piecewise polynomial, and
+    points beyond the knots extrapolate with the end pieces.  Non-finite
+    values raise scipy's ValueError.
     """
 
     def __init__(self, knots):
@@ -179,66 +182,19 @@ class GridSpline:
         dx = np.diff(x)
         self.knots, self.dx = x, dx
         self._inner_knots = x[1:-1].copy()
-        # the slope system's rows, lower, diagonal and upper; the clamped end
-        # rows are m_0 = 0 and m_{n-1} = slope
-        h = dx.tolist()
-        dl = h[1:] + [0.0]
-        d = [1.0] + [2 * (left + right) for left, right in zip(h[:-1], h[1:])] + [1.0]
-        du = [0.0] + h[:-1]
-        # gttrf: Gaussian elimination with partial pivoting.  Row i swaps with
-        # row i + 1 when |d_i| < |dl_i|, which fills du2_i.  The clamped first
-        # row [1, 0] swaps when the spacing dl_0 exceeds 1.  Never singular:
-        # the knots increase.
-        n = len(d)
-        du2 = [0.0] * (n - 2)
-        swap = [False] * (n - 1)
-        for i in range(n - 1):
-            if abs(d[i]) >= abs(dl[i]):
-                if d[i] != 0.0:
-                    fact = dl[i] / d[i]
-                    dl[i] = fact
-                    d[i + 1] = d[i + 1] - fact * du[i]
-            else:
-                fact = d[i] / dl[i]
-                d[i] = dl[i]
-                dl[i] = fact
-                temp = du[i]
-                du[i] = d[i + 1]
-                d[i + 1] = temp - fact * d[i + 1]
-                if i < n - 2:
-                    du2[i] = du[i + 1]
-                    du[i + 1] = -fact * du[i + 1]
-                swap[i] = True
-        self._forward = list(zip(dl, swap))
-        self._d_last = (d[-1], d[-2], du[-1])
-        # the back sweep's rows n-3 .. 0, in the order it visits them
-        self._backward = list(zip(du[-2::-1], du2[::-1], d[-3::-1]))
+        # the slope system: interior row i is
+        # dx_i m_{i-1} + 2 (dx_{i-1} + dx_i) m_i + dx_{i-1} m_{i+1}, and the
+        # clamped end rows are m_0 = 0 and m_{n-1} = slope; never singular,
+        # since the knots increase
+        matrix = (np.diag(np.concatenate(([1.0], 2 * (dx[:-1] + dx[1:]), [1.0])))
+                  + np.diag(np.append(0.0, dx[:-1]), 1) + np.diag(np.append(dx[1:], 0.0), -1))
+        self._inverse = np.linalg.inv(matrix)
+        self._inverse.setflags(write=False)
 
     def _solve(self, b):
-        """gttrs on one right-hand side, a list of floats: the slopes m."""
-        # forward sweep y = L^{-1} P b, interchanging where gttrf did; at
-        # step i, x is row i's entry after the eliminations above it
-        x = b[0]
-        y = []
-        for (fact, swapped), nxt in zip(self._forward, b[1:]):
-            if swapped:
-                y.append(nxt)
-                x = x - fact * nxt
-            else:
-                y.append(x)
-                x = nxt - fact * x
-        y.append(x)
-        d_last, d_prev, du_prev = self._d_last
-        x1 = y[-1] / d_last
-        x0 = (y[-2] - du_prev * x1) / d_prev
-        m = [x1, x0]
-        # the du2 term stays even where du2 is 0: dropping it can flip the
-        # sign of a zero
-        for yi, (upper, upper2, diag) in zip(y[-3::-1], self._backward):
-            x0, x1 = (yi - upper * x0 - upper2 * x1) / diag, x0
-            m.append(x0)
-        m.reverse()
-        return np.array(m)
+        """The knot slopes m for the right-hand side b: one product with
+        the slope system's inverse."""
+        return self._inverse @ b
 
     def _slopes(self, values, slope):
         """The values as an array, the secants and the spline's knot slopes."""
@@ -250,7 +206,7 @@ class GridSpline:
         rhs = np.empty(y.size)
         rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
         rhs[0], rhs[-1] = 0.0, slope
-        return y, secant, self._solve(rhs.tolist())
+        return y, secant, self._solve(rhs)
 
     def maximum(self, values, slope):
         """The spline's largest value between the first and the last knot:

@@ -634,8 +634,10 @@ def test_cli_report_reads_a_summary_without_telemetry(tmp_path, capsys):
 
 def test_cli_summary_traces_q_log_scale_and_the_fixed_edge(tmp_path, capsys):
     # one entry per record: Q - 4 from the record's sup_R and cinf_est, the
-    # run's log L, and the outermost fixed node's co-moving position
-    # arcsinh(sinh s_max / L); the report prints their ends
+    # run's log L, the outermost fixed node's co-moving position
+    # arcsinh(sinh s_max / L), and the records' v_discrepancy and sup log u;
+    # the report prints their ends, the largest v_discrepancy and the
+    # largest rise of sup log u
     cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
     assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
     out_dir = tmp_path / "out"
@@ -649,12 +651,25 @@ def test_cli_summary_traces_q_log_scale_and_the_fixed_edge(tmp_path, capsys):
     assert scale[0] == [0.0, 0.0] and scale[-1][1] > 0.0
     assert [a for _, a in edge] == [float(np.arcsinh(np.sinh(8.0) * np.exp(-log_scale)))
                                     for _, log_scale in scale]
+    # the same run in process carries both values on its records; on the
+    # exact cigar log u = 0, so sup log u stays at the scheme's error
+    in_process = run_scenario(parse_config(base_config())).records
+    v_disc, log_u = summary["v_discrepancy_trace"], summary["sup_log_u_trace"]
+    assert v_disc == [[rec.t, rec.v_discrepancy] for rec in in_process]
+    assert log_u == [[rec.t, rec.sup_log_u] for rec in in_process]
+    assert v_disc[0] == [0.0, 0.0] and abs(log_u[0][1]) <= 1e-14
+    assert max(abs(v) for _, v in log_u) <= 1e-3
     capsys.readouterr()
     assert cli.main(["report", str(out_dir)]) == 0
     text = capsys.readouterr().out
     assert f"Q - 4, Q = sup R (C_inf / 2 pi)^2 (0 on every cigar): {q[0][1]:.6e} at t=0" in text
     assert f"log L: 0 at t=0 -> {scale[-1][1]:.6g} at t={scale[-1][0]:g}" in text
     assert "never below 2h" in text
+    assert f"max v discrepancy (evolved v(origin) against -int R(origin)): " \
+           f"{max(v for _, v in v_disc):.6e}" in text
+    rise = max(b - a for (_, a), (_, b) in zip(log_u, log_u[1:]))
+    assert f"co-moving sup log u: {log_u[0][1]:.6e} at t=0 -> {log_u[-1][1]:.6e} at " \
+           f"t={log_u[-1][0]:g}; largest rise between records {rise:.3e}" in text
 
 
 def test_cli_report_shows_when_the_fixed_nodes_reach_the_tip(capsys):
@@ -672,14 +687,15 @@ def test_cli_report_reads_a_summary_without_the_record_traces(tmp_path, capsys):
     assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
     summary_path = tmp_path / "out" / "summary.json"
     summary = json.loads(summary_path.read_text())
-    for key in ("q_minus_4_trace", "log_scale_trace", "fixed_edge_trace", "config"):
+    for key in ("q_minus_4_trace", "log_scale_trace", "fixed_edge_trace", "v_discrepancy_trace",
+                "sup_log_u_trace", "config"):
         del summary[key]
     summary_path.write_text(json.dumps(summary))
     capsys.readouterr()
     assert cli.main(["report", str(tmp_path / "out")]) == 0
     text = capsys.readouterr().out
     assert "steps:" in text and "Q - 4" not in text and "log L" not in text
-    assert "fixed node" not in text
+    assert "fixed node" not in text and "v discrepancy" not in text and "log u" not in text
 
 
 def test_cli_run_instability_exit_code(tmp_path, overdrive):
