@@ -41,15 +41,20 @@ the tip vanishes identically), so the profile stays O(1) and so do the
 curvature and the stiffness that set dt and the stage count.  For the exact
 soliton this gauge is static.  Fixed-coordinate fields at the original grid
 nodes come by cubic interpolation (the map pulls points inward, never
-outside the grid, while the scale grows); a step maps only u~, for the phi
-accumulator (`map_to_fixed`), and `fixed_fields` reuses that mapped u~.  The
-clamped spline's slope system is inverted once per grid size
-(`RadialGrid.spline`), so a fit is one matrix-vector product and each
-evaluation of it a piecewise-cubic one.  Each state fits u~ at most once
-(`ConformalState.fit`): the step's map and the record's normalized profile
-(`profile_distance`) evaluate the same fit.  The
-curvature evolution residual needs no map (it is taken on the co-moving
-nodes), and its probe advances without the accumulators.  gamma = 0
+outside the grid, while the scale grows).  Only the accumulators need them:
+u~ at the fixed nodes after every accepted step, for the phi accumulator,
+and `fixed_fields` reuses that mapped u~.  A step maps nothing.  The state
+it returns holds the step it came from, and the first read of its
+accumulators maps every pending step at once (`_catch_up`): one block fit
+of the states the chain passed through (`_map_block`, at most BLOCK_STEPS)
+and `map_to_fixed` of the state read, with the same bits as a map per step.
+The clamped spline's slope system is inverted once per grid size
+(`RadialGrid.spline`), so a fit is one matrix-vector product per row and
+each evaluation of it a piecewise-cubic one.  Each state fits u~ at most
+once (`ConformalState.fit`): the map of a record's state and its normalized
+profile (`profile_distance`) evaluate the same fit.  The curvature evolution
+residual needs no map (it is taken on the co-moving nodes), and its probe's
+steps are never mapped, since nothing reads their accumulators.  gamma = 0
 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
@@ -76,8 +81,9 @@ is pinned once by exactness on the soliton family and frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,24 +183,64 @@ class InitialData:
 
 @dataclass
 class Accumulators:
-    """Trapezoidal accumulators advanced once per accepted step."""
+    """Trapezoidal accumulators across the accepted steps.  A state that
+    `step` returns derives them from its step history when they are first
+    read (`FlowState.acc`)."""
 
     v_integral: float         # int_0^t R(origin) dtau
     phi: np.ndarray           # phi(t) - phi(0) = -int_0^t f dtau, fixed nodes
     u_fixed: np.ndarray       # u~ at the fixed nodes at the current time
 
 
+# Most steps whose accumulators wait to be read: `step` brings a longer chain
+# up to date first, so what a chain keeps alive stays small.
+BLOCK_STEPS = 32
+
+
+class _Step(NamedTuple):
+    """A state's pending accumulators: the step of size dt that reached it
+    from a state whose u^, log L and R(origin) are kept here, and whose own
+    accumulators are `before`, known or pending in turn.  `depth` counts the
+    pending steps back to known accumulators.  A chain of steps shares one
+    grid and one edge slope, since `step` keeps both."""
+
+    before: Accumulators | _Step
+    u_hat: np.ndarray
+    log_scale: float
+    r_origin: float
+    dt: float
+    depth: int
+
+
+class _Accumulated:
+    """`FlowState.acc`: the Accumulators a state was built with, or, for a
+    state that `step` returned, a `_Step` that is brought up to date on the
+    first read (`_catch_up`)."""
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            raise AttributeError("acc")  # so the dataclass field has no default
+        acc = vars(state)["acc"]
+        if type(acc) is _Step:
+            _catch_up(state)
+            acc = vars(state)["acc"]
+        return acc
+
+    def __set__(self, state, value):
+        vars(state)["acc"] = value
+
+
 @dataclass
 class FlowState:
     """One instant of the flow.  Treated as an immutable value; `step`
-    returns a new state."""
+    returns a new state, whose accumulators are derived on first read."""
 
     conformal: ConformalState  # log factor in the (possibly co-moving) frame
     t: float
     log_scale: float           # log L of the co-moving rescaling (0 = fixed)
     frame: str
     init: InitialData
-    acc: Accumulators
+    acc: Accumulators = _Accumulated()
 
     @property
     def grid(self):
@@ -251,11 +297,58 @@ def map_to_fixed(state):
     return values - 2.0 * state.log_scale
 
 
+def _map_block(grid, u_hat, log_scale, edge_slope):
+    """`map_to_fixed` of a (K, n) block of u^ with K values of log L, one
+    row each, bit for bit: the rows off the fixed frame share one block fit
+    (`GridSpline.fit`)."""
+    values = np.array(u_hat)
+    log_scale = np.array(log_scale)
+    moved = log_scale != 0.0
+    if moved.any():
+        fit = grid.spline.fit(values if moved.all() else values[moved], edge_slope)
+        values[moved] = fit(np.arcsinh(grid.r * np.exp(-log_scale[moved])[:, None]))
+    values -= 2.0 * log_scale[:, None]
+    return values
+
+
+def _catch_up(state):
+    """Derive the accumulators of a state that `step` returned, from its
+    pending steps back to the nearest known accumulators.
+
+    u~ at the fixed nodes comes from one block map of the states the chain
+    passed through (`_map_block`) and from `map_to_fixed` of `state`
+    itself, whose fit a record's `profile_distance` reuses.  The v and phi
+    trapezoids then run in step order, with the operations each step took
+    when it advanced them itself, so every bit is the same.
+    """
+    links = []
+    acc = vars(state)["acc"]
+    while type(acc) is _Step:
+        links.append(acc)
+        acc = acc.before
+    links.reverse()  # the first link leaves the state whose `acc` is known
+    passed = links[1:]  # the states between the known one and `state`
+    u_fixed = []
+    if passed:
+        u_fixed = list(_map_block(state.grid, [x.u_hat for x in passed],
+                                  [x.log_scale for x in passed], state.conformal.edge_slope))
+    u_fixed.append(map_to_fixed(state))
+    r_arrival = [x.r_origin for x in passed] + [float(state.curvature[0])]
+    w0 = state.init.w0
+    for link, u, r_origin in zip(links, u_fixed, r_arrival):
+        acc = Accumulators(
+            v_integral=acc.v_integral + 0.5 * link.dt * (link.r_origin + r_origin),
+            phi=acc.phi - 0.5 * link.dt * ((w0 - acc.u_fixed) + (w0 - u)),
+            u_fixed=u,
+        )
+    state.acc = acc
+
+
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes.
 
-    u~ is the accumulator's copy, which `step` maps once per accepted step,
-    and f = w0 - u~.
+    u~ is the accumulators' copy, mapped once per accepted step when they
+    are first read, and f = w0 - u~.
     """
     u_tilde = state.acc.u_fixed
     f = state.init.w0 - u_tilde
@@ -346,7 +439,7 @@ def _stage_count(stiffness):
 
 
 def _stages(state, dt):
-    """The stage count `_advance` takes for a step of size dt from the state
+    """The stage count `step` takes for a step of size dt from the state
     (a dt within STAGE_LIMIT stages)."""
     return _stage_count(dt * state.conformal.stiffness)
 
@@ -407,19 +500,26 @@ def adaptive_dt(state, safety=0.9):
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
 
 
-def _advance(state, dt):
-    """The RKC2 part of `step`: the state at t + dt with the accumulators
-    left as they were.  The monitor's curvature probe steps with this alone,
-    since it throws the accumulators away.
+def step(state, dt):
+    """Advance (u^, log L) by one damped RKC2 step of size dt.
 
     The stepped vector is (u^, log L), n + 1 values; the potential is read
-    from it, never stepped.  The stage count is the fewest s >= 2 with
-    beta(s) >= dt * rho, rho = max(e^{-u} rows) from the grid's
-    `gershgorin_rows`, which bounds the spectral radius of the diffusion
-    operator.  Stage 0 is the state's cached `FlowState.rate`, shared with
-    any other step from the same state; each later stage is one call of
-    `_stage_rhs`.  The new state is built directly, with the accumulators
-    as they were.
+    from it, never stepped.  The stage count is the fewest s >= 2 whose
+    stability interval beta(s) ~ 0.65 s^2 covers dt * rho (see
+    `adaptive_dt`), rho = max(e^{-u} rows) from the grid's
+    `gershgorin_rows`, so any dt is stable up to STAGE_LIMIT stages.  Stage
+    0 is the state's cached `FlowState.rate`, shared with any other step
+    from the same state; each later stage is one call of `_stage_rhs`, and
+    gamma is recomputed at every stage, which keeps the co-moving tip pinned
+    exactly.  Raises FlowInstabilityError for a dt beyond STAGE_LIMIT stages,
+    on post-step NaNs, or if sup u~ exceeds its initial value beyond the
+    abort tolerance (the maximum principle forbids any increase).
+
+    The new state holds the step it came from (`_Step`) in place of its
+    accumulators: u~ is mapped to the fixed nodes and the trapezoids are
+    taken only when its `acc` is first read, for every pending step at once.
+    A chain of more than BLOCK_STEPS pending steps is brought up to date
+    first.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
@@ -447,37 +547,13 @@ def _advance(state, dt):
             f"sup u~ rose to {sup_u_tilde:.6g} above the initial profile's maximum "
             f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
         )
+    before = vars(state)["acc"]
+    depth = before.depth + 1 if type(before) is _Step else 1
+    if depth > BLOCK_STEPS:
+        before, depth = state.acc, 1
+    link = _Step(before, conf.log_factor, state.log_scale, float(state.curvature[0]), dt, depth)
     return FlowState(ConformalState(state.grid, u1, conf.edge_slope), t1, log_scale1,
-                     state.frame, state.init, state.acc)
-
-
-def step(state, dt):
-    """Advance (u, log L) by one damped RKC2 step of size dt, then the
-    accumulators across it: u~ is mapped to the fixed nodes once, and phi
-    takes the trapezoid of f = w0 - u~ there.
-
-    The stage count is the fewest s >= 2 whose stability interval
-    beta(s) ~ 0.65 s^2 covers dt * rho (see `adaptive_dt`), so any dt is
-    stable up to STAGE_LIMIT stages; gamma is recomputed at every stage,
-    which keeps the co-moving tip pinned exactly.  Raises
-    FlowInstabilityError for a dt beyond STAGE_LIMIT stages, on post-step
-    NaNs, or if sup u~ exceeds its initial value beyond the abort tolerance
-    (the maximum principle forbids any increase).
-    """
-    new_state = _advance(state, dt)
-    # trapezoidal accumulators across the accepted step
-    r0 = float(state.curvature[0])
-    r0_new = float(new_state.curvature[0])
-    u_fixed = map_to_fixed(new_state)
-    acc = state.acc
-    w0 = state.init.w0
-    acc1 = Accumulators(
-        v_integral=acc.v_integral + 0.5 * dt * (r0 + r0_new),
-        phi=acc.phi - 0.5 * dt * ((w0 - acc.u_fixed) + (w0 - u_fixed)),
-        u_fixed=u_fixed,
-    )
-    return FlowState(new_state.conformal, new_state.t, new_state.log_scale, new_state.frame,
-                     new_state.init, acc1)
+                     state.frame, state.init, link)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +565,11 @@ def monitor(state, dt_hint=None):
 
     `dt_hint` is echoed into the record's dt column (the step size the run
     is using).  The fixed-frame columns come from `fixed_fields`, which reads
-    the u~ that `step` mapped and fits no spline.  The curvature-evolution
-    residual is probed by taking two extra RKC2 advances from the state,
-    without the accumulators; the first starts from the state's cached stage
-    rate, as the next accepted step does.  The probe's steps have the diffusive size
+    the mapped u~ of the accumulators (the first read brings them up to
+    date).  The curvature-evolution residual is probed by taking two extra
+    `step`s from the state, whose accumulators nobody reads; the first
+    starts from the state's cached stage rate, as the next accepted step
+    does.  The probe's steps have the diffusive size
     0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
     measuring the same O(dt^2 + h^2) residual on the state's own nodes.
     The record carries the probe's stage count (0 when the probe fails) and
@@ -511,8 +588,8 @@ def monitor(state, dt_hint=None):
     )
     dtp = 0.9 / state.conformal.diffusion_rate(state.grid.lap_diag)
     try:
-        s1 = _advance(state, dtp)
-        s2 = _advance(s1, dtp)
+        s1 = step(state, dtp)
+        s2 = step(s1, dtp)
         res_curv = float(np.max(np.abs(curvature_evolution_residual(state, s1, s2))))
         probe_stages = _stages(state, dtp) + _stages(s1, dtp)
     except FlowInstabilityError:
@@ -615,7 +692,7 @@ def normalize(state, s_window=None):
     window.  In the co-moving frame the running scale L cancels, so only
     the residual rescale by e^{-u^(origin)/2} remains and the full grid is
     normally available.  The profile is read from the state's u~ spline
-    (`ConformalState.fit`), which the step's frame map has usually fitted
+    (`ConformalState.fit`), which the map of a record's state has fitted
     already; the window grid is built once per window size and spacing.
     """
     grid = state.grid
@@ -662,8 +739,8 @@ KAHLER_CONSTANT = 1.0
 def kahler_residual(state):
     """Max mismatch between the evolved density and the potential reconstruction.
 
-    The evolved density is e^{u~} at the fixed nodes, from the u~ that `step`
-    mapped (`Accumulators.u_fixed`).  Exactly zero at t = 0 by construction.
+    The evolved density is e^{u~} at the fixed nodes, from the accumulators'
+    mapped u~ (`Accumulators.u_fixed`).  Exactly zero at t = 0 by construction.
     The outermost node is excluded: the accumulated potential has no ghost
     information of its own beyond the slope t * edge_slope used here, the
     integral of f's slope -edge_slope.
@@ -773,7 +850,9 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
             telemetry.stages += _stages(state, dt)
             state = new_state
             if abs(state.t - target) < 1e-12:
-                state = replace(state, t=target)
+                # land on the event exactly; the state is new and held
+                # nowhere else, and this keeps its accumulators pending
+                state.t = target
             dt_free = adaptive_dt(state, safety)
         if aborted:
             break

@@ -169,12 +169,13 @@ class GridSpline:
     (0, slope) at the ends: zero by symmetry at the tip, the physical
     Neumann slope at s_max.  It solves the slope system once and returns an
     evaluator of points x; a conformal state keeps its log factor's fit
-    (`ConformalState.fit`).  The slope system is scipy's cubic spline's, and
-    `__init__` inverts it once, so a solve is one product with the inverse;
-    it agrees with scipy to a few ulps of the data's scale.  The Hermite
-    coefficients and the evaluation follow scipy's piecewise polynomial, and
-    points beyond the knots extrapolate with the end pieces.  Non-finite
-    values raise scipy's ValueError.
+    (`ConformalState.fit`), and a (K, n) block of values fits K splines at
+    once (the accumulators' frame map).  The slope system is scipy's cubic
+    spline's, and `__init__` inverts it once, so a solve is one product with
+    the inverse; it agrees with scipy to a few ulps of the data's scale.  The
+    Hermite coefficients and the evaluation follow scipy's piecewise
+    polynomial, and points beyond the knots extrapolate with the end pieces.
+    Non-finite values raise scipy's ValueError.
     """
 
     def __init__(self, knots):
@@ -197,16 +198,24 @@ class GridSpline:
         return self._inverse @ b
 
     def _slopes(self, values, slope):
-        """The values as an array, the secants and the spline's knot slopes."""
+        """The values as an array, the secants and the spline's knot slopes,
+        for one row of values or a (K, n) block of rows.  A block still takes
+        one product per row: a single matrix-matrix product moves the last
+        bits."""
         y = np.asarray(values, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("`y` must contain only finite values.")
         dx = self.dx
-        secant = (y[1:] - y[:-1]) / dx
-        rhs = np.empty(y.size)
-        rhs[1:-1] = 3 * (dx[1:] * secant[:-1] + dx[:-1] * secant[1:])
-        rhs[0], rhs[-1] = 0.0, slope
-        return y, secant, self._solve(rhs)
+        secant = (y[..., 1:] - y[..., :-1]) / dx
+        rhs = np.empty(y.shape)
+        rhs[..., 1:-1] = 3 * (dx[1:] * secant[..., :-1] + dx[:-1] * secant[..., 1:])
+        rhs[..., 0], rhs[..., -1] = 0.0, slope
+        if y.ndim == 1:
+            return y, secant, self._solve(rhs)
+        m = np.empty(y.shape)
+        for k, row in enumerate(rhs):
+            m[k] = self._solve(row)
+        return y, secant, m
 
     def maximum(self, values, slope):
         """The spline's largest value between the first and the last knot:
@@ -236,13 +245,17 @@ class GridSpline:
 
     def fit(self, values, slope):
         """The spline through `values` clamped to (0, slope), as a function
-        of the points x: one slope solve, however often it is evaluated."""
+        of the points x: one slope solve, however often it is evaluated.
+
+        A (K, n) block of values, with one end slope or K of them, fits K
+        splines at once, and its evaluator takes a (K, p) block of points,
+        row k on spline k; each row gets the bits it would get alone."""
         y, secant, m = self._slopes(values, slope)
         dx = self.dx
         # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
-        t = (m[:-1] + m[1:] - 2 * secant) / dx
+        t = (m[..., :-1] + m[..., 1:] - 2 * secant) / dx
         c0 = t / dx
-        c1 = (secant - m[:-1]) / dx - t
+        c1 = (secant - m[..., :-1]) / dx - t
         inner_knots, knots = self._inner_knots, self.knots
 
         def evaluate(x):
@@ -251,6 +264,8 @@ class GridSpline:
             x = np.asarray(x, dtype=float)
             i = np.searchsorted(inner_knots, x, "right")
             z = x - knots[i]
+            if y.ndim == 2:  # row k's points read row k's pieces
+                i = (np.arange(len(y))[:, None], i)
             zz = z * z
             return 0.0 + y[i] + m[i] * z + c1[i] * zz + c0[i] * (zz * z)
 

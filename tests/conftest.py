@@ -106,3 +106,48 @@ def coupled_oracle():
         return trail
 
     return run
+
+
+@pytest.fixture
+def eager_oracle(monkeypatch):
+    """trail(final): the accepted steps that led to the state `final`, each
+    with its accumulators taken eagerly, as `flow.step` once advanced them
+    after every step: `map_to_fixed` of the new state, then the v and phi
+    trapezoids.  A list of (state, Accumulators) from the first stepped
+    state to `final`.
+
+    Every `flow.step` call made under the fixture is recorded, the curvature
+    probe's included; the trail follows each state back to the state it was
+    stepped from, up to one that no recorded step made.
+    """
+    made = {}  # id of a stepped state: (that state, the state before, dt)
+    step = flow.step
+
+    def spy(state, dt):
+        new = step(state, dt)
+        made[id(new)] = (new, state, dt)
+        return new
+
+    monkeypatch.setattr(flow, "step", spy)
+
+    def trail(final):
+        links = []
+        state = final
+        while id(state) in made:
+            _, before, dt = made[id(state)]
+            links.append((before, dt, state))
+            state = before
+        acc, w0 = state.acc, state.init.w0
+        out = []
+        for before, dt, state in reversed(links):
+            u_fixed = flow.map_to_fixed(state)
+            acc = flow.Accumulators(
+                v_integral=acc.v_integral + 0.5 * dt * (float(before.curvature[0])
+                                                        + float(state.curvature[0])),
+                phi=acc.phi - 0.5 * dt * ((w0 - acc.u_fixed) + (w0 - u_fixed)),
+                u_fixed=u_fixed,
+            )
+            out.append((state, acc))
+        return out
+
+    return trail

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import math
 import runpy
+import time
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,28 @@ def test_benchmark_workload_passes_its_own_checks(tmp_path, name):
     output = workload.iterate()
     assert workload.check(output) == []
     assert math.isfinite(workload.max_err(output))
+
+
+def test_traced_workload_layer_readings_are_finite(tmp_path):
+    # one traced iteration of relax_long reduced by the tracer's summary:
+    # every per-layer reading is finite, the accepted steps are the shipped
+    # run's 252, and the curvature probe's steps count as flow.step calls
+    # under flow.monitor
+    tracer = runpy.run_path(str(TRACER))
+    workload = runpy.run_path(str(TRACER.parent / "workloads.py"))["WORKLOADS"]["relax_long"]()
+    workload.setup(0, tmp_path / "relax_long")
+    spans = tracer["Tracer"]()
+    spans.install()
+    try:
+        start = time.perf_counter()
+        output = workload.iterate()
+        wall = time.perf_counter() - start
+    finally:
+        spans.uninstall()
+    assert workload.check(output) == []
+    summary = spans.summary(1, workload.sim_time, wall)
+    assert summary.keys() >= {"flow.steps_per_sim_time", "flow.probe_step_share",
+                              "flow.fixed_fields.calls_per_step"}
+    assert all(math.isfinite(value) for value in summary.values())
+    assert summary["flow.steps_per_sim_time"] == 252 / 5
+    assert summary["flow.probe_step_share"] > 0

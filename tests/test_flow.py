@@ -301,10 +301,12 @@ def test_shipped_run_solve_count(config_dir, monkeypatch):
     """The spline slope solves of the shipped run, set-up included: one for
     u~0's maximum, one for the t = 0 record's normalized profile (the initial
     state has log L = 0, so it is never mapped) and one per accepted step
-    (252, u~'s fit for the frame map, `ConformalState.fit`).  The 20 later
-    records reuse their step's fit.  The count is exact; fitting u~ anew at
-    each record takes 274 (under the accuracy bound h / sup|R|, 348 steps
-    made 350 solves)."""
+    (252) for the frame map of the accumulators.  The 20 later record states
+    map through their own fit (`ConformalState.fit`), which their
+    normalized profiles reuse, and the other 232 states are rows of the
+    block fits that the records' reads of the accumulators make, one solve
+    per row.  The count is exact; fitting u~ anew at each record takes 274
+    (under the accuracy bound h / sup|R|, 348 steps made 350 solves)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     solves = []
     solve = GridSpline._solve
@@ -827,6 +829,73 @@ def test_u_fixed_is_the_mapped_log_factor(tmp_path):
     assert_mapped(state)
     save_snapshot(state, tmp_path / "snap.txt")
     assert_mapped(load_snapshot(tmp_path / "snap.txt"))
+
+
+def _bits(acc):
+    return [np.asarray(getattr(acc, name), dtype=float).tobytes()
+            for name in ("v_integral", "phi", "u_fixed")]
+
+
+def assert_blocks_match_eager_steps(final, trail):
+    """`final`'s accumulators, read first, then those of every state on the
+    way to it, equal the eager reference bit for bit; returns the number of
+    steps."""
+    got = _bits(final.acc)
+    steps = trail(final)
+    assert steps and steps[-1][0] is final
+    assert got == _bits(steps[-1][1])
+    for state, eager in steps:
+        assert _bits(state.acc) == _bits(eager), state.t
+    return len(steps)
+
+
+@pytest.mark.parametrize("name, stepping", [
+    # one record at t = 5: the steps reach it in several blocks
+    ("perturbed_relax_129.json", {"record_interval": 5.0}),
+    # R = 0, so log L stays exactly 0.0 and no state is mapped
+    ("flat_radial_65.json", {"t_end": 40.0, "record_interval": 40.0}),
+    ("perturbed_relax_129.json", {"frame": "fixed", "t_end": 1.0, "record_interval": 1.0}),
+])
+def test_run_accumulators_match_eager_steps(config_dir, eager_oracle, name, stepping):
+    data = json.loads((config_dir / name).read_text())
+    data["stepping"].update(stepping)
+    config = parse_config(data)
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted and len(result.records) == 2
+    steps = assert_blocks_match_eager_steps(result.final_state, eager_oracle)
+    assert steps == result.telemetry.steps > flow.BLOCK_STEPS
+    if name.startswith("flat"):
+        assert result.final_state.log_scale == 0.0
+
+
+def test_accumulators_read_after_every_step_match_eager_steps(eager_oracle):
+    state = build_scenario(radial_config(
+        n=65, initial={"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0,
+                       "width": 0.5}))
+    for _ in range(20):
+        state = flow.step(state, flow.adaptive_dt(state))
+        state.acc  # noqa: B018 -- a block of one step
+    assert assert_blocks_match_eager_steps(state, eager_oracle) == 20
+
+
+def test_aborted_run_carries_accumulators_through_its_last_good_step(overdrive, eager_oracle):
+    with overdrive():
+        result = flow.run(cigar_flow_state(65), 1.0, safety=0.9, record_interval=0.5)
+    assert result.aborted
+    assert assert_blocks_match_eager_steps(result.final_state, eager_oracle) >= 2
+
+
+def test_pending_steps_never_exceed_a_block():
+    # what unread accumulators keep alive stays bounded: a longer chain is
+    # brought up to date by the step that would extend it
+    state = cigar_flow_state(65)
+    depths = []
+    for _ in range(3 * flow.BLOCK_STEPS):
+        state = flow.step(state, flow.adaptive_dt(state))
+        depths.append(vars(state)["acc"].depth)
+    assert max(depths) == flow.BLOCK_STEPS
+    assert depths.count(1) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -910,6 +910,20 @@ def test_shipped_perturbed_run_matches_committed_reference(shipped_reports, conf
     assert (tmp_path / "final.txt").read_bytes() == (reference / "snapshot_final.txt").read_bytes()
 
 
+def test_cli_run_reproduces_every_committed_file(config_dir, tmp_path):
+    # all six files of the committed run, byte for byte: the CSV, the
+    # snapshots at t = 0, 2.5 and 5 with their fixed-node accumulators, the
+    # final snapshot and summary.json with its traces
+    reference = config_dir.parent / "runs" / "perturbed_relax_129"
+    out = tmp_path / "out"
+    assert cli.main(["run", str(config_dir / "perturbed_relax_129.json"), "--quiet",
+                     "--out", str(out)]) == 0
+    names = sorted(path.name for path in reference.iterdir())
+    assert len(names) == 6 and sorted(path.name for path in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), name
+
+
 def test_shipped_configs_initial_potential_residual(config_dir):
     # the discrete Poisson solve round-trips through the operator on every
     # shipped scenario
