@@ -23,7 +23,8 @@ state's fields are computed once on the step path: its Laplacian rows
 (`ConformalState.laplacian`) give both its curvature and its stage rate
 (`FlowState.rate`), which is stage 0 of every step taken from it, so the
 accepted step, the record's curvature and the curvature probe share one
-evaluation; the RKC2 recursion runs in three preallocated work vectors.
+evaluation.  Each later stage forms its increment by one BLAS product of
+four weights with a preallocated stack of four rows (`_rkc_step`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -82,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -264,7 +265,7 @@ class FlowState:
     @cached_property
     def rate(self):
         """The stage rate of (u^, log L) at this state, bit for bit
-        `_stage_rhs(state, (u^, log L))` (computed once): e^{-u^} times the
+        `_stage_rhs(state, (u^, log L), out)` (computed once): e^{-u^} times the
         conformal state's cached Laplacian rows, plus the co-moving terms.
         It is stage 0 of every RKC2 step from the state, so the accepted step
         and the monitor's curvature probe share it."""
@@ -317,9 +318,10 @@ def _catch_up(state):
 
     u~ at the fixed nodes comes from one block map of the states the chain
     passed through (`_map_block`) and from `map_to_fixed` of `state`
-    itself, whose fit a record's `profile_distance` reuses.  The v and phi
-    trapezoids then run in step order, with the operations each step took
-    when it advanced them itself, so every bit is the same.
+    itself, whose fit a record's `profile_distance` reuses.  The trapezoids
+    keep the operations and the order each step took when it advanced them
+    itself, so every bit is the same: v's in step order, and phi's as one
+    block, its terms stacked under phi and subtracted from it row after row.
     """
     links = []
     acc = vars(state)["acc"]
@@ -328,20 +330,21 @@ def _catch_up(state):
         acc = acc.before
     links.reverse()  # the first link leaves the state whose `acc` is known
     passed = links[1:]  # the states between the known one and `state`
-    u_fixed = []
+    u_fixed = map_to_fixed(state)
+    chain = np.empty((len(links) + 1, state.grid.n))  # u~ at the fixed nodes along the chain
+    chain[0], chain[-1] = acc.u_fixed, u_fixed
     if passed:
-        u_fixed = list(_map_block(state.grid, [x.u_hat for x in passed],
-                                  [x.log_scale for x in passed], state.conformal.edge_slope))
-    u_fixed.append(map_to_fixed(state))
-    r_arrival = [x.r_origin for x in passed] + [float(state.curvature[0])]
-    w0 = state.init.w0
-    for link, u, r_origin in zip(links, u_fixed, r_arrival):
-        acc = Accumulators(
-            v_integral=acc.v_integral + 0.5 * link.dt * (link.r_origin + r_origin),
-            phi=acc.phi - 0.5 * link.dt * ((w0 - acc.u_fixed) + (w0 - u)),
-            u_fixed=u,
-        )
-    state.acc = acc
+        chain[1:-1] = _map_block(state.grid, [x.u_hat for x in passed],
+                                 [x.log_scale for x in passed], state.conformal.edge_slope)
+    f = state.init.w0 - chain
+    terms = np.empty_like(f)  # phi, then each step's 0.5 dt (f before + f after)
+    terms[0] = acc.phi
+    np.add(f[:-1], f[1:], out=terms[1:])
+    terms[1:] *= np.array([[0.5 * x.dt] for x in links])
+    v_integral = acc.v_integral
+    for link, r_origin in zip(links, [x.r_origin for x in passed] + [float(state.curvature[0])]):
+        v_integral += 0.5 * link.dt * (link.r_origin + r_origin)
+    state.acc = Accumulators(v_integral, np.subtract.reduce(terms), u_fixed)
 
 
 def fixed_fields(state):
@@ -362,9 +365,9 @@ def fixed_fields(state):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _stage_rhs(state, y):
-    """The rate of y = (u_hat, log L) at one RKC2 stage, one vector of length
-    n + 1.
+def _stage_rhs(state, y, out):
+    """The rate of y = (u_hat, log L) at one RKC2 stage, written into `out`,
+    a vector of length n + 1, and returned.
 
     The Laplacian's rows are `background_laplacian`'s (`_laplacian_rows`),
     so the fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies
@@ -374,7 +377,6 @@ def _stage_rhs(state, y):
     itself, is `FlowState.rate`, which gives the same bits from the state's
     cached rows.
     """
-    out = np.empty_like(y)
     u_hat, rate = y[:-1], out[:-1]
     d = _laplacian_rows(u_hat, state.grid, state.conformal.edge_slope, rate)
     rate *= np.exp(-u_hat)
@@ -432,10 +434,23 @@ def _rkc_coefficients(s):
 
 def _stage_count(stiffness):
     """Fewest stages s >= 2 whose stability interval covers dt * rho."""
-    s = max(2, int(np.sqrt(stiffness / 0.7)))  # beta(s) < 0.7 s^2: never past the answer
+    s = max(2, int(math.sqrt(stiffness / 0.7)))  # beta(s) < 0.7 s^2: never past the answer
     while _rkc_coefficients(s)[0] < stiffness:
         s += 1
     return s
+
+
+@lru_cache(maxsize=256)
+def _stage_weights(s):
+    """The weights of stages 2 .. s of the s-stage RKC2 step against the
+    rows of `_rkc_step`'s stack (f0, the stage rate and two increment
+    slots), one row per stage: (gamma_tilde_j, mu_tilde_j, nu_j, mu_j), with
+    nu_j and mu_j swapped on every other stage, as the slots take d_{j-1}
+    and d_{j-2} in turn.  The rate's weight is still to be scaled by dt."""
+    weights = np.array(_rkc_coefficients(s)[2])[:, ::-1]
+    weights[1::2, [2, 3]] = weights[1::2, [3, 2]]
+    weights.setflags(write=False)
+    return weights
 
 
 def _stages(state, dt):
@@ -447,30 +462,28 @@ def _stages(state, dt):
 def _rkc_step(rhs, y0, rate0, dt, s):
     """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
 
-    `rate0` is rhs(y0), stage 0, which the caller already holds
-    (`FlowState.rate`); rhs is called s - 1 times and must return a new
-    array.  Each stage is
-    d_j = ((mu d_{j-1} + nu d_{j-2}) + (mu~ dt) rhs(y0 + d_{j-1})) + gamma~ f0,
-    f0 = dt rate0, in that order of operations, in three work vectors: the
-    stage point, which is free once rhs has returned, takes the sum, and
-    d_{j-2}'s vector takes each product.  d_0 = 0 is a vector of +0.0, so
-    the first stage adds nu * 0.0 with its sign, as the scalar did.  The
-    increment form keeps every component whose rate vanishes (the co-moving
-    tip) at exactly its old value.
+    `rate0` is the rate at y0, stage 0, which the caller already holds
+    (`FlowState.rate`); rhs(y, out) writes the rate at y into out and is
+    called s - 1 times.  Each stage is
+    d_j = mu d_{j-1} + nu d_{j-2} + (mu~ dt) rhs(y0 + d_{j-1}) + gamma~ f0,
+    f0 = dt rate0, formed by one product of the stage's four weights
+    (`_stage_weights`) with a stack of four rows: f0, the stage rate, which
+    rhs writes in place, and two increment slots, which take d_j in turn.
+    d_0 = 0 is a row of +0.0.  The product sums in BLAS's order, not left to
+    right, so the step agrees with the sequential expression to rounding,
+    not bit for bit.  A component whose rate is 0 at every stage (the
+    co-moving tip) has every increment 0 and keeps its old value exactly.
     """
-    _, mu_tilde_1, rows = _rkc_coefficients(s)
-    f0 = dt * rate0
-    d_old = mu_tilde_1 * f0
-    d_older = np.zeros_like(y0)
-    work = np.empty_like(y0)
-    for mu, nu, mu_tilde, gamma_tilde in rows:
-        r = rhs(np.add(y0, d_old, out=work))
-        d_older *= nu
-        np.multiply(d_old, mu, out=work)
-        work += d_older
-        work += np.multiply(r, mu_tilde * dt, out=d_older)
-        work += np.multiply(f0, gamma_tilde, out=d_older)
-        d_older, d_old, work = d_old, work, d_older
+    _, mu_tilde_1, _ = _rkc_coefficients(s)
+    stack = np.zeros((4, y0.size))
+    f0, rate, d_older, d_old = stack
+    np.multiply(rate0, dt, out=f0)
+    np.multiply(f0, mu_tilde_1, out=d_old)
+    point = np.empty_like(y0)
+    for weights in _stage_weights(s) * (1.0, dt, 1.0, 1.0):
+        rhs(np.add(y0, d_old, out=point), rate)
+        np.dot(weights, stack, out=d_older)
+        d_old, d_older = d_older, d_old
     return y0 + d_old
 
 
@@ -495,7 +508,7 @@ def adaptive_dt(state, safety=0.9):
     if not (0.0 < safety):
         raise ValueError("safety must be positive")
     rho = state.conformal.stiffness
-    sup_r = float(np.max(np.abs(state.curvature)))
+    sup_r = float(np.abs(state.curvature).max())
     dt_curv = CURVATURE_STEP * state.grid.h / sup_r if sup_r > 0.0 else np.inf
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
 
@@ -532,16 +545,15 @@ def step(state, dt):
     conf = state.conformal
     y0 = np.empty(state.grid.n + 1)
     y0[:-1], y0[-1] = conf.log_factor, state.log_scale
-    y1 = _rkc_step(lambda y: _stage_rhs(state, y), y0, state.rate, dt, _stage_count(stiffness))
-    u1, log_scale1 = y1[:-1], float(y1[-1])
-
-    if not (np.all(np.isfinite(u1)) and math.isfinite(log_scale1)):
+    y1 = _rkc_step(partial(_stage_rhs, state), y0, state.rate, dt, _stage_count(stiffness))
+    if not np.isfinite(y1).all():
         raise FlowInstabilityError("non-finite fields after step", t1)
+    u1, log_scale1 = y1[:-1], float(y1[-1])
 
     # the node maximum against the initial profile's (its spline's): the
     # co-moving nodes are not material points, so a node may come to sit
     # nearer the crest than any node did at t = 0
-    sup_u_tilde = float(np.max(u1)) - 2.0 * log_scale1
+    sup_u_tilde = float(u1.max()) - 2.0 * log_scale1
     if sup_u_tilde > state.init.sup_u_tilde0 + SUP_GROWTH_ABORT:
         raise FlowInstabilityError(
             f"sup u~ rose to {sup_u_tilde:.6g} above the initial profile's maximum "
@@ -576,21 +588,20 @@ def monitor(state, dt_hint=None):
     the largest log u on the stepped nodes.
     """
     u_hat = state.conformal.log_factor
-    if not np.all(np.isfinite(u_hat)):
+    if not np.isfinite(u_hat).all():
         nan = float("nan")
         return DiagnosticsRecord(state.t, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan)
 
     fields = fixed_fields(state)
     curv = state.curvature
     rep = width_report(state.conformal)
-    res_poisson = float(
-        np.max(np.abs(metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv))
-    )
+    res_poisson = float(np.abs(
+        metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv).max())
     dtp = 0.9 / state.conformal.diffusion_rate(state.grid.lap_diag)
     try:
         s1 = step(state, dtp)
         s2 = step(s1, dtp)
-        res_curv = float(np.max(np.abs(curvature_evolution_residual(state, s1, s2))))
+        res_curv = float(np.abs(curvature_evolution_residual(state, s1, s2)).max())
         probe_stages = _stages(state, dtp) + _stages(s1, dtp)
     except FlowInstabilityError:
         res_curv, probe_stages = float("nan"), 0
@@ -601,19 +612,19 @@ def monitor(state, dt_hint=None):
     return DiagnosticsRecord(
         t=state.t,
         dt=float(dt_hint) if dt_hint else float("nan"),
-        sup_R=float(np.max(curv)),
-        inf_R=float(np.min(curv)),
-        sup_u_tilde=float(np.max(u_hat)) - 2.0 * state.log_scale,
-        sup_grad_sq=float(np.max(_metric_gradient_sq(state.grid, u_hat, u_hat,
-                                                     state.conformal.edge_slope))),
-        w_drift=float(np.max(np.abs(fields["w"] - state.init.w0))),
-        sup_h=float(np.max(fields["h"])),
+        sup_R=float(curv.max()),
+        inf_R=float(curv.min()),
+        sup_u_tilde=float(u_hat.max()) - 2.0 * state.log_scale,
+        sup_grad_sq=float(_metric_gradient_sq(state.grid, u_hat, u_hat,
+                                              state.conformal.edge_slope).max()),
+        w_drift=float(np.abs(fields["w"] - state.init.w0).max()),
+        sup_h=float(fields["h"].max()),
         width_bound=rep.width_bound,
         cinf_est=rep.cinf_estimate,
         res_poisson=res_poisson,
         res_curv_evo=res_curv,
         v_discrepancy=v_disc,
-        sup_log_u=float(np.max(log_u)),
+        sup_log_u=float(log_u.max()),
         probe_stages=probe_stages,
     )
 
@@ -722,7 +733,7 @@ def profile_distance(state, s_window=4.0):
     """
     normalized, _ = normalize(state, s_window)
     _, target = _window(state.grid, s_window)
-    return float(np.max(np.abs(normalized.log_factor - target)))
+    return float(np.abs(normalized.log_factor - target).max())
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +762,7 @@ def kahler_residual(state):
     phi_slope = state.t * state.conformal.edge_slope
     lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
     resid = rho_t - rho_0 - KAHLER_CONSTANT * lap_phi
-    return float(np.max(np.abs(resid[:-1])))
+    return float(np.abs(resid[:-1]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -342,12 +342,12 @@ class ConformalState:
     def diffusion_rate(self, weights):
         """max_i e^{-u~_i} weights_i for per-node weights of the Laplacian;
         a ValueError where e^{-u~} overflowed."""
-        if not np.all(np.isfinite(self.diffusivity)):
+        if not np.isfinite(self.diffusivity).all():
             raise ValueError(
                 "diffusivity e^{-u} overflowed; rescale the initial data or use "
                 "the co-moving frame"
             )
-        return float(np.max(self.diffusivity * weights))
+        return float((self.diffusivity * weights).max())
 
 
 def _check_field(f, grid):

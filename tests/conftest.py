@@ -77,16 +77,18 @@ def _coupled_step(state, y, dt):
     grid, n = state.grid, state.grid.n
     slope_f = state.potential_slope
 
-    def rhs(y):
+    def rhs(y, out):
         u_hat, f_hat = y[:n], y[n:-1]
-        rate = flow._stage_rhs(state, np.append(u_hat, y[-1]))
+        rate = flow._stage_rhs(state, np.append(u_hat, y[-1]), np.empty(n + 1))
         gamma = rate[-1]
         df = np.exp(-u_hat) * background_laplacian(f_hat, grid, slope_f)
         if gamma != 0.0:
             df = df + gamma * grid.tanh_s * _radial_derivative(grid, f_hat, slope_f)
-        return np.concatenate((rate[:-1], df, [gamma]))
+        out[:n], out[n:-1], out[-1] = rate[:-1], df, gamma
+        return out
 
-    return flow._rkc_step(rhs, y, rhs(y), dt, flow._stage_count(dt * state.conformal.stiffness))
+    return flow._rkc_step(rhs, y, rhs(y, np.empty_like(y)), dt,
+                          flow._stage_count(dt * state.conformal.stiffness))
 
 
 @pytest.fixture(scope="session")

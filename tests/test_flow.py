@@ -1,10 +1,11 @@
 import json
 from dataclasses import replace
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
@@ -60,7 +61,7 @@ def test_rhs_is_minus_curvature_exactly():
     state = cigar_flow_state(65, frame="fixed")
     conf = state.conformal
     # the fixed-frame stage rate of u~ is -R exactly
-    rate = flow._stage_rhs(state, np.append(conf.log_factor, 0.0))
+    rate = flow._stage_rhs(state, np.append(conf.log_factor, 0.0), np.empty(state.grid.n + 1))
     assert rate.shape == (state.grid.n + 1,)
     du, gamma = rate[:-1], rate[-1]
     assert gamma == 0.0
@@ -82,7 +83,7 @@ def test_fused_stage_rate_matches_the_separate_operators():
         state = build_scenario(radial_config(n=65, initial=bump, frame=frame))
         grid, conf, n = state.grid, state.conformal, state.grid.n
         u = conf.log_factor + 0.01 * np.sin(grid.s)
-        rate = flow._stage_rhs(state, np.append(u, 0.0))
+        rate = flow._stage_rhs(state, np.append(u, 0.0), np.empty(n + 1))
         assert rate.shape == (n + 1,)
         du = np.exp(-u) * background_laplacian(u, grid, conf.edge_slope)
         if frame == "fixed":
@@ -108,25 +109,33 @@ def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame):
     assert (state.log_scale != 0.0) == (frame == "comoving")
     for candidate in (state, replace(state, t=0.25)):
         y0 = np.append(candidate.conformal.log_factor, candidate.log_scale)
-        assert candidate.rate.tobytes() == flow._stage_rhs(candidate, y0).tobytes()
+        fresh = flow._stage_rhs(candidate, y0, np.empty_like(y0))
+        assert candidate.rate.tobytes() == fresh.tobytes()
 
 
 def _rkc_step_reference(rhs, y0, dt, s):
-    """The RKC2 recursion as one expression per stage, stage 0 included: the
-    reference for `flow._rkc_step`'s work vectors."""
+    """The RKC2 recursion as one expression per stage, stage 0 included,
+    summed left to right: the reference for `flow._rkc_step`'s product."""
     _, mu_tilde_1, rows = flow._rkc_coefficients(s)
     f0 = dt * rhs(y0)
     d_older, d_old = 0.0, mu_tilde_1 * f0
     for mu, nu, mu_tilde, gamma_tilde in rows:
         d_older, d_old = d_old, (mu * d_old + nu * d_older
                                  + mu_tilde * dt * rhs(y0 + d_old) + gamma_tilde * f0)
-    return y0 + d_old
+    return y0 + d_old, d_old
 
 
-def test_rkc_step_in_work_vectors_is_the_expression_bit_for_bit():
+def test_rkc_step_product_is_the_expression_to_rounding():
     # random data with signed zeros in y0 and in the rate's coefficients,
-    # through a nonlinear rate that keeps them: every bit of every component,
-    # the zeros' signs included, at every stage count a run can take
+    # through a nonlinear rate, at every stage count a run can take: the
+    # stage product sums in BLAS's order, so it agrees with the sequential
+    # expression to rounding.  The bound is 4 s^2 ulps of the increment's
+    # largest value, besides the last addition's ulp of y1: a stage's
+    # rounding reaches the last stage through the Chebyshev recursion, and
+    # 1000 draws of these data gave at most 2.1 s^2.  A component whose rate
+    # is 0 keeps its value (bit for bit where it is not 0), as the co-moving
+    # tip does.
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(20)
     for s in range(2, flow.MAX_STAGES + 1):
         y0 = rng.standard_normal(40)
@@ -140,8 +149,12 @@ def test_rkc_step_in_work_vectors_is_the_expression_bit_for_bit():
             return coef * y + 0.1 * coef * np.sin(y)
 
         dt = flow._rkc_coefficients(s)[0] / 3.3  # dt |coef| inside [0, beta(s)]
-        got = flow._rkc_step(rhs, y0, rhs(y0), dt, s)
-        assert got.tobytes() == _rkc_step_reference(rhs, y0, dt, s).tobytes(), s
+        got = flow._rkc_step(lambda y, out: np.copyto(out, rhs(y)), y0, rhs(y0), dt, s)
+        want, d = _rkc_step_reference(rhs, y0, dt, s)
+        bound = eps * (np.abs(want) + 4 * s**2 * np.max(np.abs(d)))
+        assert np.all(np.abs(got - want) <= bound), s
+        still = coef == 0.0
+        assert still.any() and np.array_equal(got[still], y0[still]), s
 
 
 def oracle_config(config_dir, seed=None):
@@ -486,11 +499,11 @@ def test_rkc_stability_polynomial():
     for s in range(2, flow.MAX_STAGES + 1):
         beta = flow._rkc_coefficients(s)[0]
         z = np.linspace(-beta, 0.0, 4001)
-        p = flow._rkc_step(lambda y, z=z: z * y, np.ones(z.size), z, 1.0, s)
+        p = flow._rkc_step(partial(np.multiply, z), np.ones(z.size), z, 1.0, s)
         assert np.max(np.abs(p)) <= 1.0 + 1e-12, s
         assert np.max(np.abs(p[z <= -beta / 20])) <= 0.97, s
         z = np.array([-1e-2, -5e-3, -2.5e-3])
-        p = flow._rkc_step(lambda y, z=z: z * y, np.ones(z.size), z, 1.0, s)
+        p = flow._rkc_step(partial(np.multiply, z), np.ones(z.size), z, 1.0, s)
         assert np.all(np.abs(p - (1.0 + z + 0.5 * z * z)) <= 0.2 * np.abs(z) ** 3), s
         assert flow._stage_count(beta) == s
         assert flow._stage_count(beta * (1.0 + 1e-12)) == s + 1
@@ -930,19 +943,27 @@ def assert_frame_map_is_scipy_cubic_spline(grid, values, slope, log_scale, facto
     fit = state.conformal.fit
     assert mapped.tobytes() == (fit(nodes) - 2.0 * log_scale).tobytes()
     assert state.conformal.fit is fit
-    # the fit agrees with scipy's to 16 ulps of the data's scale, at the
-    # mapped nodes and at normalize's positions, clipped to the last knot (a
-    # closed interval), from the same cached fit, as a record reuses its
-    # step's
+    # the fit agrees with scipy's to 16 ulps of the data's scale on the grid,
+    # at the mapped nodes and at normalize's positions, clipped to the last
+    # knot (a closed interval), from the same cached fit, as a record reuses
+    # its step's.  Past s_max the end piece extrapolates: at z = x - s_{n-2}
+    # the Hermite basis of its knot values and slopes, and with it their
+    # rounding, grows as (z/h)^3, so the bound does too (draws of the
+    # strategy's kind read at most 6.5 (z/h)^3 ulps there)
     reference = scipy_spline(grid, values, slope)
     scale = max(np.max(np.abs(values)), abs(slope) * grid.s_max)
     pos = np.minimum(np.arcsinh(factor * grid.r), grid.s_max)
     for x in (nodes, pos):
-        assert np.max(np.abs(fit(x) - reference(x))) <= 16 * np.finfo(float).eps * scale
+        growth = np.maximum(1.0, (x - grid.s[-2]) / grid.h) ** 3
+        assert np.all(np.abs(fit(x) - reference(x)) <= 16 * np.finfo(float).eps * scale * growth)
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(spline_data(), st.floats(-0.05, 5.0), st.floats(0.01, 3.0))
+# L < 1 puts the outermost nodes 3.28 h past s_max, where the fit reads 64
+# ulps off scipy's (1 ulp inside the grid)
+@example(data=(RadialGrid(138, 1.0), np.where(np.arange(138) == 135, 1.0, -1.0), 1.0),
+         log_scale=-0.03125, factor=0.01)
 def test_frame_map_is_scipy_cubic_spline(data, log_scale, factor):
     grid, values, slope = data
     assume(log_scale != 0.0)  # log L = 0 maps by the identity

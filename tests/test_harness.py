@@ -924,6 +924,26 @@ def test_cli_run_reproduces_every_committed_file(config_dir, tmp_path):
         assert (out / name).read_bytes() == (reference / name).read_bytes(), name
 
 
+def test_cli_run_bytes_do_not_depend_on_the_blas_thread_count(config_dir, tmp_path):
+    # the slope solve and every RKC2 stage are BLAS products: the shipped
+    # run writes the same six files with BLAS on one thread and on two
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        outs.append(tmp_path / f"threads_{threads}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "cigarflow", "run", str(config_dir / "perturbed_relax_129.json"),
+             "--quiet", "--out", str(outs[-1])],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert len(names) == 6 and sorted(path.name for path in outs[1].iterdir()) == names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_shipped_configs_initial_potential_residual(config_dir):
     # the discrete Poisson solve round-trips through the operator on every
     # shipped scenario
