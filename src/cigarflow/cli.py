@@ -24,6 +24,7 @@ from cigarflow.diagnostics import cigar_number, emit_diagnostics, read_diagnosti
 from cigarflow.flow import RunTelemetry
 from cigarflow.scenarios import (
     ConfigError,
+    check_grid,
     load_config,
     manufactured_solution_error,
     run_scenario,
@@ -146,9 +147,11 @@ def cmd_converge(args):
         return EXIT_USAGE
     n = int(config.grid["n"])
     s_max = float(config.grid["s_max"])
-    # a level the config rules refuse (fewer than 16 nodes, or a spacing
-    # above sqrt 5) is a config error before any level runs
+    # a level the config rules refuse (too few or too many nodes, or a
+    # spacing above sqrt 5) is a config error before any level runs
     levels = [(n - 1) // 2 + 1, n, 2 * (n - 1) + 1]
+    for nn in levels:
+        check_grid(nn, s_max)
     errors = []
     print(f"refinement study on [0, {s_max}] to t={config.t_end} (safety {config.safety}):")
     for nn in levels:

@@ -42,13 +42,12 @@ the tip vanishes identically), so the profile stays O(1) and so do the
 curvature and the stiffness that set dt and the stage count.  For the exact
 soliton this gauge is static.  Fixed-coordinate fields at the original grid
 nodes come by cubic interpolation (the map pulls points inward, never
-outside the grid, while the scale grows).  Only the accumulators need them:
-u~ at the fixed nodes after every accepted step, for the phi accumulator,
-and `fixed_fields` reuses that mapped u~.  A step maps nothing.  The state
-it returns holds the step it came from, and the first read of its
-accumulators maps every pending step at once (`_catch_up`): one block fit
-of the states the chain passed through (`_map_block`, at most BLOCK_STEPS)
-and `map_to_fixed` of the state read, with the same bits as a map per step.
+outside the grid, while the scale grows).  A state maps its u~ at most
+once (`FlowState.u_fixed`), for `fixed_fields`, `kahler_residual` and the
+phi accumulator.  A step maps nothing.  The state it returns holds the
+state it came from, and the first read of its accumulators maps the states
+the chain passed through in one block fit (`_catch_up`, `_map_block`, at
+most BLOCK_STEPS), with the same bits as a map per state.
 The clamped spline's slope system is inverted once per grid size
 (`RadialGrid.spline`), so a fit is one matrix-vector product per row and
 each evaluation of it a piecewise-cubic one.  Each state fits u~ at most
@@ -184,13 +183,12 @@ class InitialData:
 
 @dataclass
 class Accumulators:
-    """Trapezoidal accumulators across the accepted steps.  A state that
-    `step` returns derives them from its step history when they are first
-    read (`FlowState.acc`)."""
+    """The two time integrals, trapezoidal across the accepted steps.  A
+    state that `step` returns derives them from the states before it when
+    they are first read (`FlowState.acc`)."""
 
     v_integral: float         # int_0^t R(origin) dtau
     phi: np.ndarray           # phi(t) - phi(0) = -int_0^t f dtau, fixed nodes
-    u_fixed: np.ndarray       # u~ at the fixed nodes at the current time
 
 
 # Most steps whose accumulators wait to be read: `step` brings a longer chain
@@ -200,15 +198,12 @@ BLOCK_STEPS = 32
 
 class _Step(NamedTuple):
     """A state's pending accumulators: the step of size dt that reached it
-    from a state whose u^, log L and R(origin) are kept here, and whose own
-    accumulators are `before`, known or pending in turn.  `depth` counts the
-    pending steps back to known accumulators.  A chain of steps shares one
-    grid and one edge slope, since `step` keeps both."""
+    from the state `before`, whose own accumulators are known or pending in
+    turn.  `depth` counts the pending steps back to known accumulators.  A
+    chain of steps shares one grid and one edge slope, since `step` keeps
+    both."""
 
-    before: Accumulators | _Step
-    u_hat: np.ndarray
-    log_scale: float
-    r_origin: float
+    before: FlowState
     dt: float
     depth: int
 
@@ -221,11 +216,9 @@ class _Accumulated:
     def __get__(self, state, owner=None):
         if state is None:
             raise AttributeError("acc")  # so the dataclass field has no default
-        acc = vars(state)["acc"]
-        if type(acc) is _Step:
+        if type(vars(state)["acc"]) is _Step:
             _catch_up(state)
-            acc = vars(state)["acc"]
-        return acc
+        return vars(state)["acc"]
 
     def __set__(self, state, value):
         vars(state)["acc"] = value
@@ -274,6 +267,11 @@ class FlowState:
         np.multiply(conf.laplacian, conf.diffusivity, out=out[:-1])
         return _with_transport(self, out, conf.differences)
 
+    @cached_property
+    def u_fixed(self):
+        """u~ at the fixed grid nodes (`map_to_fixed`, computed once)."""
+        return map_to_fixed(self)
+
 
 # ---------------------------------------------------------------------------
 # frame mapping
@@ -298,62 +296,60 @@ def map_to_fixed(state):
     return values - 2.0 * state.log_scale
 
 
-def _map_block(grid, u_hat, log_scale, edge_slope):
-    """`map_to_fixed` of a (K, n) block of u^ with K values of log L, one
+def _map_block(states):
+    """`map_to_fixed` of states that share one grid and one edge slope, one
     row each, bit for bit: the rows off the fixed frame share one block fit
     (`GridSpline.fit`)."""
-    values = np.array(u_hat)
-    log_scale = np.array(log_scale)
+    conf = states[0].conformal
+    values = np.array([x.conformal.log_factor for x in states])
+    log_scale = np.array([x.log_scale for x in states])
     moved = log_scale != 0.0
     if moved.any():
-        fit = grid.spline.fit(values if moved.all() else values[moved], edge_slope)
-        values[moved] = fit(np.arcsinh(grid.r * np.exp(-log_scale[moved])[:, None]))
+        fit = conf.grid.spline.fit(values if moved.all() else values[moved], conf.edge_slope)
+        values[moved] = fit(np.arcsinh(conf.grid.r * np.exp(-log_scale[moved])[:, None]))
     values -= 2.0 * log_scale[:, None]
     return values
 
 
 def _catch_up(state):
-    """Derive the accumulators of a state that `step` returned, from its
-    pending steps back to the nearest known accumulators.
+    """Derive the accumulators of a state that `step` returned, from the
+    states its pending steps left, back to one whose accumulators are known.
 
-    u~ at the fixed nodes comes from one block map of the states the chain
-    passed through (`_map_block`) and from `map_to_fixed` of `state`
-    itself, whose fit a record's `profile_distance` reuses.  The trapezoids
-    keep the operations and the order each step took when it advanced them
-    itself, so every bit is the same: v's in step order, and phi's as one
-    block, its terms stacked under phi and subtracted from it row after row.
+    The chain's two ends bring their own `u_fixed` (the known end's mapped
+    when its accumulators were read); the states between are mapped as one
+    block (`_map_block`).  The trapezoids keep the operations and the order
+    each step took when it advanced them itself, so every bit is the same:
+    v's in step order, from each state's R(origin), and phi's as one block,
+    its terms stacked under phi and subtracted from it row after row.
     """
-    links = []
-    acc = vars(state)["acc"]
-    while type(acc) is _Step:
-        links.append(acc)
-        acc = acc.before
-    links.reverse()  # the first link leaves the state whose `acc` is known
-    passed = links[1:]  # the states between the known one and `state`
-    u_fixed = map_to_fixed(state)
-    chain = np.empty((len(links) + 1, state.grid.n))  # u~ at the fixed nodes along the chain
-    chain[0], chain[-1] = acc.u_fixed, u_fixed
-    if passed:
-        chain[1:-1] = _map_block(state.grid, [x.u_hat for x in passed],
-                                 [x.log_scale for x in passed], state.conformal.edge_slope)
+    states = [state]
+    while type(vars(states[-1])["acc"]) is _Step:
+        states.append(vars(states[-1])["acc"].before)
+    states.reverse()  # the first state's accumulators are known
+    acc, dts = states[0].acc, [vars(x)["acc"].dt for x in states[1:]]
+    chain = np.empty((len(states), state.grid.n))  # u~ at the fixed nodes along the chain
+    chain[0], chain[-1] = states[0].u_fixed, state.u_fixed
+    if len(states) > 2:
+        chain[1:-1] = _map_block(states[1:-1])
     f = state.init.w0 - chain
     terms = np.empty_like(f)  # phi, then each step's 0.5 dt (f before + f after)
     terms[0] = acc.phi
     np.add(f[:-1], f[1:], out=terms[1:])
-    terms[1:] *= np.array([[0.5 * x.dt] for x in links])
+    terms[1:] *= np.array([[0.5 * dt] for dt in dts])
+    r_origin = [float(x.curvature[0]) for x in states]
     v_integral = acc.v_integral
-    for link, r_origin in zip(links, [x.r_origin for x in passed] + [float(state.curvature[0])]):
-        v_integral += 0.5 * link.dt * (link.r_origin + r_origin)
-    state.acc = Accumulators(v_integral, np.subtract.reduce(terms), u_fixed)
+    for dt, r_before, r_after in zip(dts, r_origin, r_origin[1:]):
+        v_integral += 0.5 * dt * (r_before + r_after)
+    state.acc = Accumulators(v_integral, np.subtract.reduce(terms))
 
 
 def fixed_fields(state):
     """Reconstruct u~, f, w, v, h at the fixed grid nodes.
 
-    u~ is the accumulators' copy, mapped once per accepted step when they
-    are first read, and f = w0 - u~.
+    u~ is the state's own, mapped once (`FlowState.u_fixed`), and
+    f = w0 - u~.
     """
-    u_tilde = state.acc.u_fixed
+    u_tilde = state.u_fixed
     f = state.init.w0 - u_tilde
     w = u_tilde + f
     v = state.init.potential0 - f
@@ -528,11 +524,11 @@ def step(state, dt):
     on post-step NaNs, or if sup u~ exceeds its initial value beyond the
     abort tolerance (the maximum principle forbids any increase).
 
-    The new state holds the step it came from (`_Step`) in place of its
-    accumulators: u~ is mapped to the fixed nodes and the trapezoids are
-    taken only when its `acc` is first read, for every pending step at once.
-    A chain of more than BLOCK_STEPS pending steps is brought up to date
-    first.
+    The new state holds the step it came from (`_Step`: the state it left
+    and dt) in place of its accumulators: u~ is mapped to the fixed nodes
+    and the trapezoids are taken only when its `acc` is first read, for
+    every pending step at once.  A chain of more than BLOCK_STEPS pending
+    steps is brought up to date first.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
@@ -559,13 +555,13 @@ def step(state, dt):
             f"sup u~ rose to {sup_u_tilde:.6g} above the initial profile's maximum "
             f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
         )
-    before = vars(state)["acc"]
-    depth = before.depth + 1 if type(before) is _Step else 1
+    pending = vars(state)["acc"]
+    depth = pending.depth + 1 if type(pending) is _Step else 1
     if depth > BLOCK_STEPS:
-        before, depth = state.acc, 1
-    link = _Step(before, conf.log_factor, state.log_scale, float(state.curvature[0]), dt, depth)
+        _catch_up(state)
+        depth = 1
     return FlowState(ConformalState(state.grid, u1, conf.edge_slope), t1, log_scale1,
-                     state.frame, state.init, link)
+                     state.frame, state.init, _Step(state, dt, depth))
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +573,12 @@ def monitor(state, dt_hint=None):
 
     `dt_hint` is echoed into the record's dt column (the step size the run
     is using).  The fixed-frame columns come from `fixed_fields`, which reads
-    the mapped u~ of the accumulators (the first read brings them up to
-    date).  The curvature-evolution residual is probed by taking two extra
-    `step`s from the state, whose accumulators nobody reads; the first
-    starts from the state's cached stage rate, as the next accepted step
-    does.  The probe's steps have the diffusive size
+    the state's mapped u~, and v_discrepancy from the accumulators, which are
+    brought up to date before the probe steps from the state.  The
+    curvature-evolution residual is probed by taking two extra `step`s from
+    the state, whose accumulators nobody reads; the first starts from the
+    state's cached stage rate, as the next accepted step does.  The probe's
+    steps have the diffusive size
     0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
     measuring the same O(dt^2 + h^2) residual on the state's own nodes.
     The record carries the probe's stage count (0 when the probe fails) and
@@ -593,6 +590,7 @@ def monitor(state, dt_hint=None):
         return DiagnosticsRecord(state.t, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan)
 
     fields = fixed_fields(state)
+    v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
     curv = state.curvature
     rep = width_report(state.conformal)
     res_poisson = float(np.abs(
@@ -605,7 +603,6 @@ def monitor(state, dt_hint=None):
         probe_stages = _stages(state, dtp) + _stages(s1, dtp)
     except FlowInstabilityError:
         res_curv, probe_stages = float("nan"), 0
-    v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
     # log u = u~ + log(1 + r^2) at the node's fixed-frame radius r = L sinh a,
     # written so that nothing overflows as L grows
     log_u = u_hat + np.log(np.exp(-2.0 * state.log_scale) + state.grid.r**2)
@@ -750,14 +747,14 @@ KAHLER_CONSTANT = 1.0
 def kahler_residual(state):
     """Max mismatch between the evolved density and the potential reconstruction.
 
-    The evolved density is e^{u~} at the fixed nodes, from the accumulators'
-    mapped u~ (`Accumulators.u_fixed`).  Exactly zero at t = 0 by construction.
+    The evolved density is e^{u~} at the fixed nodes, from the state's
+    mapped u~ (`FlowState.u_fixed`).  Exactly zero at t = 0 by construction.
     The outermost node is excluded: the accumulated potential has no ghost
     information of its own beyond the slope t * edge_slope used here, the
     integral of f's slope -edge_slope.
     """
     grid = state.grid
-    rho_t = np.exp(state.acc.u_fixed)
+    rho_t = np.exp(state.u_fixed)
     rho_0 = np.exp(state.init.u_tilde0)
     phi_slope = state.t * state.conformal.edge_slope
     lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
@@ -909,18 +906,13 @@ def exact_soliton_state(grid, t=0.0):
         grid=grid,
         edge_slope=_soliton_edge_slope(grid, 0.0),
     )
-    acc = Accumulators(
-        v_integral=4.0 * t,
-        phi=np.zeros(grid.n),
-        u_fixed=u_t.copy(),
-    )
     return FlowState(
         conformal=conf,
         t=t,
         log_scale=0.0,
         frame=FIXED,
         init=init,
-        acc=acc,
+        acc=Accumulators(v_integral=4.0 * t, phi=np.zeros(grid.n)),
     )
 
 

@@ -53,6 +53,8 @@ __all__ = [
 ]
 
 MIN_NODES = 16
+# Largest accepted grid: its spline's n x n slope inverse takes 134 MB.
+MAX_NODES = 4097
 # Largest accepted s_max: the stencil denominators sinh s cosh s * h^2 stay
 # finite on every grid (h <= s_max / 15) only up to s_max ~ 352.
 MAX_S_MAX = 350.0
@@ -77,8 +79,8 @@ class RadialGrid:
     s_max: float
 
     def __post_init__(self):
-        if self.n < MIN_NODES:
-            raise ValueError(f"radial grid needs at least {MIN_NODES} nodes, got {self.n}")
+        if not MIN_NODES <= self.n <= MAX_NODES:
+            raise ValueError(f"radial grid needs {MIN_NODES} to {MAX_NODES} nodes, got {self.n}")
         if not 0 < self.s_max <= MAX_S_MAX:  # also refuses NaN
             raise ValueError(f"s_max must be in (0, {MAX_S_MAX:g}], got {self.s_max!r}")
         self.s = np.linspace(0.0, self.s_max, self.n)

@@ -35,9 +35,9 @@ The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
 value with a ConfigError before anything is built, including a spacing
 h = s_max/(n-1) above sqrt 5, where the tip stencil loses its maximum
-principle, and a value of the wrong JSON type: `grid.n`, `seed` and
-`random_bumps` are integers, every other number is a JSON number, and
-neither may be a string or a boolean.
+principle, more than MAX_NODES nodes, and a value of the wrong JSON type:
+`grid.n`, `seed` and `random_bumps` are integers, every other number is a
+JSON number, and neither may be a string or a boolean.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from cigarflow.flow import (
     run,
 )
 from cigarflow.geometry import (
+    MAX_NODES,
     MAX_S_MAX,
     MAX_SPACING,
     MIN_NODES,
@@ -74,6 +75,7 @@ __all__ = [
     "ConfigError",
     "load_config",
     "parse_config",
+    "check_grid",
     "build_scenario",
     "run_scenario",
     "manufactured_solution_error",
@@ -128,8 +130,14 @@ def _require_keys(section, allowed, where):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _power_of_two_plus_one(n):
-    return n >= 2 and (n - 1) & (n - 2) == 0
+def check_grid(n, s_max):
+    """Refuse, with a ConfigError, n nodes on [0, s_max] that a run does not take."""
+    if not (MIN_NODES <= n <= MAX_NODES and (n - 1) & (n - 2) == 0):
+        raise ConfigError(f"grid.n must be a power of two plus one for refinement "
+                          f"studies, at least {MIN_NODES} and at most {MAX_NODES}, got {n}")
+    if s_max / (n - 1) > MAX_SPACING:
+        raise ConfigError(f"grid spacing s_max/(n-1) = {s_max / (n - 1):.6g} exceeds "
+                          f"sqrt(5) = {MAX_SPACING:.6g}, where the tip stencil fails")
 
 
 def _json_number(value, key, integer=False):
@@ -177,15 +185,10 @@ def _parse_config(data):
         raise ConfigError(f"grid.kind must be 'radial', got {grid.get('kind')!r}")
     _require_keys(grid, _GRID_KEYS, "grid")
     n = _json_number(grid["n"], "grid.n", integer=True)
-    if not (_power_of_two_plus_one(n) and n >= MIN_NODES):
-        raise ConfigError(f"grid.n must be a power of two plus one for refinement "
-                          f"studies, at least {MIN_NODES}, got {n}")
     s_max = _positive(grid, "s_max")
     if s_max > MAX_S_MAX:
         raise ConfigError(f"grid.s_max must be at most {MAX_S_MAX:g}, got {grid['s_max']!r}")
-    if s_max / (n - 1) > MAX_SPACING:
-        raise ConfigError(f"grid spacing s_max/(n-1) = {s_max / (n - 1):.6g} exceeds "
-                          f"sqrt(5) = {MAX_SPACING:.6g}, where the tip stencil fails")
+    check_grid(n, s_max)
 
     initial = data["initial"]
     itype = initial.get("type")
@@ -355,18 +358,13 @@ def build_scenario(config):
         grid=grid,
         edge_slope=u_slope,
     )
-    acc = Accumulators(
-        v_integral=0.0,
-        phi=np.zeros_like(u_tilde0),
-        u_fixed=u_tilde0.copy(),
-    )
     return FlowState(
         conformal=conformal,
         t=0.0,
         log_scale=0.0,
         frame=config.frame,
         init=init,
-        acc=acc,
+        acc=Accumulators(v_integral=0.0, phi=np.zeros_like(u_tilde0)),
     )
 
 

@@ -4,7 +4,7 @@ Format, one item per line, all floats as 17-significant-digit decimals
 (which round-trip float64 exactly, so a resumed run reproduces the unbroken
 run's diagnostics bit for bit):
 
-    cigarflow-snapshot 3
+    cigarflow-snapshot 4
     grid 129 8
     frame comoving
     scalar t 0.5
@@ -63,7 +63,7 @@ from cigarflow.geometry import ConformalState, RadialGrid
 __all__ = ["save_snapshot", "load_snapshot", "SnapshotError"]
 
 FORMAT_TAG = "cigarflow-snapshot"
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 _PARTS = {"acc": Accumulators, "init": InitialData}
 

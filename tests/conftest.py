@@ -114,9 +114,9 @@ def coupled_oracle():
 def eager_oracle(monkeypatch):
     """trail(final): the accepted steps that led to the state `final`, each
     with its accumulators taken eagerly, as `flow.step` once advanced them
-    after every step: `map_to_fixed` of the new state, then the v and phi
-    trapezoids.  A list of (state, Accumulators) from the first stepped
-    state to `final`.
+    after every step: the v and phi trapezoids, with `map_to_fixed` of the
+    states before and after.  A list of (state, Accumulators) from the first
+    stepped state to `final`.
 
     Every `flow.step` call made under the fixture is recorded, the curvature
     probe's included; the trail follows each state back to the state it was
@@ -142,12 +142,11 @@ def eager_oracle(monkeypatch):
         acc, w0 = state.acc, state.init.w0
         out = []
         for before, dt, state in reversed(links):
-            u_fixed = flow.map_to_fixed(state)
             acc = flow.Accumulators(
                 v_integral=acc.v_integral + 0.5 * dt * (float(before.curvature[0])
                                                         + float(state.curvature[0])),
-                phi=acc.phi - 0.5 * dt * ((w0 - acc.u_fixed) + (w0 - u_fixed)),
-                u_fixed=u_fixed,
+                phi=acc.phi - 0.5 * dt * ((w0 - flow.map_to_fixed(before))
+                                          + (w0 - flow.map_to_fixed(state))),
             )
             out.append((state, acc))
         return out

@@ -10,8 +10,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
-from cigarflow import cigar
+from cigarflow import cigar, geometry
 from cigarflow.geometry import (
+    MAX_NODES,
     MIN_NODES,
     ConformalState,
     RadialGrid,
@@ -43,6 +44,11 @@ def test_grid_validation():
         RadialGrid(65, float("inf"))
     with pytest.raises(ValueError):
         RadialGrid(65, float("nan"))
+    # 8193 nodes: refused before a spline of that size (n^2 floats) is formed
+    splines = geometry._grid_spline.cache_info()
+    with pytest.raises(ValueError, match=f"{MIN_NODES} to {MAX_NODES} nodes, got 8193"):
+        RadialGrid(8193, 8.0)
+    assert geometry._grid_spline.cache_info() == splines
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # refused before sinh s cosh s overflows
         for s_max in (355.4, 400.0, 800.0):

@@ -66,7 +66,9 @@ def test_unknown_keys_are_errors():
 def test_grid_must_be_power_of_two_plus_one():
     with pytest.raises(ConfigError, match="power of two"):
         parse_config(base_config(grid={"kind": "radial", "n": 100, "s_max": 8.0}))
-    for n in (17, 65, 129, 257):
+    with pytest.raises(ConfigError, match="at most 4097, got 8193"):
+        parse_config(base_config(grid={"kind": "radial", "n": 8193, "s_max": 8.0}))
+    for n in (17, 65, 129, 257, 4097):
         parse_config(base_config(grid={"kind": "radial", "n": n, "s_max": 8.0}))
 
 
@@ -177,6 +179,8 @@ def test_parse_config_raises_only_config_error(mutations):
     {"name": "../x"},
     {"name": "a/b"},
     {"name": "a\\b"},
+    # a grid above MAX_NODES, refused before its spline's n x n inverse is formed
+    {"grid": {"kind": "radial", "n": 8193, "s_max": 8.0}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     path = tmp_path / "config.json"
@@ -379,7 +383,7 @@ def test_snapshot_round_trip_is_bit_exact(data):
             res_poisson0=scalar(), sup_potential_gap=scalar(), sup_grad_log_u0=scalar(),
             grid=grid, edge_slope=u_slope,
         ),
-        acc=flow.Accumulators(v_integral=scalar(), phi=array(), u_fixed=array()),
+        acc=flow.Accumulators(v_integral=scalar(), phi=array()),
     )
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
@@ -510,6 +514,25 @@ def test_snapshot_refuses_committed_v2_file():
         load_snapshot(v2)
 
 
+def test_snapshot_refuses_committed_v3_file():
+    # format 3 stored acc_u_fixed, which format 4 derives from u~
+    v3 = Path(__file__).resolve().parent / "data" / "snapshot_v3_n17.txt"
+    with pytest.raises(SnapshotError, match="snapshot version 3 not supported"):
+        load_snapshot(v3)
+
+
+def test_snapshot_refuses_a_grid_above_max_nodes(tmp_path):
+    # enough lines to pass the truncation check, so RadialGrid itself refuses
+    # the grid line, before any spline of that size is formed
+    path = tmp_path / "snap.txt"
+    save_snapshot(build_scenario(parse_config(base_config())), path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[1] = "grid 8193 8"
+    path.write_text(_sealed(lines + ["0"] * 8193))
+    with pytest.raises(SnapshotError, match="16 to 4097 nodes, got 8193"):
+        load_snapshot(path)
+
+
 def test_snapshot_refuses_sealed_extra_line(tmp_path):
     # an extra line under a valid checksum is refused by the parser itself
     path = tmp_path / "snap.txt"
@@ -581,12 +604,18 @@ def test_resume_matches_unbroken_run(tmp_path):
     resumed_state = load_snapshot(snap_path)
     resumed = flow.run(resumed_state, 1.0, safety=0.9, record_interval=0.1)
 
+    # bit for bit: every CSV column, v_discrepancy and sup_log_u of each
+    # record, and the Kahler and profile-distance traces from t = 0.5 on
+    def bits(rec):
+        return [np.float64(getattr(rec, name)).tobytes()
+                for name in CSV_COLUMNS + ["v_discrepancy", "sup_log_u"]]
+
     tail = [rec for rec in unbroken.records if rec.t >= 0.5 - 1e-12]
-    assert len(tail) == len(resumed.records)
+    assert len(tail) == len(resumed.records) == 6
     for a, b in zip(tail, resumed.records):
-        for name in CSV_COLUMNS:
-            va, vb = getattr(a, name), getattr(b, name)
-            assert va == pytest.approx(vb, rel=1e-12, abs=1e-300), (name, a.t)
+        assert bits(a) == bits(b), a.t
+    for trace in ("kahler_trace", "dist_trace"):
+        assert getattr(unbroken, trace)[-len(tail):] == getattr(resumed, trace), trace
 
 
 # ---------------------------------------------------------------------------
@@ -785,6 +814,19 @@ def test_cli_converge_refuses_a_coarse_level_above_the_spacing_limit(tmp_path, c
     captured = capsys.readouterr()
     assert message in captured.err
     assert "max|u~ - exact|" not in captured.out  # refused before any level runs
+
+
+def test_cli_converge_refuses_a_fine_level_above_max_nodes(tmp_path, capsys, monkeypatch):
+    # n = 4097 is a valid grid, but the study's n = 8193 level is not: refused
+    # before the n = 2049 and 4097 levels run (a run would fail this test)
+    def never(*args, **kwargs):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(cli, "manufactured_solution_error", never)
+    cfg_path = write_config(tmp_path, base_config(grid={"kind": "radial", "n": 4097,
+                                                        "s_max": 8.0}))
+    assert cli.main(["converge", str(cfg_path)]) == 2
+    assert "at most 4097, got 8193" in capsys.readouterr().err
 
 
 def test_cli_converge_requires_exact_family(tmp_path):
