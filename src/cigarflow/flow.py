@@ -152,33 +152,50 @@ class FlowInstabilityError(RuntimeError):
 
 @dataclass
 class InitialData:
-    """Frozen t=0 fields at the fixed grid nodes, in the fixed frame.
+    """The t = 0 data at the fixed grid nodes, in the fixed frame: log u0,
+    the log factor against the cigar metric g_c = e^{-f0} g_E, and its d/ds
+    slope at s_max.
 
-    The fields with init=False are derived from the others on construction.
-    `grid` and `edge_slope` (u~0's Neumann slope) are used there and not
-    stored: the potential f(0) = w0 - u~0 and the constant w0 = u~0(0) come
-    from `solve_initial_potential`, and `sup_u_tilde0` is the maximum of
-    u~0's clamped spline (`GridSpline.maximum`), which the maximum principle
-    keeps every later profile under, wherever its nodes sit.
+    The other fields (init=False) are derived from these on construction,
+    for a new run, an exact state and a loaded snapshot alike: u~0 =
+    log u0 - f0 and its Neumann slope `edge_slope`, log u0's less 2 tanh
+    s_max; f(0) = w0 - u~0 with w0 = u~0(0) (`solve_initial_potential`);
+    `sup_u_tilde0`, the maximum of u~0's clamped spline
+    (`GridSpline.maximum`), which the maximum principle keeps every later
+    profile under, wherever its nodes sit; and the hypothesis values that
+    `summary.json` reports, non-finite without a warning where e^{+-u~0}
+    overflows.  `grid` is used there and not stored.
     """
 
-    u_tilde0: np.ndarray      # Euclidean log factor
     log_u0: np.ndarray        # cigar-gauge log u(0)
+    log_u0_slope: float       # d/ds log u(0) at s_max
+    u_tilde0: np.ndarray = field(init=False)    # Euclidean log factor
+    edge_slope: float = field(init=False)       # u~0's Neumann slope
     potential0: np.ndarray = field(init=False)  # Ricci potential f(0), f(0)(origin) = 0
     w0: float = field(init=False)               # u~ + f, the same at every node and time
     sup_u_tilde0: float = field(init=False)
-    res_poisson0: float
-    sup_potential_gap: float  # sup |f0_cigar - f(0)|, boundedness hypothesis value
     sup_log_u0: float = field(init=False)
-    sup_grad_log_u0: float
+    res_poisson0: float = field(init=False)      # sup |Lap_g f(0) - R(0)|
+    sup_potential_gap: float = field(init=False)  # sup |f0 - f(0)|
+    sup_grad_log_u0: float = field(init=False)   # sup |d log u0| in g(0)
     grid: InitVar[RadialGrid]
-    edge_slope: InitVar[float]
 
-    def __post_init__(self, grid, edge_slope):
-        self.potential0, _ = solve_initial_potential(ConformalState(grid, self.u_tilde0, edge_slope))
+    def __post_init__(self, grid):
+        f0_cigar = cigar.cigar_potential_arclength(grid.s)
+        self.u_tilde0 = self.log_u0 - f0_cigar
+        self.edge_slope = self.log_u0_slope - 2.0 * np.tanh(grid.s_max)
+        conformal = ConformalState(grid, self.u_tilde0, self.edge_slope)
+        self.potential0, f_slope = solve_initial_potential(conformal)
         self.w0 = float(self.u_tilde0[0])
-        self.sup_u_tilde0 = grid.spline.maximum(self.u_tilde0, edge_slope)
+        self.sup_u_tilde0 = grid.spline.maximum(self.u_tilde0, self.edge_slope)
         self.sup_log_u0 = float(np.max(np.abs(self.log_u0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.res_poisson0 = float(np.max(np.abs(
+                metric_laplacian(self.potential0, conformal, f_slope) - conformal.curvature)))
+            self.sup_potential_gap = float(np.max(np.abs(f0_cigar - self.potential0)))
+            # |d log u0|^2 in the initial metric g(0) = e^{u~0} g_E
+            self.sup_grad_log_u0 = float(np.sqrt(np.max(_metric_gradient_sq(
+                grid, self.log_u0, self.u_tilde0, self.log_u0_slope))))
 
 
 @dataclass
@@ -805,10 +822,9 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     event time, and the RKC2 stages of the steps and of the records' probes.
     Each record also appends (t, log L) to the result's `scale_trace`.
     """
+    t_end = round(float(t_end), 12)  # the run's time resolution
     if t_end <= state.t:
         raise ValueError("t_end must exceed the state's time")
-
-    t_end = round(float(t_end), 12)
     snapshot_set = {round(float(ts), 12) for ts in snapshot_times}
     events = {round(k * record_interval, 12) for k in
               range(1, int(np.ceil((t_end + 1e-12) / record_interval)) + 1)}
@@ -889,34 +905,19 @@ def exact_soliton_state(grid, t=0.0):
     """FlowState built from the closed-form evolving family at time t.
 
     The log factor is u~ = -log(e^{4t} + r^2), so the potential is its
-    negative (w0 = 0).  Built in the fixed frame (log_scale 0); accumulators
-    carry the analytic int R(origin) = 4t, while the phi accumulator is only
-    meaningful for states produced by stepping from t = 0.
+    negative (w0 = 0).  The initial data is the cigar's, log u0 = 0 with
+    slope 0, built as `build_scenario` builds it.  Built in the fixed frame
+    (log_scale 0); accumulators carry the analytic int R(origin) = 4t, while
+    the phi accumulator is only meaningful for states produced by stepping
+    from t = 0.
     """
-    u_t = cigar.soliton_log_factor(grid.r, t)
-    u_slope = _soliton_edge_slope(grid, t)
-    conf = ConformalState(grid, u_t, u_slope)
-    u0 = cigar.soliton_log_factor(grid.r, 0.0)
-    init = InitialData(
-        u_tilde0=u0,
-        log_u0=np.zeros(grid.n),
-        res_poisson0=0.0,
-        sup_potential_gap=0.0,
-        sup_grad_log_u0=0.0,
-        grid=grid,
-        edge_slope=_soliton_edge_slope(grid, 0.0),
-    )
+    s = grid.s_max  # u~'s slope is d/ds of -log(e^{4t} + sinh^2 s) there
+    u_slope = float(-2.0 * np.sinh(s) * np.cosh(s) / (np.exp(4.0 * t) + np.sinh(s) ** 2))
     return FlowState(
-        conformal=conf,
+        conformal=ConformalState(grid, cigar.soliton_log_factor(grid.r, t), u_slope),
         t=t,
         log_scale=0.0,
         frame=FIXED,
-        init=init,
+        init=InitialData(np.zeros(grid.n), 0.0, grid),
         acc=Accumulators(v_integral=4.0 * t, phi=np.zeros(grid.n)),
     )
-
-
-def _soliton_edge_slope(grid, t):
-    """d/ds of -log(e^{4t} + sinh^2 s) at s_max."""
-    s = grid.s_max
-    return float(-2.0 * np.sinh(s) * np.cosh(s) / (np.exp(4.0 * t) + np.sinh(s) ** 2))

@@ -58,6 +58,11 @@ MAX_NODES = 4097
 # Largest accepted s_max: the stencil denominators sinh s cosh s * h^2 stay
 # finite on every grid (h <= s_max / 15) only up to s_max ~ 352.
 MAX_S_MAX = 350.0
+# Smallest accepted s_max: the smallest stencil denominator, b_1 h^2 ~ h^3,
+# is a normal float64 at MAX_NODES (h = s_max / 4096) down to s_max ~ 1.2e-99,
+# so every coefficient a grid forms is finite and exact to rounding; below
+# ~1e-105 it underflows to 0 and the coefficients divide by zero.
+MIN_S_MAX = 1e-90
 # Largest spacing a run accepts: the tip row's coefficient of f_1,
 # 10/(3 h^2) - 2/3, turns negative for h > sqrt 5, and the explicit tip update
 # then loses its maximum principle.  RadialGrid itself allows any spacing.
@@ -81,8 +86,8 @@ class RadialGrid:
     def __post_init__(self):
         if not MIN_NODES <= self.n <= MAX_NODES:
             raise ValueError(f"radial grid needs {MIN_NODES} to {MAX_NODES} nodes, got {self.n}")
-        if not 0 < self.s_max <= MAX_S_MAX:  # also refuses NaN
-            raise ValueError(f"s_max must be in (0, {MAX_S_MAX:g}], got {self.s_max!r}")
+        if not MIN_S_MAX <= self.s_max <= MAX_S_MAX:  # also refuses NaN
+            raise ValueError(f"s_max must be in [{MIN_S_MAX:g}, {MAX_S_MAX:g}], got {self.s_max!r}")
         self.s = np.linspace(0.0, self.s_max, self.n)
         self.h = self.s[1] - self.s[0]
         self.r = np.sinh(self.s)

@@ -14,8 +14,8 @@ warnings: silent typos are how irreproducible experiments happen):
     }
 
 Initial-data families give log u0, the log factor against the cigar metric
-g_c = e^{-f0} g_E; `build_scenario` converts it to u~0 = log u0 - f0 (and
-its edge slope by -2 tanh s_max) before anything else is built:
+g_c = e^{-f0} g_E, and its slope at s_max; `InitialData` derives u~0 =
+log u0 - f0 and everything else from them:
 
     exact_cigar       u0 = 1
     scaled_cigar      u0 = scale (constant)
@@ -29,13 +29,16 @@ its edge slope by -2 tanh s_max) before anything else is built:
 
 Bumps are smooth and specified in arc length, so sup |log u0| and the
 gradient bound that the stability theory assumes are finite by construction;
-`build_scenario` evaluates and reports both, plus sup |f0 - f(0)|.
+`InitialData` evaluates both, plus sup |f0 - f(0)|, and `build_scenario`
+refuses data whose numbers overflow float64.
 
 The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
 value with a ConfigError before anything is built, including a spacing
 h = s_max/(n-1) above sqrt 5, where the tip stencil loses its maximum
-principle, more than MAX_NODES nodes, and a value of the wrong JSON type:
+principle, more than MAX_NODES nodes, an s_max outside [MIN_S_MAX,
+MAX_S_MAX], a time that rounds to 0 at the run's 12 decimals, and a value
+of the wrong JSON type:
 `grid.n`, `seed` and `random_bumps` are integers, every other number is a
 JSON number, and neither may be a string or a boolean.
 """
@@ -62,12 +65,11 @@ from cigarflow.geometry import (
     MAX_S_MAX,
     MAX_SPACING,
     MIN_NODES,
+    MIN_S_MAX,
     ConformalState,
     RadialGrid,
     _edge_slope_estimate,
-    _metric_gradient_sq,
     metric_laplacian,
-    solve_initial_potential,
 )
 
 __all__ = [
@@ -186,8 +188,8 @@ def _parse_config(data):
     _require_keys(grid, _GRID_KEYS, "grid")
     n = _json_number(grid["n"], "grid.n", integer=True)
     s_max = _positive(grid, "s_max")
-    if s_max > MAX_S_MAX:
-        raise ConfigError(f"grid.s_max must be at most {MAX_S_MAX:g}, got {grid['s_max']!r}")
+    if not MIN_S_MAX <= s_max <= MAX_S_MAX:
+        raise ConfigError(f"grid.s_max must be in [{MIN_S_MAX:g}, {MAX_S_MAX:g}], got {s_max!r}")
     check_grid(n, s_max)
 
     initial = data["initial"]
@@ -230,6 +232,9 @@ def _parse_config(data):
         raise ConfigError("output.directory must be a string")
     if "snapshot_interval" in output:
         intervals["snapshot_interval"] = _positive(output, "snapshot_interval")
+    for key, value in {"t_end": t_end, **intervals}.items():
+        if round(value, 12) == 0:  # a run rounds its event times to 12 decimals
+            raise ConfigError(f"{key} {value:g} rounds to 0 at the run's time resolution 1e-12")
     for key, interval in intervals.items():
         if t_end / interval > MAX_EVENTS:
             raise ConfigError(f"{key} {interval:g} gives more than {MAX_EVENTS} stops")
@@ -269,13 +274,16 @@ def load_config(path):
 
 def _gaussian_bump(s, amplitude, center, width):
     """Values and d/ds of a Gaussian at `center` plus its mirror at -center,
-    which keeps log u0 even in s (a one-sided bump leaves a cone point)."""
-    near, far = (np.exp(-((s - c) ** 2) / (2.0 * width**2)) for c in (center, -center))
+    which keeps log u0 even in s (a one-sided bump leaves a cone point).  A
+    vast width gives a flat bump, a vast centre none; other numbers beyond
+    float64 give inf or NaN under the caller's errstate, which it refuses."""
+    width_sq = np.float64(width) ** 2
+    near, far = (np.exp(-((s - c) ** 2) / (2.0 * width_sq)) for c in (center, -center))
     return (amplitude * (near + far),
-            -amplitude / width**2 * ((s - center) * near + (s + center) * far))
+            -amplitude / width_sq * ((s - center) * near + (s + center) * far))
 
 
-def _initial_log_u0(config, grid, f0_cigar):
+def _initial_log_u0(config, grid):
     """log u0 on the grid plus its analytic d/ds slope at the outer edge."""
     itype = config.initial["type"]
     s = grid.s
@@ -284,7 +292,7 @@ def _initial_log_u0(config, grid, f0_cigar):
         return np.zeros_like(s), 0.0
     if itype == "flat":
         # log u0 = f0 node for node, so u~0 = log u0 - f0 is exactly zero
-        return f0_cigar.copy(), 2.0 * np.tanh(grid.s_max)
+        return cigar.cigar_potential_arclength(s), 2.0 * np.tanh(grid.s_max)
     if itype == "scaled_cigar":
         lam = float(config.initial["scale"])
         return np.full_like(s, np.log(lam)), 0.0
@@ -292,16 +300,18 @@ def _initial_log_u0(config, grid, f0_cigar):
         amp = float(config.initial["amplitude"])
         center = float(config.initial["center"])
         width = float(config.initial["width"])
-        values, slopes = _gaussian_bump(s, amp, center, width)
-        k = int(config.initial.get("random_bumps", 0))
-        if k:
-            rng = np.random.default_rng(config.seed)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            values, slopes = _gaussian_bump(s, amp, center, width)
+            k = int(config.initial.get("random_bumps", 0))
+            rng = np.random.default_rng(config.seed) if k else None  # numpy.random loads lazily
             for _ in range(k):
                 a = amp * rng.uniform(0.2, 1.0) * rng.choice([-1.0, 1.0])
                 c = rng.uniform(0.5, 0.8 * float(np.max(s)))
                 w = width * rng.uniform(0.5, 1.5)
                 bump, bump_slopes = _gaussian_bump(s, a, c, w)
                 values, slopes = values + bump, slopes + bump_slopes
+        if not (np.isfinite(values).all() and np.isfinite(slopes[-1])):
+            raise ConfigError("perturbed_cigar log u0 or its edge slope overflows float64")
         return values, float(slopes[-1])  # s[-1] is s_max exactly
     if itype == "custom_table":
         values = np.asarray(config.initial["log_u0"], dtype=float)
@@ -313,23 +323,19 @@ def _initial_log_u0(config, grid, f0_cigar):
 
 
 def build_scenario(config):
-    """Construct the t = 0 FlowState: initial metric, curvature, potential,
-    conserved field, and the hypothesis report values.
+    """The t = 0 FlowState, from u~0 as `InitialData` derives it.
 
-    Raises ConfigError when the data fails the boundedness hypotheses
-    (a log factor u~0 whose exponential overflows, a non-finite curvature,
-    Lap_g of the curvature or potential gap).
+    Raises ConfigError when the derived data fails the boundedness
+    hypotheses (a log factor u~0 whose exponential overflows, a non-finite
+    curvature, Lap_g of the curvature or potential gap).
     """
     grid = RadialGrid(int(config.grid["n"]), float(config.grid["s_max"]))
-    f0_cigar = cigar.cigar_potential_arclength(grid.s)
-    log_u0, logu_slope = _initial_log_u0(config, grid, f0_cigar)
-    u_slope = logu_slope - 2.0 * np.tanh(grid.s_max)
-    u_tilde0 = log_u0 - f0_cigar
-    sup_u = float(np.max(np.abs(u_tilde0)))
+    init = InitialData(*_initial_log_u0(config, grid), grid)
+    sup_u = float(np.max(np.abs(init.u_tilde0)))
     if not sup_u < MAX_LOG_FACTOR:  # also refuses NaN
         raise ConfigError(f"sup |u~0| = {sup_u:.6g} overflows e^(+-u~0) (limit {MAX_LOG_FACTOR:.6g})")
 
-    conformal = ConformalState(grid, u_tilde0.copy(), u_slope)
+    conformal = ConformalState(grid, init.u_tilde0.copy(), init.edge_slope)
     with np.errstate(over="ignore", invalid="ignore"):
         curvature0 = conformal.curvature
         if not np.all(np.isfinite(curvature0)):
@@ -339,32 +345,15 @@ def build_scenario(config):
                                   _edge_slope_estimate(grid, curvature0))
     if not np.all(np.isfinite(lap_r0)):
         raise ConfigError("Lap_g R at t = 0 is not finite; data violates the hypotheses")
-
-    potential0, f_slope = solve_initial_potential(conformal)
-    res0 = float(np.max(np.abs(metric_laplacian(potential0, conformal, f_slope) - curvature0)))
-
-    gap = np.max(np.abs(f0_cigar - potential0))
-    if not np.isfinite(gap):
+    if not np.isfinite(init.sup_potential_gap):
         raise ConfigError("sup |f0 - f(0)| is not finite; data violates the hypotheses")
-
-    # |d log u0|^2 in the initial metric g(0) = e^{u~0} g_E
-    grad_sq = _metric_gradient_sq(grid, log_u0, u_tilde0, logu_slope)
-    init = InitialData(
-        u_tilde0=u_tilde0.copy(),
-        log_u0=log_u0.copy(),
-        res_poisson0=res0,
-        sup_potential_gap=float(gap),
-        sup_grad_log_u0=float(np.sqrt(np.max(grad_sq))),
-        grid=grid,
-        edge_slope=u_slope,
-    )
     return FlowState(
         conformal=conformal,
         t=0.0,
         log_scale=0.0,
         frame=config.frame,
         init=init,
-        acc=Accumulators(v_integral=0.0, phi=np.zeros_like(u_tilde0)),
+        acc=Accumulators(v_integral=0.0, phi=np.zeros(grid.n)),
     )
 
 

@@ -4,32 +4,35 @@ Format, one item per line, all floats as 17-significant-digit decimals
 (which round-trip float64 exactly, so a resumed run reproduces the unbroken
 run's diagnostics bit for bit):
 
-    cigarflow-snapshot 4
+    cigarflow-snapshot 5
     grid 129 8
     frame comoving
     scalar t 0.5
     scalar log_scale ...
     scalar u_slope ...         # u~'s Neumann slope at the outer edge
-    ... more scalars (accumulators and initial data) ...
+    scalar v_integral ...      # int_0^t R(origin)
+    scalar log_u0_slope ...    # log u0's slope at the outer edge
     array u_tilde <n>          # log conformal factor in the stepped frame
     <n value lines>
-    ... more arrays (initial data and accumulators) ...
+    array init_log_u0 <n>      # the initial data, log u0
+    array acc_phi <n>          # phi(t) - phi(0) at the fixed nodes
     checksum <crc32>
 
-The Ricci potential is not stored: it is w0 - u~ (`FlowState.potential`).
+Neither the Ricci potential w0 - u~ (`FlowState.potential`) nor anything
+else that `InitialData` derives from log u0 and its slope is stored.
 
 Each array's values are written by one `%` operation over the array as
 Python floats, one "%.17g" per line: the same text as format(x, ".17g")
 for each value, since both go through CPython's PyOS_double_to_string
-(-0, inf, nan and subnormals included).  The init_* arrays are the same in
-every snapshot of a run: every state of a run shares one InitialData, which
-`dataclasses.replace` does not copy and nothing mutates after construction.
-Their text is therefore formatted once per InitialData object, in a
+(-0, inf, nan and subnormals included).  The init_log_u0 array is the same
+in every snapshot of a run: every state of a run shares one InitialData,
+which `dataclasses.replace` does not copy and nothing mutates after
+construction.  Its text is therefore formatted once per InitialData, in a
 one-entry cache that holds the object and compares it by identity (`is`),
 so a cached id cannot be reused by another object; a new run or a loaded
 snapshot brings a new object and is formatted afresh.
 
-Only the stepped fields are named here; the rest of the layout comes from
+The code names only the stepped fields; the rest of the layout comes from
 the fields of InitialData and Accumulators (arrays as init_<name> and
 acc_<name>) that are not derived on construction (init=False).  Changing
 those fields changes the file and needs FORMAT_VERSION bumped; the
@@ -63,7 +66,7 @@ from cigarflow.geometry import ConformalState, RadialGrid
 __all__ = ["save_snapshot", "load_snapshot", "SnapshotError"]
 
 FORMAT_TAG = "cigarflow-snapshot"
-FORMAT_VERSION = "4"
+FORMAT_VERSION = "5"
 
 _PARTS = {"acc": Accumulators, "init": InitialData}
 
@@ -214,6 +217,6 @@ def _parse(data):
         t=stepped["t"],
         log_scale=stepped["log_scale"],
         frame=frame,
-        init=InitialData(**parts["init"], grid=grid, edge_slope=stepped["u_slope"]),
+        init=InitialData(**parts["init"], grid=grid),
         acc=Accumulators(**parts["acc"]),
     )

@@ -293,8 +293,10 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     state's rows are taken once (`ConformalState.laplacian`) and serve its
     curvature and its stage rate (`FlowState.rate`), which is stage 0 of the
     accepted step and of the curvature probe's first advance; the probe's
-    second advance and the curvature residual share s1's rows.  The count is
-    exact; taking stage 0 afresh in every RKC2 step made 2205."""
+    second advance and the curvature residual share s1's rows.  Set-up takes
+    u~0's rows twice: once in `InitialData`, for the residual res_poisson0,
+    and once for the t = 0 state's curvature.  The count is exact; taking
+    stage 0 afresh in every RKC2 step made 2205."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     calls = []
     for module in (geometry, flow):
@@ -308,7 +310,7 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted and result.telemetry.steps == 252
-    assert len(calls) == 1911
+    assert len(calls) == 1912
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
@@ -1064,6 +1066,25 @@ def test_order_of_accuracy(soliton_errors):
     order2 = np.log2(errs[129] / errs[257])
     assert 1.8 <= order1 <= 2.2
     assert 1.8 <= order2 <= 2.2
+
+
+def test_initial_data_is_derived_alike_everywhere(tmp_path):
+    # an exact state, the exact cigar scenario and a loaded snapshot of it
+    # derive the same InitialData from log u0 = 0 and its slope 0, bit for bit
+    config = parse_config({
+        "name": "cigar", "grid": {"kind": "radial", "n": 65, "s_max": 8.0},
+        "initial": {"type": "exact_cigar"},
+        "stepping": {"safety": 0.9, "t_end": 0.1, "record_interval": 0.1}})
+    built = build_scenario(config)
+    save_snapshot(flow.step(built, 1e-3), tmp_path / "snap.txt")
+    exact = flow.exact_soliton_state(built.grid, 0.3)
+    for other in (exact, load_snapshot(tmp_path / "snap.txt")):
+        for name, value in vars(built.init).items():
+            got = np.asarray(getattr(other.init, name), dtype=float)
+            assert got.tobytes() == np.asarray(value, dtype=float).tobytes(), name
+    # u~0 = -f0 is the family's t = 0 log factor to rounding
+    np.testing.assert_allclose(exact.init.u_tilde0, cigar.soliton_log_factor(exact.grid.r, 0.0),
+                               rtol=1e-15, atol=0.0)
 
 
 def test_exact_soliton_state_self_consistency():

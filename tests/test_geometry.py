@@ -14,6 +14,7 @@ from cigarflow import cigar, geometry
 from cigarflow.geometry import (
     MAX_NODES,
     MIN_NODES,
+    MIN_S_MAX,
     ConformalState,
     RadialGrid,
     background_laplacian,
@@ -57,6 +58,24 @@ def test_grid_validation():
     g = RadialGrid(65, 8.0)
     assert g.s[0] == 0.0 and g.s[-1] == 8.0
     assert g.h * (g.n - 1) == pytest.approx(8.0, rel=1e-15)
+
+
+def test_smallest_grid_forms_finite_coefficients():
+    # at MIN_S_MAX every coefficient is finite and formed without a warning,
+    # and its smallest denominator b_1 h^2 is a normal float64, up to MAX_NODES
+    tiny = np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (MIN_NODES + 1, MAX_NODES):
+            g = RadialGrid(n, MIN_S_MAX)
+            coefficients = [g.h2, g.bh2, g.lap_up, g.lap_down, g.advection,
+                            g.edge_coefficients, g.lap_diag, g.gershgorin_rows]
+            assert all(np.isfinite(c).all() for c in coefficients)
+            assert g.bh2[1] >= tiny
+        assert np.isfinite(RadialGrid(MIN_NODES + 1, MIN_S_MAX).spline._inverse).all()
+        for s_max in (MIN_S_MAX / 2, 1e-300, 5e-324):
+            with pytest.raises(ValueError, match="s_max must be in"):
+                RadialGrid(MIN_NODES + 1, s_max)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -181,6 +182,14 @@ def test_parse_config_raises_only_config_error(mutations):
     {"name": "a\\b"},
     # a grid above MAX_NODES, refused before its spline's n x n inverse is formed
     {"grid": {"kind": "radial", "n": 8193, "s_max": 8.0}},
+    # a time that rounds to 0 at the run's resolution of 12 decimals
+    {"stepping": {"safety": 0.9, "t_end": 1e-13, "record_interval": 1e-13}},
+    {"stepping": {"safety": 0.9, "t_end": 1e-9, "record_interval": 1e-13}},
+    {"stepping": {"safety": 0.9, "t_end": 1e-9, "record_interval": 1e-9},
+     "output": {"snapshot_interval": 4e-13}},
+    # s_max below MIN_S_MAX, where the stencil denominators b h^2 underflow
+    {"grid": {"kind": "radial", "n": 129, "s_max": 1e-300}},
+    {"grid": {"kind": "radial", "n": 17, "s_max": 9e-91}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     path = tmp_path / "config.json"
@@ -199,6 +208,11 @@ def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     # curvature probe applies) overflows; -348.853 is the bisected edge
     {"type": "perturbed_cigar", "amplitude": -700, "center": 2.0, "width": 0.5},
     {"type": "perturbed_cigar", "amplitude": -348.86, "center": 2.0, "width": 0.5},
+    # log u0 overflows float64: a centre-0 bump peaks at 2A
+    {"type": "perturbed_cigar", "amplitude": 1e308, "center": 0.0, "width": 0.5},
+    # the bump's curvature A / width^2 overflows, or width^2 underflows to 0
+    {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 1e-300},
+    {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.1, "width": 1e-160},
 ])
 def test_cli_overflowing_initial_data_exits_2(tmp_path, initial, capsys):
     # e^{+-u~0}, R0 or Lap_g R0 overflows float64: refused without a warning
@@ -208,6 +222,23 @@ def test_cli_overflowing_initial_data_exits_2(tmp_path, initial, capsys):
         warnings.simplefilter("error")
         assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("initial", [
+    # a vast width is a flat bump, log u0 = 2A; a vast centre a vanished one
+    {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 1e300},
+    {"type": "perturbed_cigar", "amplitude": 0.3, "center": 1e300, "width": 0.5},
+    {"type": "perturbed_cigar", "amplitude": 0.3, "center": -1e300, "width": 0.5},
+])
+def test_cli_extreme_bump_numbers_run_cleanly(tmp_path, initial):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base_config(initial=initial)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0
+    hypothesis = json.loads((tmp_path / "out" / "summary.json").read_text())["hypothesis"]
+    flat = initial["width"] > 1.0
+    assert hypothesis["sup_log_u0"] == (0.6 if flat else 0.0)
 
 
 def test_cli_initial_data_inside_the_curvature_guard_runs(tmp_path):
@@ -378,11 +409,7 @@ def test_snapshot_round_trip_is_bit_exact(data):
         t=scalar(),
         log_scale=scalar(),
         frame=data.draw(st.sampled_from([flow.COMOVING, flow.FIXED])),
-        init=flow.InitialData(
-            u_tilde0=array(), log_u0=array(),
-            res_poisson0=scalar(), sup_potential_gap=scalar(), sup_grad_log_u0=scalar(),
-            grid=grid, edge_slope=u_slope,
-        ),
+        init=flow.InitialData(log_u0=array(), log_u0_slope=scalar(), grid=grid),
         acc=flow.Accumulators(v_integral=scalar(), phi=array()),
     )
     with tempfile.TemporaryDirectory() as tmp:
@@ -471,7 +498,7 @@ def _swap_two_values(lines):
 
 
 def _bump_last_digit(lines):
-    k = next(i for i, line in enumerate(lines) if line.startswith("array init_u_tilde0")) + 5
+    k = next(i for i, line in enumerate(lines) if line.startswith("array u_tilde")) + 5
     mantissa, _, exponent = lines[k].partition("e")
     mantissa = mantissa[:-1] + str((int(mantissa[-1]) + 1) % 10)
     lines[k] = mantissa + ("e" + exponent if exponent else "")
@@ -521,6 +548,19 @@ def test_snapshot_refuses_committed_v3_file():
         load_snapshot(v3)
 
 
+def test_snapshot_refuses_committed_v4_file():
+    # format 4 stored u~0 next to log u0 and three hypothesis values, which
+    # format 5 derives from log u0 and its slope
+    v4 = Path(__file__).resolve().parent / "data" / "snapshot_v4_n17.txt"
+    with pytest.raises(SnapshotError, match="snapshot version 4 not supported"):
+        load_snapshot(v4)
+
+
+def test_readme_names_the_snapshot_format():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    assert re.findall(r"Snapshots \(format (\w+)\)", readme) == [snapshots.FORMAT_VERSION]
+
+
 def test_snapshot_refuses_a_grid_above_max_nodes(tmp_path):
     # enough lines to pass the truncation check, so RadialGrid itself refuses
     # the grid line, before any spline of that size is formed
@@ -531,6 +571,21 @@ def test_snapshot_refuses_a_grid_above_max_nodes(tmp_path):
     path.write_text(_sealed(lines + ["0"] * 8193))
     with pytest.raises(SnapshotError, match="16 to 4097 nodes, got 8193"):
         load_snapshot(path)
+
+
+def test_snapshot_refuses_a_grid_below_min_s_max(tmp_path):
+    # a valid checksum over a grid line whose spacing would underflow the
+    # stencil denominators: refused without a divide-by-zero warning
+    path = tmp_path / "snap.txt"
+    save_snapshot(build_scenario(parse_config(base_config(
+        grid={"kind": "radial", "n": 17, "s_max": 8.0}))), path)
+    lines = path.read_text().splitlines()[:-1]
+    lines[1] = "grid 17 1e-300"
+    path.write_text(_sealed(lines))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SnapshotError, match="s_max must be in"):
+            load_snapshot(path)
 
 
 def test_snapshot_refuses_sealed_extra_line(tmp_path):
