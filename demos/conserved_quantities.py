@@ -7,7 +7,8 @@ A bump-perturbed cigar evolves while the monitors track:
   sup u~               non-increasing (maximum principle),
   sup h, h = v+log u0  non-increasing (heat equation with negative forcing),
   Lap_g f - R          the Ricci-potential identity, held by the closed form,
-  R_t - Lap_g R - R^2  the curvature evolution identity, probed per record.
+  R_t - Lap_g R - R^2  the curvature evolution identity, O(h^2), with R_t
+                       the flow's own at each record state.
 """
 
 from cigarflow.scenarios import build_scenario, parse_config, run_scenario

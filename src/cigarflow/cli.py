@@ -261,8 +261,7 @@ def cmd_report(args):
     tel = summary.get("telemetry")
     if tel is not None:
         print(f"  steps: {tel['steps']} accepted, {tel['clipped_steps']} clipped to an event "
-              f"time; RKC2 stages: {tel['stages']}, and {tel['probe_stages']} in the "
-              f"curvature probe")
+              f"time; RKC2 stages: {tel['stages']}")
     drift = max(rec.w_drift for rec in records)
     print(f"  max w drift: {drift:.6e}")
     print(f"  width bound: {records[0].width_bound:.6f} -> {records[-1].width_bound:.6f}")

@@ -34,12 +34,14 @@ CSV_COLUMNS = [
 class DiagnosticsRecord:
     """Scalar monitors of one flow state.
 
-    The first twelve fields are the CSV columns; `v_discrepancy` (the gap
+    The first twelve fields are the CSV columns.  `res_curv_evo` is the max
+    of R_t - Lap_g R - R^2 on the stepped nodes, with dR/dt the
+    semi-discrete flow's own at the state (`flow.monitor`): O(h^2) in the
+    co-moving frame, rounding in the fixed frame.  `v_discrepancy` (the gap
     between the evolved v = f(0) - f at the origin and the independently
-    accumulated -integral of R(origin)), `sup_log_u` (the largest log u on
-    the stepped nodes, which in the co-moving frame cover the whole grown
-    domain) and `probe_stages` (the RKC2 stages of the curvature probe
-    behind `res_curv_evo`) travel with the record but are not serialized.
+    accumulated -integral of R(origin)) and `sup_log_u` (the largest log u
+    on the stepped nodes, which in the co-moving frame cover the whole grown
+    domain) travel with the record but are not serialized.
     """
 
     t: float
@@ -56,7 +58,6 @@ class DiagnosticsRecord:
     res_curv_evo: float
     v_discrepancy: float = float("nan")
     sup_log_u: float = float("nan")
-    probe_stages: int = 0
 
     def csv_row(self):
         return [repr(float(getattr(self, name))) for name in CSV_COLUMNS]

@@ -22,9 +22,11 @@ A stage evaluates the rates of u~ and log L together (`_stage_rhs`).  Each
 state's fields are computed once on the step path: its Laplacian rows
 (`ConformalState.laplacian`) give both its curvature and its stage rate
 (`FlowState.rate`), which is stage 0 of every step taken from it, so the
-accepted step, the record's curvature and the curvature probe share one
-evaluation.  Each later stage forms its increment by one BLAS product of
-four weights with a preallocated stack of four rows (`_rkc_step`).
+accepted step, the record's curvature and its curvature-evolution residual
+share one evaluation.  A record takes no step: the residual's dR/dt is the
+semi-discrete flow's exact rate at the state (`monitor`).  Each later stage
+forms its increment by one BLAS product of four weights with a
+preallocated stack of four rows (`_rkc_step`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -53,8 +55,7 @@ The clamped spline's slope system is inverted once per grid size
 each evaluation of it a piecewise-cubic one.  Each state fits u~ at most
 once (`ConformalState.fit`): the map of a record's state and its normalized
 profile (`profile_distance`) evaluate the same fit.  The curvature evolution
-residual needs no map (it is taken on the co-moving nodes), and its probe's
-steps are never mapped, since nothing reads their accumulators.  gamma = 0
+residual needs no map: it is taken on the co-moving nodes.  gamma = 0
 recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
@@ -64,7 +65,7 @@ Monitored structure, all recorded per step interval:
     h = v + log u0                heat subsolution, sup h non-increasing;
     sup u~                        non-increasing (maximum principle);
     Lap_g f - R                   identity propagation residual;
-    R_t - Lap_g R - R^2           curvature evolution residual;
+    R_t - Lap_g R - R^2           curvature evolution residual, O(h^2);
     width / circumference         level-length estimators.
 
 With f = w0 - u~ the first and the fifth hold by construction: w's drift
@@ -109,6 +110,7 @@ __all__ = [
     "FlowInstabilityError",
     "RunResult",
     "adaptive_dt",
+    "fewest_steps",
     "step",
     "monitor",
     "curvature_evolution_residual",
@@ -277,8 +279,9 @@ class FlowState:
         """The stage rate of (u^, log L) at this state, bit for bit
         `_stage_rhs(state, (u^, log L), out)` (computed once): e^{-u^} times the
         conformal state's cached Laplacian rows, plus the co-moving terms.
-        It is stage 0 of every RKC2 step from the state, so the accepted step
-        and the monitor's curvature probe share it."""
+        It is stage 0 of every RKC2 step from the state, and the record's
+        curvature-evolution residual reads its dR/dt from it (`monitor`), so
+        a record state's accepted step and its record share it."""
         conf = self.conformal
         out = np.empty(self.grid.n + 1)
         np.multiply(conf.laplacian, conf.diffusivity, out=out[:-1])
@@ -466,12 +469,6 @@ def _stage_weights(s):
     return weights
 
 
-def _stages(state, dt):
-    """The stage count `step` takes for a step of size dt from the state
-    (a dt within STAGE_LIMIT stages)."""
-    return _stage_count(dt * state.conformal.stiffness)
-
-
 def _rkc_step(rhs, y0, rate0, dt, s):
     """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
 
@@ -524,6 +521,20 @@ def adaptive_dt(state, safety=0.9):
     sup_r = float(np.abs(state.curvature).max())
     dt_curv = CURVATURE_STEP * state.grid.h / sup_r if sup_r > 0.0 else np.inf
     return safety * min(dt_curv, _rkc_coefficients(MAX_STAGES)[0] / rho)
+
+
+def fewest_steps(state, t_end, safety=0.9):
+    """A lower bound on the steps `run` takes from the state to t_end.
+
+    Every dt that `adaptive_dt` gives is at most safety * beta(MAX_STAGES) /
+    rho, and rho is at least the tip row's e^{-u_0} rows_0 (`gershgorin_rows`).
+    No later state lowers e^{-u_0}: the co-moving frame pins u^ at the tip,
+    and in the fixed frame `step` keeps u~ under sup u~0 (to the abort
+    tolerance).  So, unlike t_end over the first dt, the bound holds for
+    data whose first steps are tiny and then grow.
+    """
+    dt_max = safety * _rkc_coefficients(MAX_STAGES)[0] / state.grid.gershgorin_rows[0]
+    return (t_end - state.t) / dt_max * math.exp(-state.init.sup_u_tilde0)
 
 
 def step(state, dt):
@@ -590,15 +601,17 @@ def monitor(state, dt_hint=None):
 
     `dt_hint` is echoed into the record's dt column (the step size the run
     is using).  The fixed-frame columns come from `fixed_fields`, which reads
-    the state's mapped u~, and v_discrepancy from the accumulators, which are
-    brought up to date before the probe steps from the state.  The
-    curvature-evolution residual is probed by taking two extra `step`s from
-    the state, whose accumulators nobody reads; the first starts from the
-    state's cached stage rate, as the next accepted step does.  The probe's
-    steps have the diffusive size
-    0.9 / max(e^{-u} diag), whatever the run's dt, so res_curv_evo keeps
-    measuring the same O(dt^2 + h^2) residual on the state's own nodes.
-    The record carries the probe's stage count (0 when the probe fails) and
+    the state's mapped u~, and v_discrepancy from the accumulators.  The
+    curvature-evolution residual is the state's own and takes no step: dR/dt
+    at its nodes is the semi-discrete flow's exact rate,
+    -R u^_t - e^{-u^} Lap_E u^_t, from the state's cached stage rate
+    (`FlowState.rate`, (u^_t, gamma), which the next accepted step reads as
+    its stage 0).  The Laplacian of u^_t takes the ghost slope 0, since the
+    edge slope does not move.  So res_curv_evo is the O(h^2) spatial
+    residual of R_t = Lap_g R + R^2 on the co-moving nodes, with no time
+    error; in the fixed frame, away from the edge rows, the discrete flow
+    satisfies the discrete identity, and the column reads rounding.  It is
+    NaN, without a warning, where R^2 overflows.  The record also carries
     the largest log u on the stepped nodes.
     """
     u_hat = state.conformal.log_factor
@@ -612,14 +625,12 @@ def monitor(state, dt_hint=None):
     rep = width_report(state.conformal)
     res_poisson = float(np.abs(
         metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv).max())
-    dtp = 0.9 / state.conformal.diffusion_rate(state.grid.lap_diag)
-    try:
-        s1 = step(state, dtp)
-        s2 = step(s1, dtp)
-        res_curv = float(np.abs(curvature_evolution_residual(state, s1, s2)).max())
-        probe_stages = _stages(state, dtp) + _stages(s1, dtp)
-    except FlowInstabilityError:
-        res_curv, probe_stages = float("nan"), 0
+    rate = state.rate
+    u_rate, gamma = rate[:-1], float(rate[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_rate = (-curv * u_rate
+                  - state.conformal.diffusivity * background_laplacian(u_rate, state.grid))
+        res_curv = float(np.abs(_curvature_residual(state, r_rate, gamma)).max())
     # log u = u~ + log(1 + r^2) at the node's fixed-frame radius r = L sinh a,
     # written so that nothing overflows as L grows
     log_u = u_hat + np.log(np.exp(-2.0 * state.log_scale) + state.grid.r**2)
@@ -639,23 +650,37 @@ def monitor(state, dt_hint=None):
         res_curv_evo=res_curv,
         v_discrepancy=v_disc,
         sup_log_u=float(log_u.max()),
-        probe_stages=probe_stages,
     )
 
 
-def curvature_evolution_residual(s_minus, s_zero, s_plus):
-    """Residual of R_t = Lap_g R + R^2 from a uniformly spaced state triple.
+def _curvature_residual(state, r_rate, gamma):
+    """R_t - Lap_g R - R^2 at the state's nodes, from dR/dt at those nodes
+    (`r_rate`) and gamma = dlogL/dt.
 
-    It is taken on the nodes the triple was stepped on, with no frame map:
-    R is a scalar, so a co-moving node a = x / L sees dR/dt = R_t +
-    gamma tanh(s) dR/ds, gamma = dlogL/dt (the centered difference of log L,
-    exactly 0 in the fixed frame).  The triple may come from either frame's
-    stepping or be built analytically.  The max norm of the returned field
-    is O(dt^2 + h^2).  The fields stop two nodes short of the outer edge:
-    the edge closure's truncation constants differ from the interior family,
-    which a pointwise second-application check would amplify to O(1) there
-    (the corrected tip row, by contrast, matches the interior family and is
-    included).
+    It is taken on the nodes the state is stepped on, with no frame map: R
+    is a scalar, so a co-moving node a = x / L sees dR/dt = R_t +
+    gamma tanh(s) dR/ds (gamma is 0 in the fixed frame).  dR/ds and Lap_g R
+    take the edge slope of R's one-sided estimate.  The field stops two
+    nodes short of the outer edge: the edge closure's truncation constants
+    differ from the interior family, which a pointwise second-application
+    check would amplify to O(1) there (the corrected tip row, by contrast,
+    matches the interior family and is included).
+    """
+    grid, r = state.grid, state.curvature
+    slope = _edge_slope_estimate(grid, r)
+    drift = gamma * grid.tanh_s * _radial_derivative(grid, r, slope)
+    lap_r = metric_laplacian(r, state.conformal, slope)
+    return (r_rate - drift - lap_r - r**2)[:-2]
+
+
+def curvature_evolution_residual(s_minus, s_zero, s_plus):
+    """Residual of R_t = Lap_g R + R^2 at s_zero from a uniformly spaced
+    state triple: dR/dt and gamma are the centred differences of the
+    triple's R and log L (`_curvature_residual`).
+
+    The triple may come from either frame's stepping or be built
+    analytically.  The max norm of the returned field is O(dt^2 + h^2); as
+    dt -> 0 it tends to the state's own residual, which `monitor` records.
     """
     grids = {id(s.grid) for s in (s_minus, s_zero, s_plus)}
     if len(grids) != 1:
@@ -664,14 +689,9 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
     dt2 = s_plus.t - s_zero.t
     if dt1 <= 0 or abs(dt1 - dt2) > 1e-9 * max(dt1, dt2):
         raise ValueError("state triple must be uniformly spaced in time")
-    grid = s_zero.grid
-    r_zero = s_zero.curvature
-    slope = _edge_slope_estimate(grid, r_zero)
     gamma = (s_plus.log_scale - s_minus.log_scale) / (dt1 + dt2)
-    drift = gamma * grid.tanh_s * _radial_derivative(grid, r_zero, slope)
-    lap_r = metric_laplacian(r_zero, s_zero.conformal, slope)
-    resid = (s_plus.curvature - s_minus.curvature) / (dt1 + dt2) - drift - lap_r - r_zero**2
-    return resid[:-2]
+    r_rate = (s_plus.curvature - s_minus.curvature) / (dt1 + dt2)
+    return _curvature_residual(s_zero, r_rate, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +811,6 @@ class RunTelemetry:
     steps: int = 0            # accepted steps
     clipped_steps: int = 0    # accepted steps whose dt was cut to a record, snapshot or final time
     stages: int = 0           # RKC2 stages of the accepted steps
-    probe_stages: int = 0     # RKC2 stages of the records' curvature probes
 
 
 @dataclass
@@ -819,7 +838,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     good records with `aborted` set.  `snapshot_hook(state)` is called at
     each requested snapshot time; `progress(record)` after each record.
     The result's `telemetry` counts the accepted steps, those clipped to an
-    event time, and the RKC2 stages of the steps and of the records' probes.
+    event time, and their RKC2 stages; a record takes no step.
     Each record also appends (t, log L) to the result's `scale_trace`.
     """
     t_end = round(float(t_end), 12)  # the run's time resolution
@@ -840,7 +859,6 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         snapshot where one is due; returns the record."""
         rec = monitor(state, dt_hint=dt_free)
         records.append(rec)
-        telemetry.probe_stages += rec.probe_stages
         try:
             dist = profile_distance(state, min(s_report, state.grid.s_max))
         except ValueError:
@@ -871,7 +889,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
                 break
             telemetry.steps += 1
             telemetry.clipped_steps += int(dt < dt_free)
-            telemetry.stages += _stages(state, dt)
+            telemetry.stages += _stage_count(dt * state.conformal.stiffness)
             state = new_state
             if abs(state.t - target) < 1e-12:
                 # land on the event exactly; the state is new and held

@@ -76,8 +76,8 @@ class RadialGrid:
     It carries what the radial operators reuse on every call: the
     Laplacian's interior coefficients `lap_up` and `lap_down`, the centred
     advection's `advection`, the edge row's coefficients as Python floats,
-    the Laplacian's diagonal `lap_diag`, the stiffness weights
-    `gershgorin_rows`, and the cubic `spline` of its size.
+    the stiffness weights `gershgorin_rows`, and the cubic `spline` of its
+    size.
     """
 
     n: int
@@ -110,18 +110,6 @@ class RadialGrid:
         self.edge_coefficients = (float(self.a_half[-1]), float(self.a_half[-2]),
                                   float(self.bh2[-1]), float(self.h))
         self.tanh_edge = float(self.tanh_s[-1])
-
-    @cached_property
-    def lap_diag(self):
-        """The size of the Laplacian's diagonal: 4 / h^2 at the tip and
-        (a_{i+1/2} + a_{i-1/2}) / (b_i h^2) elsewhere.  It sets the curvature
-        probe's step (`flow.monitor`)."""
-        a = self.a_half
-        diag = np.empty(self.n)
-        diag[0] = 4.0 / self.h2
-        diag[1:-1] = (a[1:-1] + a[0:-2]) / self.bh2[1:-1]
-        diag[-1] = (a[-1] + a[-2]) / self.bh2[-1]
-        return diag
 
     @cached_property
     def gershgorin_rows(self):
@@ -343,18 +331,14 @@ class ConformalState:
     def stiffness(self):
         """rho = max(e^{-u~} rows), rows the grid's `gershgorin_rows`: a bound
         on the spectral radius of e^{-u~} Lap_E for every diffusivity, which
-        sets an RKC2 step's stage count and caps its dt (computed once)."""
-        return self.diffusion_rate(self.grid.gershgorin_rows)
-
-    def diffusion_rate(self, weights):
-        """max_i e^{-u~_i} weights_i for per-node weights of the Laplacian;
-        a ValueError where e^{-u~} overflowed."""
+        sets an RKC2 step's stage count and caps its dt (computed once); a
+        ValueError where e^{-u~} overflowed."""
         if not np.isfinite(self.diffusivity).all():
             raise ValueError(
                 "diffusivity e^{-u} overflowed; rescale the initial data or use "
                 "the co-moving frame"
             )
-        return float((self.diffusivity * weights).max())
+        return float((self.diffusivity * self.grid.gershgorin_rows).max())
 
 
 def _check_field(f, grid):

@@ -30,7 +30,8 @@ log u0 - f0 and everything else from them:
 Bumps are smooth and specified in arc length, so sup |log u0| and the
 gradient bound that the stability theory assumes are finite by construction;
 `InitialData` evaluates both, plus sup |f0 - f(0)|, and `build_scenario`
-refuses data whose numbers overflow float64.
+refuses data whose numbers overflow float64.  `run_scenario` refuses a run
+that would take more than MAX_STEPS steps.
 
 The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
@@ -57,6 +58,7 @@ from cigarflow.flow import (
     Accumulators,
     FlowState,
     InitialData,
+    fewest_steps,
     fixed_fields,
     run,
 )
@@ -108,6 +110,13 @@ MAX_LOG_FACTOR = float(np.log(np.finfo(float).max))
 # a run stops at every record and snapshot time; more stops than this is a
 # typo, not an experiment, and would only fill memory
 MAX_EVENTS = 100_000
+
+# Most steps a run may need: a run whose step count `fewest_steps` bounds
+# above this is refused before any step.  10^7 steps at the ~60 us a step
+# takes at n = 129 is about 10 minutes.  Over the tests and demos the
+# largest bound is 421 (n = 257 to t = 20, a run of about 2000 steps); the
+# runs it stops, on grids of s_max 1e-6, would need 10^12 steps and more.
+MAX_STEPS = 10**7
 
 
 @dataclass
@@ -358,8 +367,14 @@ def build_scenario(config):
 
 
 def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None):
-    """build_scenario + run with the config's stepping parameters."""
+    """build_scenario + run with the config's stepping parameters.  A run
+    that takes more than MAX_STEPS steps to t_end (`fewest_steps`) raises
+    ConfigError before any step."""
     state = build_scenario(config)
+    steps = fewest_steps(state, config.t_end, config.safety)
+    if not steps <= MAX_STEPS:
+        raise ConfigError(f"the run to t_end = {config.t_end:g} takes at least {steps:.3g} "
+                          f"steps, more than {MAX_STEPS:.0e}")
     return run(
         state,
         config.t_end,

@@ -62,8 +62,8 @@ def test_benchmark_workload_passes_its_own_checks(tmp_path, name):
 def test_traced_workload_layer_readings_are_finite(tmp_path):
     # one traced iteration of relax_long reduced by the tracer's summary:
     # every per-layer reading is finite, the accepted steps are the shipped
-    # run's 252, and the curvature probe's steps count as flow.step calls
-    # under flow.monitor
+    # run's 252, and no flow.step call runs under flow.monitor (a record
+    # takes no step)
     tracer = runpy.run_path(str(TRACER))
     workload = runpy.run_path(str(TRACER.parent / "workloads.py"))["WORKLOADS"]["relax_long"]()
     workload.setup(0, tmp_path / "relax_long")
@@ -81,4 +81,4 @@ def test_traced_workload_layer_readings_are_finite(tmp_path):
                               "flow.fixed_fields.calls_per_step"}
     assert all(math.isfinite(value) for value in summary.values())
     assert summary["flow.steps_per_sim_time"] == 252 / 5
-    assert summary["flow.probe_step_share"] > 0
+    assert summary["flow.probe_step_share"] == 0

@@ -268,10 +268,10 @@ def test_raised_tip_takes_enough_stages():
 
 def test_shipped_run_stage_count(config_dir, monkeypatch):
     # the stages of every RKC2 step of the shipped run: the 252 accepted
-    # steps' (1761) and the curvature probe's two 2-stage steps per record
-    # (84), as the run's telemetry counts them.  The count is exact; the
-    # accuracy bound h / sup|R| took 2093 + 84, and a looser stiffness bound
-    # took more still (2549 + 84).
+    # steps' (1761), as the run's telemetry counts them; a record takes no
+    # step (the curvature probe's two 2-stage steps per record added 84).
+    # The count is exact; the accuracy bound h / sup|R| took 2093, and a
+    # looser stiffness bound took more still (2549).
     config = load_config(config_dir / "perturbed_relax_129.json")
     stages = []
     rkc_step = flow._rkc_step
@@ -284,19 +284,19 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted
-    assert sum(stages) == 1761 + 84
-    assert (result.telemetry.stages, result.telemetry.probe_stages) == (1761, 84)
+    assert sum(stages) == result.telemetry.stages == 1761
 
 
 def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     """The Laplacian row passes of the shipped run, set-up included: each
     state's rows are taken once (`ConformalState.laplacian`) and serve its
     curvature and its stage rate (`FlowState.rate`), which is stage 0 of the
-    accepted step and of the curvature probe's first advance; the probe's
-    second advance and the curvature residual share s1's rows.  Set-up takes
-    u~0's rows twice: once in `InitialData`, for the residual res_poisson0,
-    and once for the t = 0 state's curvature.  The count is exact; taking
-    stage 0 afresh in every RKC2 step made 2205."""
+    accepted step and gives a record's dR/dt.  A record takes two more
+    passes, Lap_g R and Lap_E of u^'s rate, and no step (the curvature
+    probe's steps and triple residual took five, 1912 in all).  Set-up
+    takes u~0's rows twice: once in `InitialData`, for the residual
+    res_poisson0, and once for the t = 0 state's curvature.  The count is
+    exact; taking stage 0 afresh in every RKC2 step made 2205."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     calls = []
     for module in (geometry, flow):
@@ -310,7 +310,7 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted and result.telemetry.steps == 252
-    assert len(calls) == 1912
+    assert len(calls) == 1849
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
@@ -483,9 +483,9 @@ def test_comoving_run_of_a_moderate_bump_at_half_safety_does_not_abort():
 
 
 def test_comoving_run_of_a_moderate_bump_records_only_finite_values():
-    # the t = 0 record's curvature probe steps the same co-moving nodes: with
-    # a node-maximum abort threshold its res_curv_evo was NaN (0.0438 in the
-    # fixed frame)
+    # every record is finite in both frames; when res_curv_evo came from a
+    # curvature probe that stepped the t = 0 state's co-moving nodes, a
+    # node-maximum abort threshold made it NaN (0.0438 in the fixed frame)
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
     for frame in ("fixed", "comoving"):
         config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
@@ -671,6 +671,66 @@ def test_curvature_evolution_rejects_bad_triples():
     other = flow.exact_soliton_state(RadialGrid(129, 2.0), 0.102)
     with pytest.raises(ValueError):
         flow.curvature_evolution_residual(s0, s1, other)
+
+
+def _shipped_run(config_dir, **changes):
+    """flow.run of the shipped perturbed config with `changes` to its
+    stepping section (and `n` to its grid)."""
+    data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+    data["grid"]["n"] = changes.pop("n", data["grid"]["n"])
+    data["stepping"].update(changes)
+    config = parse_config(data)
+    return flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                    record_interval=config.record_interval)
+
+
+@pytest.mark.parametrize("t_end", [0.25, 2.25])
+def test_record_residual_is_the_triple_residual_as_dt_vanishes(config_dir, t_end):
+    # a record's res_curv_evo takes dR/dt and gamma from the state's own
+    # rate: the limit of the residual of the triple stepped about the state
+    # at dt -> 0, whose time error is O(dt^2) (co-moving shipped data)
+    s0 = _shipped_run(config_dir, t_end=t_end).final_state
+    s1 = flow.step(s0, 1e-5)
+    s2 = flow.step(s1, 1e-5)
+    triple = float(np.abs(flow.curvature_evolution_residual(s0, s1, s2)).max())
+    assert flow.monitor(s1).res_curv_evo == pytest.approx(triple, rel=1e-6)
+
+
+def test_record_residual_is_second_order_on_the_shipped_data(config_dir, shipped_reports):
+    # with no time error left the co-moving residual is spatial alone, and
+    # falls 4x per halving of h (measured 3.98 to 4.00)
+    coarse = {rec.t: rec.res_curv_evo
+              for rec in shipped_reports["perturbed_relax_129"].result.records}
+    fine = {rec.t: rec.res_curv_evo
+            for rec in _shipped_run(config_dir, n=257, t_end=4.75).records}
+    for t in (0.25, 2.25, 4.75):
+        assert 3.8 <= coarse[t] / fine[t] <= 4.2, t
+
+
+def test_record_residual_reads_rounding_in_the_fixed_frame():
+    # away from the edge rows the fixed-frame semi-discrete flow satisfies
+    # the discrete R_t = Lap_g R + R^2 identically: the record reads
+    # rounding, where the curvature probe read its own time error (2.7e-4 at t = 0)
+    result = flow.run(cigar_flow_state(129, frame="fixed"), 0.5, record_interval=0.1)
+    assert not result.aborted and len(result.records) == 6
+    assert max(rec.res_curv_evo for rec in result.records) <= 1e-12
+    exact = flow.exact_soliton_state(RadialGrid(129, 8.0), 0.3)
+    assert flow.monitor(exact).res_curv_evo <= 1e-12
+
+
+def test_shipped_run_takes_no_step_at_a_record(config_dir, monkeypatch):
+    # every flow.step call is an accepted step: a record reads its residual
+    # from the state alone
+    calls = []
+    step = flow.step
+
+    def spy(state, dt):
+        calls.append(dt)
+        return step(state, dt)
+
+    monkeypatch.setattr(flow, "step", spy)
+    result = _shipped_run(config_dir)
+    assert len(calls) == result.telemetry.steps == 252
 
 
 # ---------------------------------------------------------------------------

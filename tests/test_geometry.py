@@ -69,7 +69,7 @@ def test_smallest_grid_forms_finite_coefficients():
         for n in (MIN_NODES + 1, MAX_NODES):
             g = RadialGrid(n, MIN_S_MAX)
             coefficients = [g.h2, g.bh2, g.lap_up, g.lap_down, g.advection,
-                            g.edge_coefficients, g.lap_diag, g.gershgorin_rows]
+                            g.edge_coefficients, g.gershgorin_rows]
             assert all(np.isfinite(c).all() for c in coefficients)
             assert g.bh2[1] >= tiny
         assert np.isfinite(RadialGrid(MIN_NODES + 1, MIN_S_MAX).spline._inverse).all()

@@ -205,7 +205,7 @@ def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     {"type": "perturbed_cigar", "amplitude": 1e6, "center": 2.0, "width": 0.5},
     {"type": "custom_table", "log_u0": [0.0] * 32 + [1e6] + [0.0] * 32},
     # inside the e^{+-u~0} guard, but Lap_g R0 (which the first record's
-    # curvature probe applies) overflows; -348.853 is the bisected edge
+    # curvature residual applies) overflows; -348.853 is the bisected edge
     {"type": "perturbed_cigar", "amplitude": -700, "center": 2.0, "width": 0.5},
     {"type": "perturbed_cigar", "amplitude": -348.86, "center": 2.0, "width": 0.5},
     # log u0 overflows float64: a centre-0 bump peaks at 2A
@@ -250,6 +250,39 @@ def test_cli_initial_data_inside_the_curvature_guard_runs(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "converge"])
+def test_cli_refuses_a_run_past_the_step_budget(tmp_path, command):
+    # exact-cigar data at s_max 1e-6: the stage cap holds dt at 2.65e-15 on
+    # h = 7.8e-9, so the run to t = 0.05 would take 1.9e13 steps and never
+    # end.  Each command refuses it as a config error before any step.
+    path = write_config(tmp_path, base_config(
+        grid={"kind": "radial", "n": 129, "s_max": 1e-6},
+        stepping={"safety": 0.9, "t_end": 0.05, "record_interval": 0.05}))
+    args = [sys.executable, "-m", "cigarflow", command, str(path), "--quiet"]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr and "steps, more than 1e+07" in proc.stderr
+
+
+def test_step_budget_bounds_the_steps_from_below(tmp_path):
+    # fewest_steps is a lower bound on the steps a run takes.  The guard
+    # datum's first dt is 3.6e-156 (t_end over it is 5.5e154), but its
+    # curvature spike diffuses at once and the run takes 2416 steps: the
+    # bound lets it run.
+    guard = {"type": "perturbed_cigar", "amplitude": -348.84, "center": 2.0, "width": 0.5}
+    for initial in ({"type": "exact_cigar"}, guard):
+        config = parse_config(base_config(initial=initial))
+        state = build_scenario(config)
+        result = scenarios.run_scenario(config)
+        assert not result.aborted
+        assert flow.fewest_steps(state, config.t_end, config.safety) <= result.telemetry.steps
+    assert config.t_end / flow.adaptive_dt(state, config.safety) > 1e154
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +730,7 @@ def test_cli_run_and_report(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "max w drift" in text
     telemetry = json.loads((out_dir / "summary.json").read_text())["telemetry"]
-    assert set(telemetry) == {"steps", "clipped_steps", "stages", "probe_stages"}
+    assert set(telemetry) == {"steps", "clipped_steps", "stages"}
     assert (f"steps: {telemetry['steps']} accepted, {telemetry['clipped_steps']} clipped"
             in text)
 
@@ -714,6 +747,21 @@ def test_cli_report_reads_a_summary_without_telemetry(tmp_path, capsys):
     assert cli.main(["report", str(tmp_path / "out")]) == 0
     text = capsys.readouterr().out
     assert "max w drift" in text and "steps:" not in text
+
+
+def test_cli_report_reads_a_summary_with_probe_stages(tmp_path, capsys):
+    # run directories written while records took curvature-probe steps
+    # carry a fourth telemetry count, which report passes over
+    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
+    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
+    summary_path = tmp_path / "out" / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["telemetry"]["probe_stages"] = 84
+    summary_path.write_text(json.dumps(summary))
+    capsys.readouterr()
+    assert cli.main(["report", str(tmp_path / "out")]) == 0
+    text = capsys.readouterr().out
+    assert f"RKC2 stages: {summary['telemetry']['stages']}\n" in text and "probe" not in text
 
 
 def test_cli_summary_traces_q_log_scale_and_the_fixed_edge(tmp_path, capsys):
