@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 __all__ = ["DiagnosticsRecord", "CSV_COLUMNS", "cigar_number", "emit_diagnostics",
            "read_diagnostics"]
@@ -28,6 +29,11 @@ CSV_COLUMNS = [
     "res_poisson",
     "res_curv_evo",
 ]
+
+_COLUMN_VALUES = attrgetter(*CSV_COLUMNS)
+# one CSV row: "%r" of a Python float is its repr, the shortest round-trip
+# text, which never needs CSV quoting (nan, inf and -0.0 included)
+_ROW = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
 
 
 @dataclass
@@ -59,9 +65,6 @@ class DiagnosticsRecord:
     v_discrepancy: float = float("nan")
     sup_log_u: float = float("nan")
 
-    def csv_row(self):
-        return [repr(float(getattr(self, name))) for name in CSV_COLUMNS]
-
     @property
     def finite(self):
         return all(math.isfinite(getattr(self, name)) for name in CSV_COLUMNS)
@@ -84,10 +87,9 @@ def emit_diagnostics(records, stream):
     records = list(records)
     if not records:
         raise ValueError("no diagnostics records to emit")
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    stream.write(",".join(CSV_COLUMNS) + "\n")
     for rec in records:
-        writer.writerow(rec.csv_row())
+        stream.write(_ROW % tuple(map(float, _COLUMN_VALUES(rec))))
 
 
 def read_diagnostics(path):

@@ -1,4 +1,6 @@
+import builtins
 import copy
+import csv
 import io
 import json
 import os
@@ -20,6 +22,7 @@ from hypothesis.extra.numpy import arrays
 from cigarflow import cli, flow, scenarios, snapshots
 from cigarflow.diagnostics import (
     CSV_COLUMNS,
+    DiagnosticsRecord,
     cigar_number,
     emit_diagnostics,
     read_diagnostics,
@@ -222,6 +225,7 @@ def test_cli_overflowing_initial_data_exits_2(tmp_path, initial, capsys):
         warnings.simplefilter("error")
         assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 2
     assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("initial", [
@@ -252,22 +256,53 @@ def test_cli_initial_data_inside_the_curvature_guard_runs(tmp_path):
         assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("command", ["run", "verify", "converge"])
-def test_cli_refuses_a_run_past_the_step_budget(tmp_path, command):
-    # exact-cigar data at s_max 1e-6: the stage cap holds dt at 2.65e-15 on
-    # h = 7.8e-9, so the run to t = 0.05 would take 1.9e13 steps and never
-    # end.  Each command refuses it as a config error before any step.
-    path = write_config(tmp_path, base_config(
-        grid={"kind": "radial", "n": 129, "s_max": 1e-6},
-        stepping={"safety": 0.9, "t_end": 0.05, "record_interval": 0.05}))
-    args = [sys.executable, "-m", "cigarflow", command, str(path), "--quiet"]
-    if command == "run":
-        args += ["--out", str(tmp_path / "out")]
+def _run_cli(args, timeout=60):
+    """`python -m cigarflow <args>` in a subprocess, with this tree's src/ first."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(args, capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "cigarflow", *args], capture_output=True,
+                          text=True, env=env, timeout=timeout)
+
+
+REFUSED_SCENARIOS = {
+    # initial data whose e^{+-u~0} overflows, refused by build_scenario
+    "overflowing_data": {"initial": {"type": "perturbed_cigar", "amplitude": 800,
+                                     "center": 2.0, "width": 0.5}},
+    # exact-cigar data at s_max 1e-6: the stage cap holds dt at 2.65e-15 on
+    # h = 7.8e-9, so the run to t = 0.05 would take 1.9e13 steps and never
+    # end.  It is refused before any step.
+    "step_budget": {"grid": {"kind": "radial", "n": 129, "s_max": 1e-6},
+                    "stepping": {"safety": 0.9, "t_end": 0.05, "record_interval": 0.05}},
+}
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "converge"])
+def test_cli_refuses_a_run_past_the_step_budget(tmp_path, command):
+    # each command refuses the run past the step budget as a config error;
+    # `run` makes neither its output directory nor the parents it would need
+    path = write_config(tmp_path, base_config(**REFUSED_SCENARIOS["step_budget"]))
+    args = [command, str(path), "--quiet"]
+    if command == "run":
+        args += ["--out", str(tmp_path / "runs" / "out")]
+    proc = _run_cli(args)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and "steps, more than 1e+07" in proc.stderr
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("refusal", sorted(REFUSED_SCENARIOS))
+def test_cli_refused_scenario_leaves_an_existing_directory_untouched(tmp_path, refusal):
+    # refused after the config parsed, before the first output is written
+    path = write_config(tmp_path, base_config(
+        **REFUSED_SCENARIOS[refusal], output={"snapshot_interval": 0.05}))
+    out = tmp_path / "out"
+    out.mkdir()
+    files = {"snapshot_t0.000000.txt": b"old snapshot\n", "notes.txt": b"kept\n"}
+    for name, data in files.items():
+        (out / name).write_bytes(data)
+    proc = _run_cli(["run", str(path), "--quiet", "--out", str(out)])
+    assert proc.returncode == 2, proc.stderr
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == files
 
 
 def test_step_budget_bounds_the_steps_from_below(tmp_path):
@@ -390,6 +425,23 @@ def test_csv_byte_identical_across_runs():
     assert outputs[0] == outputs[1]
 
 
+def test_emit_writes_each_value_as_its_repr():
+    # every kind of float a record meets, numpy scalars included: each cell
+    # is repr(float(x)), the text csv.writer wrote for the same strings
+    values = [0.0, -0.0, 5e-324, -1.7976931348623157e308, float("inf"), float("-inf"),
+              float("nan"), np.float64(0.1), np.float64(-2.5e-310), 1e22, 1 / 3, 12.0]
+    records = [DiagnosticsRecord(*values), DiagnosticsRecord(*values[::-1])]
+    buf = io.StringIO()
+    emit_diagnostics(records, buf)
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in records:
+        writer.writerow([repr(float(getattr(rec, name))) for name in CSV_COLUMNS])
+    assert buf.getvalue() == expected.getvalue()
+    assert "-0.0,5e-324," in buf.getvalue() and ",nan," in buf.getvalue()
+
+
 def test_emit_empty_raises():
     with pytest.raises(ValueError):
         emit_diagnostics([], io.StringIO())
@@ -453,8 +505,14 @@ def test_snapshot_round_trip_is_bit_exact(data):
         assert first.read_bytes() == second.read_bytes()
 
     assert (loaded.grid.n, loaded.frame) == (n, state.frame)
+    _assert_same_bits(loaded, state)
+
+
+def _assert_same_bits(loaded, state):
+    """Every stored and derived value of a loaded snapshot equals the saved
+    state's bit for bit."""
     pairs = [
-        (loaded.grid.s_max, grid.s_max),
+        (loaded.grid.s_max, state.grid.s_max),
         (loaded.conformal.log_factor, state.conformal.log_factor),
         (loaded.conformal.edge_slope, state.conformal.edge_slope),
         (loaded.potential, state.potential),
@@ -516,6 +574,97 @@ def test_snapshot_checksum_rejects_corruption(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(SnapshotError, match="checksum"):
         load_snapshot(path)
+
+
+BUMP = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5}
+
+
+def _bumped_state(n):
+    """A perturbed cigar on n nodes after one step: full-length values."""
+    grid = {"kind": "radial", "n": n, "s_max": 8.0}
+    return flow.step(build_scenario(parse_config(base_config(grid=grid, initial=BUMP))), 1e-3)
+
+
+@pytest.mark.parametrize("old", ["n129", "junk"])
+def test_snapshot_saved_over_a_longer_file_is_a_fresh_save(tmp_path, old):
+    # save_snapshot writes over the old bytes and then cuts the file to its
+    # own length: what it leaves is exactly a fresh save's bytes
+    state = _bumped_state(65)
+    fresh, over = tmp_path / "fresh.txt", tmp_path / "over.txt"
+    save_snapshot(state, fresh)
+    if old == "n129":
+        save_snapshot(_bumped_state(129), over)
+    else:
+        over.write_bytes(np.random.default_rng(0).integers(0, 256, 100_000, np.uint8).tobytes())
+    assert over.stat().st_size > fresh.stat().st_size
+    save_snapshot(state, over)
+    assert over.read_bytes() == fresh.read_bytes()
+    _assert_same_bits(load_snapshot(over), state)
+
+
+def test_snapshot_torn_over_a_longer_file_is_refused(tmp_path):
+    # a write torn before the final truncate leaves new bytes followed by the
+    # old file's tail, whose own checksum line then ends the file: refused
+    old = tmp_path / "old.txt"
+    save_snapshot(_bumped_state(129), old)
+    save_snapshot(build_scenario(parse_config(base_config())), tmp_path / "new.txt")
+    old_bytes, new_bytes = old.read_bytes(), (tmp_path / "new.txt").read_bytes()
+    path = tmp_path / "torn.txt"
+    for cut in (len(new_bytes), len(new_bytes) // 2, 40):
+        path.write_bytes(new_bytes[:cut] + old_bytes[cut:])
+        with pytest.raises(SnapshotError, match="checksum"):
+            load_snapshot(path)
+
+
+def test_save_snapshot_never_opens_its_target_with_truncation(tmp_path, monkeypatch):
+    # a truncating open makes ext4 flush the file on close, several times
+    # the cost of the write itself.  Every open of the target must reach
+    # os.open, which must not get O_TRUNC: an open or io.open by path with
+    # a "w" mode and no opener truncates inside the C library.
+    target = tmp_path / "snap.txt"
+    calls = []
+    real_os_open, real_open, real_io_open = os.open, builtins.open, io.open
+
+    def os_open(path, flags, *args, **kwargs):
+        calls.append(("os.open", path, flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy(name, real):
+        def open_(file, mode="r", *args, **kwargs):
+            calls.append((name, file, "w" in mode and kwargs.get("opener") is None))
+            return real(file, mode, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", spy("open", real_open))
+    monkeypatch.setattr(io, "open", spy("io.open", real_io_open))
+    state = build_scenario(parse_config(base_config()))
+    save_snapshot(state, target)  # a new file
+    save_snapshot(state, target)  # and over an existing one
+    monkeypatch.undo()
+
+    on_target = [call for call in calls
+                 if not isinstance(call[1], int) and Path(call[1]) == target]
+    os_flags = [flags for name, _, flags in on_target if name == "os.open"]
+    assert len(os_flags) == 2, calls
+    assert not any(flags & os.O_TRUNC for flags in os_flags)
+    assert not any(truncates for name, _, truncates in on_target if name != "os.open")
+    assert load_snapshot(target).t == state.t
+
+
+@pytest.mark.parametrize("where", ["missing_parent", "a_directory"])
+def test_save_snapshot_to_an_unwritable_path_raises_os_error(tmp_path, where):
+    # the error `cigarflow run` turns into exit 3, with no descriptor left open
+    path = tmp_path / "missing" / "snap.txt" if where == "missing_parent" else tmp_path
+    state = build_scenario(parse_config(base_config()))
+    fds = Path("/proc/self/fd")
+    before = len(list(fds.iterdir())) if fds.is_dir() else None
+    for _ in range(3):
+        with pytest.raises(OSError):
+            save_snapshot(state, path)
+    if before is not None:
+        assert len(list(fds.iterdir())) == before
+    assert not (tmp_path / "missing").exists()
 
 
 def _sealed(lines):
@@ -1059,8 +1208,24 @@ def test_cli_run_reproduces_every_committed_file(config_dir, tmp_path):
     # all six files of the committed run, byte for byte: the CSV, the
     # snapshots at t = 0, 2.5 and 5 with their fixed-node accumulators, the
     # final snapshot and summary.json with its traces
-    reference = config_dir.parent / "runs" / "perturbed_relax_129"
+    _assert_run_reproduces_the_committed_files(config_dir, tmp_path / "out")
+
+
+def test_cli_run_over_longer_files_reproduces_every_committed_file(config_dir, tmp_path):
+    # a run into a directory that holds longer files under the output names,
+    # as a re-run does: every snapshot is written over its old bytes and cut
+    # to length, so all six files come out as the committed ones
     out = tmp_path / "out"
+    out.mkdir()
+    rng = np.random.default_rng(1)
+    for path in (config_dir.parent / "runs" / "perturbed_relax_129").iterdir():
+        size = path.stat().st_size + 10_000
+        (out / path.name).write_bytes(rng.integers(0, 256, size, np.uint8).tobytes())
+    _assert_run_reproduces_the_committed_files(config_dir, out)
+
+
+def _assert_run_reproduces_the_committed_files(config_dir, out):
+    reference = config_dir.parent / "runs" / "perturbed_relax_129"
     assert cli.main(["run", str(config_dir / "perturbed_relax_129.json"), "--quiet",
                      "--out", str(out)]) == 0
     names = sorted(path.name for path in reference.iterdir())
