@@ -28,6 +28,7 @@ from cigarflow.scenarios import (
     load_config,
     manufactured_solution_error,
     run_scenario,
+    start_scenario,
     verify_scenario,
 )
 from cigarflow.snapshots import save_snapshot
@@ -67,32 +68,27 @@ def cmd_run(args):
     config = load_config(args.config)
     out_dir = Path(args.out or config.output_directory or f"runs/{config.name}")
     times = _snapshot_times(config)
-    made = False
-
-    def output(name):
-        """out_dir / name, making out_dir at the first output: run_scenario
-        has then accepted the scenario, so a config error leaves no directory."""
-        nonlocal made
-        if not made:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            made = True
-        return out_dir / name
 
     def snapshot_hook(state):
-        save_snapshot(state, output(f"snapshot_t{state.t:.6f}.txt"))
+        save_snapshot(state, out_dir / f"snapshot_t{state.t:.6f}.txt")
 
     if not args.quiet:
         print(f"running scenario {config.name!r} to t={config.t_end}", file=sys.stderr)
+    # a refused scenario (exit 2) makes no directory, and a directory that
+    # cannot be made (exit 3) fails before the first step
+    state = start_scenario(config)
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         result = run_scenario(
             config,
             snapshot_times=times,
             snapshot_hook=snapshot_hook if times else None,
             progress=_progress_printer(args.quiet),
+            state=state,
         )
-        with open(output("diagnostics.csv"), "w") as fh:
+        with open(out_dir / "diagnostics.csv", "w") as fh:
             emit_diagnostics(result.records, fh)
-        save_snapshot(result.final_state, output("snapshot_final.txt"))
+        save_snapshot(result.final_state, out_dir / "snapshot_final.txt")
         # the outermost fixed node's co-moving position a(r_max) =
         # arcsinh(sinh s_max / L): once it is within 2h of the tip, the
         # fixed-frame columns sample one spline piece there
@@ -121,7 +117,7 @@ def cmd_run(args):
             },
             "config": config.raw,
         }
-        with open(output("summary.json"), "w") as fh:
+        with open(out_dir / "summary.json", "w") as fh:
             json.dump(summary, fh, indent=2)
     except OSError as err:
         print(f"error: failed to write outputs: {err}", file=sys.stderr)

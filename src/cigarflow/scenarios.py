@@ -30,8 +30,9 @@ log u0 - f0 and everything else from them:
 Bumps are smooth and specified in arc length, so sup |log u0| and the
 gradient bound that the stability theory assumes are finite by construction;
 `InitialData` evaluates both, plus sup |f0 - f(0)|, and `build_scenario`
-refuses data whose numbers overflow float64.  `run_scenario` refuses a run
-that would take more than MAX_STEPS steps.
+refuses data whose numbers overflow float64.  `start_scenario` also refuses
+a run that would take more than MAX_STEPS steps; `run_scenario` runs what
+it accepts.
 
 The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
@@ -81,6 +82,7 @@ __all__ = [
     "parse_config",
     "check_grid",
     "build_scenario",
+    "start_scenario",
     "run_scenario",
     "manufactured_solution_error",
     "verify_scenario",
@@ -366,15 +368,23 @@ def build_scenario(config):
     )
 
 
-def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None):
-    """build_scenario + run with the config's stepping parameters.  A run
-    that takes more than MAX_STEPS steps to t_end (`fewest_steps`) raises
-    ConfigError before any step."""
+def start_scenario(config):
+    """build_scenario, refused with ConfigError when the run to t_end takes
+    more than MAX_STEPS steps (`fewest_steps`): every refusal a scenario
+    meets comes before its first step."""
     state = build_scenario(config)
     steps = fewest_steps(state, config.t_end, config.safety)
     if not steps <= MAX_STEPS:
         raise ConfigError(f"the run to t_end = {config.t_end:g} takes at least {steps:.3g} "
                           f"steps, more than {MAX_STEPS:.0e}")
+    return state
+
+
+def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None, state=None):
+    """run with the config's stepping parameters from `state`, which is
+    start_scenario(config) when not given."""
+    if state is None:
+        state = start_scenario(config)
     return run(
         state,
         config.t_end,

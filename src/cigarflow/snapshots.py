@@ -53,18 +53,23 @@ a non-number and a missing or extra line.  `load_snapshot` raises only
 SnapshotError.
 
 `save_snapshot` writes the finished bytes over the file's old ones, opened
-without O_TRUNC, and then truncates the file to the new length.  A run
-rewrites the same paths when it is run again into its directory, or
-iterated as the benchmark does, and on ext4 (default mount options, so
-auto_da_alloc) a close after a truncation to zero forces writeback.
-Measured on a 2-core x86_64 VM over 201 files of 5.7 KB rewritten 0.7 ms
-apart (median per file, two runs): open(path, "wb") 137-167 us, unlink and
-create 38-66 us, a temporary file renamed over the old one 131-234 us, and
-the in-place write with a final truncate 23-27 us.  A
-write torn between the two (a crash, a full disk) leaves the new bytes
-followed by the old file's tail; the CRC-32 refuses that file, as it
-refuses a file cut short.  Nothing is synced: the file is as durable as any
-other output of a run.
+without O_TRUNC, and then truncates the file to the new length.  This pays
+only where a path is written again: a second run of a config into the
+same directory (by default `runs/<name>`), or an iterated benchmark.
+There, on ext4 with its default mount options (auto_da_alloc), the close
+after a truncating open starts writeback of the file, several times the
+cost of the write itself (README gives the figures).  A new path costs the
+same either way.
+
+Nothing is synced, and a file rewritten in place is more exposed to a
+crash than one rewritten after a truncating open, whose close starts the
+writeback that soon puts it on disk: bytes written in place wait for
+ordinary writeback (about 30 s by default).  A crash in that time can leave
+a mix of old and new blocks, which the CRC-32 refuses, so the snapshot of
+that time is lost.  A write that fails before the truncate (a full disk)
+leaves the new bytes followed by the old file's tail, which the CRC-32
+refuses too.  A re-run of the same config by the same program writes the
+same bytes, so no mix of the two differs from either.
 """
 
 from __future__ import annotations

@@ -1149,6 +1149,22 @@ def test_cli_run_output_failures_exit_3(tmp_path, capsys):
     assert (tmp_path / "out" / "snapshot_t0.000000.txt").exists()
 
 
+def test_cli_run_unwritable_out_exits_3_before_any_step(tmp_path, monkeypatch, capsys):
+    # with no snapshot_interval the first file is diagnostics.csv, written
+    # after the last step: the output directory is made before the first
+    existing = tmp_path / "a_file"
+    existing.write_text("")
+    steps = []
+    real_step = flow.step
+    monkeypatch.setattr(flow, "step", lambda *a, **k: steps.append(1) or real_step(*a, **k))
+    cfg_path = write_config(tmp_path, base_config())
+    assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(existing)]) == 3
+    assert "error: failed to write outputs" in capsys.readouterr().err
+    assert steps == []
+    assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(tmp_path / "out")]) == 0
+    assert steps
+
+
 def test_cli_a_scenario_build_a_step_and_a_map_leave_scipy_unimported(config_dir):
     # importing scipy costs more than numpy and the program together, and
     # src/ needs none of it: the spline's solve is its own
