@@ -21,13 +21,12 @@ config = parse_config({
 })
 
 state = build_scenario(config)
+result = run_scenario(config, state=state)
 print("bump-perturbed cigar, amplitude 0.3 at s = 2")
 print(f"  sup |log u0|        = {state.init.sup_log_u0:.4f}")
 print(f"  sup |d log u0|_g    = {state.init.sup_grad_log_u0:.4f}")
 print(f"  sup |f0 - f(0)|     = {state.init.sup_potential_gap:.4f}")
-print(f"  initial |Lap f - R| = {state.init.res_poisson0:.3e}\n")
-
-result = run_scenario(config)
+print(f"  initial |Lap f - R| = {result.records[0].res_poisson:.3e}\n")
 
 print(f"{'t':>5} {'sup R':>8} {'sup u~':>10} {'w drift':>10} {'sup h':>11} "
       f"{'|Lap f - R|':>12} {'evo resid':>10}")

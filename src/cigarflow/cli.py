@@ -24,11 +24,11 @@ from cigarflow.diagnostics import cigar_number, emit_diagnostics, read_diagnosti
 from cigarflow.flow import RunTelemetry
 from cigarflow.scenarios import (
     ConfigError,
+    build_scenario,
     check_grid,
     load_config,
     manufactured_solution_error,
     run_scenario,
-    start_scenario,
     verify_scenario,
 )
 from cigarflow.snapshots import save_snapshot
@@ -76,7 +76,7 @@ def cmd_run(args):
         print(f"running scenario {config.name!r} to t={config.t_end}", file=sys.stderr)
     # a refused scenario (exit 2) makes no directory, and a directory that
     # cannot be made (exit 3) fails before the first step
-    state = start_scenario(config)
+    state = build_scenario(config)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         result = run_scenario(
@@ -113,7 +113,7 @@ def cmd_run(args):
                 "sup_log_u0": result.final_state.init.sup_log_u0,
                 "sup_grad_log_u0": result.final_state.init.sup_grad_log_u0,
                 "sup_potential_gap": result.final_state.init.sup_potential_gap,
-                "res_poisson0": result.final_state.init.res_poisson0,
+                "res_poisson0": result.records[0].res_poisson,
             },
             "config": config.raw,
         }

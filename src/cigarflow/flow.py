@@ -164,9 +164,11 @@ class InitialData:
     s_max; f(0) = w0 - u~0 with w0 = u~0(0) (`solve_initial_potential`);
     `sup_u_tilde0`, the maximum of u~0's clamped spline
     (`GridSpline.maximum`), which the maximum principle keeps every later
-    profile under, wherever its nodes sit; and the hypothesis values that
-    `summary.json` reports, non-finite without a warning where e^{+-u~0}
-    overflows.  `grid` is used there and not stored.
+    profile under, wherever its nodes sit; and three of the hypothesis
+    values that `summary.json` reports, non-finite without a warning where
+    e^{+-u~0} overflows.  The fourth, res_poisson0, is the t = 0 record's
+    res_poisson, so set-up takes u~0's Laplacian once.  `grid` is used
+    there and not stored.
     """
 
     log_u0: np.ndarray        # cigar-gauge log u(0)
@@ -177,7 +179,6 @@ class InitialData:
     w0: float = field(init=False)               # u~ + f, the same at every node and time
     sup_u_tilde0: float = field(init=False)
     sup_log_u0: float = field(init=False)
-    res_poisson0: float = field(init=False)      # sup |Lap_g f(0) - R(0)|
     sup_potential_gap: float = field(init=False)  # sup |f0 - f(0)|
     sup_grad_log_u0: float = field(init=False)   # sup |d log u0| in g(0)
     grid: InitVar[RadialGrid]
@@ -187,13 +188,11 @@ class InitialData:
         self.u_tilde0 = self.log_u0 - f0_cigar
         self.edge_slope = self.log_u0_slope - 2.0 * np.tanh(grid.s_max)
         conformal = ConformalState(grid, self.u_tilde0, self.edge_slope)
-        self.potential0, f_slope = solve_initial_potential(conformal)
+        self.potential0, _ = solve_initial_potential(conformal)
         self.w0 = float(self.u_tilde0[0])
         self.sup_u_tilde0 = grid.spline.maximum(self.u_tilde0, self.edge_slope)
         self.sup_log_u0 = float(np.max(np.abs(self.log_u0)))
         with np.errstate(over="ignore", invalid="ignore"):
-            self.res_poisson0 = float(np.max(np.abs(
-                metric_laplacian(self.potential0, conformal, f_slope) - conformal.curvature)))
             self.sup_potential_gap = float(np.max(np.abs(f0_cigar - self.potential0)))
             # |d log u0|^2 in the initial metric g(0) = e^{u~0} g_E
             self.sup_grad_log_u0 = float(np.sqrt(np.max(_metric_gradient_sq(

@@ -29,10 +29,10 @@ log u0 - f0 and everything else from them:
 
 Bumps are smooth and specified in arc length, so sup |log u0| and the
 gradient bound that the stability theory assumes are finite by construction;
-`InitialData` evaluates both, plus sup |f0 - f(0)|, and `build_scenario`
-refuses data whose numbers overflow float64.  `start_scenario` also refuses
-a run that would take more than MAX_STEPS steps; `run_scenario` runs what
-it accepts.
+`InitialData` evaluates both, plus sup |f0 - f(0)|.  `build_scenario`
+refuses data whose numbers overflow float64 and a run that would take more
+than MAX_STEPS steps, so every refusal comes before the first step;
+`run_scenario` runs what it accepts.
 
 The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
@@ -82,7 +82,6 @@ __all__ = [
     "parse_config",
     "check_grid",
     "build_scenario",
-    "start_scenario",
     "run_scenario",
     "manufactured_solution_error",
     "verify_scenario",
@@ -338,7 +337,9 @@ def build_scenario(config):
 
     Raises ConfigError when the derived data fails the boundedness
     hypotheses (a log factor u~0 whose exponential overflows, a non-finite
-    curvature, Lap_g of the curvature or potential gap).
+    curvature, Lap_g of the curvature or potential gap), and when the run
+    to t_end takes more than MAX_STEPS steps (`fewest_steps`): every
+    refusal a scenario meets comes before its first step.
     """
     grid = RadialGrid(int(config.grid["n"]), float(config.grid["s_max"]))
     init = InitialData(*_initial_log_u0(config, grid), grid)
@@ -358,7 +359,7 @@ def build_scenario(config):
         raise ConfigError("Lap_g R at t = 0 is not finite; data violates the hypotheses")
     if not np.isfinite(init.sup_potential_gap):
         raise ConfigError("sup |f0 - f(0)| is not finite; data violates the hypotheses")
-    return FlowState(
+    state = FlowState(
         conformal=conformal,
         t=0.0,
         log_scale=0.0,
@@ -366,13 +367,6 @@ def build_scenario(config):
         init=init,
         acc=Accumulators(v_integral=0.0, phi=np.zeros(grid.n)),
     )
-
-
-def start_scenario(config):
-    """build_scenario, refused with ConfigError when the run to t_end takes
-    more than MAX_STEPS steps (`fewest_steps`): every refusal a scenario
-    meets comes before its first step."""
-    state = build_scenario(config)
     steps = fewest_steps(state, config.t_end, config.safety)
     if not steps <= MAX_STEPS:
         raise ConfigError(f"the run to t_end = {config.t_end:g} takes at least {steps:.3g} "
@@ -382,9 +376,9 @@ def start_scenario(config):
 
 def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None, state=None):
     """run with the config's stepping parameters from `state`, which is
-    start_scenario(config) when not given."""
+    build_scenario(config) when not given."""
     if state is None:
-        state = start_scenario(config)
+        state = build_scenario(config)
     return run(
         state,
         config.t_end,
@@ -499,7 +493,7 @@ def verify_scenario(config):
                    worst_h <= 0.0,
                    f"worst inter-record rise {worst_h:.3e}"))
 
-    res0 = result.final_state.init.res_poisson0
+    res0 = records[0].res_poisson
     tol_p = 10.0 * res0 + POISSON_DRIFT_K * h**2
     worst_p = max(rec.res_poisson for rec in records)
     checks.append(("potential identity Lap_g f = R",

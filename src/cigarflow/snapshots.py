@@ -26,18 +26,17 @@ Python floats, one "%.17g" per line: the same text as format(x, ".17g")
 for each value, since both go through CPython's PyOS_double_to_string
 (-0, inf, nan and subnormals included).  The init_log_u0 array is the same
 in every snapshot of a run: every state of a run shares one InitialData,
-which `dataclasses.replace` does not copy and nothing mutates after
+which `step` passes on without a copy and nothing mutates after
 construction.  Its text is therefore formatted once per InitialData, in a
 one-entry cache that holds the object and compares it by identity (`is`),
 so a cached id cannot be reused by another object; a new run or a loaded
 snapshot brings a new object and is formatted afresh.
 
-The code names only the stepped fields; the rest of the layout comes from
-the fields of InitialData and Accumulators (arrays as init_<name> and
-acc_<name>) that are not derived on construction (init=False).  Changing
-those fields changes the file and needs FORMAT_VERSION bumped; the
+The layout is `_SCALARS` and `_ARRAYS`, in file order, which the block
+above lists (a test checks that it does).  To change it, edit those two,
+`save_snapshot` and `_parse`, and bump FORMAT_VERSION; the
 golden-trajectory test, which compares a fresh snapshot with the committed
-reference byte for byte, catches a change that misses this.
+reference byte for byte, catches a change that misses the bump.
 
 The checksum, the last line, is zlib.crc32 of every byte before it: tag,
 grid line, frame word, scalars and arrays; a line after it is refused.
@@ -76,7 +75,6 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import fields
 
 import numpy as np
 
@@ -88,27 +86,11 @@ __all__ = ["save_snapshot", "load_snapshot", "SnapshotError"]
 FORMAT_TAG = "cigarflow-snapshot"
 FORMAT_VERSION = "5"
 
-_PARTS = {"acc": Accumulators, "init": InitialData}
+# The file's scalar and array labels, in file order.
+_SCALARS = ("t", "log_scale", "u_slope", "v_integral", "log_u0_slope")
+_ARRAYS = ("u_tilde", "init_log_u0", "acc_phi")
 
-
-def _part_layout(part, arrays, prefix=""):
-    """(label, part, field) of the stored array or scalar fields of one state
-    part; fields with init=False are derived, not stored."""
-    return [(prefix + f.name, part, f.name) for f in fields(_PARTS[part])
-            if f.init and (f.type in (np.ndarray, "np.ndarray")) == arrays]
-
-
-# (label, part, field) in file order; part None is a stepped field.  The file
-# puts the accumulators' scalars before the initial data's, but the initial
-# data's arrays before the accumulators'.
-_SCALARS = ([(name, None, name) for name in ("t", "log_scale", "u_slope")]
-            + _part_layout("acc", False) + _part_layout("init", False))
-_STEPPED_ARRAYS = [("u_tilde", None, "u_tilde")]
-_INIT_ARRAYS = _part_layout("init", True, "init_")
-_ACC_ARRAYS = _part_layout("acc", True, "acc_")
-_ARRAYS = _STEPPED_ARRAYS + _INIT_ARRAYS + _ACC_ARRAYS
-
-# The InitialData whose arrays the last snapshot wrote, and their text.  It
+# The InitialData whose log u0 the last snapshot wrote, and its text.  It
 # holds the object itself, so an id cannot be reused while it is cached.
 _init_text = (None, "")
 
@@ -128,12 +110,11 @@ def _array_text(label, values):
     return f"array {label} {len(values)}" + ("\n%.17g" * len(values)) % tuple(values)
 
 
-def _init_arrays_text(init):
-    """The text of the init_* arrays, formatted once per InitialData."""
+def _init_array_text(init):
+    """The text of the init_log_u0 array, formatted once per InitialData."""
     global _init_text
     if _init_text[0] is not init:
-        _init_text = (init, "\n".join(_array_text(label, getattr(init, name))
-                                      for label, _, name in _INIT_ARRAYS))
+        _init_text = (init, _array_text(_ARRAYS[1], init.log_u0))
     return _init_text[1]
 
 
@@ -143,22 +124,15 @@ def _crc32(data):
 
 def save_snapshot(state, path):
     """Write the full resume state as decimal text with a trailing checksum."""
-    parts = {
-        None: {  # the stepped fields
-            "t": state.t,
-            "log_scale": state.log_scale,
-            "u_slope": state.conformal.edge_slope,
-            "u_tilde": state.conformal.log_factor,
-        },
-        **{part: vars(getattr(state, part)) for part in _PARTS},
-    }
-    grid = state.grid
+    grid, acc = state.grid, state.acc
+    scalars = (state.t, state.log_scale, state.conformal.edge_slope,
+               acc.v_integral, state.init.log_u0_slope)
     lines = [f"{FORMAT_TAG} {FORMAT_VERSION}", f"grid {grid.n} {_fmt(grid.s_max)}",
              f"frame {state.frame}"]
-    lines += [f"scalar {label} {_fmt(parts[part][name])}" for label, part, name in _SCALARS]
-    lines += [_array_text(label, parts[part][name]) for label, part, name in _STEPPED_ARRAYS]
-    lines.append(_init_arrays_text(state.init))
-    lines += [_array_text(label, parts[part][name]) for label, part, name in _ACC_ARRAYS]
+    lines += [f"scalar {label} {_fmt(x)}" for label, x in zip(_SCALARS, scalars)]
+    lines += [_array_text(_ARRAYS[0], state.conformal.log_factor),
+              _init_array_text(state.init),
+              _array_text(_ARRAYS[2], acc.phi)]
     body = ("\n".join(lines) + "\n").encode()
     with open(path, "wb", opener=_open_in_place) as fh:
         fh.write(body + f"checksum {_crc32(body)}\n".encode())
@@ -219,14 +193,15 @@ def _parse(data):
     if frame not in (COMOVING, FIXED):
         raise SnapshotError(f"unknown frame {frame!r}")
 
-    parts = {part: {} for part in (None, *_PARTS)}  # None: the stepped fields
-    for label, part, name in _SCALARS:
+    scalars = []
+    for label in _SCALARS:
         got, text = take("scalar", 3)
         if got != label:
             raise SnapshotError(f"expected scalar {label}")
-        parts[part][name] = float(text)
+        scalars.append(float(text))
 
-    for label, part, name in _ARRAYS:
+    arrays = []
+    for label in _ARRAYS:
         got, size = take("array", 3)
         if got != label:
             raise SnapshotError(f"expected array {label}")
@@ -234,17 +209,18 @@ def _parse(data):
             raise SnapshotError(f"array {label} has size {size}, grid expects {grid.n}")
         if idx + grid.n > len(lines):
             raise SnapshotError("truncated snapshot")
-        parts[part][name] = np.array([float(line) for line in lines[idx:idx + grid.n]])
+        arrays.append(np.array([float(line) for line in lines[idx:idx + grid.n]]))
         idx += grid.n
     if idx != len(lines):
         raise SnapshotError(f"unexpected line {idx} before the checksum")
 
-    stepped = parts[None]
+    t, log_scale, u_slope, v_integral, log_u0_slope = scalars
+    u_tilde, log_u0, phi = arrays
     return FlowState(
-        conformal=ConformalState(grid, stepped["u_tilde"], stepped["u_slope"]),
-        t=stepped["t"],
-        log_scale=stepped["log_scale"],
+        conformal=ConformalState(grid, u_tilde, u_slope),
+        t=t,
+        log_scale=log_scale,
         frame=frame,
-        init=InitialData(**parts["init"], grid=grid),
-        acc=Accumulators(**parts["acc"]),
+        init=InitialData(log_u0, log_u0_slope, grid),
+        acc=Accumulators(v_integral, phi),
     )

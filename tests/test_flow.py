@@ -294,9 +294,10 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     accepted step and gives a record's dR/dt.  A record takes two more
     passes, Lap_g R and Lap_E of u^'s rate, and no step (the curvature
     probe's steps and triple residual took five, 1912 in all).  Set-up
-    takes u~0's rows twice: once in `InitialData`, for the residual
-    res_poisson0, and once for the t = 0 state's curvature.  The count is
-    exact; taking stage 0 afresh in every RKC2 step made 2205."""
+    takes u~0's rows once, for the t = 0 state's curvature: res_poisson0 is
+    the t = 0 record's res_poisson, so `InitialData` takes neither u~0's
+    rows nor f(0)'s (1849 when it did).  The count is exact; taking stage 0
+    afresh in every RKC2 step made 2205."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     calls = []
     for module in (geometry, flow):
@@ -310,7 +311,7 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted and result.telemetry.steps == 252
-    assert len(calls) == 1849
+    assert len(calls) == 1847
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):

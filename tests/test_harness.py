@@ -290,6 +290,14 @@ def test_cli_refuses_a_run_past_the_step_budget(tmp_path, command):
     assert not (tmp_path / "runs").exists()
 
 
+def test_build_scenario_refuses_a_run_past_the_step_budget():
+    # the step budget is build_scenario's last check, so every caller of it
+    # is refused before a first step
+    config = parse_config(base_config(**REFUSED_SCENARIOS["step_budget"]))
+    with pytest.raises(ConfigError, match="steps, more than 1e\\+07"):
+        build_scenario(config)
+
+
 @pytest.mark.parametrize("refusal", sorted(REFUSED_SCENARIOS))
 def test_cli_refused_scenario_leaves_an_existing_directory_untouched(tmp_path, refusal):
     # refused after the config parsed, before the first output is written
@@ -331,7 +339,7 @@ def test_build_exact_cigar():
     assert np.max(np.abs(state.init.potential0 - f0)) <= 1e-10
     # w = log u0 + f(0) - f0 = u~0(0) vanishes on the exact cigar
     assert np.max(np.abs(state.init.w0)) <= 1e-10
-    assert state.init.res_poisson0 <= 1e-10
+    assert flow.monitor(state).res_poisson <= 1e-10
 
 
 def test_build_scaled_cigar_constant_w():
@@ -349,7 +357,7 @@ def test_build_perturbed_cigar_hypothesis_values():
     assert state.init.sup_log_u0 == pytest.approx(0.3, rel=1e-6)
     assert np.isfinite(state.init.sup_grad_log_u0)
     assert np.isfinite(state.init.sup_potential_gap)
-    assert state.init.res_poisson0 <= 1e-10
+    assert flow.monitor(state).res_poisson <= 1e-10
 
 
 def test_perturbed_tip_curvature_converges_at_order_2():
@@ -743,6 +751,15 @@ def test_readme_names_the_snapshot_format():
     assert re.findall(r"Snapshots \(format (\w+)\)", readme) == [snapshots.FORMAT_VERSION]
 
 
+def test_snapshot_docstring_lists_the_format():
+    # the module docstring's format block is the written statement of the
+    # layout: its version, scalars and arrays are the code's, in file order
+    doc = snapshots.__doc__
+    assert re.findall(r"^    cigarflow-snapshot (\w+)$", doc, re.M) == [snapshots.FORMAT_VERSION]
+    assert tuple(re.findall(r"^    scalar (\w+) ", doc, re.M)) == snapshots._SCALARS
+    assert tuple(re.findall(r"^    array (\w+) ", doc, re.M)) == snapshots._ARRAYS
+
+
 def test_snapshot_refuses_a_grid_above_max_nodes(tmp_path):
     # enough lines to pass the truncation check, so RadialGrid itself refuses
     # the grid line, before any spline of that size is formed
@@ -878,7 +895,12 @@ def test_cli_run_and_report(tmp_path, capsys):
     assert cli.main(["report", str(out_dir)]) == 0
     text = capsys.readouterr().out
     assert "max w drift" in text
-    telemetry = json.loads((out_dir / "summary.json").read_text())["telemetry"]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    # res_poisson0 is the t = 0 record's residual, bit for bit
+    first = read_diagnostics(out_dir / "diagnostics.csv")[0]
+    assert first.t == 0.0
+    assert summary["hypothesis"]["res_poisson0"] == first.res_poisson
+    telemetry = summary["telemetry"]
     assert set(telemetry) == {"steps", "clipped_steps", "stages"}
     assert (f"steps: {telemetry['steps']} accepted, {telemetry['clipped_steps']} clipped"
             in text)
@@ -1276,4 +1298,4 @@ def test_shipped_configs_initial_potential_residual(config_dir):
     for fname in ("soliton_radial_129.json", "scaled_cigar_129.json",
                   "perturbed_relax_129.json", "flat_radial_65.json"):
         state = build_scenario(load_config(config_dir / fname))
-        assert state.init.res_poisson0 <= 1e-10, fname
+        assert flow.monitor(state).res_poisson <= 1e-10, fname
