@@ -1,9 +1,13 @@
 """Command-line driver.
 
     cigarflow run <config.json> [--out DIR] [--quiet]
-    cigarflow verify <config.json> [--quiet]
-    cigarflow converge <config.json> [--quiet]
+    cigarflow verify <config.json>
+    cigarflow converge <config.json>
     cigarflow report <run-dir>
+
+`report` reads what `run` writes and nothing else: a run directory whose
+`diagnostics.csv` has no records, or whose `summary.json` is missing, lacks
+a key `run` writes or holds a value of another shape, is malformed.
 
 Exit codes: 0 success, 1 invariant violation, 2 usage/config error (or a
 malformed run directory given to `report`), 3 numerical abort (or output
@@ -98,7 +102,7 @@ def cmd_run(args):
             "t_final": result.final_state.t,
             "aborted": result.aborted,
             "abort_message": result.abort_message,
-            "profile_distance_final": result.profile_distance_final,
+            "profile_distance_final": result.dist_trace[-1][1],
             "dist_trace": result.dist_trace,
             "kahler_trace": result.kahler_trace,
             "q_minus_4_trace": [(rec.t, cigar_number(rec.sup_R, rec.cinf_est) - 4.0)
@@ -160,8 +164,7 @@ def cmd_converge(args):
     errors = []
     print(f"refinement study on [0, {s_max}] to t={config.t_end} (safety {config.safety}):")
     for nn in levels:
-        err, result = manufactured_solution_error(nn, s_max, config.safety, config.t_end,
-                                                  frame=config.frame)
+        err, result = manufactured_solution_error(nn, s_max, config.safety, config.t_end)
         if result.aborted:
             print(f"aborted at level n={nn}: {result.abort_message}", file=sys.stderr)
             return EXIT_NUMERICAL
@@ -178,40 +181,45 @@ def cmd_converge(args):
 _TELEMETRY_KEYS = tuple(f.name for f in fields(RunTelemetry))
 _TRACE_KEYS = ("dist_trace", "kahler_trace", "q_minus_4_trace", "log_scale_trace",
                "fixed_edge_trace", "v_discrepancy_trace", "sup_log_u_trace")
+# every key of the summary `cmd_run` writes, in its order
+_SUMMARY_KEYS = ("name", "t_final", "aborted", "abort_message", "profile_distance_final",
+                 *_TRACE_KEYS, "telemetry", "hypothesis", "config")
 
 
 def _read_run_dir(run_dir):
-    """Records, summary, its (t, value) traces and the grid spacing h (None
-    without a fixed_edge_trace); ValueError if malformed.  A summary without
-    "telemetry" or without the last five traces (written before runs
-    counted their steps or traced Q, log L, v and log u) is well formed."""
+    """Records, summary, its (t, value) traces and the grid spacing h of a
+    run directory as `cmd_run` writes it; OSError or ValueError if it is not
+    one.  Each trace holds one pair per record; only a profile distance may
+    be null (its window out of reach), and its trace leaves those out."""
     records = read_diagnostics(run_dir / "diagnostics.csv")
     if not records:
         raise ValueError("diagnostics.csv has no records")
-    summary = {}
-    summary_path = run_dir / "summary.json"
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-        if not isinstance(summary, dict):
-            raise ValueError("summary.json is not a JSON object")
+    summary = json.loads((run_dir / "summary.json").read_text())
+    if not isinstance(summary, dict):
+        raise ValueError("summary.json is not a JSON object")
+    missing = [key for key in _SUMMARY_KEYS if key not in summary]
+    if missing:
+        raise ValueError(f"summary.json lacks {', '.join(missing)}")
     traces = {}
     for key in _TRACE_KEYS:
         try:
-            traces[key] = [(float(t), float(v)) for t, v in summary.get(key) or []
-                           if v is not None]
+            pairs = [(float(t), v if v is None and key == "dist_trace" else float(v))
+                     for t, v in summary[key]]
         except (TypeError, ValueError) as err:
             raise ValueError(f"summary.json {key} is not a list of [t, value] pairs") from err
-    telemetry = summary.get("telemetry")
-    if telemetry is not None and not (isinstance(telemetry, dict) and all(
-            type(telemetry.get(key)) is int for key in _TELEMETRY_KEYS)):
+        if len(pairs) != len(records):
+            raise ValueError(f"summary.json {key} has {len(pairs)} pairs for "
+                             f"{len(records)} records")
+        traces[key] = [(t, v) for t, v in pairs if v is not None]
+    telemetry = summary["telemetry"]
+    if not (isinstance(telemetry, dict) and set(telemetry) == set(_TELEMETRY_KEYS)
+            and all(type(count) is int for count in telemetry.values())):
         raise ValueError(f"summary.json telemetry is not an object of the counts {_TELEMETRY_KEYS}")
-    spacing = None
-    if traces["fixed_edge_trace"]:
-        try:
-            grid = summary["config"]["grid"]
-            spacing = float(grid["s_max"]) / (int(grid["n"]) - 1)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-            raise ValueError("summary.json has a fixed_edge_trace but no config grid") from err
+    try:
+        grid = summary["config"]["grid"]
+        spacing = float(grid["s_max"]) / (int(grid["n"]) - 1)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise ValueError("summary.json config has no grid") from err
     return records, summary, traces, spacing
 
 
@@ -227,46 +235,39 @@ def cmd_report(args):
         print(f"error: malformed run directory {run_dir}: {err}", file=sys.stderr)
         return EXIT_USAGE
 
-    print(f"run: {summary.get('name', run_dir.name)}")
+    print(f"run: {summary['name']}")
     print(f"  records: {len(records)}, t in [{records[0].t:g}, {records[-1].t:g}]")
-    if summary.get("aborted"):
-        print(f"  ABORTED: {summary.get('abort_message')}")
+    if summary["aborted"]:
+        print(f"  ABORTED: {summary['abort_message']}")
     dist = traces["dist_trace"]
     if dist:
         print(f"  profile distance to cigar: {dist[0][1]:.6e} at t={dist[0][0]:g} "
               f"-> {dist[-1][1]:.6e} at t={dist[-1][0]:g}")
     kah = traces["kahler_trace"]
-    if kah:
-        print(f"  Kahler reconstruction residual at t={kah[-1][0]:g}: {kah[-1][1]:.6e}")
+    print(f"  Kahler reconstruction residual at t={kah[-1][0]:g}: {kah[-1][1]:.6e}")
     q = traces["q_minus_4_trace"]
-    if q:
-        print(f"  Q - 4, Q = sup R (C_inf / 2 pi)^2 (0 on every cigar): {q[0][1]:.6e} at "
-              f"t={q[0][0]:g} -> {q[-1][1]:.6e} at t={q[-1][0]:g}")
+    print(f"  Q - 4, Q = sup R (C_inf / 2 pi)^2 (0 on every cigar): {q[0][1]:.6e} at "
+          f"t={q[0][0]:g} -> {q[-1][1]:.6e} at t={q[-1][0]:g}")
     scale = traces["log_scale_trace"]
-    if scale:
-        print(f"  log L: {scale[0][1]:.6g} at t={scale[0][0]:g} -> {scale[-1][1]:.6g} at "
-              f"t={scale[-1][0]:g}")
+    print(f"  log L: {scale[0][1]:.6g} at t={scale[0][0]:g} -> {scale[-1][1]:.6g} at "
+          f"t={scale[-1][0]:g}")
     edge = traces["fixed_edge_trace"]
-    if edge:
-        tip_only = next((t for t, a in edge if a < 2.0 * spacing), None)
-        where = (f"below 2h from t={tip_only:g} on (the fixed-frame columns then see only "
-                 f"the tip)" if tip_only is not None else "never below 2h")
-        print(f"  outermost fixed node at co-moving a = {edge[-1][1]:.6g} at t={edge[-1][0]:g}; "
-              f"{where}")
+    tip_only = next((t for t, a in edge if a < 2.0 * spacing), None)
+    where = (f"below 2h from t={tip_only:g} on (the fixed-frame columns then see only "
+             f"the tip)" if tip_only is not None else "never below 2h")
+    print(f"  outermost fixed node at co-moving a = {edge[-1][1]:.6g} at t={edge[-1][0]:g}; "
+          f"{where}")
     v_disc = traces["v_discrepancy_trace"]
-    if v_disc:
-        print(f"  max v discrepancy (evolved v(origin) against -int R(origin)): "
-              f"{max(v for _, v in v_disc):.6e}")
+    print(f"  max v discrepancy (evolved v(origin) against -int R(origin)): "
+          f"{max(v for _, v in v_disc):.6e}")
     log_u = traces["sup_log_u_trace"]
-    if log_u:
-        rise = max((b - a for (_, a), (_, b) in zip(log_u, log_u[1:])), default=0.0)
-        print(f"  co-moving sup log u: {log_u[0][1]:.6e} at t={log_u[0][0]:g} -> "
-              f"{log_u[-1][1]:.6e} at t={log_u[-1][0]:g}; largest rise between records "
-              f"{rise:.3e}")
-    tel = summary.get("telemetry")
-    if tel is not None:
-        print(f"  steps: {tel['steps']} accepted, {tel['clipped_steps']} clipped to an event "
-              f"time; RKC2 stages: {tel['stages']}")
+    rise = max((b - a for (_, a), (_, b) in zip(log_u, log_u[1:])), default=0.0)
+    print(f"  co-moving sup log u: {log_u[0][1]:.6e} at t={log_u[0][0]:g} -> "
+          f"{log_u[-1][1]:.6e} at t={log_u[-1][0]:g}; largest rise between records "
+          f"{rise:.3e}")
+    tel = summary["telemetry"]
+    print(f"  steps: {tel['steps']} accepted, {tel['clipped_steps']} clipped to an event "
+          f"time; RKC2 stages: {tel['stages']}")
     drift = max(rec.w_drift for rec in records)
     print(f"  max w drift: {drift:.6e}")
     print(f"  width bound: {records[0].width_bound:.6f} -> {records[-1].width_bound:.6f}")
@@ -291,12 +292,10 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the invariant suite; nonzero exit on violation")
     p.add_argument("config")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("converge", help="grid/step refinement study against the exact family")
     p.add_argument("config")
-    p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_converge)
 
     p = sub.add_parser("report", help="summarize a finished run directory")

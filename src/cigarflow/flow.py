@@ -773,13 +773,6 @@ def profile_distance(state, s_window=4.0):
 # Kahler-potential cross-check
 # ---------------------------------------------------------------------------
 
-# Normalization constant of the flat Laplacian in the density reconstruction
-# rho(t) = rho(0) + KAHLER_CONSTANT * Lap_E (phi(t) - phi(0)).  Pinned by
-# requiring exactness on the soliton family (d rho/dt = -Lap_E f holds with
-# coefficient one when f is normalized by Lap_g f = R) and frozen.
-KAHLER_CONSTANT = 1.0
-
-
 def kahler_residual(state):
     """Max mismatch between the evolved density and the potential reconstruction.
 
@@ -794,7 +787,8 @@ def kahler_residual(state):
     rho_0 = np.exp(state.init.u_tilde0)
     phi_slope = state.t * state.conformal.edge_slope
     lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
-    resid = rho_t - rho_0 - KAHLER_CONSTANT * lap_phi
+    # coefficient one: d rho/dt = -Lap_E f once f is normalized by Lap_g f = R
+    resid = rho_t - rho_0 - lap_phi
     return float(np.abs(resid[:-1]).max())
 
 
@@ -823,7 +817,6 @@ class RunResult:
     dist_trace: list          # [(t, profile distance)]
     kahler_trace: list        # [(t, reconstruction residual)]
     scale_trace: list         # [(t, log L)]
-    profile_distance_final: float | None
     telemetry: RunTelemetry
 
 
@@ -909,7 +902,6 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         dist_trace=dist_trace,
         kahler_trace=kahler_trace,
         scale_trace=scale_trace,
-        profile_distance_final=dist_trace[-1][1],
         telemetry=telemetry,
     )
 

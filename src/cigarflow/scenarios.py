@@ -32,15 +32,18 @@ gradient bound that the stability theory assumes are finite by construction;
 `InitialData` evaluates both, plus sup |f0 - f(0)|.  `build_scenario`
 refuses data whose numbers overflow float64 and a run that would take more
 than MAX_STEPS steps, so every refusal comes before the first step;
-`run_scenario` runs what it accepts.
+`run_scenario` runs what it accepts.  Every scenario is stepped in the
+co-moving frame.  The fixed frame, the reference the co-moving frame is
+cross-validated against, has no config key: the tests reach it with
+`dataclasses.replace(build_scenario(config), frame=flow.FIXED)`.
 
 The only grid is radial, uniform in s = arcsinh r on [0, s_max]: every
 family above depends on s alone.  `parse_config` refuses every malformed
-value with a ConfigError before anything is built, including a spacing
-h = s_max/(n-1) above sqrt 5, where the tip stencil loses its maximum
-principle, more than MAX_NODES nodes, an s_max outside [MIN_S_MAX,
-MAX_S_MAX], a time that rounds to 0 at the run's 12 decimals, and a value
-of the wrong JSON type:
+value with a ConfigError before anything is built: the grids `check_grid`
+refuses (an s_max outside [MIN_S_MAX, MAX_S_MAX], more than MAX_NODES
+nodes, a spacing h = s_max/(n-1) above sqrt 5, where the tip stencil loses
+its maximum principle), a time that rounds to 0 at the run's 12 decimals,
+and a value of the wrong JSON type:
 `grid.n`, `seed` and `random_bumps` are integers, every other number is a
 JSON number, and neither may be a string or a boolean.
 """
@@ -55,7 +58,6 @@ import numpy as np
 from cigarflow import cigar
 from cigarflow.flow import (
     COMOVING,
-    FIXED,
     Accumulators,
     FlowState,
     InitialData,
@@ -101,7 +103,7 @@ _INITIAL_KEYS = {
     "flat": set(),
     "custom_table": {"log_u0"},
 }
-_STEPPING_KEYS = {"safety", "t_end", "record_interval", "frame", "s_report"}
+_STEPPING_KEYS = {"safety", "t_end", "record_interval", "s_report"}
 _OUTPUT_KEYS = {"directory", "snapshot_interval"}
 _TOP_KEYS = {"name", "grid", "initial", "stepping", "output", "seed"}
 
@@ -128,7 +130,6 @@ class ScenarioConfig:
     safety: float
     t_end: float
     record_interval: float
-    frame: str = COMOVING
     s_report: float = 4.0
     output_directory: str | None = None
     snapshot_interval: float | None = None
@@ -144,6 +145,8 @@ def _require_keys(section, allowed, where):
 
 def check_grid(n, s_max):
     """Refuse, with a ConfigError, n nodes on [0, s_max] that a run does not take."""
+    if not MIN_S_MAX <= s_max <= MAX_S_MAX:
+        raise ConfigError(f"grid.s_max must be in [{MIN_S_MAX:g}, {MAX_S_MAX:g}], got {s_max!r}")
     if not (MIN_NODES <= n <= MAX_NODES and (n - 1) & (n - 2) == 0):
         raise ConfigError(f"grid.n must be a power of two plus one for refinement "
                           f"studies, at least {MIN_NODES} and at most {MAX_NODES}, got {n}")
@@ -197,10 +200,7 @@ def _parse_config(data):
         raise ConfigError(f"grid.kind must be 'radial', got {grid.get('kind')!r}")
     _require_keys(grid, _GRID_KEYS, "grid")
     n = _json_number(grid["n"], "grid.n", integer=True)
-    s_max = _positive(grid, "s_max")
-    if not MIN_S_MAX <= s_max <= MAX_S_MAX:
-        raise ConfigError(f"grid.s_max must be in [{MIN_S_MAX:g}, {MAX_S_MAX:g}], got {s_max!r}")
-    check_grid(n, s_max)
+    check_grid(n, _positive(grid, "s_max"))
 
     initial = data["initial"]
     itype = initial.get("type")
@@ -230,9 +230,6 @@ def _parse_config(data):
 
     stepping = data["stepping"]
     _require_keys(stepping, _STEPPING_KEYS, "stepping")
-    frame = stepping.get("frame", COMOVING)
-    if frame not in (COMOVING, FIXED):
-        raise ConfigError(f"stepping.frame must be 'comoving' or 'fixed', got {frame!r}")
     t_end = _positive(stepping, "t_end")
     intervals = {"record_interval": _positive(stepping, "record_interval")}
 
@@ -264,7 +261,6 @@ def _parse_config(data):
         safety=_positive(stepping, "safety"),
         t_end=t_end,
         record_interval=intervals["record_interval"],
-        frame=frame,
         s_report=_positive(stepping, "s_report") if "s_report" in stepping else 4.0,
         output_directory=output.get("directory"),
         snapshot_interval=intervals.get("snapshot_interval"),
@@ -333,7 +329,8 @@ def _initial_log_u0(config, grid):
 
 
 def build_scenario(config):
-    """The t = 0 FlowState, from u~0 as `InitialData` derives it.
+    """The t = 0 FlowState in the co-moving frame, from u~0 as
+    `InitialData` derives it.
 
     Raises ConfigError when the derived data fails the boundedness
     hypotheses (a log factor u~0 whose exponential overflows, a non-finite
@@ -363,7 +360,7 @@ def build_scenario(config):
         conformal=conformal,
         t=0.0,
         log_scale=0.0,
-        frame=config.frame,
+        frame=COMOVING,
         init=init,
         acc=Accumulators(v_integral=0.0, phi=np.zeros(grid.n)),
     )
@@ -391,7 +388,7 @@ def run_scenario(config, snapshot_times=(), snapshot_hook=None, progress=None, s
     )
 
 
-def manufactured_solution_error(n, s_max, safety, t_end, frame=COMOVING):
+def manufactured_solution_error(n, s_max, safety, t_end):
     """Max fixed-frame error of the cigar-data run against the exact family.
 
     This is the calibration yardstick: conservation and identity tolerances
@@ -404,7 +401,7 @@ def manufactured_solution_error(n, s_max, safety, t_end, frame=COMOVING):
         "grid": {"kind": "radial", "n": int(n), "s_max": float(s_max)},
         "initial": {"type": "exact_cigar"},
         "stepping": {"safety": float(safety), "t_end": float(t_end),
-                     "record_interval": float(t_end), "frame": frame},
+                     "record_interval": float(t_end)},
     })
     result = run_scenario(cfg)
     if result.aborted:
@@ -466,9 +463,7 @@ def verify_scenario(config):
                        f"max drift {drift:.3e} vs tol {tol_w:.3e}"))
     else:
         err_ms, companion = manufactured_solution_error(
-            config.grid["n"], config.grid["s_max"], config.safety, config.t_end,
-            frame=config.frame,
-        )
+            config.grid["n"], config.grid["s_max"], config.safety, config.t_end)
         if companion.aborted:
             checks.append(("conservation of w", False,
                            f"companion cigar-data run aborted: {companion.abort_message}"))

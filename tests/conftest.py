@@ -1,5 +1,6 @@
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,14 @@ def shipped_reports():
 @pytest.fixture(scope="session")
 def config_dir():
     return CONFIG_DIR
+
+
+@pytest.fixture(scope="session")
+def fixed_frame():
+    """fixed_frame(config): `build_scenario(config)` stepped in the fixed
+    frame, the gated reference of the co-moving runs, which no config key
+    selects.  The t = 0 state is the same in both frames (log L = 0)."""
+    return lambda config: replace(scenarios.build_scenario(config), frame=flow.FIXED)
 
 
 def _laplacian_diagonal(grid):

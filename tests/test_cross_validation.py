@@ -13,13 +13,12 @@ from cigarflow.geometry import _edge_slope_estimate
 from cigarflow.scenarios import build_scenario, parse_config
 
 
-def config_for(initial, frame, n=129, t_end=0.5):
+def config_for(initial, n=129, t_end=0.5):
     return parse_config({
         "name": "xval",
         "grid": {"kind": "radial", "n": n, "s_max": 8.0},
         "initial": initial,
-        "stepping": {"safety": 0.9, "t_end": t_end, "record_interval": t_end,
-                     "frame": frame},
+        "stepping": {"safety": 0.9, "t_end": t_end, "record_interval": t_end},
     })
 
 
@@ -27,25 +26,25 @@ def config_for(initial, frame, n=129, t_end=0.5):
     {"type": "exact_cigar"},
     {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5},
 ])
-def test_comoving_and_fixed_frames_agree(initial):
+def test_comoving_and_fixed_frames_agree(initial, fixed_frame):
     fields = {}
-    for frame in ("comoving", "fixed"):
-        state = build_scenario(config_for(initial, frame))
+    config = config_for(initial)
+    for state in (build_scenario(config), fixed_frame(config)):
         result = flow.run(state, 0.5, safety=0.9, record_interval=0.5)
         assert not result.aborted
-        fields[frame] = flow.fixed_fields(result.final_state)
+        fields[state.frame] = flow.fixed_fields(result.final_state)
     h2 = (8.0 / 128) ** 2
     for name in ("u_tilde", "f", "w", "h"):
         gap = np.max(np.abs(fields["comoving"][name] - fields["fixed"][name]))
         assert gap <= 20 * h2, (name, gap)
 
 
-def test_frames_agree_on_monitors():
+def test_frames_agree_on_monitors(fixed_frame):
     recs = {}
-    for frame in ("comoving", "fixed"):
-        state = build_scenario(config_for({"type": "exact_cigar"}, frame))
+    config = config_for({"type": "exact_cigar"})
+    for state in (build_scenario(config), fixed_frame(config)):
         result = flow.run(state, 0.5, safety=0.9, record_interval=0.5)
-        recs[frame] = result.records[-1]
+        recs[state.frame] = result.records[-1]
     h2 = (8.0 / 128) ** 2
     for name in ("sup_R", "sup_u_tilde", "sup_grad_sq", "sup_h", "width_bound"):
         a = getattr(recs["comoving"], name)
@@ -60,9 +59,7 @@ def test_potential_evolution_tracks_direct_solve(coupled_oracle):
     from cigarflow.geometry import solve_initial_potential
 
     config = config_for(
-        {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5},
-        "comoving",
-    )
+        {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5})
     final, y = coupled_oracle(config, 0.5)[-1]
     f_hat = y[final.grid.n:-1]
     fresh, _ = solve_initial_potential(final.conformal)
@@ -80,7 +77,7 @@ def test_v_equals_minus_curvature_time_integral_pointwise():
         return st.grid.spline.fit(r, _edge_slope_estimate(st.grid, r))(nodes)
 
     def gap(n):
-        state = build_scenario(config_for({"type": "exact_cigar"}, "comoving", n=n))
+        state = build_scenario(config_for({"type": "exact_cigar"}, n=n))
         node = (n - 1) // 4
         acc = 0.0
         t_prev = 0.0

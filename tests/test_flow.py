@@ -26,22 +26,20 @@ from cigarflow.snapshots import load_snapshot, save_snapshot
 
 
 def radial_config(n=129, s_max=8.0, initial=None, t_end=0.5, safety=0.9,
-                  record=0.1, frame=None, extra=None):
+                  record=0.1, extra=None):
     data = {
         "name": "test",
         "grid": {"kind": "radial", "n": n, "s_max": s_max},
         "initial": initial or {"type": "exact_cigar"},
         "stepping": {"safety": safety, "t_end": t_end, "record_interval": record},
     }
-    if frame:
-        data["stepping"]["frame"] = frame
     if extra:
         data.update(extra)
     return parse_config(data)
 
 
-def cigar_flow_state(n=129, s_max=8.0, frame=None):
-    return build_scenario(radial_config(n=n, s_max=s_max, frame=frame))
+def cigar_flow_state(n=129, s_max=8.0):
+    return build_scenario(radial_config(n=n, s_max=s_max))
 
 
 def flat_radial_state(n=65, s_max=8.0, safety=0.9):
@@ -58,8 +56,8 @@ def test_rhs_flat_is_stationary():
     np.testing.assert_allclose(-state.curvature, 0.0, atol=1e-12)
 
 
-def test_rhs_is_minus_curvature_exactly():
-    state = cigar_flow_state(65, frame="fixed")
+def test_rhs_is_minus_curvature_exactly(fixed_frame):
+    state = fixed_frame(radial_config(n=65))
     conf = state.conformal
     # the fixed-frame stage rate of u~ is -R exactly
     rate = flow._stage_rhs(state, np.append(conf.log_factor, 0.0), np.empty(state.grid.n + 1))
@@ -74,20 +72,20 @@ def test_rhs_is_minus_curvature_exactly():
     np.testing.assert_allclose(-state.curvature, rearranged, rtol=0, atol=1e-12)
 
 
-def test_fused_stage_rate_matches_the_separate_operators():
+def test_fused_stage_rate_matches_the_separate_operators(fixed_frame):
     # the stage rate of (u, log L): in the fixed frame e^{-u} Lap_E u bit for
     # bit, and in the co-moving frame e^{-u} Lap_E u plus the centred
     # advection gamma tanh(s) d/ds and 2 gamma to rounding, with the tip rate
     # exactly 0
     bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 2.0, "width": 0.5}
-    for frame in ("fixed", "comoving"):
-        state = build_scenario(radial_config(n=65, initial=bump, frame=frame))
+    config = radial_config(n=65, initial=bump)
+    for state in (fixed_frame(config), build_scenario(config)):
         grid, conf, n = state.grid, state.conformal, state.grid.n
         u = conf.log_factor + 0.01 * np.sin(grid.s)
         rate = flow._stage_rhs(state, np.append(u, 0.0), np.empty(n + 1))
         assert rate.shape == (n + 1,)
         du = np.exp(-u) * background_laplacian(u, grid, conf.edge_slope)
-        if frame == "fixed":
+        if state.frame == flow.FIXED:
             assert rate[-1] == 0.0
             np.testing.assert_array_equal(rate[:n], du)
             continue
@@ -99,12 +97,13 @@ def test_fused_stage_rate_matches_the_separate_operators():
 
 
 @pytest.mark.parametrize("frame", ["fixed", "comoving"])
-def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame):
+def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame, fixed_frame):
     # the cached stage 0 equals `_stage_rhs` at the state itself, on a state
     # stepped away from its data (gamma != 0 in the co-moving frame) and on
     # one rebuilt by `replace`, which caches nothing
     bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 2.0, "width": 0.5}
-    state = build_scenario(radial_config(n=65, initial=bump, frame=frame))
+    config = radial_config(n=65, initial=bump)
+    state = fixed_frame(config) if frame == "fixed" else build_scenario(config)
     for _ in range(3):
         state = flow.step(state, flow.adaptive_dt(state))
     assert (state.log_scale != 0.0) == (frame == "comoving")
@@ -258,7 +257,7 @@ def test_raised_tip_takes_enough_stages():
     # a bound that counted half of that row's Gershgorin sum took too few
     # stages, and this run blew up to sup R = 17.3 without aborting
     bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 0.0, "width": 0.5}
-    config = radial_config(n=129, initial=bump, t_end=1.0, record=0.25, frame="comoving")
+    config = radial_config(n=129, initial=bump, t_end=1.0, record=0.25)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted
@@ -340,12 +339,11 @@ def test_shipped_run_solve_count(config_dir, monkeypatch):
     assert len(solves) == 254
 
 
-def test_adaptive_dt_curvature_bound():
+def test_adaptive_dt_curvature_bound(fixed_frame):
     # on cigar data the accuracy bound C h / sup|R| is the smaller term, in
     # both frames; sup|R| = 4 at the tip
     assert flow.CURVATURE_STEP == 1.4
-    for frame in ("comoving", "fixed"):
-        state = cigar_flow_state(129, frame=frame)
+    for state in (cigar_flow_state(129), fixed_frame(radial_config(n=129))):
         sup_r = np.max(np.abs(state.curvature))
         assert sup_r == pytest.approx(4.0, abs=5 * state.grid.h**2)
         assert flow.adaptive_dt(state, 0.9) == 0.9 * (flow.CURVATURE_STEP * state.grid.h / sup_r)
@@ -459,40 +457,40 @@ def test_stability_sweep(overdrive):
     assert result.aborted
 
 
-def test_comoving_run_of_a_moderate_bump_does_not_abort():
+def test_comoving_run_of_a_moderate_bump_does_not_abort(fixed_frame):
     # the bump's crest lies between nodes; see below for the same data at a
     # smaller dt
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
-    for frame in ("fixed", "comoving"):
-        config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
-        result = flow.run(build_scenario(config), config.t_end, safety=0.9,
+    config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05)
+    for state in (fixed_frame(config), build_scenario(config)):
+        result = flow.run(state, config.t_end, safety=0.9,
                           record_interval=config.record_interval)
-        assert not result.aborted, f"{frame}: {result.abort_message}"
+        assert not result.aborted, f"{state.frame}: {result.abort_message}"
 
 
-def test_comoving_run_of_a_moderate_bump_at_half_safety_does_not_abort():
+def test_comoving_run_of_a_moderate_bump_at_half_safety_does_not_abort(fixed_frame):
     # no node sits on the crest, so the node maximum starts 0.007 below the
     # profile's; as gamma carries the crest inward a node's sample rises
     # although the profile's maximum falls.  The sup u~ abort therefore
     # compares the nodes with the maximum of u~0's spline.
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
-    for frame in ("fixed", "comoving"):
-        config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
-        result = flow.run(build_scenario(config), config.t_end, safety=0.5,
+    config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05)
+    for state in (fixed_frame(config), build_scenario(config)):
+        result = flow.run(state, config.t_end, safety=0.5,
                           record_interval=config.record_interval)
-        assert not result.aborted, f"{frame}: {result.abort_message}"
+        assert not result.aborted, f"{state.frame}: {result.abort_message}"
 
 
-def test_comoving_run_of_a_moderate_bump_records_only_finite_values():
+def test_comoving_run_of_a_moderate_bump_records_only_finite_values(fixed_frame):
     # every record is finite in both frames; when res_curv_evo came from a
     # curvature probe that stepped the t = 0 state's co-moving nodes, a
     # node-maximum abort threshold made it NaN (0.0438 in the fixed frame)
     bump = {"type": "perturbed_cigar", "amplitude": 5.0, "center": 2.0, "width": 0.5}
-    for frame in ("fixed", "comoving"):
-        config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05, frame=frame)
-        result = flow.run(build_scenario(config), config.t_end, safety=0.9,
+    config = radial_config(n=65, initial=bump, t_end=0.05, record=0.05)
+    for state in (fixed_frame(config), build_scenario(config)):
+        result = flow.run(state, config.t_end, safety=0.9,
                           record_interval=config.record_interval)
-        assert all(rec.finite for rec in result.records), frame
+        assert all(rec.finite for rec in result.records), state.frame
 
 
 def test_rkc_stability_polynomial():
@@ -552,7 +550,7 @@ def test_step_potential_origin_rate():
 
 
 def test_step_preserves_conserved_field():
-    state = cigar_flow_state(129, frame="comoving")
+    state = cigar_flow_state(129)
     dt = flow.adaptive_dt(state, 0.9)
     stepped = flow.step(state, dt)
     fields = flow.fixed_fields(stepped)
@@ -708,11 +706,11 @@ def test_record_residual_is_second_order_on_the_shipped_data(config_dir, shipped
         assert 3.8 <= coarse[t] / fine[t] <= 4.2, t
 
 
-def test_record_residual_reads_rounding_in_the_fixed_frame():
+def test_record_residual_reads_rounding_in_the_fixed_frame(fixed_frame):
     # away from the edge rows the fixed-frame semi-discrete flow satisfies
     # the discrete R_t = Lap_g R + R^2 identically: the record reads
     # rounding, where the curvature probe read its own time error (2.7e-4 at t = 0)
-    result = flow.run(cigar_flow_state(129, frame="fixed"), 0.5, record_interval=0.1)
+    result = flow.run(fixed_frame(radial_config(n=129)), 0.5, record_interval=0.1)
     assert not result.aborted and len(result.records) == 6
     assert max(rec.res_curv_evo for rec in result.records) <= 1e-12
     exact = flow.exact_soliton_state(RadialGrid(129, 8.0), 0.3)
@@ -745,9 +743,8 @@ def test_normalize_identity_when_origin_factor_vanishes():
     np.testing.assert_allclose(normalized.log_factor, state.conformal.log_factor, atol=1e-12)
 
 
-def test_normalize_evolved_soliton_recovers_cigar():
-    for frame, window in (("comoving", None), ("fixed", 4.0)):
-        state = cigar_flow_state(129, frame=frame)
+def test_normalize_evolved_soliton_recovers_cigar(fixed_frame):
+    for state, window in ((cigar_flow_state(129), None), (fixed_frame(radial_config(n=129)), 4.0)):
         result = flow.run(state, 0.5, safety=0.9, record_interval=0.5)
         final = result.final_state
         normalized, scale = flow.normalize(final, s_window=window)
@@ -758,7 +755,7 @@ def test_normalize_evolved_soliton_recovers_cigar():
 
 def test_normalize_gradient_invariance():
     # |grad f|_g at x equals |grad f.Phi|_{Phi*g} at Phi^{-1} x
-    state = cigar_flow_state(129, frame="comoving")
+    state = cigar_flow_state(129)
     result = flow.run(state, 0.3, safety=0.9, record_interval=0.3)
     final = result.final_state
     grid = final.grid
@@ -822,8 +819,8 @@ def test_profile_distance_on_the_cached_window_is_a_fresh_grid_bit_for_bit(n, mo
                 assert window.s.tobytes() == RadialGrid(k, (k - 1) * state.grid.h).s.tobytes()
 
 
-def test_normalize_window_shrink_error():
-    state = cigar_flow_state(129, frame="fixed")
+def test_normalize_window_shrink_error(fixed_frame):
+    state = fixed_frame(radial_config(n=129))
     result = flow.run(state, 0.5, safety=0.9, record_interval=0.5)
     with pytest.raises(ValueError):
         flow.normalize(result.final_state)  # full grid unreachable after rescale
@@ -924,18 +921,21 @@ def assert_blocks_match_eager_steps(final, trail):
     return len(steps)
 
 
-@pytest.mark.parametrize("name, stepping", [
+@pytest.mark.parametrize("name, stepping, frame", [
     # one record at t = 5: the steps reach it in several blocks
-    ("perturbed_relax_129.json", {"record_interval": 5.0}),
+    ("perturbed_relax_129.json", {"record_interval": 5.0}, flow.COMOVING),
     # R = 0, so log L stays exactly 0.0 and no state is mapped
-    ("flat_radial_65.json", {"t_end": 40.0, "record_interval": 40.0}),
-    ("perturbed_relax_129.json", {"frame": "fixed", "t_end": 1.0, "record_interval": 1.0}),
-])
-def test_run_accumulators_match_eager_steps(config_dir, eager_oracle, name, stepping):
+    ("flat_radial_65.json", {"t_end": 40.0, "record_interval": 40.0}, flow.COMOVING),
+    ("perturbed_relax_129.json", {"t_end": 1.0, "record_interval": 1.0}, flow.FIXED),
+], ids=["perturbed_relax_129.json-stepping0", "flat_radial_65.json-stepping1",
+        "perturbed_relax_129.json-stepping2"])
+def test_run_accumulators_match_eager_steps(config_dir, eager_oracle, fixed_frame, name,
+                                            stepping, frame):
     data = json.loads((config_dir / name).read_text())
     data["stepping"].update(stepping)
     config = parse_config(data)
-    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+    state = fixed_frame(config) if frame == flow.FIXED else build_scenario(config)
+    result = flow.run(state, config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted and len(result.records) == 2
     steps = assert_blocks_match_eager_steps(result.final_state, eager_oracle)
@@ -1096,7 +1096,7 @@ def test_run_soliton_distance_tracks_solver_error(soliton_errors):
     # run to t = 1 from the same data: normalized distance stays ~ solver error
     state = cigar_flow_state(129)
     result1 = flow.run(state, 1.0, safety=0.9, record_interval=0.5)
-    dist = result1.profile_distance_final
+    dist = result1.dist_trace[-1][1]
     assert dist <= 5 * err
     drift = max(rec.w_drift for rec in result1.records)
     assert drift <= 5 * err

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import copy
 import csv
@@ -65,6 +66,10 @@ def test_unknown_keys_are_errors():
                                            "record_interval": 0.1, "dt": 1e-3}))
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config(base_config(initial={"type": "exact_cigar", "scale": 2.0}))
+    # every run starts in the co-moving frame; no key selects the fixed one
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(base_config(stepping={"safety": 0.9, "t_end": 0.2,
+                                           "record_interval": 0.1, "frame": "fixed"}))
 
 
 def test_grid_must_be_power_of_two_plus_one():
@@ -96,8 +101,7 @@ FULL_CONFIG = {
     "grid": {"kind": "radial", "n": 65, "s_max": 8.0},
     "initial": {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0,
                 "width": 0.5, "random_bumps": 2},
-    "stepping": {"safety": 0.9, "t_end": 1.0, "record_interval": 0.1,
-                 "frame": "fixed", "s_report": 4.0},
+    "stepping": {"safety": 0.9, "t_end": 1.0, "record_interval": 0.1, "s_report": 4.0},
     "output": {"directory": "out", "snapshot_interval": 0.5},
     "seed": 3,
 }
@@ -109,7 +113,7 @@ DELETE = object()
 JSON_LEAVES = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     | st.sampled_from(["radial", "cartesian", "flat", "custom_table", "scaled_cigar",
-                       "exact_cigar", "comoving", "65", "1e400", "nan"])
+                       "exact_cigar", "65", "1e400", "nan"])
 )
 JSON_VALUES = (JSON_LEAVES | st.lists(JSON_LEAVES, max_size=4)
                | st.dictionaries(st.text(max_size=4), JSON_LEAVES, max_size=3))
@@ -144,6 +148,7 @@ def test_parse_config_raises_only_config_error(mutations):
     {"stepping": {"safety": 0.9, "t_end": 0, "record_interval": 0.1}},
     {"stepping": {"safety": 0.9, "t_end": float("inf"), "record_interval": 0.1}},
     {"stepping": {"safety": 0.9, "t_end": 0.2, "record_interval": 1e-9}},
+    {"stepping": {"safety": 0.9, "t_end": 0.2, "record_interval": 0.1, "frame": "fixed"}},
     {"grid": {"kind": "radial", "n": "abc", "s_max": 8.0}},
     {"grid": {"kind": "radial", "n": 9, "s_max": 8.0}},
     {"grid": {"kind": "radial", "n": 65, "s_max": -1}},
@@ -281,9 +286,9 @@ def test_cli_refuses_a_run_past_the_step_budget(tmp_path, command):
     # each command refuses the run past the step budget as a config error;
     # `run` makes neither its output directory nor the parents it would need
     path = write_config(tmp_path, base_config(**REFUSED_SCENARIOS["step_budget"]))
-    args = [command, str(path), "--quiet"]
+    args = [command, str(path)]
     if command == "run":
-        args += ["--out", str(tmp_path / "runs" / "out")]
+        args += ["--quiet", "--out", str(tmp_path / "runs" / "out")]
     proc = _run_cli(args)
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr and "steps, more than 1e+07" in proc.stderr
@@ -906,33 +911,29 @@ def test_cli_run_and_report(tmp_path, capsys):
             in text)
 
 
-def test_cli_report_reads_a_summary_without_telemetry(tmp_path, capsys):
-    # run directories written before runs counted their steps still report
+@pytest.mark.parametrize("missing", [*cli._SUMMARY_KEYS, "summary.json"])
+def test_cli_report_refuses_a_summary_without_a_key_run_writes(tmp_path, capsys, missing):
+    # report reads what run writes and nothing else: a summary without one
+    # of its keys (as ones written before runs counted their steps or traced
+    # Q, log L, v and log u were), or no summary at all, is malformed
     cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
     assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
     summary_path = tmp_path / "out" / "summary.json"
     summary = json.loads(summary_path.read_text())
-    del summary["telemetry"]
-    summary_path.write_text(json.dumps(summary))
+    assert tuple(summary) == cli._SUMMARY_KEYS
+    if missing == "summary.json":
+        summary_path.unlink()
+    else:
+        del summary[missing]
+        summary_path.write_text(json.dumps(summary))
     capsys.readouterr()
-    assert cli.main(["report", str(tmp_path / "out")]) == 0
-    text = capsys.readouterr().out
-    assert "max w drift" in text and "steps:" not in text
-
-
-def test_cli_report_reads_a_summary_with_probe_stages(tmp_path, capsys):
-    # run directories written while records took curvature-probe steps
-    # carry a fourth telemetry count, which report passes over
-    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
-    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
-    summary_path = tmp_path / "out" / "summary.json"
-    summary = json.loads(summary_path.read_text())
-    summary["telemetry"]["probe_stages"] = 84
-    summary_path.write_text(json.dumps(summary))
-    capsys.readouterr()
-    assert cli.main(["report", str(tmp_path / "out")]) == 0
-    text = capsys.readouterr().out
-    assert f"RKC2 stages: {summary['telemetry']['stages']}\n" in text and "probe" not in text
+    assert cli.main(["report", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed run directory")
+    if missing == "summary.json":
+        assert "No such file or directory" in err and err.endswith("summary.json'\n")
+    else:
+        assert err.endswith(f": summary.json lacks {missing}\n")
 
 
 def test_cli_summary_traces_q_log_scale_and_the_fixed_edge(tmp_path, capsys):
@@ -982,23 +983,6 @@ def test_cli_report_shows_when_the_fixed_nodes_reach_the_tip(capsys):
                                    / "perturbed_relax_129")]) == 0
     text = capsys.readouterr().out
     assert "at co-moving a = 0.10135 at t=5; below 2h from t=5 on" in text
-
-
-def test_cli_report_reads_a_summary_without_the_record_traces(tmp_path, capsys):
-    # run directories written before runs traced Q and log L still report
-    cfg_path = write_config(tmp_path, base_config(output={"directory": str(tmp_path / "out")}))
-    assert cli.main(["run", str(cfg_path), "--quiet"]) == 0
-    summary_path = tmp_path / "out" / "summary.json"
-    summary = json.loads(summary_path.read_text())
-    for key in ("q_minus_4_trace", "log_scale_trace", "fixed_edge_trace", "v_discrepancy_trace",
-                "sup_log_u_trace", "config"):
-        del summary[key]
-    summary_path.write_text(json.dumps(summary))
-    capsys.readouterr()
-    assert cli.main(["report", str(tmp_path / "out")]) == 0
-    text = capsys.readouterr().out
-    assert "steps:" in text and "Q - 4" not in text and "log L" not in text
-    assert "fixed node" not in text and "v discrepancy" not in text and "log u" not in text
 
 
 def test_cli_run_instability_exit_code(tmp_path, overdrive):
@@ -1115,10 +1099,34 @@ def test_cli_usage_errors(tmp_path):
     bad = write_config(tmp_path, {"name": "x"})
     assert cli.main(["run", str(bad), "--quiet"]) == 2
     assert cli.main(["report", str(tmp_path / "nowhere")]) == 2
+    good = write_config(tmp_path, base_config(), name="good.json")
+    assert cli.main(["verify", str(good), "--quiet"]) == 2
+    assert cli.main(["converge", str(good), "--quiet"]) == 2
     assert cli.main(["frobnicate"]) == 2
     assert cli.main(["oracle"]) == 2
 
 
+def test_cli_docstring_lists_the_command_line():
+    # the usage block of the module docstring is the written statement of
+    # the command line: each subcommand there names exactly the options, and
+    # as many arguments, as build_parser() accepts
+    usage = {}
+    for line in cli.__doc__.splitlines():
+        words = line.split()
+        if words[:1] == ["cigarflow"]:
+            usage[words[1]] = (len(re.findall(r"<[^>]+>", line)),
+                               set(re.findall(r"--[\w-]+", line)))
+    commands = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    accepted = {name: (sum(not action.option_strings for action in parser._actions),
+                       {option for action in parser._actions for option in action.option_strings
+                        if option.startswith("--") and option != "--help"})
+                for name, parser in commands.choices.items()}
+    assert usage == accepted
+
+
+# a summary_text that is a JSON object replaces those keys of the run's own
+# summary, so that each reaches its own check; any other text is the file
 @pytest.mark.parametrize("csv_text, summary_text", [
     (",".join(CSV_COLUMNS) + "\n", None),                       # header only
     ("", None),                                                  # empty file
@@ -1130,10 +1138,20 @@ def test_cli_usage_errors(tmp_path):
     (None, '{"telemetry": [252]}'),
     (None, '{"q_minus_4_trace": [[0.0, "far"]]}'),
     (None, '{"log_scale_trace": 3}'),
-    (None, '{"fixed_edge_trace": [[0.0, 1.0]]}'),                # no config grid for h
+    # one pair for the run's three records
+    (None, '{"fixed_edge_trace": [[0.0, 1.0]]}'),
     (None, '{"fixed_edge_trace": [[0.0, 1.0]], "config": {"grid": {"n": 1, "s_max": 8}}}'),
+    (None, '{"dist_trace": []}'),
+    # only a profile distance may be null
+    (None, '{"kahler_trace": [[0.0, null], [0.1, 0.0], [0.2, 0.0]]}'),
     (None, '{"telemetry": {"steps": 252.0, "clipped_steps": 20, "stages": 1761, '
            '"probe_stages": 84}}'),
+    # the count that runs wrote while each record took curvature-probe steps
+    (None, '{"telemetry": {"steps": 3, "clipped_steps": 1, "stages": 12, "probe_stages": 4}}'),
+    (None, '{"telemetry": {"steps": 3, "clipped_steps": 1}}'),
+    # no grid to take the spacing h from
+    (None, '{"config": {}}'),
+    (None, '{"config": {"grid": {"n": 1, "s_max": 8}}}'),
 ])
 def test_cli_report_on_a_malformed_run_dir_exits_2(tmp_path, capsys, csv_text,
                                                    summary_text):
@@ -1142,11 +1160,22 @@ def test_cli_report_on_a_malformed_run_dir_exits_2(tmp_path, capsys, csv_text,
     out_dir = tmp_path / "out"
     if csv_text is not None:
         (out_dir / "diagnostics.csv").write_text(csv_text)
+    patch = None
     if summary_text is not None:
+        try:
+            patch = json.loads(summary_text)
+        except ValueError:
+            pass
+        if isinstance(patch, dict):
+            summary = json.loads((out_dir / "summary.json").read_text())
+            summary_text = json.dumps({**summary, **patch})
         (out_dir / "summary.json").write_text(summary_text)
     capsys.readouterr()
     assert cli.main(["report", str(out_dir)]) == 2
-    assert "error: malformed run directory" in capsys.readouterr().err
+    prefix, _, message = capsys.readouterr().err.partition(f"{out_dir}: ")
+    assert prefix == "error: malformed run directory "
+    if isinstance(patch, dict):
+        assert any(key in message for key in patch), message
 
 
 @pytest.mark.parametrize("row", ["0.0,0.1", "0.0," * 12 + "0.0", "x" + ",0.0" * 11])
