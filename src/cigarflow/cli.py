@@ -35,7 +35,7 @@ from cigarflow.scenarios import (
     run_scenario,
     verify_scenario,
 )
-from cigarflow.snapshots import save_snapshot
+from cigarflow.snapshots import open_in_place, save_snapshot
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -90,8 +90,10 @@ def cmd_run(args):
             progress=_progress_printer(args.quiet),
             state=state,
         )
-        with open(out_dir / "diagnostics.csv", "w") as fh:
+        # both files are written over their old bytes, as snapshots are
+        with open(out_dir / "diagnostics.csv", "w", opener=open_in_place) as fh:
             emit_diagnostics(result.records, fh)
+            fh.truncate()
         save_snapshot(result.final_state, out_dir / "snapshot_final.txt")
         # the outermost fixed node's co-moving position a(r_max) =
         # arcsinh(sinh s_max / L): once it is within 2h of the tip, the
@@ -121,8 +123,9 @@ def cmd_run(args):
             },
             "config": config.raw,
         }
-        with open(out_dir / "summary.json", "w") as fh:
+        with open(out_dir / "summary.json", "w", opener=open_in_place) as fh:
             json.dump(summary, fh, indent=2)
+            fh.truncate()
     except OSError as err:
         print(f"error: failed to write outputs: {err}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -49,14 +49,18 @@ once (`FlowState.u_fixed`), for `fixed_fields`, `kahler_residual` and the
 phi accumulator.  A step maps nothing.  The state it returns holds the
 state it came from, and the first read of its accumulators maps the states
 the chain passed through in one block fit (`_catch_up`, `_map_block`, at
-most BLOCK_STEPS), with the same bits as a map per state.
-The clamped spline's slope system is inverted once per grid size
+most BLOCK_STEPS), with the same bits as a map per state, and brings every
+one of them up to date.  `run` takes its records in blocks as well
+(`record_block`): up to BLOCK_STEPS record states wait, and their records
+come from one pass over (K, n) blocks, with the same bits as one state at a
+time.  The clamped spline's slope system is inverted once per grid size
 (`RadialGrid.spline`), so a fit is one matrix-vector product per row and
 each evaluation of it a piecewise-cubic one.  Each state fits u~ at most
-once (`ConformalState.fit`): the map of a record's state and its normalized
-profile (`profile_distance`) evaluate the same fit.  The curvature evolution
-residual needs no map: it is taken on the co-moving nodes.  gamma = 0
-recovers plain fixed-frame stepping.
+once: a record state in its record block, whose one evaluation gives both
+its map and its normalized profile (`profile_distance`), and any other in
+its chain's block.  The curvature evolution residual needs no map: it is
+taken on the co-moving nodes.  gamma = 0 recovers plain fixed-frame
+stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -97,10 +101,9 @@ from cigarflow.geometry import (
     _laplacian_rows,
     _metric_gradient_sq,
     _radial_derivative,
-    background_laplacian,
+    _width_estimates,
     metric_laplacian,
     solve_initial_potential,
-    width_report,
 )
 
 __all__ = [
@@ -113,6 +116,7 @@ __all__ = [
     "fewest_steps",
     "step",
     "monitor",
+    "record_block",
     "curvature_evolution_residual",
     "normalize",
     "normalization_scale",
@@ -210,7 +214,8 @@ class Accumulators:
 
 
 # Most steps whose accumulators wait to be read: `step` brings a longer chain
-# up to date first, so what a chain keeps alive stays small.
+# up to date first, so what a chain keeps alive stays small.  Also the most
+# records `run` lets wait, to take them as one block (`record_block`).
 BLOCK_STEPS = 32
 
 
@@ -288,7 +293,9 @@ class FlowState:
 
     @cached_property
     def u_fixed(self):
-        """u~ at the fixed grid nodes (`map_to_fixed`, computed once)."""
+        """u~ at the fixed grid nodes (`map_to_fixed`, computed once), or the
+        state's row of a block map (`record_block`, `_catch_up`), the same
+        bits."""
         return map_to_fixed(self)
 
 
@@ -330,36 +337,49 @@ def _map_block(states):
     return values
 
 
-def _catch_up(state):
-    """Derive the accumulators of a state that `step` returned, from the
-    states its pending steps left, back to one whose accumulators are known.
+def _depth(state):
+    """The pending steps from the state back to known accumulators."""
+    pending = vars(state)["acc"]
+    return pending.depth if type(pending) is _Step else 0
 
-    The chain's two ends bring their own `u_fixed` (the known end's mapped
-    when its accumulators were read); the states between are mapped as one
-    block (`_map_block`).  The trapezoids keep the operations and the order
-    each step took when it advanced them itself, so every bit is the same:
-    v's in step order, from each state's R(origin), and phi's as one block,
-    its terms stacked under phi and subtracted from it row after row.
+
+def _catch_up(state):
+    """Derive the accumulators of a state that `step` returned, and of every
+    state its pending steps passed through, back to one whose accumulators
+    are known.
+
+    u~ at the fixed nodes is each state's `u_fixed` where it is taken
+    already: the known end's, and a record state's, which `record_block`
+    maps before it reads the accumulators.  The other states are mapped as
+    one block fit (`_map_block`), and each keeps its row as its `u_fixed`.
+    The trapezoids keep the operations and the order each step took when it
+    advanced them itself, so every bit is the same: v's running sums in step
+    order, from each state's R(origin), and phi's as one block, its terms
+    stacked under phi and subtracted row after row (`np.subtract.accumulate`),
+    each row the phi of one state.
     """
     states = [state]
     while type(vars(states[-1])["acc"]) is _Step:
         states.append(vars(states[-1])["acc"].before)
     states.reverse()  # the first state's accumulators are known
     acc, dts = states[0].acc, [vars(x)["acc"].dt for x in states[1:]]
-    chain = np.empty((len(states), state.grid.n))  # u~ at the fixed nodes along the chain
-    chain[0], chain[-1] = states[0].u_fixed, state.u_fixed
-    if len(states) > 2:
-        chain[1:-1] = _map_block(states[1:-1])
-    f = state.init.w0 - chain
+    rows = [vars(x).get("u_fixed") for x in states]
+    rows[0] = states[0].u_fixed
+    todo = [k for k, row in enumerate(rows) if row is None]
+    if todo:
+        for k, row in zip(todo, _map_block([states[k] for k in todo])):
+            rows[k] = vars(states[k])["u_fixed"] = row
+    f = state.init.w0 - np.array(rows)
     terms = np.empty_like(f)  # phi, then each step's 0.5 dt (f before + f after)
     terms[0] = acc.phi
     np.add(f[:-1], f[1:], out=terms[1:])
     terms[1:] *= np.array([[0.5 * dt] for dt in dts])
+    phi = np.subtract.accumulate(terms)
     r_origin = [float(x.curvature[0]) for x in states]
     v_integral = acc.v_integral
-    for dt, r_before, r_after in zip(dts, r_origin, r_origin[1:]):
+    for x, dt, r_before, r_after, row in zip(states[1:], dts, r_origin, r_origin[1:], phi[1:]):
         v_integral += 0.5 * dt * (r_before + r_after)
-    state.acc = Accumulators(v_integral, np.subtract.reduce(terms))
+        x.acc = Accumulators(v_integral, row)
 
 
 def fixed_fields(state):
@@ -368,11 +388,16 @@ def fixed_fields(state):
     u~ is the state's own, mapped once (`FlowState.u_fixed`), and
     f = w0 - u~.
     """
-    u_tilde = state.u_fixed
-    f = state.init.w0 - u_tilde
+    return _fixed_fields(state.init, state.u_fixed)
+
+
+def _fixed_fields(init, u_tilde):
+    """`fixed_fields` from u~ at the fixed nodes: one state's, or a block of
+    rows."""
+    f = init.w0 - u_tilde
     w = u_tilde + f
-    v = state.init.potential0 - f
-    h = v + state.init.log_u0
+    v = init.potential0 - f
+    h = v + init.log_u0
     return {"u_tilde": u_tilde, "f": f, "w": w, "v": v, "h": h}
 
 
@@ -582,8 +607,7 @@ def step(state, dt):
             f"sup u~ rose to {sup_u_tilde:.6g} above the initial profile's maximum "
             f"{state.init.sup_u_tilde0:.6g}: unstable step", t1
         )
-    pending = vars(state)["acc"]
-    depth = pending.depth + 1 if type(pending) is _Step else 1
+    depth = _depth(state) + 1
     if depth > BLOCK_STEPS:
         _catch_up(state)
         depth = 1
@@ -596,11 +620,12 @@ def step(state, dt):
 # ---------------------------------------------------------------------------
 
 def monitor(state, dt_hint=None):
-    """Compute a DiagnosticsRecord for the state.
+    """Compute a DiagnosticsRecord for the state: `record_block` of the
+    state alone (a state whose log factor is not finite records NaN).
 
     `dt_hint` is echoed into the record's dt column (the step size the run
-    is using).  The fixed-frame columns come from `fixed_fields`, which reads
-    the state's mapped u~, and v_discrepancy from the accumulators.  The
+    is using).  The fixed-frame columns come from the state's mapped u~
+    (`fixed_fields`), and v_discrepancy from the accumulators.  The
     curvature-evolution residual is the state's own and takes no step: dR/dt
     at its nodes is the semi-discrete flow's exact rate,
     -R u^_t - e^{-u^} Lap_E u^_t, from the state's cached stage rate
@@ -611,65 +636,118 @@ def monitor(state, dt_hint=None):
     error; in the fixed frame, away from the edge rows, the discrete flow
     satisfies the discrete identity, and the column reads rounding.  It is
     NaN, without a warning, where R^2 overflows.  The record also carries
-    the largest log u on the stepped nodes.
+    the largest log u on the stepped nodes.  `run` takes its records in
+    blocks of up to BLOCK_STEPS states, with the same bits.
     """
-    u_hat = state.conformal.log_factor
-    if not np.isfinite(u_hat).all():
+    if not np.isfinite(state.conformal.log_factor).all():
         nan = float("nan")
         return DiagnosticsRecord(state.t, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, nan)
+    return record_block([state], [dt_hint])[0][0]
 
-    fields = fixed_fields(state)
-    v_disc = abs(float(fields["v"][0]) + state.acc.v_integral)
-    curv = state.curvature
-    rep = width_report(state.conformal)
-    res_poisson = float(np.abs(
-        metric_laplacian(state.potential, state.conformal, state.potential_slope) - curv).max())
-    rate = state.rate
-    u_rate, gamma = rate[:-1], float(rate[-1])
+
+def record_block(states, dt_hints, s_window=None):
+    """Take the records of K states of one run together: (records, profile
+    distances, Kahler residuals), three lists in the order of the states.
+
+    Entry k is what state k gets alone (`monitor` with dt_hints[k],
+    `profile_distance` on |s| <= s_window, None where the normalization needs
+    data outside the grid, and `kahler_residual`), bit for bit: every
+    operation is elementwise over the rows or reduces within a row, and the
+    spline's slope solve is one product per row.  The states share one grid,
+    one InitialData and one edge slope, as a run's do (`step` keeps them),
+    and their log factors are finite.
+
+    One pass over (K, n) blocks: one spline fit of the K log factors, which
+    gives both the frame map (each state keeps its row as `u_fixed`) and the
+    normalized profiles; the accumulators, read newest first, so that one
+    catch-up (`_catch_up`) maps only the states between records; one
+    Laplacian call for the four fields a record differentiates, the potential
+    (edge slope -u^'s), u^'s rate (0), R (its one-sided estimate) and phi
+    (t times u^'s slope); and e^{u~0} once.
+    """
+    first = states[0]
+    grid, init, slope = first.grid, first.init, first.conformal.edge_slope
+    window_grid, target = _window(grid, s_window)
+    count, n = len(states), grid.n
+    t = [x.t for x in states]
+    log_scale = np.array([x.log_scale for x in states])
+    u_hat = np.array([x.conformal.log_factor for x in states])
+    # one fit, evaluated once at the fixed nodes arcsinh(r / L) of each row
+    # (`map_to_fixed`; a row in the fixed frame is its own) and at the
+    # window's nodes under its normalizing dilation (`normalize`)
+    pos, reach = _normalizing_points(grid, u_hat, window_grid)
+    nodes = np.arcsinh(grid.r * np.exp(-log_scale)[:, None])
+    values = grid.spline.fit(u_hat, slope)(
+        np.concatenate((nodes, np.minimum(pos, grid.s_max)), axis=1))
+    u_fixed = (np.where((log_scale != 0.0)[:, None], values[:, :n], u_hat)
+               - 2.0 * log_scale[:, None])
+    for state, row in zip(states, u_fixed):
+        vars(state).setdefault("u_fixed", row)
+    acc = [x.acc for x in reversed(states)][::-1]
+
+    # the potential (FlowState.potential), u^'s rate, R and phi, with their
+    # edge slopes -u^'s, 0, R's one-sided estimate and t u^'s
+    fields = np.empty((4, count, n))
+    potential, u_rate, curv, phi = fields
+    np.subtract(init.w0, u_hat, out=potential)
+    potential += (2.0 * log_scale)[:, None]
+    rate = np.array([x.rate for x in states])
+    u_rate[:], curv[:], phi[:] = rate[:, :-1], [x.curvature for x in states], [a.phi for a in acc]
+    slopes = np.empty((4, count))
+    slopes[0], slopes[1], slopes[2] = -slope, 0.0, _edge_slope_estimate(grid, curv)
+    np.multiply(t, slope, out=slopes[3])
+    laps = np.empty_like(fields)
+    _laplacian_rows(fields.reshape(4 * count, n), grid, slopes.ravel(),
+                    laps.reshape(4 * count, n))
+    lap_potential, lap_rate, lap_r, lap_phi = laps
+
+    diffusivity = np.array([x.conformal.diffusivity for x in states])
+    res_poisson = np.abs(diffusivity * lap_potential - curv).max(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        r_rate = (-curv * u_rate
-                  - state.conformal.diffusivity * background_laplacian(u_rate, state.grid))
-        res_curv = float(np.abs(_curvature_residual(state, r_rate, gamma)).max())
+        r_rate = -curv * u_rate - diffusivity * lap_rate
+        res_curv = np.abs(_curvature_residual(
+            grid, curv, r_rate, rate[:, -1:], diffusivity * lap_r, slopes[2])).max(axis=1)
+    fixed = _fixed_fields(init, u_fixed)
+    _, width_bound, cinf = _width_estimates(grid, u_hat)
     # log u = u~ + log(1 + r^2) at the node's fixed-frame radius r = L sinh a,
     # written so that nothing overflows as L grows
-    log_u = u_hat + np.log(np.exp(-2.0 * state.log_scale) + state.grid.r**2)
-    return DiagnosticsRecord(
-        t=state.t,
-        dt=float(dt_hint) if dt_hint else float("nan"),
-        sup_R=float(curv.max()),
-        inf_R=float(curv.min()),
-        sup_u_tilde=float(u_hat.max()) - 2.0 * state.log_scale,
-        sup_grad_sq=float(_metric_gradient_sq(state.grid, u_hat, u_hat,
-                                              state.conformal.edge_slope).max()),
-        w_drift=float(np.abs(fields["w"] - state.init.w0).max()),
-        sup_h=float(fields["h"].max()),
-        width_bound=rep.width_bound,
-        cinf_est=rep.cinf_estimate,
-        res_poisson=res_poisson,
-        res_curv_evo=res_curv,
-        v_discrepancy=v_disc,
-        sup_log_u=float(log_u.max()),
+    log_u = u_hat + np.log(np.exp(-2.0 * log_scale)[:, None] + grid.r**2)
+    columns = (
+        curv.max(axis=1), curv.min(axis=1), u_hat.max(axis=1) - 2.0 * log_scale,
+        _metric_gradient_sq(grid, u_hat, u_hat, slope).max(axis=1),
+        np.abs(fixed["w"] - init.w0).max(axis=1), fixed["h"].max(axis=1), width_bound, cinf,
+        res_poisson, res_curv, np.abs(fixed["v"][:, 0] + [a.v_integral for a in acc]),
+        log_u.max(axis=1),
     )
+    records = [DiagnosticsRecord(t_k, float(dt) if dt else float("nan"), *row)
+               for t_k, dt, row in zip(t, dt_hints, zip(*(c.tolist() for c in columns)))]
+
+    profiles = _normalized(grid, u_hat, pos, values[:, n:], slope)
+    distances = np.abs(profiles - target).max(axis=1).tolist()
+    # the density e^{u~} against its reconstruction from phi; coefficient
+    # one: d rho/dt = -Lap_E f once f is normalized by Lap_g f = R
+    resid = np.exp(u_fixed) - np.exp(init.u_tilde0) - lap_phi
+    return (records, [d if ok else None for d, ok in zip(distances, reach.tolist())],
+            np.abs(resid[:, :-1]).max(axis=1).tolist())
 
 
-def _curvature_residual(state, r_rate, gamma):
-    """R_t - Lap_g R - R^2 at the state's nodes, from dR/dt at those nodes
-    (`r_rate`) and gamma = dlogL/dt.
+def _curvature_residual(grid, r, r_rate, gamma, lap_g_r, slope):
+    """R_t - Lap_g R - R^2 at the nodes of a state, or of each row of a
+    block, from dR/dt at those nodes (`r_rate`), gamma = dlogL/dt (a float,
+    or a column) and Lap_g R, taken with R's one-sided edge slope `slope`
+    (`_edge_slope_estimate`).
 
     It is taken on the nodes the state is stepped on, with no frame map: R
     is a scalar, so a co-moving node a = x / L sees dR/dt = R_t +
-    gamma tanh(s) dR/ds (gamma is 0 in the fixed frame).  dR/ds and Lap_g R
-    take the edge slope of R's one-sided estimate.  The field stops two
-    nodes short of the outer edge: the edge closure's truncation constants
-    differ from the interior family, which a pointwise second-application
-    check would amplify to O(1) there (the corrected tip row, by contrast,
-    matches the interior family and is included).
+    gamma tanh(s) dR/ds (gamma is 0 in the fixed frame).  dR/ds takes the
+    same edge slope as Lap_g R.  The field stops two nodes short of the
+    outer edge: the edge closure's truncation constants differ from the
+    interior family, which a pointwise second-application check would
+    amplify to O(1) there (the corrected tip row, by contrast, matches the
+    interior family and is included).
     """
-    grid, r = state.grid, state.curvature
-    slope = _edge_slope_estimate(grid, r)
     drift = gamma * grid.tanh_s * _radial_derivative(grid, r, slope)
-    lap_r = metric_laplacian(r, state.conformal, slope)
-    return (r_rate - drift - lap_r - r**2)[:-2]
+    return (r_rate - drift - lap_g_r - r**2)[..., :-2]
 
 
 def curvature_evolution_residual(s_minus, s_zero, s_plus):
@@ -690,7 +768,10 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
         raise ValueError("state triple must be uniformly spaced in time")
     gamma = (s_plus.log_scale - s_minus.log_scale) / (dt1 + dt2)
     r_rate = (s_plus.curvature - s_minus.curvature) / (dt1 + dt2)
-    return _curvature_residual(s_zero, r_rate, gamma)
+    r = s_zero.curvature
+    slope = _edge_slope_estimate(s_zero.grid, r)
+    return _curvature_residual(s_zero.grid, r, r_rate, gamma,
+                               metric_laplacian(r, s_zero.conformal, slope), slope)
 
 
 # ---------------------------------------------------------------------------
@@ -736,37 +817,54 @@ def normalize(state, s_window=None):
     window.  In the co-moving frame the running scale L cancels, so only
     the residual rescale by e^{-u^(origin)/2} remains and the full grid is
     normally available.  The profile is read from the state's u~ spline
-    (`ConformalState.fit`), which the map of a record's state has fitted
-    already; the window grid is built once per window size and spacing.
+    (`ConformalState.fit`); the window grid is built once per window size
+    and spacing.
     """
-    grid = state.grid
-    conf = state.conformal
-    c0 = float(conf.log_factor[0])
-    factor = float(np.exp(-0.5 * c0))
+    grid, conf = state.grid, state.conformal
     window_grid, _ = _window(grid, s_window)
-    pos = np.arcsinh(factor * window_grid.r)
-    if pos[-1] > grid.s_max * (1.0 + 1e-9) + 0.5 * grid.h:
-        raise ValueError(
-            f"normalization (scale {factor:.4g}) needs data outside the grid; "
-            "shrink the reporting window"
-        )
-    u_norm = conf.fit(np.minimum(pos, grid.s_max)) - c0
+    u_hat = conf.log_factor[None]
+    pos, reach = _normalizing_points(grid, u_hat, window_grid)
+    if not reach[0]:
+        raise _outside_the_grid(state)
+    profile = _normalized(grid, u_hat, pos, conf.fit(np.minimum(pos, grid.s_max)), conf.edge_slope)
+    return ConformalState(window_grid, profile[0], conf.edge_slope), normalization_scale(state)
+
+
+def _normalizing_points(grid, u_hat, window_grid):
+    """Where the window's nodes land on the grid under the normalizing
+    dilation, arcsinh(e^{-u^(0)/2} r), for each of K rows of u^, and a mask
+    of the rows that stay on the grid."""
+    pos = np.arcsinh(np.exp(-0.5 * u_hat[:, 0])[:, None] * window_grid.r)
+    return pos, ~(pos[:, -1] > grid.s_max * (1.0 + 1e-9) + 0.5 * grid.h)
+
+
+def _normalized(grid, u_hat, pos, values, edge_slope):
+    """The normalized profiles of K rows of u^ from their splines' values
+    at min(pos, s_max): less u^(0), and continued linearly past s_max with
+    the physical edge slope."""
+    profiles = values - u_hat[:, :1]
     beyond = pos > grid.s_max
-    if np.any(beyond):  # linear continuation with the physical edge slope
-        u_norm[beyond] += conf.edge_slope * (pos[beyond] - grid.s_max)
-    out = ConformalState(window_grid, u_norm, conf.edge_slope)
-    return out, normalization_scale(state)
+    profiles[beyond] += edge_slope * (pos[beyond] - grid.s_max)
+    return profiles
+
+
+def _outside_the_grid(state):
+    factor = float(np.exp(-0.5 * float(state.conformal.log_factor[0])))
+    return ValueError(f"normalization (scale {factor:.4g}) needs data outside the grid; "
+                      "shrink the reporting window")
 
 
 def profile_distance(state, s_window=4.0):
     """Sup distance of the normalized profile to the static cigar on |s| <= s_window.
 
-    The profile is `normalize`'s; the cigar's profile on the window is built
-    with the window grid, once per window size and spacing.
+    The profile is `normalize`'s, taken by `record_block` for the state
+    alone; the cigar's profile on the window is built with the window grid,
+    once per window size and spacing.
     """
-    normalized, _ = normalize(state, s_window)
-    _, target = _window(state.grid, s_window)
-    return float(np.abs(normalized.log_factor - target).max())
+    (distance,) = record_block([state], [None], s_window)[1]
+    if distance is None:
+        raise _outside_the_grid(state)
+    return distance
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +872,8 @@ def profile_distance(state, s_window=4.0):
 # ---------------------------------------------------------------------------
 
 def kahler_residual(state):
-    """Max mismatch between the evolved density and the potential reconstruction.
+    """Max mismatch between the evolved density and the potential
+    reconstruction, taken by `record_block` for the state alone.
 
     The evolved density is e^{u~} at the fixed nodes, from the state's
     mapped u~ (`FlowState.u_fixed`).  Exactly zero at t = 0 by construction.
@@ -782,14 +881,7 @@ def kahler_residual(state):
     information of its own beyond the slope t * edge_slope used here, the
     integral of f's slope -edge_slope.
     """
-    grid = state.grid
-    rho_t = np.exp(state.u_fixed)
-    rho_0 = np.exp(state.init.u_tilde0)
-    phi_slope = state.t * state.conformal.edge_slope
-    lap_phi = background_laplacian(state.acc.phi, grid, phi_slope)
-    # coefficient one: d rho/dt = -Lap_E f once f is normalized by Lap_g f = R
-    resid = rho_t - rho_0 - lap_phi
-    return float(np.abs(resid[:-1]).max())
+    return record_block([state], [None])[2][0]
 
 
 # ---------------------------------------------------------------------------
@@ -820,18 +912,45 @@ class RunResult:
     telemetry: RunTelemetry
 
 
+class _Pending(NamedTuple):
+    """A record state that waits to be taken: its free step size, the run's
+    telemetry counts at that point, and whether a non-finite record ends
+    the run there (every record but the first)."""
+
+    state: FlowState
+    dt_free: float
+    counts: tuple
+    checked: bool
+
+
 def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
         snapshot_times=(), snapshot_hook=None, progress=None):
     """Integrate from the given state to t_end with adaptive stepping.
 
     Emits a DiagnosticsRecord at t = 0, then at every multiple of
     `record_interval` (the step is clipped to land on record, snapshot, and
-    final times exactly).  On instability the run stops and carries the last
-    good records with `aborted` set.  `snapshot_hook(state)` is called at
-    each requested snapshot time; `progress(record)` after each record.
-    The result's `telemetry` counts the accepted steps, those clipped to an
-    event time, and their RKC2 stages; a record takes no step.
-    Each record also appends (t, log L) to the result's `scale_trace`.
+    final times exactly).  On instability, or at a non-finite record after
+    t = 0, the run stops and carries the last good records with `aborted`
+    set.  `snapshot_hook(state)` is called at each requested snapshot time;
+    `progress(record)` after each record.  The result's `telemetry` counts
+    the accepted steps, those clipped to an event time, and their RKC2
+    stages; a record takes no step.  Each record also appends (t, log L) to
+    the result's `scale_trace`.
+
+    Records are taken in blocks (`record_block`).  A record state waits,
+    with its free step size and the telemetry counts at that point, until
+    BLOCK_STEPS of them wait, the next step would catch up a chain of
+    pending steps that holds one of them (`step` does so at BLOCK_STEPS, so
+    no record whose accumulators are pending waits longer than that), the
+    run ends, or a step raises.  The waiting records are then taken in one
+    pass, which maps each state once, and delivered
+    in time order: each is appended to the traces, then `progress` and
+    `snapshot_hook` are called, so both are called in bursts.  Every output
+    is the same, bit for bit, as taking each record at its state: a
+    non-finite record ends the run there, with the records, traces,
+    telemetry and final state of that point, and no later state is
+    reported or snapshotted; an instability, or a ValueError from a later
+    state's stiffness, gives way to that abort.
     """
     t_end = round(float(t_end), 12)  # the run's time resolution
     if t_end <= state.t:
@@ -845,59 +964,75 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
 
     records, dist_trace, kahler_trace, scale_trace = [], [], [], []
     telemetry = RunTelemetry()
+    s_window = min(s_report, state.grid.s_max)
+    pending = []
 
-    def record(state):
-        """Append the state's record and traces, report them and take a
-        snapshot where one is due; returns the record."""
-        rec = monitor(state, dt_hint=dt_free)
-        records.append(rec)
-        try:
-            dist = profile_distance(state, min(s_report, state.grid.s_max))
-        except ValueError:
-            dist = None
-        dist_trace.append((state.t, dist))
-        kahler_trace.append((state.t, kahler_residual(state)))
-        scale_trace.append((state.t, state.log_scale))
-        if progress:
-            progress(rec)
-        if snapshot_hook and round(state.t, 12) in snapshot_set:
-            snapshot_hook(state)
-        return rec
+    def flush():
+        """Take the pending records in one block and deliver them in time
+        order; return the entry of the first checked record that is not
+        finite, where the run ends, or None."""
+        block = pending[:]
+        pending.clear()
+        taken = record_block([x.state for x in block], [x.dt_free for x in block], s_window)
+        for entry, rec, dist, kahler in zip(block, *taken):
+            at = entry.state
+            records.append(rec)
+            dist_trace.append((at.t, dist))
+            kahler_trace.append((at.t, kahler))
+            scale_trace.append((at.t, at.log_scale))
+            if progress:
+                progress(rec)
+            if snapshot_hook and round(at.t, 12) in snapshot_set:
+                snapshot_hook(at)
+            if entry.checked and not rec.finite:
+                return entry
+        return None
 
     # the free step size of the current state, taken once per state: each
     # record echoes it and the next step is clipped from it
     dt_free = adaptive_dt(state, safety)
-    record(state)
-
-    aborted = False
-    abort_message = None
-    for target in events:
-        while state.t < target - 1e-13:
-            dt = min(dt_free, target - state.t)
-            try:
+    pending.append(_Pending(state, dt_free, (0, 0, 0), False))
+    ended = error = None
+    try:
+        for target in events:
+            while state.t < target - 1e-13:
+                if len(pending) == BLOCK_STEPS or (
+                        _depth(state) == BLOCK_STEPS and pending and _depth(pending[-1].state)):
+                    ended = flush()
+                    if ended:
+                        break
+                dt = min(dt_free, target - state.t)
                 new_state = step(state, dt)
-            except FlowInstabilityError as err:
-                aborted, abort_message = True, str(err)
+                telemetry.steps += 1
+                telemetry.clipped_steps += int(dt < dt_free)
+                telemetry.stages += _stage_count(dt * state.conformal.stiffness)
+                state = new_state
+                if abs(state.t - target) < 1e-12:
+                    # land on the event exactly; the state is new and held
+                    # nowhere else, and this keeps its accumulators pending
+                    state.t = target
+                dt_free = adaptive_dt(state, safety)
+            if ended:
                 break
-            telemetry.steps += 1
-            telemetry.clipped_steps += int(dt < dt_free)
-            telemetry.stages += _stage_count(dt * state.conformal.stiffness)
-            state = new_state
-            if abs(state.t - target) < 1e-12:
-                # land on the event exactly; the state is new and held
-                # nowhere else, and this keeps its accumulators pending
-                state.t = target
-            dt_free = adaptive_dt(state, safety)
-        if aborted:
-            break
-        if not record(state).finite:
-            aborted, abort_message = True, f"non-finite diagnostics at t={state.t:.6g}"
-            break
+            counts = (telemetry.steps, telemetry.clipped_steps, telemetry.stages)
+            pending.append(_Pending(state, dt_free, counts, True))
+    except FlowInstabilityError as err:
+        error = err
+    except ValueError:
+        if not (pending and (ended := flush())):
+            raise
+    if pending:
+        ended = flush()
 
+    if ended:
+        state, telemetry = ended.state, RunTelemetry(*ended.counts)
+        abort_message = f"non-finite diagnostics at t={state.t:.6g}"
+    else:
+        abort_message = None if error is None else str(error)
     return RunResult(
         records=records,
         final_state=state,
-        aborted=aborted,
+        aborted=abort_message is not None,
         abort_message=abort_message,
         dist_trace=dist_trace,
         kahler_trace=kahler_trace,

@@ -247,10 +247,14 @@ class GridSpline:
         row k on spline k; each row gets the bits it would get alone."""
         y, secant, m = self._slopes(values, slope)
         dx = self.dx
-        # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval
+        # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval; c1 and
+        # c0 have a last column that no point reads, so that all four share
+        # y's layout and one flat index reads a block's rows
         t = (m[..., :-1] + m[..., 1:] - 2 * secant) / dx
-        c0 = t / dx
-        c1 = (secant - m[..., :-1]) / dx - t
+        c0, c1 = np.empty(y.shape), np.empty(y.shape)
+        np.divide(t, dx, out=c0[..., :-1])
+        np.subtract((secant - m[..., :-1]) / dx, t, out=c1[..., :-1])
+        pieces = [a.ravel() for a in (y, m, c1, c0)]
         inner_knots, knots = self._inner_knots, self.knots
 
         def evaluate(x):
@@ -260,9 +264,10 @@ class GridSpline:
             i = np.searchsorted(inner_knots, x, "right")
             z = x - knots[i]
             if y.ndim == 2:  # row k's points read row k's pieces
-                i = (np.arange(len(y))[:, None], i)
+                i += np.arange(len(y))[:, None] * y.shape[1]
+            y_i, m_i, c1_i, c0_i = (a[i] for a in pieces)
             zz = z * z
-            return 0.0 + y[i] + m[i] * z + c1[i] * zz + c0[i] * (zz * z)
+            return 0.0 + y_i + m_i * z + c1_i * zz + c0_i * (zz * z)
 
         return evaluate
 
@@ -361,10 +366,15 @@ def _edge_ghost_jump(f, h, edge_slope):
 def _laplacian_rows(f, grid, edge_slope, out):
     """Write Lap_E f into `out` and return the differences d = diff(f).
 
-    Interior row i is lap_up_i d_i - lap_down_i d_{i-1}.  The tip and edge
-    rows are taken in Python floats, which are cheaper than numpy scalars and
-    round the same.  `background_laplacian`, `ConformalState.laplacian` and
-    `flow._stage_rhs` all write their rows here, so all give the same bits.
+    Interior row i is lap_up_i d_i - lap_down_i d_{i-1}.  `f` is one field
+    or a (K, n) block of fields, one per row, each with its own edge slope
+    (a scalar, or K of them).  A field's tip and edge rows are taken in
+    Python floats, which are cheaper than numpy scalars and round the same;
+    a block's are taken as columns (`_laplacian_block`), which round the
+    same too, so each row of a block gets the bits it would get alone.
+    `background_laplacian`, `ConformalState.laplacian`, `flow._stage_rhs`
+    and `flow.record_block` all write their rows here, so all give the same
+    bits.
     """
     # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
     # matching the s->0 limit of the interior conservative stencil.  A plain
@@ -374,6 +384,8 @@ def _laplacian_rows(f, grid, edge_slope, out):
     # cubic-Hermite ghost for the same reason: the ghost flux
     # a_{n-1/2} (ghost - f_{n-1}) less the flux a_{n-3/2} (f_{n-1} - f_{n-2}),
     # over b h^2.
+    if f.ndim == 2:
+        return _laplacian_block(f, grid, edge_slope, out)
     d = f[1:] - f[:-1]
     inner = out[1:-1]
     np.multiply(grid.lap_up, d[1:], out=inner)
@@ -387,21 +399,38 @@ def _laplacian_rows(f, grid, edge_slope, out):
     return d
 
 
+def _laplacian_block(f, grid, edge_slope, out):
+    """`_laplacian_rows` of a (K, n) block: the tip and edge rows are taken
+    as columns, by the same operations in the same order as for one field
+    (f1 - f0 and f_{n-1} - f_{n-2} are columns of d)."""
+    d = f[:, 1:] - f[:, :-1]
+    inner = out[:, 1:-1]
+    np.multiply(grid.lap_up, d[:, 1:], out=inner)
+    inner -= grid.lap_down * d[:, :-1]
+    d0 = d[:, 0]
+    out[:, 0] = ((10.0 / 3.0) * d0 + (f[:, 2] - f[:, 0]) / 6.0) / grid.h2 - (2.0 / 3.0) * d0
+    a_out, a_in, bh2, h = grid.edge_coefficients
+    jump = _edge_ghost_jump(f[:, -3:].T, h, edge_slope)
+    out[:, -1] = (a_out * jump - a_in * d[:, -1]) / bh2
+    return d
+
+
 def _radial_derivative(grid, f, edge_slope):
-    """Centered d/ds with the symmetry ghost at the tip (odd reflection)."""
+    """Centered d/ds with the symmetry ghost at the tip (odd reflection), of
+    one field or of each row of a block, with one edge slope or one per row."""
     out = np.empty_like(f)
-    out[0] = 0.0
-    out[1:-1] = (f[2:] - f[:-2]) / (2.0 * grid.h)
-    out[-1] = edge_slope
+    out[..., 0] = 0.0
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * grid.h)
+    out[..., -1] = edge_slope
     return out
 
 
 def _edge_slope_estimate(grid, values):
-    """Third-order one-sided derivative of a radial field at the outer edge."""
-    return float(
-        (11.0 * values[-1] - 18.0 * values[-2] + 9.0 * values[-3] - 2.0 * values[-4])
-        / (6.0 * grid.h)
-    )
+    """Third-order one-sided derivative of a radial field at the outer edge:
+    a float, or an array of one per row of a block."""
+    slope = ((11.0 * values[..., -1] - 18.0 * values[..., -2] + 9.0 * values[..., -3]
+              - 2.0 * values[..., -4]) / (6.0 * grid.h))
+    return float(slope) if np.ndim(values) == 1 else slope
 
 
 def _metric_gradient_sq(grid, f, log_factor, edge_slope):
@@ -489,16 +518,21 @@ def level_length(state, c):
     return 2.0 * np.pi * c * np.exp(0.5 * val)
 
 
+def _width_estimates(grid, log_factor):
+    """The level lengths 2 pi r e^{u~/2} at every grid radius past the tip,
+    of one profile or of each row of a block, with their largest value (the
+    width bound) and their mean over the outermost 5% (the C_inf estimate)."""
+    lengths = 2.0 * np.pi * grid.r[1:] * np.exp(0.5 * log_factor[..., 1:])
+    k_tail = max(1, int(np.ceil(0.05 * (grid.n - 1))))
+    # the sum over k_tail, as np.mean takes it
+    return lengths, lengths.max(axis=-1), lengths[..., -k_tail:].sum(axis=-1) / k_tail
+
+
 def width_report(state):
     """Sample level lengths at every grid radius and report the estimates."""
-    levels = state.grid.r[1:]
-    u_t = state.log_factor[1:]
-    lengths = 2.0 * np.pi * levels * np.exp(0.5 * u_t)
-    width_bound = float(np.max(lengths))
-    k_tail = max(1, int(np.ceil(0.05 * lengths.size)))
-    cinf = float(np.mean(lengths[-k_tail:]))
+    lengths, width_bound, cinf = _width_estimates(state.grid, state.log_factor)
     k_rise = max(2, int(np.ceil(0.10 * lengths.size)))
     base = lengths[-k_rise]
     rise = (lengths[-1] - base) / max(abs(base), 1e-300)
     bounded = bool(rise <= 0.01)
-    return WidthReport(width_bound, cinf, bounded)
+    return WidthReport(float(width_bound), float(cinf), bounded)

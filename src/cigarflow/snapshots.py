@@ -52,9 +52,11 @@ a non-number and a missing or extra line.  `load_snapshot` raises only
 SnapshotError.
 
 `save_snapshot` writes the finished bytes over the file's old ones, opened
-without O_TRUNC, and then truncates the file to the new length.  This pays
-only where a path is written again: a second run of a config into the
-same directory (by default `runs/<name>`), or an iterated benchmark.
+without O_TRUNC (`open_in_place`), and then truncates the file to the new
+length; `cigarflow run` writes its CSV and `summary.json` the same way.
+This pays only where a path is written again: a second run of a config
+into the same directory (by default `runs/<name>`), or an iterated
+benchmark.
 There, on ext4 with its default mount options (auto_da_alloc), the close
 after a truncating open starts writeback of the file, several times the
 cost of the write itself (README gives the figures).  A new path costs the
@@ -67,8 +69,10 @@ ordinary writeback (about 30 s by default).  A crash in that time can leave
 a mix of old and new blocks, which the CRC-32 refuses, so the snapshot of
 that time is lost.  A write that fails before the truncate (a full disk)
 leaves the new bytes followed by the old file's tail, which the CRC-32
-refuses too.  A re-run of the same config by the same program writes the
-same bytes, so no mix of the two differs from either.
+refuses too.  The CSV and `summary.json` have no checksum: `report`
+refuses a mix that breaks a row, the JSON or a trace's one pair per
+record, and reads any other.  A re-run of the same config by the same
+program writes the same bytes, so no mix of the two differs from either.
 """
 
 from __future__ import annotations
@@ -134,14 +138,15 @@ def save_snapshot(state, path):
               _init_array_text(state.init),
               _array_text(_ARRAYS[2], acc.phi)]
     body = ("\n".join(lines) + "\n").encode()
-    with open(path, "wb", opener=_open_in_place) as fh:
+    with open(path, "wb", opener=open_in_place) as fh:
         fh.write(body + f"checksum {_crc32(body)}\n".encode())
         fh.truncate()
 
 
-def _open_in_place(path, flags):
-    """The opener of save_snapshot's file: open's flags without O_TRUNC, so
-    the new bytes go over the old ones and truncate() then cuts the file to
+def open_in_place(path, flags):
+    """The opener of every file a run writes (`open(path, mode,
+    opener=open_in_place)`): open's flags without O_TRUNC, so the new bytes
+    go over the old ones, and the writer's truncate() then cuts the file to
     their length (see the module docstring)."""
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
 

@@ -82,3 +82,26 @@ def test_traced_workload_layer_readings_are_finite(tmp_path):
     assert all(math.isfinite(value) for value in summary.values())
     assert summary["flow.steps_per_sim_time"] == 252 / 5
     assert summary["flow.probe_step_share"] == 0
+
+
+def test_traced_record_dense_layer_readings_are_finite(tmp_path):
+    # one traced iteration of record_dense, whose records `flow.run` takes
+    # in blocks of up to BLOCK_STEPS states: the tracer, which wraps the
+    # per-state record functions by name, still reads every per-layer
+    # figure as a finite number, and the workload's own checks pass
+    tracer = runpy.run_path(str(TRACER))
+    workload = runpy.run_path(str(TRACER.parent / "workloads.py"))["WORKLOADS"]["record_dense"]()
+    workload.setup(0, tmp_path / "record_dense")
+    spans = tracer["Tracer"]()
+    spans.install()
+    try:
+        start = time.perf_counter()
+        output = workload.iterate()
+        wall = time.perf_counter() - start
+    finally:
+        spans.uninstall()
+    assert workload.check(output) == []
+    summary = spans.summary(1, workload.sim_time, wall)
+    assert summary.keys() >= {f"{name}.calls" for name in tracer["NAMES"]}
+    assert all(math.isfinite(value) for value in summary.values())
+    assert summary["flow.step.calls"] == 300  # 200 steps to t = 1 and 100 resumed

@@ -1,4 +1,5 @@
 import json
+import pickle
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -12,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.interpolate import CubicSpline
 
 from cigarflow import cigar, flow, geometry
-from cigarflow.diagnostics import cigar_number
+from cigarflow.diagnostics import DiagnosticsRecord, cigar_number
 from cigarflow.geometry import (
     MAX_S_MAX,
     MAX_SPACING,
@@ -290,27 +291,29 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     """The Laplacian row passes of the shipped run, set-up included: each
     state's rows are taken once (`ConformalState.laplacian`) and serve its
     curvature and its stage rate (`FlowState.rate`), which is stage 0 of the
-    accepted step and gives a record's dR/dt.  A record takes two more
-    passes, Lap_g R and Lap_E of u^'s rate, and no step (the curvature
-    probe's steps and triple residual took five, 1912 in all).  Set-up
-    takes u~0's rows once, for the t = 0 state's curvature: res_poisson0 is
-    the t = 0 record's res_poisson, so `InitialData` takes neither u~0's
-    rows nor f(0)'s (1849 when it did).  The count is exact; taking stage 0
-    afresh in every RKC2 step made 2205."""
+    accepted step and gives a record's dR/dt.  A record takes four more
+    passes, of the potential, u^'s rate, R and phi, and no step (the
+    curvature probe's steps and triple residual took five, 1912 in all).
+    Records are taken in blocks (`record_block`), so a call on a (K, n)
+    block counts K passes.  Set-up takes u~0's rows once, for the t = 0
+    state's curvature: res_poisson0 is the t = 0 record's res_poisson, so
+    `InitialData` takes neither u~0's rows nor f(0)'s (1849 when it did),
+    and once more for `build_scenario`'s Lap_g R(0).  The count is exact;
+    taking stage 0 afresh in every RKC2 step made 2205."""
     config = load_config(config_dir / "perturbed_relax_129.json")
-    calls = []
+    passes = []
     for module in (geometry, flow):
         rows = module._laplacian_rows
 
-        def spy(*args, rows=rows):
-            calls.append(1)
-            return rows(*args)
+        def spy(f, *args, rows=rows):
+            passes.append(len(f) if np.ndim(f) == 2 else 1)
+            return rows(f, *args)
 
         monkeypatch.setattr(module, "_laplacian_rows", spy)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted and result.telemetry.steps == 252
-    assert len(calls) == 1847
+    assert sum(passes) == 1847
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
@@ -318,11 +321,12 @@ def test_shipped_run_solve_count(config_dir, monkeypatch):
     u~0's maximum, one for the t = 0 record's normalized profile (the initial
     state has log L = 0, so it is never mapped) and one per accepted step
     (252) for the frame map of the accumulators.  The 20 later record states
-    map through their own fit (`ConformalState.fit`), which their
-    normalized profiles reuse, and the other 232 states are rows of the
-    block fits that the records' reads of the accumulators make, one solve
-    per row.  The count is exact; fitting u~ anew at each record takes 274
-    (under the accuracy bound h / sup|R|, 348 steps made 350 solves)."""
+    are rows of their record blocks' fits (`record_block`), which give both
+    their maps and their normalized profiles, and the other 232 states are
+    rows of the block fits that the blocks' reads of the accumulators make,
+    one solve per row.  The count is exact; fitting u~ anew at each record
+    takes 274 (under the accuracy bound h / sup|R|, 348 steps made 350
+    solves)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     solves = []
     solve = GridSpline._solve
@@ -991,6 +995,263 @@ def test_pending_chains_keep_little_memory_alive(config_dir):
         tracemalloc.stop()
     assert not result.aborted and result.telemetry.steps == 2012
     assert peak <= 3e6
+
+
+# ---------------------------------------------------------------------------
+# records taken in blocks
+# ---------------------------------------------------------------------------
+
+def record_dense_config(seed, t_end=1.0):
+    """The benchmark's record_dense data: a record every 0.005, which every
+    step ends at, so `run` takes them in blocks of BLOCK_STEPS."""
+    bumps = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5,
+             "random_bumps": 2}
+    return radial_config(n=65, initial=bumps, t_end=t_end, record=0.005, extra={"seed": seed})
+
+
+def run_seen(state, config, s_report=4.0):
+    """flow.run to the config's t_end, with a snapshot at every record time:
+    the result and the (kind, t) of every progress and snapshot call, and
+    the states the snapshots were given, which are the record states."""
+    calls, states = [], []
+
+    def snapshot(state):
+        calls.append(("snapshot", state.t))
+        states.append(state)
+
+    count = int(round(config.t_end / config.record_interval))
+    result = flow.run(state, config.t_end, safety=config.safety,
+                      record_interval=config.record_interval, s_report=s_report,
+                      snapshot_times=[k * config.record_interval for k in range(count + 1)],
+                      snapshot_hook=snapshot,
+                      progress=lambda rec: calls.append(("progress", rec.t)))
+    return result, calls, states
+
+
+def records_state_by_state(state, dt_hint, s_window):
+    """The reference for a record taken in a block: (record, profile
+    distance, Kahler residual) of the state alone, from the per-state
+    functions, one field at a time, as each was taken before records came
+    in blocks."""
+    grid, conf, init = state.grid, state.conformal, state.init
+    u_hat, curv = conf.log_factor, state.curvature
+    fields = flow.fixed_fields(state)
+    report = geometry.width_report(conf)
+    rate = state.rate
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_rate = -curv * rate[:-1] - conf.diffusivity * background_laplacian(rate[:-1], grid)
+        slope = geometry._edge_slope_estimate(grid, curv)
+        drift = float(rate[-1]) * grid.tanh_s * geometry._radial_derivative(grid, curv, slope)
+        lap_r = geometry.metric_laplacian(curv, conf, slope)
+        res_curv = np.abs((r_rate - drift - lap_r - curv**2)[:-2]).max()
+    lap_f = geometry.metric_laplacian(state.potential, conf, state.potential_slope)
+    log_u = u_hat + np.log(np.exp(-2.0 * state.log_scale) + grid.r**2)
+    values = [
+        curv.max(), curv.min(), u_hat.max() - 2.0 * state.log_scale,
+        geometry._metric_gradient_sq(grid, u_hat, u_hat, conf.edge_slope).max(),
+        np.abs(fields["w"] - init.w0).max(), fields["h"].max(), report.width_bound,
+        report.cinf_estimate, np.abs(lap_f - curv).max(), res_curv,
+        abs(fields["v"][0] + state.acc.v_integral), log_u.max(),
+    ]
+    record = DiagnosticsRecord(state.t, float(dt_hint), *map(float, values))
+    try:
+        normalized, _ = flow.normalize(state, s_window)
+        target = -cigar.cigar_potential_arclength(normalized.grid.s)
+        distance = float(np.abs(normalized.log_factor - target).max())
+    except ValueError:
+        distance = None
+    lap_phi = background_laplacian(state.acc.phi, grid, state.t * conf.edge_slope)
+    kahler = np.abs((np.exp(state.u_fixed) - np.exp(init.u_tilde0) - lap_phi)[:-1]).max()
+    return record, distance, float(kahler)
+
+
+def block_sizes(monkeypatch):
+    """The size of every block `run` takes its records in, from now on."""
+    sizes = []
+    block = flow.record_block
+
+    def spy(states, *args):
+        sizes.append(len(states))
+        return block(states, *args)
+
+    monkeypatch.setattr(flow, "record_block", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("case", ["record_dense_0", "record_dense_1", "record_dense_2",
+                                  "record_dense_3", "perturbed_relax_129", "fixed_frame",
+                                  "fixed_frame_wide_window"])
+def test_block_records_are_each_state_alone(config_dir, fixed_frame, monkeypatch, case):
+    """Every record, profile distance and Kahler residual of a run, taken in
+    blocks (`record_block`), is what `monitor`, `profile_distance` and
+    `kahler_residual` give for its state alone, and what the per-state
+    reference `records_state_by_state` gives, pickled bit for bit.  The
+    fixed frame's rows need no map, and its window of 7.9 leaves the grid
+    at most records, so one block holds distances and Nones."""
+    s_report = 4.0
+    if case.startswith("record_dense"):
+        config = record_dense_config(int(case[-1]))
+        state = build_scenario(config)
+    else:
+        data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+        if case.startswith("fixed_frame"):
+            data["stepping"].update(t_end=1.0, record_interval=0.05)
+        config = parse_config(data)
+        state = build_scenario(config) if case == "perturbed_relax_129" else fixed_frame(config)
+        s_report = 7.9 if case == "fixed_frame_wide_window" else s_report
+    sizes = block_sizes(monkeypatch)
+    result, _, states = run_seen(state, config, s_report)
+    monkeypatch.undo()
+    assert not result.aborted and [x.t for x in states] == [rec.t for rec in result.records]
+    assert max(sizes) == flow.BLOCK_STEPS if case.startswith("record_dense") else max(sizes) > 1
+
+    window = min(s_report, state.grid.s_max)
+    alone_records = [flow.monitor(x, rec.dt) for x, rec in zip(states, result.records)]
+    alone_distances = []
+    for x in states:
+        try:
+            alone_distances.append((x.t, flow.profile_distance(x, window)))
+        except ValueError:
+            alone_distances.append((x.t, None))
+    alone_kahler = [(x.t, flow.kahler_residual(x)) for x in states]
+    assert pickle.dumps(result.records) == pickle.dumps(alone_records)
+    assert pickle.dumps(result.dist_trace) == pickle.dumps(alone_distances)
+    assert pickle.dumps(result.kahler_trace) == pickle.dumps(alone_kahler)
+    by_state = [records_state_by_state(x, rec.dt, window)
+                for x, rec in zip(states, result.records)]
+    assert pickle.dumps(result.records) == pickle.dumps([r for r, _, _ in by_state])
+    assert pickle.dumps(result.dist_trace) == pickle.dumps(
+        [(x.t, d) for x, (_, d, _) in zip(states, by_state)])
+    assert pickle.dumps(result.kahler_trace) == pickle.dumps(
+        [(x.t, k) for x, (_, _, k) in zip(states, by_state)])
+    nones = sum(dist is None for _, dist in result.dist_trace)
+    assert (0 < nones < len(states)) == (case == "fixed_frame_wide_window")
+
+
+def test_record_dense_takes_one_catch_up_per_block(monkeypatch):
+    # the record states of a block are one chain: reading the newest one's
+    # accumulators brings every state of the chain up to date at once
+    catch_ups = []
+    catch_up = flow._catch_up
+
+    def spy(state):
+        catch_ups.append(state.t)
+        catch_up(state)
+
+    monkeypatch.setattr(flow, "_catch_up", spy)
+    sizes = block_sizes(monkeypatch)
+    result = flow.run(build_scenario(record_dense_config(0)), 0.5, record_interval=0.005)
+    assert not result.aborted and len(result.records) == 101
+    assert sizes == [32, 32, 32, 5]
+    assert catch_ups == [0.155, 0.315, 0.475, 0.5]
+
+
+def poison_record_at(monkeypatch, t_bad):
+    """Make the record of the state at t_bad non-finite (a NaN
+    res_curv_evo), by wrapping the block function `run` takes records with."""
+    block = flow.record_block
+
+    def poisoned(states, *args):
+        records, distances, kahler = block(states, *args)
+        return ([replace(rec, res_curv_evo=float("nan")) if rec.t == t_bad else rec
+                 for rec in records], distances, kahler)
+
+    monkeypatch.setattr(flow, "record_block", poisoned)
+
+
+def assert_same_run(got, expected):
+    """Two (result, calls) pairs of run_seen agree in every output, pickled:
+    records, traces, telemetry, abort, the final state and its
+    accumulators, and the progress and snapshot calls."""
+    (a, a_calls), (b, b_calls) = got, expected
+
+    def outputs(result):
+        final = result.final_state
+        return pickle.dumps((
+            result.records, result.dist_trace, result.kahler_trace, result.scale_trace,
+            result.telemetry, result.aborted, result.abort_message, final.t, final.log_scale,
+            final.conformal.log_factor.tobytes(), final.acc.v_integral, final.acc.phi.tobytes()))
+
+    assert outputs(a) == outputs(b)
+    assert a_calls == b_calls
+
+
+@pytest.mark.parametrize("t_bad", [0.005, 0.1, 0.155, 0.16, 0.25])
+def test_a_non_finite_record_ends_the_run_where_it_is_taken(monkeypatch, t_bad):
+    # the first record of a block, one inside it and its last, and the
+    # run's last record: the run ends at the record, as a run to t_bad
+    # does, and no later state is reported or snapshotted
+    poison_record_at(monkeypatch, t_bad)
+    result, calls, _ = run_seen(build_scenario(record_dense_config(0, 0.25)),
+                                record_dense_config(0, 0.25))
+    assert result.aborted and result.abort_message == f"non-finite diagnostics at t={t_bad:g}"
+    assert result.final_state.t == t_bad and calls[-2:] == [("progress", t_bad),
+                                                            ("snapshot", t_bad)]
+    expected = run_seen(build_scenario(record_dense_config(0, t_bad)),
+                        record_dense_config(0, t_bad))
+    assert_same_run((result, calls), expected[:2])
+
+
+T_ERROR = 0.12
+
+
+def fail_past(monkeypatch, error):
+    """Make the run fail past T_ERROR: the step from the state there raises
+    (an unstable step), or the state it reaches has no stiffness (the
+    ValueError of ConformalState.stiffness)."""
+    step, adaptive_dt = flow.step, flow.adaptive_dt
+
+    def failing_step(state, dt):
+        if state.t >= T_ERROR:
+            raise flow.FlowInstabilityError("non-finite fields after step", state.t + dt)
+        return step(state, dt)
+
+    def failing_dt(state, safety=0.9):
+        if state.t > T_ERROR:
+            raise ValueError("diffusivity e^{-u} overflowed")
+        return adaptive_dt(state, safety)
+
+    if error == "instability":
+        monkeypatch.setattr(flow, "step", failing_step)
+    else:
+        monkeypatch.setattr(flow, "adaptive_dt", failing_dt)
+
+
+@pytest.mark.parametrize("error", ["instability", "stiffness"])
+def test_an_error_past_a_non_finite_record_gives_way_to_its_abort(monkeypatch, error):
+    # the record at 0.1 still waits in its block when the run fails past
+    # T_ERROR: the run ends at that record, as a run to 0.1 does
+    poison_record_at(monkeypatch, 0.1)
+    config = record_dense_config(0, 0.25)
+    with monkeypatch.context() as patch:
+        fail_past(patch, error)
+        got = run_seen(build_scenario(config), config)
+    expected = run_seen(build_scenario(record_dense_config(0, 0.1)), record_dense_config(0, 0.1))
+    assert_same_run(got[:2], expected[:2])
+
+
+def test_an_instability_delivers_the_records_before_it(monkeypatch):
+    # every record up to T_ERROR is taken, reported and snapshotted before
+    # the run ends with the instability's abort
+    fail_past(monkeypatch, "instability")
+    config = record_dense_config(0, 0.25)
+    result, calls, _ = run_seen(build_scenario(config), config)
+    monkeypatch.undo()
+    expected, expected_calls, _ = run_seen(build_scenario(record_dense_config(0, T_ERROR)),
+                                           record_dense_config(0, T_ERROR))
+    expected.aborted, expected.abort_message = True, "non-finite fields after step (t=0.125)"
+    assert_same_run((result, calls), (expected, expected_calls))
+
+
+def test_a_value_error_is_raised_after_the_records_before_it(monkeypatch):
+    # the ValueError still leaves the run, as before, once every record up
+    # to T_ERROR is reported
+    fail_past(monkeypatch, "stiffness")
+    config, reported = record_dense_config(0, 0.25), []
+    with pytest.raises(ValueError, match="overflowed"):
+        flow.run(build_scenario(config), config.t_end, record_interval=config.record_interval,
+                 progress=lambda rec: reported.append(rec.t))
+    assert reported == [round(k * 0.005, 12) for k in range(25)]
 
 
 # ---------------------------------------------------------------------------

@@ -911,6 +911,61 @@ def test_cli_run_and_report(tmp_path, capsys):
             in text)
 
 
+def test_cli_run_never_opens_its_outputs_with_truncation(tmp_path, monkeypatch):
+    # diagnostics.csv and summary.json are written over their old bytes, as
+    # snapshots are: every open of either reaches os.open without O_TRUNC,
+    # into a new directory and again over the files the first run left
+    out = tmp_path / "out"
+    cfg_path = write_config(tmp_path, base_config())
+    targets = {out / "diagnostics.csv", out / "summary.json"}
+    calls = []
+    real_os_open, real_open, real_io_open = os.open, builtins.open, io.open
+
+    def os_open(path, flags, *args, **kwargs):
+        calls.append(("os.open", path, flags))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy(name, real):
+        def open_(file, mode="r", *args, **kwargs):
+            calls.append((name, file, "w" in mode and kwargs.get("opener") is None))
+            return real(file, mode, *args, **kwargs)
+        return open_
+
+    monkeypatch.setattr(os, "open", os_open)
+    monkeypatch.setattr(builtins, "open", spy("open", real_open))
+    monkeypatch.setattr(io, "open", spy("io.open", real_io_open))
+    for _ in range(2):
+        assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(out)]) == 0
+    monkeypatch.undo()
+
+    on_targets = [call for call in calls
+                  if not isinstance(call[1], int) and Path(call[1]) in targets]
+    os_flags = [flags for name, _, flags in on_targets if name == "os.open"]
+    assert len(os_flags) == 4, calls
+    assert not any(flags & os.O_TRUNC for flags in os_flags)
+    assert not any(truncates for name, _, truncates in on_targets if name != "os.open")
+    assert read_diagnostics(out / "diagnostics.csv")[-1].t == 0.2
+    assert json.loads((out / "summary.json").read_text())["t_final"] == 0.2
+
+
+def test_cli_run_over_longer_outputs_writes_a_fresh_run(tmp_path):
+    # a re-run into a directory whose diagnostics.csv and summary.json are
+    # longer than the new ones (another config's, here) leaves exactly the
+    # bytes of a run into a new directory: each file is cut to its length
+    cfg_path = write_config(tmp_path, base_config())
+    fresh, over = tmp_path / "fresh", tmp_path / "over"
+    longer = write_config(tmp_path, base_config(stepping={
+        "safety": 0.9, "t_end": 0.5, "record_interval": 0.01}), "longer.json")
+    assert cli.main(["run", str(longer), "--quiet", "--out", str(over)]) == 0
+    assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(fresh)]) == 0
+    names = ("diagnostics.csv", "summary.json")
+    old_sizes = [(over / name).stat().st_size for name in names]
+    assert all(old > (fresh / name).stat().st_size for old, name in zip(old_sizes, names))
+    assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(over)]) == 0
+    for name in names:
+        assert (over / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("missing", [*cli._SUMMARY_KEYS, "summary.json"])
 def test_cli_report_refuses_a_summary_without_a_key_run_writes(tmp_path, capsys, missing):
     # report reads what run writes and nothing else: a summary without one
