@@ -44,21 +44,23 @@ the tip vanishes identically), so the profile stays O(1) and so do the
 curvature and the stiffness that set dt and the stage count.  For the exact
 soliton this gauge is static.  Fixed-coordinate fields at the original grid
 nodes come by cubic interpolation (the map pulls points inward, never
-outside the grid, while the scale grows).  A state maps its u~ at most
-once (`FlowState.u_fixed`), for `fixed_fields`, `kahler_residual` and the
-phi accumulator.  A step maps nothing.  The state it returns holds the
-state it came from, and the first read of its accumulators maps the states
-the chain passed through in one block fit (`_catch_up`, `_map_block`, at
-most BLOCK_STEPS), with the same bits as a map per state, and brings every
-one of them up to date.  `run` takes its records in blocks as well
-(`record_block`): up to BLOCK_STEPS record states wait, and their records
-come from one pass over (K, n) blocks, with the same bits as one state at a
-time.  The clamped spline's slope system is inverted once per grid size
-(`RadialGrid.spline`), so a fit is one matrix-vector product per row and
-each evaluation of it a piecewise-cubic one.  Each state fits u~ at most
-once: a record state in its record block, whose one evaluation gives both
-its map and its normalized profile (`profile_distance`), and any other in
-its chain's block.  The curvature evolution residual needs no map: it is
+outside the grid, while the scale grows).  One function, `_frame_map`,
+fits u^'s clamped spline, for K states at once, and evaluates it at the
+fixed nodes and at any further points.  A state maps its u~ at most once
+(`FlowState.u_fixed`), for `fixed_fields`, `kahler_residual` and the phi
+accumulator.  A step maps nothing.  The state it returns holds the state
+it came from, and the first read of its accumulators maps the states the
+chain passed through as one block (`_catch_up`, at most BLOCK_STEPS), with
+the same bits as a map per state, and brings every one of them up to date.
+`run` takes its records in blocks as well (`record_block`): up to
+BLOCK_STEPS record states wait, and their records come from one pass over
+(K, n) blocks, with the same bits as one state at a time.  The clamped
+spline's slope system is inverted once per grid size (`RadialGrid.spline`),
+so a fit is one matrix-vector product per row and each evaluation of it a
+piecewise-cubic one.  Each state fits u~ at most once: a record state in
+its record block, whose one evaluation gives both its map and its
+normalized profile (`profile_distance`), and any other in its chain's block
+unless log L = 0.  The curvature evolution residual needs no map: it is
 taken on the co-moving nodes.  gamma = 0 recovers plain fixed-frame
 stepping.
 
@@ -119,7 +121,6 @@ __all__ = [
     "record_block",
     "curvature_evolution_residual",
     "normalize",
-    "normalization_scale",
     "profile_distance",
     "kahler_residual",
     "run",
@@ -294,8 +295,8 @@ class FlowState:
     @cached_property
     def u_fixed(self):
         """u~ at the fixed grid nodes (`map_to_fixed`, computed once), or the
-        state's row of a block map (`record_block`, `_catch_up`), the same
-        bits."""
+        state's row of a block map (`_frame_map` from `record_block` or
+        `_catch_up`), the same bits."""
         return map_to_fixed(self)
 
 
@@ -305,36 +306,41 @@ class FlowState:
 
 def map_to_fixed(state):
     """u~ at the fixed grid nodes: the stepped log factor u^ there, less
-    2 log L.
+    2 log L (`_frame_map` of the state alone)."""
+    return _frame_map([state])[0][0]
+
+
+def _frame_map(states, points=None):
+    """u~ at the fixed grid nodes of K states that share one grid and one
+    edge slope, as a run's do, one row each, and the same splines' values at
+    a (K, p) block of further points (none by default): the one place u^'s
+    clamped spline is fitted (`GridSpline.fit`).
 
     The fixed node r sits at co-moving arc length arcsinh(r / L), where u^
-    is read from its clamped spline (`ConformalState.fit`).  With L >= 1
-    these always land inside the grid; transient L < 1 can push the
-    outermost node marginally outside, where the spline extrapolates its
-    last piece.  In the fixed frame (log L = 0) the nodes are the grid's
-    own and no spline is fitted.
+    is read from its spline, less 2 log L.  With L >= 1 these always land
+    inside the grid; transient L < 1 can push the outermost node marginally
+    outside, where the spline extrapolates its last piece.  A row in the
+    fixed frame (log L = 0) is its own map, and it is fitted only where
+    there are points to evaluate.  Every operation is elementwise over the
+    rows, and the slope solve one product per row, so each row gets the bits
+    it gets alone.
     """
-    conf = state.conformal
-    if state.log_scale == 0.0:
-        values = conf.log_factor
-    else:
-        values = conf.fit(np.arcsinh(state.grid.r * np.exp(-state.log_scale)))
-    return values - 2.0 * state.log_scale
-
-
-def _map_block(states):
-    """`map_to_fixed` of states that share one grid and one edge slope, one
-    row each, bit for bit: the rows off the fixed frame share one block fit
-    (`GridSpline.fit`)."""
-    conf = states[0].conformal
-    values = np.array([x.conformal.log_factor for x in states])
+    grid, slope = states[0].grid, states[0].conformal.edge_slope
+    u_fixed = np.array([x.conformal.log_factor for x in states])  # u^, mapped in place
+    if points is None:
+        points = np.empty((len(states), 0))
     log_scale = np.array([x.log_scale for x in states])
     moved = log_scale != 0.0
-    if moved.any():
-        fit = conf.grid.spline.fit(values if moved.all() else values[moved], conf.edge_slope)
-        values[moved] = fit(np.arcsinh(conf.grid.r * np.exp(-log_scale[moved])[:, None]))
-    values -= 2.0 * log_scale[:, None]
-    return values
+    fitted = moved | (points.shape[1] > 0)
+    values = np.empty(points.shape)
+    if fitted.any():
+        nodes = np.arcsinh(grid.r * np.exp(-log_scale[fitted])[:, None])
+        both = grid.spline.fit(u_fixed[fitted], slope)(
+            np.concatenate((nodes, points[fitted]), axis=1))
+        u_fixed[moved] = both[moved[fitted], :grid.n]
+        values[fitted] = both[:, grid.n:]
+    u_fixed -= 2.0 * log_scale[:, None]
+    return u_fixed, values
 
 
 def _depth(state):
@@ -351,7 +357,7 @@ def _catch_up(state):
     u~ at the fixed nodes is each state's `u_fixed` where it is taken
     already: the known end's, and a record state's, which `record_block`
     maps before it reads the accumulators.  The other states are mapped as
-    one block fit (`_map_block`), and each keeps its row as its `u_fixed`.
+    one block (`_frame_map`), and each keeps its row as its `u_fixed`.
     The trapezoids keep the operations and the order each step took when it
     advanced them itself, so every bit is the same: v's running sums in step
     order, from each state's R(origin), and phi's as one block, its terms
@@ -367,7 +373,7 @@ def _catch_up(state):
     rows[0] = states[0].u_fixed
     todo = [k for k, row in enumerate(rows) if row is None]
     if todo:
-        for k, row in zip(todo, _map_block([states[k] for k in todo])):
+        for k, row in zip(todo, _frame_map([states[k] for k in todo])[0]):
             rows[k] = vars(states[k])["u_fixed"] = row
     f = state.init.w0 - np.array(rows)
     terms = np.empty_like(f)  # phi, then each step's 0.5 dt (f before + f after)
@@ -657,9 +663,10 @@ def record_block(states, dt_hints, s_window=None):
     one InitialData and one edge slope, as a run's do (`step` keeps them),
     and their log factors are finite.
 
-    One pass over (K, n) blocks: one spline fit of the K log factors, which
-    gives both the frame map (each state keeps its row as `u_fixed`) and the
-    normalized profiles; the accumulators, read newest first, so that one
+    One pass over (K, n) blocks: one frame map of the K log factors
+    (`_frame_map`), whose one spline fit gives both the map at the fixed
+    nodes (each state keeps its row as `u_fixed`) and the normalized
+    profiles; the accumulators, read newest first, so that one
     catch-up (`_catch_up`) maps only the states between records; one
     Laplacian call for the four fields a record differentiates, the potential
     (edge slope -u^'s), u^'s rate (0), R (its one-sided estimate) and phi
@@ -672,15 +679,10 @@ def record_block(states, dt_hints, s_window=None):
     t = [x.t for x in states]
     log_scale = np.array([x.log_scale for x in states])
     u_hat = np.array([x.conformal.log_factor for x in states])
-    # one fit, evaluated once at the fixed nodes arcsinh(r / L) of each row
-    # (`map_to_fixed`; a row in the fixed frame is its own) and at the
-    # window's nodes under its normalizing dilation (`normalize`)
+    # the map, and the spline at the window's nodes under each row's
+    # normalizing dilation (`normalize`)
     pos, reach = _normalizing_points(grid, u_hat, window_grid)
-    nodes = np.arcsinh(grid.r * np.exp(-log_scale)[:, None])
-    values = grid.spline.fit(u_hat, slope)(
-        np.concatenate((nodes, np.minimum(pos, grid.s_max)), axis=1))
-    u_fixed = (np.where((log_scale != 0.0)[:, None], values[:, :n], u_hat)
-               - 2.0 * log_scale[:, None])
+    u_fixed, values = _frame_map(states, np.minimum(pos, grid.s_max))
     for state, row in zip(states, u_fixed):
         vars(state).setdefault("u_fixed", row)
     acc = [x.acc for x in reversed(states)][::-1]
@@ -722,7 +724,7 @@ def record_block(states, dt_hints, s_window=None):
     records = [DiagnosticsRecord(t_k, float(dt) if dt else float("nan"), *row)
                for t_k, dt, row in zip(t, dt_hints, zip(*(c.tolist() for c in columns)))]
 
-    profiles = _normalized(grid, u_hat, pos, values[:, n:], slope)
+    profiles = _normalized(grid, u_hat, pos, values, slope)
     distances = np.abs(profiles - target).max(axis=1).tolist()
     # the density e^{u~} against its reconstruction from phi; coefficient
     # one: d rho/dt = -Lap_E f once f is normalized by Lap_g f = R
@@ -778,12 +780,6 @@ def curvature_evolution_residual(s_minus, s_zero, s_plus):
 # normalization and profile comparison
 # ---------------------------------------------------------------------------
 
-def normalization_scale(state):
-    """Coordinate scale e^{-u~(origin,t)/2} of the normalizing pullback."""
-    u_origin = float(state.conformal.log_factor[0]) - 2.0 * state.log_scale
-    return float(np.exp(-0.5 * u_origin))
-
-
 @lru_cache(maxsize=64)
 def _profile_window(k, h):
     """The reporting window's grid RadialGrid(k, (k - 1) h) and the static
@@ -810,15 +806,15 @@ def normalize(state, s_window=None):
     """Pull the metric back by the normalizing dilation.
 
     Returns (normalized ConformalState, scale): coordinates are rescaled by
-    e^{-u~(origin)/2} and the log factor shifted so it vanishes at the
-    origin.  The profile is resampled onto the grid nodes within
+    the scale e^{-u~(origin)/2} and the log factor shifted so it vanishes at
+    the origin.  The profile is resampled onto the grid nodes within
     `s_window` (default: the whole grid); a rescale that needs data from
     outside the grid raises a ValueError asking for a smaller reporting
     window.  In the co-moving frame the running scale L cancels, so only
     the residual rescale by e^{-u^(origin)/2} remains and the full grid is
-    normally available.  The profile is read from the state's u~ spline
-    (`ConformalState.fit`); the window grid is built once per window size
-    and spacing.
+    normally available.  The profile is read from the state's u^ spline
+    (`_frame_map` of the state alone); the window grid is built once per
+    window size and spacing.
     """
     grid, conf = state.grid, state.conformal
     window_grid, _ = _window(grid, s_window)
@@ -826,8 +822,10 @@ def normalize(state, s_window=None):
     pos, reach = _normalizing_points(grid, u_hat, window_grid)
     if not reach[0]:
         raise _outside_the_grid(state)
-    profile = _normalized(grid, u_hat, pos, conf.fit(np.minimum(pos, grid.s_max)), conf.edge_slope)
-    return ConformalState(window_grid, profile[0], conf.edge_slope), normalization_scale(state)
+    _, values = _frame_map([state], np.minimum(pos, grid.s_max))
+    profile = _normalized(grid, u_hat, pos, values, conf.edge_slope)
+    u_origin = float(conf.log_factor[0]) - 2.0 * state.log_scale
+    return ConformalState(window_grid, profile[0], conf.edge_slope), float(np.exp(-0.5 * u_origin))
 
 
 def _normalizing_points(grid, u_hat, window_grid):

@@ -162,15 +162,14 @@ class GridSpline:
 
     `spline.fit(values, slope)` is the spline clamped to first derivatives
     (0, slope) at the ends: zero by symmetry at the tip, the physical
-    Neumann slope at s_max.  It solves the slope system once and returns an
-    evaluator of points x; a conformal state keeps its log factor's fit
-    (`ConformalState.fit`), and a (K, n) block of values fits K splines at
-    once (the accumulators' frame map).  The slope system is scipy's cubic
-    spline's, and `__init__` inverts it once, so a solve is one product with
-    the inverse; it agrees with scipy to a few ulps of the data's scale.  The
-    Hermite coefficients and the evaluation follow scipy's piecewise
-    polynomial, and points beyond the knots extrapolate with the end pieces.
-    Non-finite values raise scipy's ValueError.
+    Neumann slope at s_max.  It fits a (K, n) block of values, K splines at
+    once, and returns an evaluator of a (K, p) block of points; the frame
+    map (`flow._frame_map`) is its one caller.  The slope system is scipy's
+    cubic spline's, and `__init__` inverts it once, so a solve is one
+    product with the inverse; it agrees with scipy to a few ulps of the
+    data's scale.  The Hermite coefficients and the evaluation follow
+    scipy's piecewise polynomial, and points beyond the knots extrapolate
+    with the end pieces.  Non-finite values raise scipy's ValueError.
     """
 
     def __init__(self, knots):
@@ -194,19 +193,16 @@ class GridSpline:
 
     def _slopes(self, values, slope):
         """The values as an array, the secants and the spline's knot slopes,
-        for one row of values or a (K, n) block of rows.  A block still takes
-        one product per row: a single matrix-matrix product moves the last
-        bits."""
+        for a (K, n) block of rows.  A block takes one product per row: a
+        single matrix-matrix product moves the last bits."""
         y = np.asarray(values, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("`y` must contain only finite values.")
         dx = self.dx
-        secant = (y[..., 1:] - y[..., :-1]) / dx
+        secant = (y[:, 1:] - y[:, :-1]) / dx
         rhs = np.empty(y.shape)
-        rhs[..., 1:-1] = 3 * (dx[1:] * secant[..., :-1] + dx[:-1] * secant[..., 1:])
-        rhs[..., 0], rhs[..., -1] = 0.0, slope
-        if y.ndim == 1:
-            return y, secant, self._solve(rhs)
+        rhs[:, 1:-1] = 3 * (dx[1:] * secant[:, :-1] + dx[:-1] * secant[:, 1:])
+        rhs[:, 0], rhs[:, -1] = 0.0, slope
         m = np.empty(y.shape)
         for k, row in enumerate(rhs):
             m[k] = self._solve(row)
@@ -216,7 +212,7 @@ class GridSpline:
         """The spline's largest value between the first and the last knot:
         the largest of its knot values and its values at the critical points
         inside each piece, which are the roots of a quadratic."""
-        y, secant, m = self._slopes(values, slope)
+        y, secant, m = (a[0] for a in self._slopes([values], slope))
         m0 = m[:-1]
         # a piece is y_i + dx tau (m0 + tau (c + tau t)) for tau in [0, 1],
         # t = m0 + m1 - 2 secant and c = secant - m0 - t; its derivative in
@@ -239,21 +235,20 @@ class GridSpline:
         return best
 
     def fit(self, values, slope):
-        """The spline through `values` clamped to (0, slope), as a function
-        of the points x: one slope solve, however often it is evaluated.
-
-        A (K, n) block of values, with one end slope or K of them, fits K
-        splines at once, and its evaluator takes a (K, p) block of points,
-        row k on spline k; each row gets the bits it would get alone."""
+        """The splines through a (K, n) block of values, each clamped to
+        (0, slope), with one end slope or K of them, as a function of a
+        (K, p) block of points x, row k on spline k: one slope solve per row,
+        however often it is evaluated.  Each row gets the bits it would get
+        alone."""
         y, secant, m = self._slopes(values, slope)
         dx = self.dx
         # Hermite pieces y + m z + c1 z^2 + c0 z^3 on each interval; c1 and
         # c0 have a last column that no point reads, so that all four share
         # y's layout and one flat index reads a block's rows
-        t = (m[..., :-1] + m[..., 1:] - 2 * secant) / dx
+        t = (m[:, :-1] + m[:, 1:] - 2 * secant) / dx
         c0, c1 = np.empty(y.shape), np.empty(y.shape)
-        np.divide(t, dx, out=c0[..., :-1])
-        np.subtract((secant - m[..., :-1]) / dx, t, out=c1[..., :-1])
+        np.divide(t, dx, out=c0[:, :-1])
+        np.subtract((secant - m[:, :-1]) / dx, t, out=c1[:, :-1])
         pieces = [a.ravel() for a in (y, m, c1, c0)]
         inner_knots, knots = self._inner_knots, self.knots
 
@@ -263,8 +258,7 @@ class GridSpline:
             x = np.asarray(x, dtype=float)
             i = np.searchsorted(inner_knots, x, "right")
             z = x - knots[i]
-            if y.ndim == 2:  # row k's points read row k's pieces
-                i += np.arange(len(y))[:, None] * y.shape[1]
+            i += np.arange(len(y))[:, None] * y.shape[1]  # row k's points read row k's pieces
             y_i, m_i, c1_i, c0_i = (a[i] for a in pieces)
             zz = z * z
             return 0.0 + y_i + m_i * z + c1_i * zz + c0_i * (zz * z)
@@ -279,9 +273,9 @@ class ConformalState:
     The log factor is u~; `edge_slope` is its Neumann slope, carried by the
     outer ghost node.  Each derived field is computed once, on first use:
     e^{-u~} (`diffusivity`), the Laplacian rows (`laplacian`, with the
-    `differences` they were taken from), R (`curvature`), u~'s spline
-    (`fit`) and the stiffness rho (`stiffness`).  A state is treated as an
-    immutable value, so the caches never go stale.
+    `differences` they were taken from), R (`curvature`) and the stiffness
+    rho (`stiffness`).  A state is treated as an immutable value, so the
+    caches never go stale.
     """
 
     grid: RadialGrid
@@ -323,14 +317,6 @@ class ConformalState:
     def curvature(self):
         """Scalar curvature field R (computed once)."""
         return scalar_curvature(self)
-
-    @cached_property
-    def fit(self):
-        """u~'s cubic spline on the grid, clamped to (0, edge_slope), as a
-        function of the points s (`GridSpline.fit`; computed once).  The frame
-        map and the normalized profile both evaluate it, so a state solves
-        its slope system at most once."""
-        return self.grid.spline.fit(self.log_factor, self.edge_slope)
 
     @cached_property
     def stiffness(self):

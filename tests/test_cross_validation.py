@@ -74,7 +74,7 @@ def test_v_equals_minus_curvature_time_integral_pointwise():
     def fixed_curvature(st):
         r = st.curvature
         nodes = np.arcsinh(st.grid.r * np.exp(-st.log_scale))
-        return st.grid.spline.fit(r, _edge_slope_estimate(st.grid, r))(nodes)
+        return st.grid.spline.fit([r], _edge_slope_estimate(st.grid, r))([nodes])[0]
 
     def gap(n):
         state = build_scenario(config_for({"type": "exact_cigar"}, n=n))

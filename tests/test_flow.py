@@ -22,7 +22,13 @@ from cigarflow.geometry import (
     RadialGrid,
     background_laplacian,
 )
-from cigarflow.scenarios import H_MONOTONE_TOL, build_scenario, load_config, parse_config
+from cigarflow.scenarios import (
+    H_MONOTONE_TOL,
+    build_scenario,
+    load_config,
+    manufactured_solution_error,
+    parse_config,
+)
 from cigarflow.snapshots import load_snapshot, save_snapshot
 
 
@@ -316,6 +322,20 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     assert sum(passes) == 1847
 
 
+def spline_solves(monkeypatch):
+    """A list that gets the length of every spline slope solve's right-hand
+    side from now on."""
+    solves = []
+    solve = GridSpline._solve
+
+    def spy(self, b):
+        solves.append(len(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(GridSpline, "_solve", spy)
+    return solves
+
+
 def test_shipped_run_solve_count(config_dir, monkeypatch):
     """The spline slope solves of the shipped run, set-up included: one for
     u~0's maximum, one for the t = 0 record's normalized profile (the initial
@@ -328,19 +348,39 @@ def test_shipped_run_solve_count(config_dir, monkeypatch):
     takes 274 (under the accuracy bound h / sup|R|, 348 steps made 350
     solves)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
-    solves = []
-    solve = GridSpline._solve
-
-    def spy(self, b):
-        solves.append(len(b))
-        return solve(self, b)
-
-    monkeypatch.setattr(GridSpline, "_solve", spy)
+    solves = spline_solves(monkeypatch)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted
     assert len(result.records) == 21
     assert len(solves) == 254
+
+
+@pytest.mark.parametrize("case", ["fixed_frame", "refine_257"])
+def test_rows_at_log_scale_zero_are_fitted_only_for_a_profile(config_dir, fixed_frame,
+                                                              monkeypatch, case):
+    """A row with log L = 0 is its own map: it is fitted only for a normalized
+    profile, never for the frame map alone.  Set-up included, one solve for
+    u~0's maximum.  The shipped data in the fixed frame to t = 1, a record
+    every 0.25, takes one more per record (5) and none for the 56 states
+    between them; fitting every row made 62.  The exact cigar at n = 257 to
+    t = 0.5, the refinement study's finest level, takes 51 steps, so a
+    step catches up its chain from the t = 0 state before that state's
+    record maps it: one solve per record (2) and one per other moved state
+    (50); fitting every row made 54."""
+    solves = spline_solves(monkeypatch)
+    if case == "fixed_frame":
+        data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+        data["stepping"].update(t_end=1.0, record_interval=0.25)
+        config = parse_config(data)
+        result = flow.run(fixed_frame(config), config.t_end, safety=config.safety,
+                          record_interval=config.record_interval)
+        expected = 6
+    else:
+        _, result = manufactured_solution_error(257, 8.0, 0.9, 0.5)
+        expected = 53
+    assert not result.aborted
+    assert len(solves) == expected
 
 
 def test_adaptive_dt_curvature_bound(fixed_frame):
@@ -767,7 +807,7 @@ def test_normalize_gradient_invariance():
     f_spline = CubicSpline(grid.s, fields["f"], bc_type=((1, 0.0), (1, final.potential_slope)))
     u_spline = CubicSpline(grid.s, fields["u_tilde"],
                            bc_type=((1, 0.0), (1, final.conformal.edge_slope)))
-    scale = flow.normalization_scale(final)
+    scale = flow.normalize(final)[1]
 
     window = grid.s[grid.s <= 3.0]
     # normalized side: f transported to y = x / scale, metric factor shifted
@@ -799,24 +839,19 @@ def test_normalize_shifted_flat_plane():
 def test_profile_distance_on_the_cached_window_is_a_fresh_grid_bit_for_bit(n, monkeypatch):
     # the window grid and its cigar profile are cached per (k, h); the
     # distance must be the one on a freshly built RadialGrid(k, (k - 1) h),
-    # with the state's cached u~ fit and with a fresh state's own, at t = 0
-    # and on evolved data
+    # at t = 0 and on evolved data
     bump = {"type": "perturbed_cigar", "amplitude": 0.3, "center": 2.0, "width": 0.5}
     config = radial_config(n=n, initial=bump, t_end=0.3, record=0.3)
     start = build_scenario(config)
     final = flow.run(start, config.t_end, record_interval=config.record_interval).final_state
     fresh_window = flow._profile_window.__wrapped__
     for state in (start, final):
-        conf = state.conformal
         for s_window in (None, 2.0, 4.0, 7.9):
             cached = [flow.profile_distance(state, s_window) for _ in range(2)]
-            unfitted = ConformalState(state.grid, conf.log_factor, conf.edge_slope)
-            assert "fit" not in vars(unfitted)
-            cached.append(flow.profile_distance(replace(state, conformal=unfitted), s_window))
             with monkeypatch.context() as patch:
                 patch.setattr(flow, "_profile_window", fresh_window)
                 fresh = flow.profile_distance(state, s_window)
-            assert cached == [fresh] * 3, s_window
+            assert cached == [fresh] * 2, s_window
             if s_window is not None:
                 k = int(np.floor(s_window / state.grid.h + 1e-9)) + 1
                 window = flow.normalize(state, s_window)[0].grid
@@ -864,7 +899,7 @@ def fixed_potential(state):
     """The state's potential at the fixed nodes arcsinh(r / L), from its own
     clamped spline."""
     nodes = np.arcsinh(state.grid.r * np.exp(-state.log_scale))
-    return state.grid.spline.fit(state.potential, state.potential_slope)(nodes)
+    return state.grid.spline.fit([state.potential], state.potential_slope)([nodes])[0]
 
 
 def kahler_cross_check(states):
@@ -1031,11 +1066,19 @@ def run_seen(state, config, s_report=4.0):
 def records_state_by_state(state, dt_hint, s_window):
     """The reference for a record taken in a block: (record, profile
     distance, Kahler residual) of the state alone, from the per-state
-    functions, one field at a time, as each was taken before records came
-    in blocks."""
+    operators, one field at a time, as each was taken before records came
+    in blocks.  u~ at the fixed nodes and the normalized profile on the
+    window |s| <= s_window are read from the state's own clamped spline,
+    as `fixed_potential` reads the potential, not from the frame map that
+    `record_block` shares with `map_to_fixed` and `normalize`."""
     grid, conf, init = state.grid, state.conformal, state.init
     u_hat, curv = conf.log_factor, state.curvature
-    fields = flow.fixed_fields(state)
+    fit = grid.spline.fit([u_hat], conf.edge_slope)
+    u_fixed = u_hat
+    if state.log_scale != 0.0:
+        u_fixed = fit([np.arcsinh(grid.r * np.exp(-state.log_scale))])[0]
+    u_fixed = u_fixed - 2.0 * state.log_scale
+    fields = flow._fixed_fields(init, u_fixed)
     report = geometry.width_report(conf)
     rate = state.rate
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1054,14 +1097,20 @@ def records_state_by_state(state, dt_hint, s_window):
         abs(fields["v"][0] + state.acc.v_integral), log_u.max(),
     ]
     record = DiagnosticsRecord(state.t, float(dt_hint), *map(float, values))
-    try:
-        normalized, _ = flow.normalize(state, s_window)
-        target = -cigar.cigar_potential_arclength(normalized.grid.s)
-        distance = float(np.abs(normalized.log_factor - target).max())
-    except ValueError:
-        distance = None
+    # the window's nodes pulled back by the normalizing dilation e^{-u^(0)/2},
+    # the profile continued past s_max with the edge slope
+    k = max(int(np.floor(s_window / grid.h + 1e-9)) + 1, 16)
+    window = RadialGrid(k, (k - 1) * grid.h)
+    pos = np.arcsinh(np.exp(-0.5 * u_hat[:1]) * window.r)
+    distance = None
+    if pos[-1] <= grid.s_max * (1.0 + 1e-9) + 0.5 * grid.h:
+        profile = fit([np.minimum(pos, grid.s_max)])[0] - u_hat[0]
+        beyond = pos > grid.s_max
+        profile[beyond] += conf.edge_slope * (pos[beyond] - grid.s_max)
+        target = -cigar.cigar_potential_arclength(window.s)
+        distance = float(np.abs(profile - target).max())
     lap_phi = background_laplacian(state.acc.phi, grid, state.t * conf.edge_slope)
-    kahler = np.abs((np.exp(state.u_fixed) - np.exp(init.u_tilde0) - lap_phi)[:-1]).max()
+    kahler = np.abs((np.exp(u_fixed) - np.exp(init.u_tilde0) - lap_phi)[:-1]).max()
     return record, distance, float(kahler)
 
 
@@ -1283,13 +1332,16 @@ def assert_frame_map_is_scipy_cubic_spline(grid, values, slope, log_scale, facto
                             log_scale=log_scale)
     nodes = np.arcsinh(grid.r * np.exp(-log_scale))
     mapped = flow.map_to_fixed(state)
-    fit = state.conformal.fit
+    spline = grid.spline.fit([values], slope)
+
+    def fit(x):
+        return spline([x])[0]
+
     assert mapped.tobytes() == (fit(nodes) - 2.0 * log_scale).tobytes()
-    assert state.conformal.fit is fit
     # the fit agrees with scipy's to 16 ulps of the data's scale on the grid,
     # at the mapped nodes and at normalize's positions, clipped to the last
-    # knot (a closed interval), from the same cached fit, as a record reuses
-    # its step's.  Past s_max the end piece extrapolates: at z = x - s_{n-2}
+    # knot (a closed interval), from the same fit, as a record evaluates one
+    # fit at both.  Past s_max the end piece extrapolates: at z = x - s_{n-2}
     # the Hermite basis of its knot values and slopes, and with it their
     # rounding, grows as (z/h)^3, so the bound does too (draws of the
     # strategy's kind read at most 6.5 (z/h)^3 ulps there)
