@@ -24,9 +24,14 @@ state's fields are computed once on the step path: its Laplacian rows
 (`FlowState.rate`), which is stage 0 of every step taken from it, so the
 accepted step, the record's curvature and its curvature-evolution residual
 share one evaluation.  A record takes no step: the residual's dR/dt is the
-semi-discrete flow's exact rate at the state (`monitor`).  Each later stage
-forms its increment by one BLAS product of four weights with a
-preallocated stack of four rows (`_rkc_step`).
+semi-discrete flow's exact rate at the state (`monitor`).  A step binds its
+later stages once (`_bind_stage`): the views of the stage point and the rate
+row and of its grid size's difference buffer, two scratch rows and e^{-u~}
+row (`_shared_stage_buffers`) are taken before the first of them, so each is
+about twelve ufuncs writing into those buffers and one read of the tip and
+edge nodes, with the same bits as a stage bound afresh.  Each forms its
+increment by one BLAS product of four weights with a preallocated stack of
+four rows (`_rkc_step`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -89,7 +94,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +105,7 @@ from cigarflow.geometry import (
     ConformalState,
     RadialGrid,
     _edge_slope_estimate,
+    _laplacian_pass,
     _laplacian_rows,
     _metric_gradient_sq,
     _radial_derivative,
@@ -191,7 +197,9 @@ class InitialData:
     def __post_init__(self, grid):
         f0_cigar = cigar.cigar_potential_arclength(grid.s)
         self.u_tilde0 = self.log_u0 - f0_cigar
-        self.edge_slope = self.log_u0_slope - 2.0 * np.tanh(grid.s_max)
+        # a Python float, as a loaded snapshot's is: the stencil's edge row
+        # then rounds in Python floats, not numpy scalars
+        self.edge_slope = float(self.log_u0_slope - 2.0 * np.tanh(grid.s_max))
         conformal = ConformalState(grid, self.u_tilde0, self.edge_slope)
         self.potential0, _ = solve_initial_potential(conformal)
         self.w0 = float(self.u_tilde0[0])
@@ -286,11 +294,15 @@ class FlowState:
         conformal state's cached Laplacian rows, plus the co-moving terms.
         It is stage 0 of every RKC2 step from the state, and the record's
         curvature-evolution residual reads its dR/dt from it (`monitor`), so
-        a record state's accepted step and its record share it."""
+        a record state's accepted step and its record share it.  The
+        co-moving terms are the stages' own (`_transport`)."""
         conf = self.conformal
         out = np.empty(self.grid.n + 1)
-        np.multiply(conf.laplacian, conf.diffusivity, out=out[:-1])
-        return _with_transport(self, out, conf.differences)
+        rate = out[:-1]
+        np.multiply(conf.laplacian, conf.diffusivity, out=rate)
+        d = conf.differences
+        return _transport(out, rate, (d[1:], d[:-1], rate[1:-1]), self.grid, conf.edge_slope,
+                          self.frame == COMOVING)
 
     @cached_property
     def u_fixed(self):
@@ -413,26 +425,88 @@ def _fixed_fields(init, u_tilde):
 
 def _stage_rhs(state, y, out):
     """The rate of y = (u_hat, log L) at one RKC2 stage, written into `out`,
-    a vector of length n + 1, and returned.
-
-    The Laplacian's rows are `background_laplacian`'s (`_laplacian_rows`),
-    so the fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies
-    each row after the subtraction; folded into the coefficients it would
-    amplify its own rounding through the cancellation in the tail.  The
-    co-moving terms are `_with_transport`'s.  Stage 0, the rate at the state
-    itself, is `FlowState.rate`, which gives the same bits from the state's
-    cached rows.
+    a vector of length n + 1, and returned: one call of a stage bound to y
+    and out (`_bind_stage`) on new buffers, so that it writes into nothing
+    but `out`.  `step` binds its stage once for all its stages
+    (`_stage_rates`), with the same bits.
     """
+    return _bind_stage(state, y, out, _stage_buffers(state.grid.n))()
+
+
+def _stage_buffers(n):
+    """New buffers for a stage at n nodes: the difference buffer d with its
+    views d[1:] and d[:-1], the e^{-u_hat} row and two interior scratch
+    rows."""
+    d = np.empty(n - 1)
+    return d, d[1:], d[:-1], np.empty(n), (np.empty(n - 2), np.empty(n - 2))
+
+
+# The stage buffers of `step`, one set per grid size and shared by every step
+# at that size, which saves their allocation on every step.  A stage writes
+# each buffer before it reads it, so no binding sees another's values; but
+# `step` is not reentrant across threads on grids of one size.
+_shared_stage_buffers = lru_cache(maxsize=16)(_stage_buffers)
+
+
+def _bind_stage(state, y, out, buffers):
+    """Bind the stage rate from `state` to y, out and `buffers`
+    (`_stage_buffers`) once, and return `stage()`, which writes the rate at
+    whatever y holds at the call into `out` and returns it.
+
+    Bound here: the views of y and out that the stencil pass and the
+    transport read and write, the difference buffer, two interior scratch
+    rows, which the stencil and the transport take in turn, the e^{-u_hat}
+    row and the edge slope as a Python float.  A call is then one stencil
+    pass (`_laplacian_pass`), three ufuncs for e^{-u_hat}, and the transport
+    (`_transport`), and it slices and allocates nothing but the stencil's
+    `take`.  The Laplacian's rows
+    are `background_laplacian`'s, so the fixed-frame rate of u is -R bit for
+    bit.  e^{-u_hat} multiplies each row after the subtraction; folded into
+    the coefficients it would amplify its own rounding through the
+    cancellation in the tail.  Stage 0, the rate at the state itself, is
+    `FlowState.rate`, which gives the same bits from the state's cached rows.
+    """
+    grid = state.grid
     u_hat, rate = y[:-1], out[:-1]
-    d = _laplacian_rows(u_hat, state.grid, state.conformal.edge_slope, rate)
-    rate *= np.exp(-u_hat)
-    return _with_transport(state, out, d)
+    d, d_hi, d_lo, diffusivity, scratch = buffers
+    transported = d_hi, d_lo, rate[1:-1]
+    views = (u_hat[1:], u_hat[:-1], *transported)
+    edge_slope, comoving = float(state.conformal.edge_slope), state.frame == COMOVING
+
+    def stage():
+        _laplacian_pass(u_hat, rate, d, views, scratch[0], grid, edge_slope)
+        np.negative(u_hat, diffusivity)
+        np.exp(diffusivity, diffusivity)
+        np.multiply(rate, diffusivity, rate)
+        return _transport(out, rate, transported, grid, edge_slope, comoving, scratch)
+
+    return stage
 
 
-def _with_transport(state, out, d):
-    """Complete a stage rate in place and return it: out[:-1] holds the
-    diffusion rate e^{-u_hat} Lap_E u_hat, taken on the differences
-    d = diff(u_hat), and out[-1] receives gamma = d log L/dt.
+def _stage_rates(state):
+    """`rhs(y, out)` of the RKC2 steps from `state`: `_stage_rhs`, with the
+    stage bound (`_bind_stage`) at the first call and again only when y or
+    out is another array.  `_rkc_step` passes its one stage point and rate
+    row at every stage, so a step binds once.  The buffers are its grid
+    size's shared set (`_shared_stage_buffers`)."""
+    stage = point = rate = None
+    buffers = _shared_stage_buffers(state.grid.n)
+
+    def rhs(y, out):
+        nonlocal stage, point, rate
+        if y is not point or out is not rate:
+            stage, point, rate = _bind_stage(state, y, out, buffers), y, out
+        return stage()
+
+    return rhs
+
+
+def _transport(out, rate, views, grid, edge_slope, comoving, scratch=(None, None)):
+    """Complete a stage rate in place and return it: its view `rate` =
+    out[:-1] holds the diffusion rate e^{-u_hat} Lap_E u_hat, taken on the
+    differences d = diff(u_hat), `views` are d[1:], d[:-1] and rate[1:-1],
+    and out[-1] receives gamma = d log L/dt.  The two interior rows of
+    `scratch` take the advection's factors (None for new arrays).
 
     In the co-moving frame gamma = R(origin) / 2, and the rate of u_hat gains
     the advection gamma tanh(s) d/ds, the centred
@@ -440,12 +514,16 @@ def _with_transport(state, out, d):
     and 2 gamma; the tip rate of u_hat is then exactly 0.  In the fixed frame
     gamma = 0 and the rate stays as it is.
     """
-    grid, rate = state.grid, out[:-1]
-    gamma = -0.5 * float(rate[0]) if state.frame == COMOVING else 0.0  # R(origin) / 2
+    gamma = -0.5 * out.item(0) if comoving else 0.0  # R(origin) / 2
     if gamma != 0.0:
-        rate[1:-1] += (gamma * grid.advection) * (d[1:] + d[:-1])
-        rate[-1] += gamma * grid.tanh_edge * state.conformal.edge_slope
-        rate += 2.0 * gamma
+        d_hi, d_lo, inner = views
+        advection, pair = scratch
+        advection = np.multiply(grid.advection, gamma, advection)
+        pair = np.add(d_hi, d_lo, pair)
+        np.multiply(advection, pair, advection)
+        np.add(inner, advection, inner)
+        rate[-1] = rate.item(-1) + gamma * grid.tanh_edge * edge_slope
+        np.add(rate, 2.0 * gamma, rate)
     out[-1] = gamma
     return out
 
@@ -504,7 +582,10 @@ def _rkc_step(rhs, y0, rate0, dt, s):
 
     `rate0` is the rate at y0, stage 0, which the caller already holds
     (`FlowState.rate`); rhs(y, out) writes the rate at y into out and is
-    called s - 1 times.  Each stage is
+    called s - 1 times, always with the same two arrays, the stage point
+    and the stack's rate row, so an rhs may bind its views of them at the
+    first call (`_stage_rates`); any rhs that writes into out will do.  Each
+    stage is
     d_j = mu d_{j-1} + nu d_{j-2} + (mu~ dt) rhs(y0 + d_{j-1}) + gamma~ f0,
     f0 = dt rate0, formed by one product of the stage's four weights
     (`_stage_weights`) with a stack of four rows: f0, the stage rate, which
@@ -513,16 +594,21 @@ def _rkc_step(rhs, y0, rate0, dt, s):
     right, so the step agrees with the sequential expression to rounding,
     not bit for bit.  A component whose rate is 0 at every stage (the
     co-moving tip) has every increment 0 and keeps its old value exactly.
+    The result is a new array, so no rhs buffer reaches it.  The ufuncs
+    here and in the stages take `out` positionally, which numpy parses
+    faster than the keyword.
     """
     _, mu_tilde_1, _ = _rkc_coefficients(s)
     stack = np.zeros((4, y0.size))
-    f0, rate, d_older, d_old = stack
-    np.multiply(rate0, dt, out=f0)
-    np.multiply(f0, mu_tilde_1, out=d_old)
+    f0, rate, d_older, d_old = stack[0], stack[1], stack[2], stack[3]
+    np.multiply(rate0, dt, f0)
+    np.multiply(f0, mu_tilde_1, d_old)
     point = np.empty_like(y0)
-    for weights in _stage_weights(s) * (1.0, dt, 1.0, 1.0):
-        rhs(np.add(y0, d_old, out=point), rate)
-        np.dot(weights, stack, out=d_older)
+    weights = _stage_weights(s).copy()
+    weights[:, 1] *= dt  # the rate's weight mu~ dt
+    for row in weights:
+        rhs(np.add(y0, d_old, point), rate)
+        np.dot(row, stack, d_older)
         d_old, d_older = d_older, d_old
     return y0 + d_old
 
@@ -576,8 +662,9 @@ def step(state, dt):
     `adaptive_dt`), rho = max(e^{-u} rows) from the grid's
     `gershgorin_rows`, so any dt is stable up to STAGE_LIMIT stages.  Stage
     0 is the state's cached `FlowState.rate`, shared with any other step
-    from the same state; each later stage is one call of `_stage_rhs`, and
-    gamma is recomputed at every stage, which keeps the co-moving tip pinned
+    from the same state; each later stage is `_stage_rhs` on the step's one
+    binding (`_stage_rates`), on its grid size's shared buffers, and gamma
+    is recomputed at every stage, which keeps the co-moving tip pinned
     exactly.  Raises FlowInstabilityError for a dt beyond STAGE_LIMIT stages,
     on post-step NaNs, or if sup u~ exceeds its initial value beyond the
     abort tolerance (the maximum principle forbids any increase).
@@ -599,7 +686,7 @@ def step(state, dt):
     conf = state.conformal
     y0 = np.empty(state.grid.n + 1)
     y0[:-1], y0[-1] = conf.log_factor, state.log_scale
-    y1 = _rkc_step(partial(_stage_rhs, state), y0, state.rate, dt, _stage_count(stiffness))
+    y1 = _rkc_step(_stage_rates(state), y0, state.rate, dt, _stage_count(stiffness))
     if not np.isfinite(y1).all():
         raise FlowInstabilityError("non-finite fields after step", t1)
     u1, log_scale1 = y1[:-1], float(y1[-1])

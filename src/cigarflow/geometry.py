@@ -341,64 +341,71 @@ def _check_field(f, grid):
     return f
 
 
-def _edge_ghost_jump(f, h, edge_slope):
-    """ghost - f[-1], where the ghost is the value at s_max + h of the cubic
-    through the last three nodes with the prescribed derivative at the edge
-    node (O(h^4) for the true slope).  Difference form so that constant
-    fields produce an exactly zero jump."""
-    return 3.0 * (f[-2] - f[-1]) + 0.5 * (f[-1] - f[-3]) + 3.0 * h * edge_slope
+# the tip nodes 0, 1, 2 and the edge nodes n-3, n-2, n-1, which the tip and
+# edge rows read
+_END_NODES = np.array([0, 1, 2, -3, -2, -1])
 
 
-def _laplacian_rows(f, grid, edge_slope, out):
-    """Write Lap_E f into `out` and return the differences d = diff(f).
+# [1:], [:-1] and [1:-1] along the last axis, built once: numpy reads a
+# prebuilt index faster than a slice written out
+_HI, _LO, _INNER = (..., slice(1, None)), (..., slice(None, -1)), (..., slice(1, -1))
 
-    Interior row i is lap_up_i d_i - lap_down_i d_{i-1}.  `f` is one field
-    or a (K, n) block of fields, one per row, each with its own edge slope
-    (a scalar, or K of them).  A field's tip and edge rows are taken in
-    Python floats, which are cheaper than numpy scalars and round the same;
-    a block's are taken as columns (`_laplacian_block`), which round the
-    same too, so each row of a block gets the bits it would get alone.
-    `background_laplacian`, `ConformalState.laplacian`, `flow._stage_rhs`
-    and `flow.record_block` all write their rows here, so all give the same
-    bits.
+
+def _laplacian_pass(f, out, d, views, scratch, grid, edge_slope):
+    """Write Lap_E f into `out` and the differences d = diff(f) into `d`, and
+    return `d`: one pass of the stencil, on the arrays' `views` f[1:],
+    f[:-1], d[1:], d[:-1] and out[1:-1] along the last axis, with `scratch`
+    of the interior rows' shape (None for a new array).
+
+    `f` is one field or a (K, n) block of fields, one per row, each with its
+    own edge slope (a scalar, or K of them).  Interior row i is
+    lap_up_i d_i - lap_down_i d_{i-1}.  A pass is four ufuncs writing into
+    the given arrays, one `take` of the tip and edge nodes and the two end
+    rows, and slices nothing, so a caller that holds its views takes pass
+    after pass for the cost of the arithmetic (`flow._bind_stage`).  A field's end rows are
+    taken in Python floats, which are cheaper than numpy scalars and round
+    the same; a block's are taken as columns, which round the same too, so
+    each row of a block gets the bits it would get alone.
     """
     # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
     # matching the s->0 limit of the interior conservative stencil.  A plain
     # 4(f1-f0)/h^2 tip carries F''''/6 instead; the O(1) coefficient jump is
     # invisible in the operator itself but pollutes compositions such as
     # Lap_g(R^h) at the axis with an O(1) error.  The edge row uses the
-    # cubic-Hermite ghost for the same reason: the ghost flux
-    # a_{n-1/2} (ghost - f_{n-1}) less the flux a_{n-3/2} (f_{n-1} - f_{n-2}),
-    # over b h^2.
-    if f.ndim == 2:
-        return _laplacian_block(f, grid, edge_slope, out)
-    d = f[1:] - f[:-1]
-    inner = out[1:-1]
-    np.multiply(grid.lap_up, d[1:], out=inner)
-    inner -= grid.lap_down * d[:-1]
-    f0, f1, f2 = f[:3].tolist()
+    # cubic-Hermite ghost for the same reason: the ghost is the value at
+    # s_max + h of the cubic through the last three nodes with the prescribed
+    # derivative at the edge node (O(h^4) for the true slope), and the row is
+    # the ghost flux a_{n-1/2} (ghost - f_{n-1}) less the flux
+    # a_{n-3/2} (f_{n-1} - f_{n-2}), over b h^2.  The jump ghost - f_{n-1} is
+    # taken in difference form, so that a constant field gives exactly 0.
+    f_hi, f_lo, d_hi, d_lo, inner = views
+    np.subtract(f_hi, f_lo, d)
+    np.multiply(grid.lap_up, d_hi, inner)
+    scratch = np.multiply(grid.lap_down, d_lo, scratch)
+    np.subtract(inner, scratch, inner)
+    if f.ndim == 1:
+        f0, f1, f2, e3, e2, e1 = f.take(_END_NODES).tolist()
+    else:
+        f0, f1, f2, e3, e2, e1 = f.take(_END_NODES, axis=1).T
+        out = out.T  # out[0] and out[-1] are then the tip and edge columns
     out[0] = ((10.0 / 3.0) * (f1 - f0) + (f2 - f0) / 6.0) / grid.h2 - (2.0 / 3.0) * (f1 - f0)
     a_out, a_in, bh2, h = grid.edge_coefficients
-    last3 = f[-3:].tolist()
-    jump = _edge_ghost_jump(last3, h, edge_slope)
-    out[-1] = (a_out * jump - a_in * (last3[2] - last3[1])) / bh2
+    jump = 3.0 * (e2 - e1) + 0.5 * (e1 - e3) + 3.0 * h * edge_slope
+    out[-1] = (a_out * jump - a_in * (e1 - e2)) / bh2
     return d
 
 
-def _laplacian_block(f, grid, edge_slope, out):
-    """`_laplacian_rows` of a (K, n) block: the tip and edge rows are taken
-    as columns, by the same operations in the same order as for one field
-    (f1 - f0 and f_{n-1} - f_{n-2} are columns of d)."""
-    d = f[:, 1:] - f[:, :-1]
-    inner = out[:, 1:-1]
-    np.multiply(grid.lap_up, d[:, 1:], out=inner)
-    inner -= grid.lap_down * d[:, :-1]
-    d0 = d[:, 0]
-    out[:, 0] = ((10.0 / 3.0) * d0 + (f[:, 2] - f[:, 0]) / 6.0) / grid.h2 - (2.0 / 3.0) * d0
-    a_out, a_in, bh2, h = grid.edge_coefficients
-    jump = _edge_ghost_jump(f[:, -3:].T, h, edge_slope)
-    out[:, -1] = (a_out * jump - a_in * d[:, -1]) / bh2
-    return d
+def _laplacian_rows(f, grid, edge_slope, out):
+    """Write Lap_E f into `out` and return the differences d = diff(f), for
+    one field or a (K, n) block: one `_laplacian_pass` on new buffers.
+    `background_laplacian`, `ConformalState.laplacian` and
+    `flow.record_block` take their rows here, and each RKC2 stage takes its
+    pass on buffers bound once per step (`flow._bind_stage`), so all give
+    the same bits."""
+    f_hi = f[_HI]
+    d = np.empty_like(f_hi)
+    views = f_hi, f[_LO], d[_HI], d[_LO], out[_INNER]
+    return _laplacian_pass(f, out, d, views, None, grid, edge_slope)
 
 
 def _radial_derivative(grid, f, edge_slope):
@@ -431,7 +438,7 @@ def background_laplacian(f, grid, edge_slope=0.0):
     `f` is a rotationally symmetric profile in s; the outer ghost node
     carries `edge_slope` as the Neumann slope of f.  With the default slope 0
     the operator annihilates constants exactly at every node.  Its rows are
-    `_laplacian_rows`, the stencil each RKC2 stage writes too.
+    `_laplacian_rows`, the stencil each RKC2 stage takes too.
     """
     f = _check_field(f, grid)
     out = np.empty_like(f)

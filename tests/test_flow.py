@@ -120,6 +120,108 @@ def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame, fixed_frame):
         assert candidate.rate.tobytes() == fresh.tobytes()
 
 
+def stepped_states(n):
+    """A bumped cigar at n nodes on s_max = 1, one step in, in the fixed and
+    the co-moving frame (gamma = 0 and gamma != 0)."""
+    bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 0.25, "width": 0.0625}
+    state = build_scenario(radial_config(n=n, s_max=1.0, initial=bump))
+    for start in (replace(state, frame=flow.FIXED), state):
+        yield flow.step(start, flow.adaptive_dt(start))
+
+
+@pytest.mark.parametrize("n", [17, 65, 257])
+def test_step_is_the_per_call_stage_bit_for_bit(n, monkeypatch):
+    # `step` binds its stage once (`_stage_rates`) and reuses its buffers
+    # across the stages; `_stage_rhs` binds new buffers at every call.  Both
+    # give the same bits at every stage count, so no buffer is left stale
+    # between stages.  The step's product is read where `_rkc_step` returns
+    # it: at n = 17 the 20-stage fixed-frame step is refused afterwards
+    # (sup u~ rises), which takes nothing from the comparison.
+    products = []
+    rkc_step = flow._rkc_step
+
+    def spy(*args):
+        products.append(rkc_step(*args))
+        return products[-1]
+
+    monkeypatch.setattr(flow, "_rkc_step", spy)
+    for state in stepped_states(n):
+        assert (state.log_scale != 0.0) == (state.frame == flow.COMOVING)
+        rho = state.conformal.stiffness
+        y0 = np.append(state.conformal.log_factor, state.log_scale)
+        for s in (2, 7, 20):
+            dt = 0.99 * flow._rkc_coefficients(s)[0] / rho
+            assert flow._stage_count(dt * rho) == s
+            try:
+                stepped = flow.step(state, dt)
+            except flow.FlowInstabilityError:
+                assert (n, state.frame, s) == (17, flow.FIXED, 20)
+                stepped = None
+            want = rkc_step(partial(flow._stage_rhs, state), y0, state.rate, dt, s)
+            assert products[-1].tobytes() == want.tobytes(), (state.frame, s)
+            if stepped is not None:
+                assert stepped.conformal.log_factor.tobytes() == want[:-1].tobytes()
+                assert stepped.log_scale == want[-1]
+        # a bound rhs given other arrays binds them in turn
+        rhs, other = flow._stage_rates(state), y0 + 0.01 * np.sin(np.arange(n + 1))
+        for y in (y0, other, y0):
+            got = rhs(y, np.empty_like(y))
+            assert got.tobytes() == flow._stage_rhs(state, y, np.empty_like(y)).tobytes()
+
+
+def test_a_step_shares_no_buffer_with_its_result(monkeypatch):
+    # no array a step binds for its stages (its stage point, its rate row and
+    # its grid size's shared buffers) reaches the state it returns, and a
+    # second step from the same state leaves the first one's result as it was
+    *_, state = stepped_states(65)
+    dt = flow.adaptive_dt(state)
+    bound = []
+    bind = flow._bind_stage
+
+    def spy(state, y, out, buffers):
+        stage = bind(state, y, out, buffers)
+        values = [cell.cell_contents for cell in stage.__closure__]
+        values = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
+        bound.append([y, out] + [x for x in values if isinstance(x, np.ndarray)])
+        return stage
+
+    monkeypatch.setattr(flow, "_bind_stage", spy)
+    first = flow.step(state, dt)
+    assert len(bound) == 1 and flow._stage_count(dt * state.conformal.stiffness) > 2
+    results = (first.conformal.log_factor, first.rate, first.conformal.laplacian)
+    assert not any(np.shares_memory(a, b) for a in results for b in bound[0])
+    flow.step(state, 0.5 * dt)
+    alone = flow.step(replace(state), dt)
+    assert first.conformal.log_factor.tobytes() == alone.conformal.log_factor.tobytes()
+    assert first.rate.tobytes() == alone.rate.tobytes()
+
+
+def test_steps_of_one_grid_size_share_one_set_of_stage_buffers(tmp_path, monkeypatch):
+    # the stage buffers are kept per grid size n, also for the grid a loaded
+    # snapshot builds and for another s_max; a new size adds one set
+    buffers = []
+    bind = flow._bind_stage
+
+    def spy(state, y, out, shared):
+        buffers.append(shared)
+        return bind(state, y, out, shared)
+
+    monkeypatch.setattr(flow, "_bind_stage", spy)
+    flow._shared_stage_buffers.cache_clear()
+    state = build_scenario(radial_config(n=65))
+    save_snapshot(state, tmp_path / "snap.txt")
+    states = [state, load_snapshot(tmp_path / "snap.txt"),
+              build_scenario(radial_config(n=65, s_max=7.5))]
+    for x in states:
+        flow.step(x, flow.adaptive_dt(x))
+    assert states[1].grid is not state.grid
+    assert all(shared is buffers[0] for shared in buffers)
+    assert flow._shared_stage_buffers.cache_info().currsize == 1
+    flow.step(cigar_flow_state(n=129), 1e-3)
+    assert buffers[-1] is not buffers[0]
+    assert flow._shared_stage_buffers.cache_info().currsize == 2
+
+
 def _rkc_step_reference(rhs, y0, dt, s):
     """The RKC2 recursion as one expression per stage, stage 0 included,
     summed left to right: the reference for `flow._rkc_step`'s product."""
@@ -305,17 +407,19 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     state's curvature: res_poisson0 is the t = 0 record's res_poisson, so
     `InitialData` takes neither u~0's rows nor f(0)'s (1849 when it did),
     and once more for `build_scenario`'s Lap_g R(0).  The count is exact;
-    taking stage 0 afresh in every RKC2 step made 2205."""
+    taking stage 0 afresh in every RKC2 step made 2205.  Every pass is one
+    `_laplacian_pass`: through `_laplacian_rows`, or from an RKC2 stage on
+    the views its step bound once (`flow._bind_stage`)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     passes = []
     for module in (geometry, flow):
-        rows = module._laplacian_rows
+        rows = module._laplacian_pass
 
         def spy(f, *args, rows=rows):
             passes.append(len(f) if np.ndim(f) == 2 else 1)
             return rows(f, *args)
 
-        monkeypatch.setattr(module, "_laplacian_rows", spy)
+        monkeypatch.setattr(module, "_laplacian_pass", spy)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted and result.telemetry.steps == 252
