@@ -68,13 +68,22 @@ def _snapshot_times(config):
     return times
 
 
+def _snapshot_name(t):
+    return f"snapshot_t{t:.6f}.txt"
+
+
 def cmd_run(args):
     config = load_config(args.config)
     out_dir = Path(args.out or config.output_directory or f"runs/{config.name}")
     times = _snapshot_times(config)
+    if len({_snapshot_name(t) for t in times}) < len(times):
+        raise ConfigError(
+            f"snapshot_interval {config.snapshot_interval}: two snapshot times "
+            "share one file name (the time to 6 decimals)"
+        )
 
     def snapshot_hook(state):
-        save_snapshot(state, out_dir / f"snapshot_t{state.t:.6f}.txt")
+        save_snapshot(state, out_dir / _snapshot_name(state.t))
 
     if not args.quiet:
         print(f"running scenario {config.name!r} to t={config.t_end}", file=sys.stderr)

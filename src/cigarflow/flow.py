@@ -18,20 +18,20 @@ follows the stiffness of the diffusion, rather than dt following h^2.  The stiff
 is Gershgorin's bound of a diagonally scaled copy of e^{-u~} Lap_E
 (`RadialGrid.gershgorin_rows`): a bound for every diffusivity, the tip and
 the ghost edge row included, and within 7% of the true radius on the cigar.
-A stage evaluates the rates of u~ and log L together (`_stage_rhs`).  Each
-state's fields are computed once on the step path: its Laplacian rows
+A stage evaluates the rates of u~ and log L together.  Each state's fields
+are computed once on the step path: its Laplacian rows
 (`ConformalState.laplacian`) give both its curvature and its stage rate
 (`FlowState.rate`), which is stage 0 of every step taken from it, so the
 accepted step, the record's curvature and its curvature-evolution residual
 share one evaluation.  A record takes no step: the residual's dR/dt is the
 semi-discrete flow's exact rate at the state (`monitor`).  A step binds its
-later stages once (`_bind_stage`): the views of the stage point and the rate
-row and of its grid size's difference buffer, two scratch rows and e^{-u~}
-row (`_shared_stage_buffers`) are taken before the first of them, so each is
-about twelve ufuncs writing into those buffers and one read of the tip and
-edge nodes, with the same bits as a stage bound afresh.  Each forms its
-increment by one BLAS product of four weights with a preallocated stack of
-four rows (`_rkc_step`).
+later stages once (`_bind_stage`), before the first of them: the views of
+its stage point and rate row, and a difference buffer, two scratch rows
+and an e^{-u~} row that the binding owns.  So each stage is about twelve
+ufuncs writing into those buffers and one read of the tip and edge nodes,
+with the same bits as a stage bound afresh.  Each forms its increment by
+one BLAS product of four weights with a preallocated stack of four rows
+(`_rkc_step`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -94,7 +94,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -289,9 +289,9 @@ class FlowState:
 
     @cached_property
     def rate(self):
-        """The stage rate of (u^, log L) at this state, bit for bit
-        `_stage_rhs(state, (u^, log L), out)` (computed once): e^{-u^} times the
-        conformal state's cached Laplacian rows, plus the co-moving terms.
+        """The stage rate of (u^, log L) at this state, bit for bit a stage
+        bound to (u^, log L) (`_bind_stage`), computed once: e^{-u^} times
+        the conformal state's cached Laplacian rows, plus the co-moving terms.
         It is stage 0 of every RKC2 step from the state, and the record's
         curvature-evolution residual reads its dR/dt from it (`monitor`), so
         a record state's accepted step and its record share it.  The
@@ -423,53 +423,31 @@ def _fixed_fields(init, u_tilde):
 # right-hand sides
 # ---------------------------------------------------------------------------
 
-def _stage_rhs(state, y, out):
-    """The rate of y = (u_hat, log L) at one RKC2 stage, written into `out`,
-    a vector of length n + 1, and returned: one call of a stage bound to y
-    and out (`_bind_stage`) on new buffers, so that it writes into nothing
-    but `out`.  `step` binds its stage once for all its stages
-    (`_stage_rates`), with the same bits.
-    """
-    return _bind_stage(state, y, out, _stage_buffers(state.grid.n))()
-
-
-def _stage_buffers(n):
-    """New buffers for a stage at n nodes: the difference buffer d with its
-    views d[1:] and d[:-1], the e^{-u_hat} row and two interior scratch
-    rows."""
-    d = np.empty(n - 1)
-    return d, d[1:], d[:-1], np.empty(n), (np.empty(n - 2), np.empty(n - 2))
-
-
-# The stage buffers of `step`, one set per grid size and shared by every step
-# at that size, which saves their allocation on every step.  A stage writes
-# each buffer before it reads it, so no binding sees another's values; but
-# `step` is not reentrant across threads on grids of one size.
-_shared_stage_buffers = lru_cache(maxsize=16)(_stage_buffers)
-
-
-def _bind_stage(state, y, out, buffers):
-    """Bind the stage rate from `state` to y, out and `buffers`
-    (`_stage_buffers`) once, and return `stage()`, which writes the rate at
-    whatever y holds at the call into `out` and returns it.
+def _bind_stage(state, y, out):
+    """Bind the rate of y = (u_hat, log L) at an RKC2 stage from `state` to
+    y and out, vectors of length n + 1, once, and return `stage()`, which
+    writes the rate at whatever y holds at the call into `out` and returns
+    it.  `_rkc_step` binds once per step, on its stage point and rate row.
 
     Bound here: the views of y and out that the stencil pass and the
-    transport read and write, the difference buffer, two interior scratch
-    rows, which the stencil and the transport take in turn, the e^{-u_hat}
-    row and the edge slope as a Python float.  A call is then one stencil
-    pass (`_laplacian_pass`), three ufuncs for e^{-u_hat}, and the transport
+    transport read and write, and the binding's own buffers, which no other
+    binding shares: the difference buffer, two interior scratch rows, which
+    the stencil and the transport take in turn, and the e^{-u_hat} row; and
+    the edge slope as a Python float.  A call is then one stencil pass
+    (`_laplacian_pass`), three ufuncs for e^{-u_hat}, and the transport
     (`_transport`), and it slices and allocates nothing but the stencil's
-    `take`.  The Laplacian's rows
-    are `background_laplacian`'s, so the fixed-frame rate of u is -R bit for
-    bit.  e^{-u_hat} multiplies each row after the subtraction; folded into
-    the coefficients it would amplify its own rounding through the
-    cancellation in the tail.  Stage 0, the rate at the state itself, is
-    `FlowState.rate`, which gives the same bits from the state's cached rows.
+    `take`.  The Laplacian's rows are `background_laplacian`'s, so the
+    fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies each row
+    after the subtraction; folded into the coefficients it would amplify its
+    own rounding through the cancellation in the tail.  Stage 0, the rate at
+    the state itself, is `FlowState.rate`, which gives the same bits from
+    the state's cached rows.
     """
     grid = state.grid
     u_hat, rate = y[:-1], out[:-1]
-    d, d_hi, d_lo, diffusivity, scratch = buffers
-    transported = d_hi, d_lo, rate[1:-1]
+    d, diffusivity = np.empty(grid.n - 1), np.empty(grid.n)
+    scratch = np.empty(grid.n - 2), np.empty(grid.n - 2)
+    transported = d[1:], d[:-1], rate[1:-1]
     views = (u_hat[1:], u_hat[:-1], *transported)
     edge_slope, comoving = float(state.conformal.edge_slope), state.frame == COMOVING
 
@@ -481,24 +459,6 @@ def _bind_stage(state, y, out, buffers):
         return _transport(out, rate, transported, grid, edge_slope, comoving, scratch)
 
     return stage
-
-
-def _stage_rates(state):
-    """`rhs(y, out)` of the RKC2 steps from `state`: `_stage_rhs`, with the
-    stage bound (`_bind_stage`) at the first call and again only when y or
-    out is another array.  `_rkc_step` passes its one stage point and rate
-    row at every stage, so a step binds once.  The buffers are its grid
-    size's shared set (`_shared_stage_buffers`)."""
-    stage = point = rate = None
-    buffers = _shared_stage_buffers(state.grid.n)
-
-    def rhs(y, out):
-        nonlocal stage, point, rate
-        if y is not point or out is not rate:
-            stage, point, rate = _bind_stage(state, y, out, buffers), y, out
-        return stage()
-
-    return rhs
 
 
 def _transport(out, rate, views, grid, edge_slope, comoving, scratch=(None, None)):
@@ -577,26 +537,24 @@ def _stage_weights(s):
     return weights
 
 
-def _rkc_step(rhs, y0, rate0, dt, s):
-    """One s-stage RKC2 step of y' = rhs(y), in increments d_j = Y_j - y0.
+def _rkc_step(bind, y0, rate0, dt, s):
+    """One s-stage RKC2 step of y' = f(y), in increments d_j = Y_j - y0.
 
-    `rate0` is the rate at y0, stage 0, which the caller already holds
-    (`FlowState.rate`); rhs(y, out) writes the rate at y into out and is
-    called s - 1 times, always with the same two arrays, the stage point
-    and the stack's rate row, so an rhs may bind its views of them at the
-    first call (`_stage_rates`); any rhs that writes into out will do.  Each
-    stage is
-    d_j = mu d_{j-1} + nu d_{j-2} + (mu~ dt) rhs(y0 + d_{j-1}) + gamma~ f0,
+    `rate0` is f(y0), stage 0, which the caller already holds
+    (`FlowState.rate`).  bind(y, out) is called once, with the step's stage
+    point and the stack's rate row, and returns `stage()`, which writes f at
+    whatever y holds into out; the step calls it s - 1 times.  Each stage is
+    d_j = mu d_{j-1} + nu d_{j-2} + (mu~ dt) f(y0 + d_{j-1}) + gamma~ f0,
     f0 = dt rate0, formed by one product of the stage's four weights
     (`_stage_weights`) with a stack of four rows: f0, the stage rate, which
-    rhs writes in place, and two increment slots, which take d_j in turn.
-    d_0 = 0 is a row of +0.0.  The product sums in BLAS's order, not left to
-    right, so the step agrees with the sequential expression to rounding,
-    not bit for bit.  A component whose rate is 0 at every stage (the
-    co-moving tip) has every increment 0 and keeps its old value exactly.
-    The result is a new array, so no rhs buffer reaches it.  The ufuncs
-    here and in the stages take `out` positionally, which numpy parses
-    faster than the keyword.
+    the stage writes in place, and two increment slots, which take d_j in
+    turn.  d_0 = 0 is a row of +0.0.  The product sums in BLAS's order, not
+    left to right, so the step agrees with the sequential expression to
+    rounding, not bit for bit.  A component whose rate is 0 at every stage
+    (the co-moving tip) has every increment 0 and keeps its old value
+    exactly.  The result is a new array, so no bound buffer reaches it.  The
+    ufuncs here and in the stages take `out` positionally, which numpy
+    parses faster than the keyword.
     """
     _, mu_tilde_1, _ = _rkc_coefficients(s)
     stack = np.zeros((4, y0.size))
@@ -604,10 +562,12 @@ def _rkc_step(rhs, y0, rate0, dt, s):
     np.multiply(rate0, dt, f0)
     np.multiply(f0, mu_tilde_1, d_old)
     point = np.empty_like(y0)
+    stage = bind(point, rate)
     weights = _stage_weights(s).copy()
     weights[:, 1] *= dt  # the rate's weight mu~ dt
     for row in weights:
-        rhs(np.add(y0, d_old, point), rate)
+        np.add(y0, d_old, point)
+        stage()
         np.dot(row, stack, d_older)
         d_old, d_older = d_older, d_old
     return y0 + d_old
@@ -662,10 +622,9 @@ def step(state, dt):
     `adaptive_dt`), rho = max(e^{-u} rows) from the grid's
     `gershgorin_rows`, so any dt is stable up to STAGE_LIMIT stages.  Stage
     0 is the state's cached `FlowState.rate`, shared with any other step
-    from the same state; each later stage is `_stage_rhs` on the step's one
-    binding (`_stage_rates`), on its grid size's shared buffers, and gamma
-    is recomputed at every stage, which keeps the co-moving tip pinned
-    exactly.  Raises FlowInstabilityError for a dt beyond STAGE_LIMIT stages,
+    from the same state.  The step binds its later stages once
+    (`_bind_stage`, on buffers that binding owns), and gamma is recomputed
+    at every stage, which keeps the co-moving tip pinned exactly.  Raises FlowInstabilityError for a dt beyond STAGE_LIMIT stages,
     on post-step NaNs, or if sup u~ exceeds its initial value beyond the
     abort tolerance (the maximum principle forbids any increase).
 
@@ -686,7 +645,7 @@ def step(state, dt):
     conf = state.conformal
     y0 = np.empty(state.grid.n + 1)
     y0[:-1], y0[-1] = conf.log_factor, state.log_scale
-    y1 = _rkc_step(_stage_rates(state), y0, state.rate, dt, _stage_count(stiffness))
+    y1 = _rkc_step(partial(_bind_stage, state), y0, state.rate, dt, _stage_count(stiffness))
     if not np.isfinite(y1).all():
         raise FlowInstabilityError("non-finite fields after step", t1)
     u1, log_scale1 = y1[:-1], float(y1[-1])

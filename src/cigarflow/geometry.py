@@ -361,11 +361,12 @@ def _laplacian_pass(f, out, d, views, scratch, grid, edge_slope):
     own edge slope (a scalar, or K of them).  Interior row i is
     lap_up_i d_i - lap_down_i d_{i-1}.  A pass is four ufuncs writing into
     the given arrays, one `take` of the tip and edge nodes and the two end
-    rows, and slices nothing, so a caller that holds its views takes pass
-    after pass for the cost of the arithmetic (`flow._bind_stage`).  A field's end rows are
-    taken in Python floats, which are cheaper than numpy scalars and round
-    the same; a block's are taken as columns, which round the same too, so
-    each row of a block gets the bits it would get alone.
+    rows, and slices nothing, so a caller that holds its views and buffers
+    takes pass after pass for the cost of the arithmetic: an RKC2 step's
+    one stage binding (`flow._bind_stage`).  A field's end rows are taken in
+    Python floats, which are cheaper than numpy scalars and round the same;
+    a block's are taken as columns, which round the same too, so each row of
+    a block gets the bits it would get alone.
     """
     # Tip row: 2 F''(0) with the truncation coefficient h^2 (F''''/4 - F''/3),
     # matching the s->0 limit of the interior conservative stencil.  A plain
@@ -400,8 +401,8 @@ def _laplacian_rows(f, grid, edge_slope, out):
     one field or a (K, n) block: one `_laplacian_pass` on new buffers.
     `background_laplacian`, `ConformalState.laplacian` and
     `flow.record_block` take their rows here, and each RKC2 stage takes its
-    pass on buffers bound once per step (`flow._bind_stage`), so all give
-    the same bits."""
+    pass on the buffers its step's one binding owns (`flow._bind_stage`),
+    so all give the same bits."""
     f_hi = f[_HI]
     d = np.empty_like(f_hi)
     views = f_hi, f[_LO], d[_HI], d[_LO], out[_INNER]

@@ -1,6 +1,7 @@
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,17 +94,18 @@ def _coupled_step(state, y, dt):
     """One RKC2 step of the coupled system y = (u^, f^, log L) from `state`,
     with the program's stage count for dt.
 
-    u^ and log L take `flow._stage_rhs`'s rate.  f^ takes its own heat
-    equation, d f^/dt = e^{-u^} Lap_E f^ + gamma tanh(s) d f^/ds, from the
-    separate operators, with the program's edge slope of f.  Nothing here
-    uses f = w0 - u~.
+    u^ and log L take the program's stage rate (`flow._bind_stage`), bound
+    afresh at every stage.  f^ takes its own heat equation, d f^/dt =
+    e^{-u^} Lap_E f^ + gamma tanh(s) d f^/ds, from the separate operators,
+    with the program's edge slope of f.  Nothing here uses f = w0 - u~.
+    `flow._rkc_step` binds `rhs` once to its stage point and rate row.
     """
     grid, n = state.grid, state.grid.n
     slope_f = state.potential_slope
 
     def rhs(y, out):
         u_hat, f_hat = y[:n], y[n:-1]
-        rate = flow._stage_rhs(state, np.append(u_hat, y[-1]), np.empty(n + 1))
+        rate = flow._bind_stage(state, np.append(u_hat, y[-1]), np.empty(n + 1))()
         gamma = rate[-1]
         df = np.exp(-u_hat) * background_laplacian(f_hat, grid, slope_f)
         if gamma != 0.0:
@@ -111,7 +113,7 @@ def _coupled_step(state, y, dt):
         out[:n], out[n:-1], out[-1] = rate[:-1], df, gamma
         return out
 
-    return flow._rkc_step(rhs, y, rhs(y, np.empty_like(y)), dt,
+    return flow._rkc_step(partial(partial, rhs), y, rhs(y, np.empty_like(y)), dt,
                           flow._stage_count(dt * state.conformal.stiffness))
 
 

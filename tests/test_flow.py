@@ -67,7 +67,8 @@ def test_rhs_is_minus_curvature_exactly(fixed_frame):
     state = fixed_frame(radial_config(n=65))
     conf = state.conformal
     # the fixed-frame stage rate of u~ is -R exactly
-    rate = flow._stage_rhs(state, np.append(conf.log_factor, 0.0), np.empty(state.grid.n + 1))
+    y = np.append(conf.log_factor, 0.0)
+    rate = flow._bind_stage(state, y, np.empty_like(y))()
     assert rate.shape == (state.grid.n + 1,)
     du, gamma = rate[:-1], rate[-1]
     assert gamma == 0.0
@@ -89,7 +90,7 @@ def test_fused_stage_rate_matches_the_separate_operators(fixed_frame):
     for state in (fixed_frame(config), build_scenario(config)):
         grid, conf, n = state.grid, state.conformal, state.grid.n
         u = conf.log_factor + 0.01 * np.sin(grid.s)
-        rate = flow._stage_rhs(state, np.append(u, 0.0), np.empty(n + 1))
+        rate = flow._bind_stage(state, np.append(u, 0.0), np.empty(n + 1))()
         assert rate.shape == (n + 1,)
         du = np.exp(-u) * background_laplacian(u, grid, conf.edge_slope)
         if state.frame == flow.FIXED:
@@ -105,9 +106,9 @@ def test_fused_stage_rate_matches_the_separate_operators(fixed_frame):
 
 @pytest.mark.parametrize("frame", ["fixed", "comoving"])
 def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame, fixed_frame):
-    # the cached stage 0 equals `_stage_rhs` at the state itself, on a state
-    # stepped away from its data (gamma != 0 in the co-moving frame) and on
-    # one rebuilt by `replace`, which caches nothing
+    # the cached stage 0 equals a stage bound afresh at the state itself, on
+    # a state stepped away from its data (gamma != 0 in the co-moving frame)
+    # and on one rebuilt by `replace`, which caches nothing
     bump = {"type": "perturbed_cigar", "amplitude": 0.5, "center": 2.0, "width": 0.5}
     config = radial_config(n=65, initial=bump)
     state = fixed_frame(config) if frame == "fixed" else build_scenario(config)
@@ -116,7 +117,7 @@ def test_state_rate_is_a_fresh_stage_rate_bit_for_bit(frame, fixed_frame):
     assert (state.log_scale != 0.0) == (frame == "comoving")
     for candidate in (state, replace(state, t=0.25)):
         y0 = np.append(candidate.conformal.log_factor, candidate.log_scale)
-        fresh = flow._stage_rhs(candidate, y0, np.empty_like(y0))
+        fresh = flow._bind_stage(candidate, y0, np.empty_like(y0))()
         assert candidate.rate.tobytes() == fresh.tobytes()
 
 
@@ -131,12 +132,12 @@ def stepped_states(n):
 
 @pytest.mark.parametrize("n", [17, 65, 257])
 def test_step_is_the_per_call_stage_bit_for_bit(n, monkeypatch):
-    # `step` binds its stage once (`_stage_rates`) and reuses its buffers
-    # across the stages; `_stage_rhs` binds new buffers at every call.  Both
-    # give the same bits at every stage count, so no buffer is left stale
-    # between stages.  The step's product is read where `_rkc_step` returns
-    # it: at n = 17 the 20-stage fixed-frame step is refused afterwards
-    # (sup u~ rises), which takes nothing from the comparison.
+    # `step` binds its stage once (`_bind_stage`) and reuses the binding's
+    # buffers across the stages.  A binding taken afresh at every stage gives
+    # the same bits at every stage count, so no buffer is left stale between
+    # stages.  The step's product is read where `_rkc_step` returns it: at
+    # n = 17 the 20-stage fixed-frame step is refused afterwards (sup u~
+    # rises), which takes nothing from the comparison.
     products = []
     rkc_step = flow._rkc_step
 
@@ -157,29 +158,27 @@ def test_step_is_the_per_call_stage_bit_for_bit(n, monkeypatch):
             except flow.FlowInstabilityError:
                 assert (n, state.frame, s) == (17, flow.FIXED, 20)
                 stepped = None
-            want = rkc_step(partial(flow._stage_rhs, state), y0, state.rate, dt, s)
+            want = rkc_step(lambda p, o: lambda: flow._bind_stage(state, p, o)(),
+                            y0, state.rate, dt, s)
             assert products[-1].tobytes() == want.tobytes(), (state.frame, s)
             if stepped is not None:
                 assert stepped.conformal.log_factor.tobytes() == want[:-1].tobytes()
                 assert stepped.log_scale == want[-1]
-        # a bound rhs given other arrays binds them in turn
-        rhs, other = flow._stage_rates(state), y0 + 0.01 * np.sin(np.arange(n + 1))
-        for y in (y0, other, y0):
-            got = rhs(y, np.empty_like(y))
-            assert got.tobytes() == flow._stage_rhs(state, y, np.empty_like(y)).tobytes()
 
 
 def test_a_step_shares_no_buffer_with_its_result(monkeypatch):
-    # no array a step binds for its stages (its stage point, its rate row and
-    # its grid size's shared buffers) reaches the state it returns, and a
-    # second step from the same state leaves the first one's result as it was
+    # a step binds its stage once.  No array it binds (its stage point, its
+    # rate row and the binding's own buffers) reaches the state it returns,
+    # or is bound by a step from another state on a grid of the same size;
+    # and a second step from the same state leaves the first one's result as
+    # it was
     *_, state = stepped_states(65)
     dt = flow.adaptive_dt(state)
     bound = []
     bind = flow._bind_stage
 
-    def spy(state, y, out, buffers):
-        stage = bind(state, y, out, buffers)
+    def spy(state, y, out):
+        stage = bind(state, y, out)
         values = [cell.cell_contents for cell in stage.__closure__]
         values = [x for v in values for x in (v if isinstance(v, tuple) else (v,))]
         bound.append([y, out] + [x for x in values if isinstance(x, np.ndarray)])
@@ -194,32 +193,10 @@ def test_a_step_shares_no_buffer_with_its_result(monkeypatch):
     alone = flow.step(replace(state), dt)
     assert first.conformal.log_factor.tobytes() == alone.conformal.log_factor.tobytes()
     assert first.rate.tobytes() == alone.rate.tobytes()
-
-
-def test_steps_of_one_grid_size_share_one_set_of_stage_buffers(tmp_path, monkeypatch):
-    # the stage buffers are kept per grid size n, also for the grid a loaded
-    # snapshot builds and for another s_max; a new size adds one set
-    buffers = []
-    bind = flow._bind_stage
-
-    def spy(state, y, out, shared):
-        buffers.append(shared)
-        return bind(state, y, out, shared)
-
-    monkeypatch.setattr(flow, "_bind_stage", spy)
-    flow._shared_stage_buffers.cache_clear()
-    state = build_scenario(radial_config(n=65))
-    save_snapshot(state, tmp_path / "snap.txt")
-    states = [state, load_snapshot(tmp_path / "snap.txt"),
-              build_scenario(radial_config(n=65, s_max=7.5))]
-    for x in states:
-        flow.step(x, flow.adaptive_dt(x))
-    assert states[1].grid is not state.grid
-    assert all(shared is buffers[0] for shared in buffers)
-    assert flow._shared_stage_buffers.cache_info().currsize == 1
-    flow.step(cigar_flow_state(n=129), 1e-3)
-    assert buffers[-1] is not buffers[0]
-    assert flow._shared_stage_buffers.cache_info().currsize == 2
+    other = build_scenario(radial_config(n=65, s_max=7.5))
+    flow.step(other, flow.adaptive_dt(other))
+    assert len(bound) == 4
+    assert not any(np.shares_memory(a, b) for a in bound[0] for b in bound[-1])
 
 
 def _rkc_step_reference(rhs, y0, dt, s):
@@ -258,7 +235,7 @@ def test_rkc_step_product_is_the_expression_to_rounding():
             return coef * y + 0.1 * coef * np.sin(y)
 
         dt = flow._rkc_coefficients(s)[0] / 3.3  # dt |coef| inside [0, beta(s)]
-        got = flow._rkc_step(lambda y, out: np.copyto(out, rhs(y)), y0, rhs(y0), dt, s)
+        got = flow._rkc_step(lambda y, out: lambda: np.copyto(out, rhs(y)), y0, rhs(y0), dt, s)
         want, d = _rkc_step_reference(rhs, y0, dt, s)
         bound = eps * (np.abs(want) + 4 * s**2 * np.max(np.abs(d)))
         assert np.all(np.abs(got - want) <= bound), s
@@ -649,11 +626,11 @@ def test_rkc_stability_polynomial():
     for s in range(2, flow.MAX_STAGES + 1):
         beta = flow._rkc_coefficients(s)[0]
         z = np.linspace(-beta, 0.0, 4001)
-        p = flow._rkc_step(partial(np.multiply, z), np.ones(z.size), z, 1.0, s)
+        p = flow._rkc_step(partial(partial, np.multiply, z), np.ones(z.size), z, 1.0, s)
         assert np.max(np.abs(p)) <= 1.0 + 1e-12, s
         assert np.max(np.abs(p[z <= -beta / 20])) <= 0.97, s
         z = np.array([-1e-2, -5e-3, -2.5e-3])
-        p = flow._rkc_step(partial(np.multiply, z), np.ones(z.size), z, 1.0, s)
+        p = flow._rkc_step(partial(partial, np.multiply, z), np.ones(z.size), z, 1.0, s)
         assert np.all(np.abs(p - (1.0 + z + 0.5 * z * z)) <= 0.2 * np.abs(z) ** 3), s
         assert flow._stage_count(beta) == s
         assert flow._stage_count(beta * (1.0 + 1e-12)) == s + 1

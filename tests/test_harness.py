@@ -198,6 +198,10 @@ def test_parse_config_raises_only_config_error(mutations):
     # s_max below MIN_S_MAX, where the stencil denominators b h^2 underflow
     {"grid": {"kind": "radial", "n": 129, "s_max": 1e-300}},
     {"grid": {"kind": "radial", "n": 17, "s_max": 9e-91}},
+    # snapshot times that share a file name (the time to 6 decimals): the 11
+    # times 0, 1e-7, .., 1e-6 would write two files
+    {"stepping": {"safety": 0.9, "t_end": 1e-6, "record_interval": 1e-6},
+     "output": {"snapshot_interval": 1e-7}},
 ])
 def test_cli_config_errors_exit_2(tmp_path, change, capsys):
     path = tmp_path / "config.json"
@@ -261,12 +265,13 @@ def test_cli_initial_data_inside_the_curvature_guard_runs(tmp_path):
         assert cli.main(["run", str(path), "--quiet", "--out", str(tmp_path / "out")]) == 0
 
 
-def _run_cli(args, timeout=60):
-    """`python -m cigarflow <args>` in a subprocess, with this tree's src/ first."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def _run_cli(args, timeout=60, cwd=None, **env):
+    """`python -m cigarflow <args>` in a subprocess, in `cwd`, with this
+    tree's src/ first and the variables `env` set."""
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "cigarflow", *args], capture_output=True,
-                          text=True, env=env, timeout=timeout)
+                          text=True, env=env, timeout=timeout, cwd=cwd)
 
 
 REFUSED_SCENARIOS = {
@@ -1297,12 +1302,9 @@ def test_cli_a_scenario_build_a_step_and_a_map_leave_scipy_unimported(config_dir
 
 
 def test_console_script_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "cigarflow", "report", "runs/perturbed_relax_129"],
-        capture_output=True, text=True,
-        cwd=Path(__file__).resolve().parent.parent,
-    )
-    assert proc.returncode == 0
+    proc = _run_cli(["report", "runs/perturbed_relax_129"],
+                    cwd=Path(__file__).resolve().parent.parent)
+    assert proc.returncode == 0, proc.stderr
     assert "run: perturbed_relax_129" in proc.stdout
 
 
@@ -1361,13 +1363,11 @@ def test_cli_run_bytes_do_not_depend_on_the_blas_thread_count(config_dir, tmp_pa
     # run writes the same six files with BLAS on one thread and on two
     outs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
         outs.append(tmp_path / f"threads_{threads}")
-        proc = subprocess.run(
-            [sys.executable, "-m", "cigarflow", "run", str(config_dir / "perturbed_relax_129.json"),
-             "--quiet", "--out", str(outs[-1])],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = _run_cli(
+            ["run", str(config_dir / "perturbed_relax_129.json"), "--quiet", "--out", str(outs[-1])],
+            timeout=120, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+            MKL_NUM_THREADS=threads,
         )
         assert proc.returncode == 0, proc.stderr
     names = sorted(path.name for path in outs[0].iterdir())
