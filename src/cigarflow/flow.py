@@ -19,19 +19,25 @@ is Gershgorin's bound of a diagonally scaled copy of e^{-u~} Lap_E
 (`RadialGrid.gershgorin_rows`): a bound for every diffusivity, the tip and
 the ghost edge row included, and within 7% of the true radius on the cigar.
 A stage evaluates the rates of u~ and log L together.  Each state's fields
-are computed once on the step path: its Laplacian rows
-(`ConformalState.laplacian`) give both its curvature and its stage rate
-(`FlowState.rate`), which is stage 0 of every step taken from it, so the
-accepted step, the record's curvature and its curvature-evolution residual
-share one evaluation.  A record takes no step: the residual's dR/dt is the
-semi-discrete flow's exact rate at the state (`monitor`).  A step binds its
-later stages once (`_bind_stage`), before the first of them: the views of
-its stage point and rate row, and a difference buffer, two scratch rows
-and an e^{-u~} row that the binding owns.  So each stage is about twelve
-ufuncs writing into those buffers and one read of the tip and edge nodes,
-with the same bits as a stage bound afresh.  Each forms its increment by
-one BLAS product of four weights with a preallocated stack of four rows
-(`_rkc_step`).
+are computed once on the step path, by the step that made it: once its
+checks pass, the step calls its bound stage once more, at the new point,
+and that call's rate, e^{-u^} and R are the new state's stage rate
+(`FlowState.rate`), `diffusivity` and `curvature`.  So a stepped state
+takes no Laplacian rows of its own.  Its stage rate is stage 0 of every
+step taken from it, so the accepted step, the record's curvature and its
+curvature-evolution residual share one evaluation.  A state no step made
+(the t = 0 state, a loaded snapshot, an exact state) computes the same
+fields, with the same bits, from its own Laplacian rows
+(`ConformalState.laplacian`) on first use.  A record takes no step: the
+residual's dR/dt is the semi-discrete flow's exact rate at the state
+(`monitor`).  A step binds its later stages once (`_bind_stage`), before
+the first of them: the views of its stage point and rate row, and a
+difference buffer, two scratch rows and an e^{-u~} row that the binding
+owns.  So each stage, the last call at the new point included, is about
+twelve ufuncs writing into those buffers and one read of the tip and edge
+nodes, with the same bits as a stage bound afresh.  Each later stage forms
+its increment by one BLAS product of four weights with a preallocated
+stack of four rows (`_rkc_step`).
 
 Co-moving gauge.  In fixed coordinates the tip of a cigar-like solution
 sinks like u~(0,t) = -4t, so the explicit stability limit collapses like
@@ -290,12 +296,15 @@ class FlowState:
     @cached_property
     def rate(self):
         """The stage rate of (u^, log L) at this state, bit for bit a stage
-        bound to (u^, log L) (`_bind_stage`), computed once: e^{-u^} times
-        the conformal state's cached Laplacian rows, plus the co-moving terms.
-        It is stage 0 of every RKC2 step from the state, and the record's
-        curvature-evolution residual reads its dR/dt from it (`monitor`), so
-        a record state's accepted step and its record share it.  The
-        co-moving terms are the stages' own (`_transport`)."""
+        bound to (u^, log L) (`_bind_stage`), computed once.  A state that
+        `step` returns holds it from the start: its step's last call of the
+        stage, at the state, copied out of the step's stack.  Any other
+        state computes it here, on first use: e^{-u^} times the conformal
+        state's cached Laplacian rows, plus the co-moving terms, which are
+        the stages' own (`_transport`).  It is stage 0 of every RKC2 step
+        from the state, and the record's curvature-evolution residual reads
+        its dR/dt from it (`monitor`), so a record state's accepted step and
+        its record share it."""
         conf = self.conformal
         out = np.empty(self.grid.n + 1)
         rate = out[:-1]
@@ -427,21 +436,28 @@ def _bind_stage(state, y, out):
     """Bind the rate of y = (u_hat, log L) at an RKC2 stage from `state` to
     y and out, vectors of length n + 1, once, and return `stage()`, which
     writes the rate at whatever y holds at the call into `out` and returns
-    it.  `_rkc_step` binds once per step, on its stage point and rate row.
+    it.  `_rkc_step` binds once per step, on its stage point and rate row,
+    and `step` calls the stage once more at the step's result, for the new
+    state's fields: `stage(curvature)` also writes R = e^{-u_hat} (0.0 -
+    Lap_E u_hat) into the row `curvature`, `scalar_curvature`'s formula,
+    signed zeros included (0.0 minus the rate would give +0.0 where the
+    product underflows), and `stage.diffusivity` is the binding's e^{-u_hat}
+    row, which the last call leaves at the result.
 
     Bound here: the views of y and out that the stencil pass and the
     transport read and write, and the binding's own buffers, which no other
     binding shares: the difference buffer, two interior scratch rows, which
     the stencil and the transport take in turn, and the e^{-u_hat} row; and
     the edge slope as a Python float.  A call is then one stencil pass
-    (`_laplacian_pass`), three ufuncs for e^{-u_hat}, and the transport
-    (`_transport`), and it slices and allocates nothing but the stencil's
+    (`_laplacian_pass`), three ufuncs for e^{-u_hat} (two more for R), and
+    the transport (`_transport`), and it slices and allocates nothing but the stencil's
     `take`.  The Laplacian's rows are `background_laplacian`'s, so the
     fixed-frame rate of u is -R bit for bit.  e^{-u_hat} multiplies each row
     after the subtraction; folded into the coefficients it would amplify its
     own rounding through the cancellation in the tail.  Stage 0, the rate at
-    the state itself, is `FlowState.rate`, which gives the same bits from
-    the state's cached rows.
+    the state itself, is `FlowState.rate`: a stepped state's is its step's
+    last call, and any other state's gives the same bits from its cached
+    rows.
     """
     grid = state.grid
     u_hat, rate = y[:-1], out[:-1]
@@ -451,13 +467,16 @@ def _bind_stage(state, y, out):
     views = (u_hat[1:], u_hat[:-1], *transported)
     edge_slope, comoving = float(state.conformal.edge_slope), state.frame == COMOVING
 
-    def stage():
+    def stage(curvature=None):
         _laplacian_pass(u_hat, rate, d, views, scratch[0], grid, edge_slope)
         np.negative(u_hat, diffusivity)
         np.exp(diffusivity, diffusivity)
+        if curvature is not None:  # `scalar_curvature`'s e^{-u} (0.0 - Lap_E u)
+            np.multiply(diffusivity, np.subtract(0.0, rate, curvature), curvature)
         np.multiply(rate, diffusivity, rate)
         return _transport(out, rate, transported, grid, edge_slope, comoving, scratch)
 
+    stage.diffusivity = diffusivity
     return stage
 
 
@@ -552,7 +571,9 @@ def _rkc_step(bind, y0, rate0, dt, s):
     left to right, so the step agrees with the sequential expression to
     rounding, not bit for bit.  A component whose rate is 0 at every stage
     (the co-moving tip) has every increment 0 and keeps its old value
-    exactly.  The result is a new array, so no bound buffer reaches it.  The
+    exactly.  The result y1 = y0 + d_s is left in the stage point, with the
+    same bits as a new array, and the step returns (y1, stage): the stage
+    is bound to y1, so one more call gives the rate there (`step`).  The
     ufuncs here and in the stages take `out` positionally, which numpy
     parses faster than the keyword.
     """
@@ -570,7 +591,8 @@ def _rkc_step(bind, y0, rate0, dt, s):
         stage()
         np.dot(row, stack, d_older)
         d_old, d_older = d_older, d_old
-    return y0 + d_old
+    np.add(y0, d_old, point)
+    return point, stage
 
 
 def adaptive_dt(state, safety=0.9):
@@ -624,9 +646,17 @@ def step(state, dt):
     0 is the state's cached `FlowState.rate`, shared with any other step
     from the same state.  The step binds its later stages once
     (`_bind_stage`, on buffers that binding owns), and gamma is recomputed
-    at every stage, which keeps the co-moving tip pinned exactly.  Raises FlowInstabilityError for a dt beyond STAGE_LIMIT stages,
-    on post-step NaNs, or if sup u~ exceeds its initial value beyond the
-    abort tolerance (the maximum principle forbids any increase).
+    at every stage, which keeps the co-moving tip pinned exactly.  Raises
+    FlowInstabilityError for a dt beyond STAGE_LIMIT stages, on post-step
+    NaNs, or if sup u~ exceeds its initial value beyond the abort tolerance
+    (the maximum principle forbids any increase).
+
+    Once those checks pass, the step calls its stage once more, at the new
+    point, and hands the new state that call's rate (copied out of the
+    step's stack, which the state then does not keep alive), e^{-u^} and R,
+    bit for bit what the state would compute from its own Laplacian rows.
+    Its stiffness is read from that e^{-u^} when first asked for, so a
+    ValueError for an e^{-u^} that overflowed comes from there, as before.
 
     The new state holds the step it came from (`_Step`: the state it left
     and dt) in place of its accumulators: u~ is mapped to the fixed nodes
@@ -645,7 +675,8 @@ def step(state, dt):
     conf = state.conformal
     y0 = np.empty(state.grid.n + 1)
     y0[:-1], y0[-1] = conf.log_factor, state.log_scale
-    y1 = _rkc_step(partial(_bind_stage, state), y0, state.rate, dt, _stage_count(stiffness))
+    y1, stage = _rkc_step(partial(_bind_stage, state), y0, state.rate, dt,
+                          _stage_count(stiffness))
     if not np.isfinite(y1).all():
         raise FlowInstabilityError("non-finite fields after step", t1)
     u1, log_scale1 = y1[:-1], float(y1[-1])
@@ -663,8 +694,14 @@ def step(state, dt):
     if depth > BLOCK_STEPS:
         _catch_up(state)
         depth = 1
-    return FlowState(ConformalState(state.grid, u1, conf.edge_slope), t1, log_scale1,
-                     state.frame, state.init, _Step(state, dt, depth))
+    conformal = ConformalState(state.grid, u1, conf.edge_slope)
+    new = FlowState(conformal, t1, log_scale1, state.frame, state.init, _Step(state, dt, depth))
+    # the new state's fields from one more call of the step's stage, at y1;
+    # its rate is copied out of the step's stack, so the stack is not kept
+    curvature = np.empty(state.grid.n)
+    vars(new)["rate"] = stage(curvature).copy()
+    vars(conformal).update(diffusivity=stage.diffusivity, curvature=curvature)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -758,8 +795,12 @@ def record_block(states, dt_hints, s_window=None):
     fixed = _fixed_fields(init, u_fixed)
     _, width_bound, cinf = _width_estimates(grid, u_hat)
     # log u = u~ + log(1 + r^2) at the node's fixed-frame radius r = L sinh a,
-    # written so that nothing overflows as L grows
-    log_u = u_hat + np.log(np.exp(-2.0 * log_scale)[:, None] + grid.r**2)
+    # written so that nothing overflows as L grows.  Past log L ~ 372 L^-2
+    # underflows, and the tip's term takes its value -2 log L
+    with np.errstate(divide="ignore"):
+        log_u = u_hat + np.log(np.exp(-2.0 * log_scale)[:, None] + grid.r**2)
+    tip = np.isneginf(log_u[:, 0])
+    log_u[tip, 0] = u_hat[tip, 0] - 2.0 * log_scale[tip]
     columns = (
         curv.max(axis=1), curv.min(axis=1), u_hat.max(axis=1) - 2.0 * log_scale,
         _metric_gradient_sq(grid, u_hat, u_hat, slope).max(axis=1),

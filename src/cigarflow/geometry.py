@@ -34,6 +34,7 @@ points of each piece.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -274,7 +275,10 @@ class ConformalState:
     outer ghost node.  Each derived field is computed once, on first use:
     e^{-u~} (`diffusivity`), the Laplacian rows (`laplacian`, with the
     `differences` they were taken from), R (`curvature`) and the stiffness
-    rho (`stiffness`).  A state is treated as an immutable value, so the
+    rho (`stiffness`).  A state that `flow.step` returns is handed e^{-u~}
+    and R by its step, whose stage computes both at the new point with the
+    same bits, so it never takes its Laplacian rows; its stiffness reads
+    the handed e^{-u~}.  A state is treated as an immutable value, so the
     caches never go stale.
     """
 
@@ -305,7 +309,7 @@ class ConformalState:
     @property
     def laplacian(self):
         """Lap_E u~, the rows that the curvature and the stepped rate at this
-        state (`flow.FlowState.rate`) share."""
+        state (`flow.FlowState.rate`) share where no step handed them over."""
         return self._rows[0]
 
     @property
@@ -323,13 +327,16 @@ class ConformalState:
         """rho = max(e^{-u~} rows), rows the grid's `gershgorin_rows`: a bound
         on the spectral radius of e^{-u~} Lap_E for every diffusivity, which
         sets an RKC2 step's stage count and caps its dt (computed once); a
-        ValueError where e^{-u~} overflowed."""
-        if not np.isfinite(self.diffusivity).all():
+        ValueError where e^{-u~} overflowed.  The rows are positive and
+        finite, so an inf or a NaN in e^{-u~} gives rho the same, and one
+        scan finds both."""
+        rho = float((self.diffusivity * self.grid.gershgorin_rows).max())
+        if not math.isfinite(rho):
             raise ValueError(
                 "diffusivity e^{-u} overflowed; rescale the initial data or use "
                 "the co-moving frame"
             )
-        return float((self.diffusivity * self.grid.gershgorin_rows).max())
+        return rho
 
 
 def _check_field(f, grid):
@@ -400,9 +407,10 @@ def _laplacian_rows(f, grid, edge_slope, out):
     """Write Lap_E f into `out` and return the differences d = diff(f), for
     one field or a (K, n) block: one `_laplacian_pass` on new buffers.
     `background_laplacian`, `ConformalState.laplacian` and
-    `flow.record_block` take their rows here, and each RKC2 stage takes its
-    pass on the buffers its step's one binding owns (`flow._bind_stage`),
-    so all give the same bits."""
+    `flow.record_block` take their rows here, and each RKC2 stage, and the
+    one more call that gives a stepped state its fields, takes its pass on
+    the buffers its step's one binding owns (`flow._bind_stage`), so all
+    give the same bits."""
     f_hi = f[_HI]
     d = np.empty_like(f_hi)
     views = f_hi, f[_LO], d[_HI], d[_LO], out[_INNER]

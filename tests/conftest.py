@@ -98,7 +98,8 @@ def _coupled_step(state, y, dt):
     afresh at every stage.  f^ takes its own heat equation, d f^/dt =
     e^{-u^} Lap_E f^ + gamma tanh(s) d f^/ds, from the separate operators,
     with the program's edge slope of f.  Nothing here uses f = w0 - u~.
-    `flow._rkc_step` binds `rhs` once to its stage point and rate row.
+    `flow._rkc_step` binds `rhs` once to its stage point and rate row, and
+    leaves y1 in the stage point.
     """
     grid, n = state.grid, state.grid.n
     slope_f = state.potential_slope
@@ -113,8 +114,9 @@ def _coupled_step(state, y, dt):
         out[:n], out[n:-1], out[-1] = rate[:-1], df, gamma
         return out
 
-    return flow._rkc_step(partial(partial, rhs), y, rhs(y, np.empty_like(y)), dt,
-                          flow._stage_count(dt * state.conformal.stiffness))
+    y1, _ = flow._rkc_step(partial(partial, rhs), y, rhs(y, np.empty_like(y)), dt,
+                           flow._stage_count(dt * state.conformal.stiffness))
+    return y1
 
 
 @pytest.fixture(scope="session")

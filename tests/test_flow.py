@@ -142,8 +142,9 @@ def test_step_is_the_per_call_stage_bit_for_bit(n, monkeypatch):
     rkc_step = flow._rkc_step
 
     def spy(*args):
-        products.append(rkc_step(*args))
-        return products[-1]
+        y1, stage = rkc_step(*args)
+        products.append(y1.copy())
+        return y1, stage
 
     monkeypatch.setattr(flow, "_rkc_step", spy)
     for state in stepped_states(n):
@@ -158,20 +159,28 @@ def test_step_is_the_per_call_stage_bit_for_bit(n, monkeypatch):
             except flow.FlowInstabilityError:
                 assert (n, state.frame, s) == (17, flow.FIXED, 20)
                 stepped = None
-            want = rkc_step(lambda p, o: lambda: flow._bind_stage(state, p, o)(),
-                            y0, state.rate, dt, s)
+            want, _ = rkc_step(lambda p, o: lambda: flow._bind_stage(state, p, o)(),
+                               y0, state.rate, dt, s)
             assert products[-1].tobytes() == want.tobytes(), (state.frame, s)
             if stepped is not None:
                 assert stepped.conformal.log_factor.tobytes() == want[:-1].tobytes()
                 assert stepped.log_scale == want[-1]
 
 
+def result_fields(state):
+    """The arrays a stepped state's step hands it: u^ (a view of the step's
+    stage point), the stage rate, e^{-u^} and R."""
+    conf = state.conformal
+    return conf.log_factor, state.rate, conf.diffusivity, conf.curvature
+
+
 def test_a_step_shares_no_buffer_with_its_result(monkeypatch):
-    # a step binds its stage once.  No array it binds (its stage point, its
-    # rate row and the binding's own buffers) reaches the state it returns,
-    # or is bound by a step from another state on a grid of the same size;
-    # and a second step from the same state leaves the first one's result as
-    # it was
+    # a step binds its stage once, and one more call of it at y1 gives the
+    # state it returns its fields: u^ in the stage point and e^{-u^} in the
+    # binding's row reach the result by design, and the rate is copied out
+    # of the step's stack.  No two results share memory, no later stage
+    # writes into a returned field, and a step from another state on a grid
+    # of the same size binds arrays that share no memory with the first's
     *_, state = stepped_states(65)
     dt = flow.adaptive_dt(state)
     bound = []
@@ -187,16 +196,91 @@ def test_a_step_shares_no_buffer_with_its_result(monkeypatch):
     monkeypatch.setattr(flow, "_bind_stage", spy)
     first = flow.step(state, dt)
     assert len(bound) == 1 and flow._stage_count(dt * state.conformal.stiffness) > 2
-    results = (first.conformal.log_factor, first.rate, first.conformal.laplacian)
-    assert not any(np.shares_memory(a, b) for a in results for b in bound[0])
-    flow.step(state, 0.5 * dt)
+    handed = [a.tobytes() for a in result_fields(first)]
+    log_factor, rate, diffusivity, curvature = result_fields(first)
+    assert np.shares_memory(log_factor, bound[0][0])
+    assert any(diffusivity is a for a in bound[0])
+    assert not any(np.shares_memory(a, b) for a in (rate, curvature) for b in bound[0])
+    second = flow.step(state, 0.5 * dt)
+    third = flow.step(first, flow.adaptive_dt(first))
     alone = flow.step(replace(state), dt)
-    assert first.conformal.log_factor.tobytes() == alone.conformal.log_factor.tobytes()
-    assert first.rate.tobytes() == alone.rate.tobytes()
+    arrays = [a for x in (first, second, third, alone) for a in result_fields(x)]
+    assert not any(np.shares_memory(a, b) for k, a in enumerate(arrays) for b in arrays[k + 1:])
+    assert [a.tobytes() for a in result_fields(first)] == handed
+    assert [a.tobytes() for a in result_fields(alone)] == handed
     other = build_scenario(radial_config(n=65, s_max=7.5))
     flow.step(other, flow.adaptive_dt(other))
-    assert len(bound) == 4
+    assert len(bound) == 5
     assert not any(np.shares_memory(a, b) for a in bound[0] for b in bound[-1])
+
+
+def fresh_fields(state):
+    """The state's rate, e^{-u^}, R and stiffness, as bytes, and as a state
+    rebuilt with fresh caches computes them from its own Laplacian rows."""
+    def fields(x):
+        return [a.tobytes() for a in result_fields(x)[1:]] + [x.conformal.stiffness]
+
+    return fields(state), fields(replace(state, conformal=replace(state.conformal)))
+
+
+@pytest.mark.parametrize("n", [17, 65, 257])
+def test_a_stepped_state_has_the_fields_of_a_fresh_one_bit_for_bit(n):
+    # the rate, e^{-u^} and R that a step hands the state it returns, and
+    # the stiffness read from that e^{-u^}, are a fresh state's bit for bit,
+    # in both frames and at every stage count; the step takes none of the
+    # state's own Laplacian rows.  The flat plane's R stays +0.0, never -0.0
+    flat = build_scenario(radial_config(n=n, s_max=1.0, initial={"type": "flat"}))
+    for state in (*stepped_states(n), replace(flat, frame=flow.FIXED), flat):
+        rho = state.conformal.stiffness
+        for s in (2, 7, 20):
+            try:
+                stepped = flow.step(state, 0.99 * flow._rkc_coefficients(s)[0] / rho)
+            except flow.FlowInstabilityError:
+                assert (n, state.frame, s) == (17, flow.FIXED, 20)
+                continue
+            assert {"rate"} <= set(vars(stepped))
+            assert {"diffusivity", "curvature"} <= set(vars(stepped.conformal))
+            got, want = fresh_fields(stepped)
+            assert got == want, (state.frame, s)
+            assert "_rows" not in vars(stepped.conformal)
+            if state.conformal is flat.conformal:
+                assert not np.signbit(stepped.curvature).any() and not stepped.curvature.any()
+
+
+def test_the_stage_curvature_is_scalar_curvature_bit_for_bit(fixed_frame):
+    # the R row a stage writes is `scalar_curvature`'s formula, signed zeros
+    # included: where e^{-u} Lap_E u underflows, or e^{-u} is 0, R keeps the
+    # sign of -Lap_E u, which 0.0 - (e^{-u} Lap_E u) would turn to +0.0
+    state = fixed_frame(radial_config(n=65))
+    grid = state.grid
+    for base in (740.0, 800.0):
+        u = base + 1e-3 * np.cos(grid.s)
+        fresh = replace(state, conformal=ConformalState(grid, u, 0.0))
+        stage = flow._bind_stage(fresh, np.append(u, 0.0), np.empty(grid.n + 1))
+        curvature = np.empty(grid.n)
+        stage(curvature)
+        want = geometry.scalar_curvature(fresh.conformal)
+        assert np.signbit(want).any() and not want.any(), base
+        assert curvature.tobytes() == want.tobytes(), base
+        assert stage.diffusivity.tobytes() == fresh.conformal.diffusivity.tobytes()
+
+
+def test_a_chain_of_steps_takes_no_laplacian_rows_of_its_own(config_dir, monkeypatch):
+    # every stepped state of a run gets its fields from its step: no state
+    # after the first takes its own Laplacian rows (`ConformalState.laplacian`)
+    config = load_config(config_dir / "perturbed_relax_129.json")
+    state = build_scenario(config)
+    calls = []
+    rows = geometry._laplacian_rows
+
+    def spy(f, *args):
+        calls.append(f)
+        return rows(f, *args)
+
+    monkeypatch.setattr(geometry, "_laplacian_rows", spy)
+    result = flow.run(state, 1.0, safety=config.safety, record_interval=config.record_interval)
+    assert not result.aborted and result.telemetry.steps > 40
+    assert calls == []
 
 
 def _rkc_step_reference(rhs, y0, dt, s):
@@ -235,7 +319,8 @@ def test_rkc_step_product_is_the_expression_to_rounding():
             return coef * y + 0.1 * coef * np.sin(y)
 
         dt = flow._rkc_coefficients(s)[0] / 3.3  # dt |coef| inside [0, beta(s)]
-        got = flow._rkc_step(lambda y, out: lambda: np.copyto(out, rhs(y)), y0, rhs(y0), dt, s)
+        got, _ = flow._rkc_step(lambda y, out: lambda: np.copyto(out, rhs(y)),
+                                y0, rhs(y0), dt, s)
         want, d = _rkc_step_reference(rhs, y0, dt, s)
         bound = eps * (np.abs(want) + 4 * s**2 * np.max(np.abs(d)))
         assert np.all(np.abs(got - want) <= bound), s
@@ -338,6 +423,18 @@ def test_stiffness_bound_covers_the_spectrum():
                 assert rho <= 1.1 * radius, (n, s_max)
 
 
+def test_stiffness_refuses_a_non_finite_diffusivity():
+    # rho = max(e^{-u~} rows) is the one scan: the rows are positive and
+    # finite, so an inf in e^{-u~} gives an inf rho and a NaN a NaN, and
+    # both are refused
+    grid = RadialGrid(65, 8.0)
+    for bad in (-1000.0, np.nan):
+        u = np.zeros(grid.n)
+        u[40] = bad
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflowed"):
+            ConformalState(grid, u).stiffness
+
+
 def test_raised_tip_takes_enough_stages():
     # a raised tip lowers the diffusivity there, so the ghost edge row binds;
     # a bound that counted half of that row's Gershgorin sum took too few
@@ -374,9 +471,13 @@ def test_shipped_run_stage_count(config_dir, monkeypatch):
 
 def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     """The Laplacian row passes of the shipped run, set-up included: each
-    state's rows are taken once (`ConformalState.laplacian`) and serve its
-    curvature and its stage rate (`FlowState.rate`), which is stage 0 of the
-    accepted step and gives a record's dR/dt.  A record takes four more
+    state's rows are taken once and serve its curvature and its stage rate
+    (`FlowState.rate`), which is stage 0 of the accepted step and gives a
+    record's dR/dt.  The t = 0 state takes its own rows
+    (`ConformalState.laplacian`); a stepped state's pass is its step's one
+    more call of the bound stage, at the new point, which hands it its rate,
+    e^{-u^} and R (`flow.step`).  That call is not an RKC2 stage, so the
+    stage count stays at 1761.  A record takes four more
     passes, of the potential, u^'s rate, R and phi, and no step (the
     curvature probe's steps and triple residual took five, 1912 in all).
     Records are taken in blocks (`record_block`), so a call on a (K, n)
@@ -385,8 +486,8 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
     `InitialData` takes neither u~0's rows nor f(0)'s (1849 when it did),
     and once more for `build_scenario`'s Lap_g R(0).  The count is exact;
     taking stage 0 afresh in every RKC2 step made 2205.  Every pass is one
-    `_laplacian_pass`: through `_laplacian_rows`, or from an RKC2 stage on
-    the views its step bound once (`flow._bind_stage`)."""
+    `_laplacian_pass`: through `_laplacian_rows`, or from a call of the
+    stage on the views its step bound once (`flow._bind_stage`)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     passes = []
     for module in (geometry, flow):
@@ -626,11 +727,11 @@ def test_rkc_stability_polynomial():
     for s in range(2, flow.MAX_STAGES + 1):
         beta = flow._rkc_coefficients(s)[0]
         z = np.linspace(-beta, 0.0, 4001)
-        p = flow._rkc_step(partial(partial, np.multiply, z), np.ones(z.size), z, 1.0, s)
+        p, _ = flow._rkc_step(partial(partial, np.multiply, z), np.ones(z.size), z, 1.0, s)
         assert np.max(np.abs(p)) <= 1.0 + 1e-12, s
         assert np.max(np.abs(p[z <= -beta / 20])) <= 0.97, s
         z = np.array([-1e-2, -5e-3, -2.5e-3])
-        p = flow._rkc_step(partial(partial, np.multiply, z), np.ones(z.size), z, 1.0, s)
+        p, _ = flow._rkc_step(partial(partial, np.multiply, z), np.ones(z.size), z, 1.0, s)
         assert np.all(np.abs(p - (1.0 + z + 0.5 * z * z)) <= 0.2 * np.abs(z) ** 3), s
         assert flow._stage_count(beta) == s
         assert flow._stage_count(beta * (1.0 + 1e-12)) == s + 1
@@ -1096,7 +1197,8 @@ def test_pending_steps_never_exceed_a_block():
 def test_pending_chains_keep_little_memory_alive(config_dir):
     # each pending link keeps the state it left alive, up to BLOCK_STEPS of
     # them: the shipped data at n = 257 to t = 20 (2012 steps, a record every
-    # 5) peaks at 1.40 MB under tracemalloc; an unbounded chain took 18.6 MB
+    # 5) peaks at 1.66 MB under tracemalloc (1.79 MB while each held state
+    # kept its own Laplacian rows); an unbounded chain took 18.6 MB
     data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
     data["grid"]["n"] = 257
     data["stepping"].update(t_end=20.0, record_interval=5.0)
@@ -1116,6 +1218,29 @@ def test_pending_chains_keep_little_memory_alive(config_dir):
 # ---------------------------------------------------------------------------
 # records taken in blocks
 # ---------------------------------------------------------------------------
+
+def test_a_run_past_log_scale_372_records_a_finite_sup_log_u():
+    # past log L ~ 372 L^-2 underflows: the tip's log u is u^(0) - 2 log L,
+    # with no divide-by-zero warning (the suite makes warnings errors), and
+    # each record's sup log u is the node maximum of log u = u~ +
+    # log(1 + L^2 sinh^2 a), taken here with logaddexp
+    config = radial_config(n=33, initial={"type": "scaled_cigar", "scale": 1e-3},
+                           t_end=0.2, record=0.05)
+    states = []
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval,
+                      snapshot_times=[0.05 * k for k in range(5)], snapshot_hook=states.append)
+    assert not result.aborted and len(result.records) == len(states) == 5
+    assert states[-1].log_scale > 372.0
+    for record, state in zip(result.records, states):
+        log_l = state.log_scale
+        with np.errstate(divide="ignore"):
+            log_r = np.log(state.grid.r)
+        log_u = (state.conformal.log_factor - 2.0 * log_l
+                 + np.logaddexp(0.0, 2.0 * (log_l + log_r)))
+        assert np.isfinite(record.sup_log_u), state.t
+        assert record.sup_log_u == pytest.approx(log_u.max(), rel=1e-12, abs=1e-12), state.t
+
 
 def record_dense_config(seed, t_end=1.0):
     """The benchmark's record_dense data: a record every 0.005, which every

@@ -1059,6 +1059,24 @@ def test_cli_run_instability_exit_code(tmp_path, overdrive):
     assert summary["aborted"] and "unstable" in summary["abort_message"]
 
 
+def test_cli_run_past_log_scale_372_exits_0_with_a_finite_sup_log_u(tmp_path, capsys):
+    # a co-moving run past log L ~ 372, where L^-2 underflows, under the
+    # suite's warnings-as-errors: `run` and `verify` exit 0, and every
+    # record's sup log u is finite
+    cfg_path = write_config(tmp_path, base_config(
+        grid={"kind": "radial", "n": 33, "s_max": 8.0},
+        initial={"type": "scaled_cigar", "scale": 1e-3},
+        stepping={"safety": 0.9, "t_end": 0.2, "record_interval": 0.05},
+    ))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg_path), "--quiet", "--out", str(out)]) == 0
+    assert cli.main(["verify", str(cfg_path)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["log_scale_trace"][-1][1] > 372.0
+    trace = summary["sup_log_u_trace"]
+    assert len(trace) == 5 and all(np.isfinite(value) for _, value in trace)
+
+
 def test_cli_run_custom_table(tmp_path):
     values = list(0.05 * np.exp(-np.linspace(0.0, 8.0, 65)))
     cfg_path = write_config(tmp_path, base_config(
