@@ -63,17 +63,19 @@ accumulator.  A step maps nothing.  The state it returns holds the state
 it came from, and the first read of its accumulators maps the states the
 chain passed through as one block (`_catch_up`, at most BLOCK_STEPS), with
 the same bits as a map per state, and brings every one of them up to date.
-`run` takes its records in blocks as well (`record_block`): up to
-BLOCK_STEPS record states wait, and their records come from one pass over
-(K, n) blocks, with the same bits as one state at a time.  The clamped
-spline's slope system is inverted once per grid size (`RadialGrid.spline`),
-so a fit is one matrix-vector product per row and each evaluation of it a
-piecewise-cubic one.  Each state fits u~ at most once: a record state in
-its record block, whose one evaluation gives both its map and its
-normalized profile (`profile_distance`), and any other in its chain's block
-unless log L = 0.  The curvature evolution residual needs no map: it is
-taken on the co-moving nodes.  gamma = 0 recovers plain fixed-frame
-stepping.
+`run` takes its records in blocks as well (`record_block`): record states
+wait until BLOCK_STEPS of them do, or the run ends, and their records come
+from one pass over (K, n) blocks, with the same bits as one state at a
+time.  The clamped spline's slope system is inverted once per grid size
+(`RadialGrid.spline`), so a fit is one stacked product of matrix-vector
+products, one per row, and each evaluation of it a piecewise-cubic one.  A
+state that no record reads fits u~ at most once, in its chain's block,
+unless log L = 0.  A record state fits it in its record block, whose one
+evaluation gives both its map and its normalized profile
+(`profile_distance`), and once more as a row of its chain's block if a step
+catches that chain up while the record waits.  The curvature evolution
+residual needs no map: it is taken on the co-moving nodes.  gamma = 0
+recovers plain fixed-frame stepping.
 
 Monitored structure, all recorded per step interval:
 
@@ -230,7 +232,8 @@ class Accumulators:
 
 # Most steps whose accumulators wait to be read: `step` brings a longer chain
 # up to date first, so what a chain keeps alive stays small.  Also the most
-# records `run` lets wait, to take them as one block (`record_block`).
+# records `run` lets wait, to take them as one block (`record_block`); a
+# waiting record state keeps only rows it owns once its chain is caught up.
 BLOCK_STEPS = 32
 
 
@@ -376,14 +379,16 @@ def _catch_up(state):
     are known.
 
     u~ at the fixed nodes is each state's `u_fixed` where it is taken
-    already: the known end's, and a record state's, which `record_block`
-    maps before it reads the accumulators.  The other states are mapped as
-    one block (`_frame_map`), and each keeps its row as its `u_fixed`.
-    The trapezoids keep the operations and the order each step took when it
+    already: the known end's, and that of a record state that `record_block`
+    mapped before it read the accumulators.  The other states, waiting
+    record states included, are mapped as one block (`_frame_map`).  The
+    trapezoids keep the operations and the order each step took when it
     advanced them itself, so every bit is the same: v's running sums in step
-    order, from each state's R(origin), and phi's as one block, its terms
-    stacked under phi and subtracted row after row (`np.subtract.accumulate`),
-    each row the phi of one state.
+    order, from each state's R(origin), and phi's from the block of each
+    step's terms, subtracted from the phi before it.  Each state keeps rows
+    that it owns, its map's row copied out of the block and its phi a fresh
+    array, so a record state that waits past its chain's catch-up pins no
+    (K, n) block.
     """
     states = [state]
     while type(vars(states[-1])["acc"]) is _Step:
@@ -395,18 +400,16 @@ def _catch_up(state):
     todo = [k for k, row in enumerate(rows) if row is None]
     if todo:
         for k, row in zip(todo, _frame_map([states[k] for k in todo])[0]):
-            rows[k] = vars(states[k])["u_fixed"] = row
+            rows[k] = vars(states[k])["u_fixed"] = row.copy()
     f = state.init.w0 - np.array(rows)
-    terms = np.empty_like(f)  # phi, then each step's 0.5 dt (f before + f after)
-    terms[0] = acc.phi
-    np.add(f[:-1], f[1:], out=terms[1:])
-    terms[1:] *= np.array([[0.5 * dt] for dt in dts])
-    phi = np.subtract.accumulate(terms)
+    terms = np.add(f[:-1], f[1:])  # each step's 0.5 dt (f before + f after)
+    terms *= np.array([[0.5 * dt] for dt in dts])
     r_origin = [float(x.curvature[0]) for x in states]
-    v_integral = acc.v_integral
-    for x, dt, r_before, r_after, row in zip(states[1:], dts, r_origin, r_origin[1:], phi[1:]):
+    phi, v_integral = acc.phi, acc.v_integral
+    for x, dt, r_before, r_after, term in zip(states[1:], dts, r_origin, r_origin[1:], terms):
         v_integral += 0.5 * dt * (r_before + r_after)
-        x.acc = Accumulators(v_integral, row)
+        phi = np.subtract(phi, term)
+        x.acc = Accumulators(v_integral, phi)
 
 
 def fixed_fields(state):
@@ -567,15 +570,18 @@ def _rkc_step(bind, y0, rate0, dt, s):
     f0 = dt rate0, formed by one product of the stage's four weights
     (`_stage_weights`) with a stack of four rows: f0, the stage rate, which
     the stage writes in place, and two increment slots, which take d_j in
-    turn.  d_0 = 0 is a row of +0.0.  The product sums in BLAS's order, not
-    left to right, so the step agrees with the sequential expression to
-    rounding, not bit for bit.  A component whose rate is 0 at every stage
-    (the co-moving tip) has every increment 0 and keeps its old value
-    exactly.  The result y1 = y0 + d_s is left in the stage point, with the
-    same bits as a new array, and the step returns (y1, stage): the stage
-    is bound to y1, so one more call gives the rate there (`step`).  The
-    ufuncs here and in the stages take `out` positionally, which numpy
-    parses faster than the keyword.
+    turn.  d_0 = 0 is a row of +0.0.  The product is written into the stage
+    point, which it does not read, then copied into its slot, and y0 added
+    in place gives the next stage point: a product into a row of the stack
+    it reads would make numpy compute into scratch and copy back.  The
+    product sums in BLAS's order, not left to right, so the step agrees
+    with the sequential expression to rounding, not bit for bit.  A
+    component whose rate is 0 at every stage (the co-moving tip) has every
+    increment 0 and keeps its old value exactly.  The result y1 = y0 + d_s
+    is left in the stage point, with the same bits as a new array, and the
+    step returns (y1, stage): the stage is bound to y1, so one more call
+    gives the rate there (`step`).  The ufuncs here and in the stages take
+    `out` positionally, which numpy parses faster than the keyword.
     """
     _, mu_tilde_1, _ = _rkc_coefficients(s)
     stack = np.zeros((4, y0.size))
@@ -586,12 +592,13 @@ def _rkc_step(bind, y0, rate0, dt, s):
     stage = bind(point, rate)
     weights = _stage_weights(s).copy()
     weights[:, 1] *= dt  # the rate's weight mu~ dt
-    for row in weights:
-        np.add(y0, d_old, point)
-        stage()
-        np.dot(row, stack, d_older)
-        d_old, d_older = d_older, d_old
     np.add(y0, d_old, point)
+    for row in weights:
+        stage()
+        np.dot(row, stack, point)
+        np.copyto(d_older, point)
+        np.add(y0, point, point)
+        d_old, d_older = d_older, d_old
     return point, stage
 
 
@@ -742,18 +749,19 @@ def record_block(states, dt_hints, s_window=None):
     `profile_distance` on |s| <= s_window, None where the normalization needs
     data outside the grid, and `kahler_residual`), bit for bit: every
     operation is elementwise over the rows or reduces within a row, and the
-    spline's slope solve is one product per row.  The states share one grid,
-    one InitialData and one edge slope, as a run's do (`step` keeps them),
-    and their log factors are finite.
+    spline's slope solve is one matrix-vector product per row.  The states
+    share one grid, one InitialData and one edge slope, as a run's do
+    (`step` keeps them), and their log factors are finite.
 
     One pass over (K, n) blocks: one frame map of the K log factors
     (`_frame_map`), whose one spline fit gives both the map at the fixed
-    nodes (each state keeps its row as `u_fixed`) and the normalized
-    profiles; the accumulators, read newest first, so that one
-    catch-up (`_catch_up`) maps only the states between records; one
-    Laplacian call for the four fields a record differentiates, the potential
-    (edge slope -u^'s), u^'s rate (0), R (its one-sided estimate) and phi
-    (t times u^'s slope); and e^{u~0} once.
+    nodes and the normalized profiles (a state keeps its row as `u_fixed`
+    unless a catch-up of its chain mapped it while it waited, with the same
+    bits); the accumulators, read newest first, so that one catch-up
+    (`_catch_up`) maps only the states of the last chain between records;
+    one Laplacian call for the four fields a record differentiates, the
+    potential (edge slope -u^'s), u^'s rate (0), R (its one-sided estimate)
+    and phi (t times u^'s slope); and e^{u~0} once.
     """
     first = states[0]
     grid, init, slope = first.grid, first.init, first.conformal.edge_slope
@@ -1024,17 +1032,17 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
 
     Records are taken in blocks (`record_block`).  A record state waits,
     with its free step size and the telemetry counts at that point, until
-    BLOCK_STEPS of them wait, the next step would catch up a chain of
-    pending steps that holds one of them (`step` does so at BLOCK_STEPS, so
-    no record whose accumulators are pending waits longer than that), the
-    run ends, or a step raises.  The waiting records are then taken in one
-    pass, which maps each state once, and delivered
-    in time order: each is appended to the traces, then `progress` and
-    `snapshot_hook` are called, so both are called in bursts.  Every output
-    is the same, bit for bit, as taking each record at its state: a
-    non-finite record ends the run there, with the records, traces,
-    telemetry and final state of that point, and no later state is
-    reported or snapshotted; an instability, or a ValueError from a later
+    BLOCK_STEPS of them wait, the run ends, or a step raises.  A step that
+    catches up a chain of pending steps (`step` does so at BLOCK_STEPS)
+    maps a waiting record state in that chain as one more row of its block,
+    and the state keeps rows it owns (`_catch_up`), so a waiting record
+    pins no block.  The waiting records are then taken in one pass and
+    delivered in time order: each is appended to the traces, then
+    `progress` and `snapshot_hook` are called, so both are called in bursts
+    of up to BLOCK_STEPS records.  Every output is the same, bit for bit, as
+    taking each record at its state: a non-finite record ends the run there,
+    with the records, traces, telemetry and final state of that point, and
+    no later state is reported or snapshotted; an instability, or a ValueError from a later
     state's stiffness, gives way to that abort.
     """
     t_end = round(float(t_end), 12)  # the run's time resolution
@@ -1081,8 +1089,7 @@ def run(state, t_end, safety=0.9, record_interval=0.05, s_report=4.0,
     try:
         for target in events:
             while state.t < target - 1e-13:
-                if len(pending) == BLOCK_STEPS or (
-                        _depth(state) == BLOCK_STEPS and pending and _depth(pending[-1].state)):
+                if len(pending) == BLOCK_STEPS:
                     ended = flush()
                     if ended:
                         break

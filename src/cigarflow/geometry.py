@@ -188,14 +188,17 @@ class GridSpline:
         self._inverse.setflags(write=False)
 
     def _solve(self, b):
-        """The knot slopes m for the right-hand side b: one product with
-        the slope system's inverse."""
-        return self._inverse @ b
+        """The knot slopes m for a (K, n) block b of right-hand sides: one
+        stacked product with the slope system's inverse, which numpy's
+        matmul loop takes as one matrix-vector product per row, so each row
+        has the bits of `inverse @ row`."""
+        return np.matmul(self._inverse, b[:, :, None])[:, :, 0]
 
     def _slopes(self, values, slope):
         """The values as an array, the secants and the spline's knot slopes,
-        for a (K, n) block of rows.  A block takes one product per row: a
-        single matrix-matrix product moves the last bits."""
+        for a (K, n) block of rows.  The solve is one stacked product of
+        matrix-vector products (`_solve`): a single matrix-matrix product
+        would move the last bits."""
         y = np.asarray(values, dtype=float)
         if not np.isfinite(y).all():
             raise ValueError("`y` must contain only finite values.")
@@ -204,10 +207,7 @@ class GridSpline:
         rhs = np.empty(y.shape)
         rhs[:, 1:-1] = 3 * (dx[1:] * secant[:, :-1] + dx[:-1] * secant[:, 1:])
         rhs[:, 0], rhs[:, -1] = 0.0, slope
-        m = np.empty(y.shape)
-        for k, row in enumerate(rhs):
-            m[k] = self._solve(row)
-        return y, secant, m
+        return y, secant, self._solve(rhs)
 
     def maximum(self, values, slope):
         """The spline's largest value between the first and the last knot:

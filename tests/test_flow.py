@@ -505,8 +505,8 @@ def test_shipped_run_laplacian_count(config_dir, monkeypatch):
 
 
 def spline_solves(monkeypatch):
-    """A list that gets the length of every spline slope solve's right-hand
-    side from now on."""
+    """A list that gets the row count of every spline slope solve's block of
+    right-hand sides from now on: its sum is the rows solved."""
     solves = []
     solve = GridSpline._solve
 
@@ -519,23 +519,27 @@ def spline_solves(monkeypatch):
 
 
 def test_shipped_run_solve_count(config_dir, monkeypatch):
-    """The spline slope solves of the shipped run, set-up included: one for
-    u~0's maximum, one for the t = 0 record's normalized profile (the initial
-    state has log L = 0, so it is never mapped) and one per accepted step
-    (252) for the frame map of the accumulators.  The 20 later record states
-    are rows of their record blocks' fits (`record_block`), which give both
-    their maps and their normalized profiles, and the other 232 states are
-    rows of the block fits that the blocks' reads of the accumulators make,
-    one solve per row.  The count is exact; fitting u~ anew at each record
-    takes 274 (under the accuracy bound h / sup|R|, 348 steps made 350
-    solves)."""
+    """The spline slope solves of the shipped run, rows counted, set-up
+    included: one for u~0's maximum, one for the t = 0 record's normalized
+    profile (the initial state has log L = 0, so it is never mapped) and one
+    per accepted step (252) for the frame map of the accumulators.  Records
+    wait for a full block, so the run takes its 21 records in one block at
+    its end.  17 of the 20 later record states are fitted twice: once as
+    rows of the chain catch-ups that `step` makes while they wait, and once
+    more in the record block for their normalized profiles, which their
+    maps' rows do not give (271).  The other 3 are rows of the record
+    block's fit alone, which gives both their maps and their profiles.
+    Flushing the waiting records before each such catch-up avoided the
+    second solve (254), at the price of 8 record blocks of 2-3.  The count
+    is exact; fitting u~ anew at each record took 274 (under the accuracy
+    bound h / sup|R|, 348 steps made 350 solves)."""
     config = load_config(config_dir / "perturbed_relax_129.json")
     solves = spline_solves(monkeypatch)
     result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
                       record_interval=config.record_interval)
     assert not result.aborted
     assert len(result.records) == 21
-    assert len(solves) == 254
+    assert sum(solves) == 271
 
 
 @pytest.mark.parametrize("case", ["fixed_frame", "refine_257"])
@@ -562,7 +566,7 @@ def test_rows_at_log_scale_zero_are_fitted_only_for_a_profile(config_dir, fixed_
         _, result = manufactured_solution_error(257, 8.0, 0.9, 0.5)
         expected = 53
     assert not result.aborted
-    assert len(solves) == expected
+    assert sum(solves) == expected
 
 
 def test_adaptive_dt_curvature_bound(fixed_frame):
@@ -1196,23 +1200,29 @@ def test_pending_steps_never_exceed_a_block():
 
 def test_pending_chains_keep_little_memory_alive(config_dir):
     # each pending link keeps the state it left alive, up to BLOCK_STEPS of
-    # them: the shipped data at n = 257 to t = 20 (2012 steps, a record every
-    # 5) peaks at 1.66 MB under tracemalloc (1.79 MB while each held state
-    # kept its own Laplacian rows); an unbounded chain took 18.6 MB
+    # them, and so does each waiting record state.  The shipped data at
+    # n = 257 to t = 20 peaks under tracemalloc at 1.56 MB with a record
+    # every 5 (1.79 MB while each held state kept its own Laplacian rows; an
+    # unbounded chain took 18.6 MB), and at 2.42 MB with a record every 0.25:
+    # 81 records in blocks of 32, each waiting past the catch-ups of its
+    # chain.  Rows of the catch-up's (K, n) blocks as a waiting record's map
+    # and phi took 5.64 MB there
     data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
     data["grid"]["n"] = 257
-    data["stepping"].update(t_end=20.0, record_interval=5.0)
-    config = parse_config(data)
-    state = build_scenario(config)  # forms the grid's spline
-    tracemalloc.start()
-    try:
-        result = flow.run(state, config.t_end, safety=config.safety,
-                          record_interval=config.record_interval)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert not result.aborted and result.telemetry.steps == 2012
-    assert peak <= 3e6
+    for interval, steps, records in ((5.0, 2012, 5), (0.25, 2059, 81)):
+        data["stepping"].update(t_end=20.0, record_interval=interval)
+        config = parse_config(data)
+        state = build_scenario(config)  # forms the grid's spline
+        tracemalloc.start()
+        try:
+            result = flow.run(state, config.t_end, safety=config.safety,
+                              record_interval=config.record_interval)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not result.aborted and result.telemetry.steps == steps
+        assert len(result.records) == records
+        assert peak <= 3e6, interval
 
 
 # ---------------------------------------------------------------------------
@@ -1401,6 +1411,29 @@ def test_record_dense_takes_one_catch_up_per_block(monkeypatch):
     assert catch_ups == [0.155, 0.315, 0.475, 0.5]
 
 
+def test_the_shipped_run_takes_its_records_in_one_block(config_dir, monkeypatch):
+    # its records fall about 12 steps apart and wait past the catch-ups
+    # that `step` makes of their chains, so its 21 records fill no block of
+    # BLOCK_STEPS and are taken at the run's end; flushing them before each
+    # such catch-up took them in 8 blocks of 2-3
+    config = load_config(config_dir / "perturbed_relax_129.json")
+    sizes = block_sizes(monkeypatch)
+    result = flow.run(build_scenario(config), config.t_end, safety=config.safety,
+                      record_interval=config.record_interval)
+    assert not result.aborted and len(result.records) == 21
+    assert sizes == [21]
+
+
+def spaced_config(config_dir, t_end):
+    """The shipped data with a record every 0.25 to t_end.  Its records fall
+    about 12 steps apart, so each waits past the catch-ups that `step` makes
+    of its chain every BLOCK_STEPS steps (at t = 0.735 and 1.395 on the way
+    to t = 2), and `run` takes up to 32 of them in one block."""
+    data = json.loads((config_dir / "perturbed_relax_129.json").read_text())
+    data["stepping"].update(t_end=t_end, record_interval=0.25)
+    return parse_config(data)
+
+
 def poison_record_at(monkeypatch, t_bad):
     """Make the record of the state at t_bad non-finite (a NaN
     res_curv_evo), by wrapping the block function `run` takes records with."""
@@ -1447,22 +1480,49 @@ def test_a_non_finite_record_ends_the_run_where_it_is_taken(monkeypatch, t_bad):
     assert_same_run((result, calls), expected[:2])
 
 
+@pytest.mark.parametrize("t_bad", [0.25, 1.0, 2.0])
+def test_a_non_finite_spaced_record_ends_the_run_where_it_is_taken(config_dir, monkeypatch,
+                                                                   t_bad):
+    # a record that waits past two catch-ups of its chain, one that waits
+    # past one and the run's last: the run ends at the record, as a run to
+    # t_bad does, and no later state is reported or snapshotted
+    poison_record_at(monkeypatch, t_bad)
+    config = spaced_config(config_dir, 2.0)
+    result, calls, _ = run_seen(build_scenario(config), config)
+    assert result.aborted and result.abort_message == f"non-finite diagnostics at t={t_bad:g}"
+    assert result.final_state.t == t_bad and calls[-2:] == [("progress", t_bad),
+                                                            ("snapshot", t_bad)]
+    expected = run_seen(build_scenario(spaced_config(config_dir, t_bad)),
+                        spaced_config(config_dir, t_bad))
+    assert_same_run((result, calls), expected[:2])
+
+
 T_ERROR = 0.12
 
 
-def fail_past(monkeypatch, error):
-    """Make the run fail past T_ERROR: the step from the state there raises
+def abort_inputs(config_dir):
+    """(config(t_end), the poisoned record's time, the time past which the
+    run fails, t_end) of the two inputs the abort tests run: `record_dense`,
+    where every step ends at a record, and spaced records, whose record at
+    0.25 waits past two catch-ups of its chain before the run fails past
+    1.5."""
+    return [(partial(record_dense_config, 0), 0.1, T_ERROR, 0.25),
+            (partial(spaced_config, config_dir), 0.25, 1.5, 2.0)]
+
+
+def fail_past(monkeypatch, error, t_error=T_ERROR):
+    """Make the run fail past t_error: the step from the state there raises
     (an unstable step), or the state it reaches has no stiffness (the
     ValueError of ConformalState.stiffness)."""
     step, adaptive_dt = flow.step, flow.adaptive_dt
 
     def failing_step(state, dt):
-        if state.t >= T_ERROR:
+        if state.t >= t_error:
             raise flow.FlowInstabilityError("non-finite fields after step", state.t + dt)
         return step(state, dt)
 
     def failing_dt(state, safety=0.9):
-        if state.t > T_ERROR:
+        if state.t > t_error:
             raise ValueError("diffusivity e^{-u} overflowed")
         return adaptive_dt(state, safety)
 
@@ -1473,29 +1533,34 @@ def fail_past(monkeypatch, error):
 
 
 @pytest.mark.parametrize("error", ["instability", "stiffness"])
-def test_an_error_past_a_non_finite_record_gives_way_to_its_abort(monkeypatch, error):
-    # the record at 0.1 still waits in its block when the run fails past
-    # T_ERROR: the run ends at that record, as a run to 0.1 does
-    poison_record_at(monkeypatch, 0.1)
-    config = record_dense_config(0, 0.25)
-    with monkeypatch.context() as patch:
-        fail_past(patch, error)
-        got = run_seen(build_scenario(config), config)
-    expected = run_seen(build_scenario(record_dense_config(0, 0.1)), record_dense_config(0, 0.1))
-    assert_same_run(got[:2], expected[:2])
+def test_an_error_past_a_non_finite_record_gives_way_to_its_abort(config_dir, monkeypatch,
+                                                                  error):
+    # the poisoned record still waits in its block when the run fails past
+    # t_error: the run ends at that record, as a run to it does
+    for config, t_bad, t_error, t_end in abort_inputs(config_dir):
+        with monkeypatch.context() as poisoned:
+            poison_record_at(poisoned, t_bad)
+            with monkeypatch.context() as failing:
+                fail_past(failing, error, t_error)
+                got = run_seen(build_scenario(config(t_end)), config(t_end))
+            expected = run_seen(build_scenario(config(t_bad)), config(t_bad))
+        assert_same_run(got[:2], expected[:2])
 
 
-def test_an_instability_delivers_the_records_before_it(monkeypatch):
-    # every record up to T_ERROR is taken, reported and snapshotted before
-    # the run ends with the instability's abort
-    fail_past(monkeypatch, "instability")
-    config = record_dense_config(0, 0.25)
-    result, calls, _ = run_seen(build_scenario(config), config)
-    monkeypatch.undo()
-    expected, expected_calls, _ = run_seen(build_scenario(record_dense_config(0, T_ERROR)),
-                                           record_dense_config(0, T_ERROR))
-    expected.aborted, expected.abort_message = True, "non-finite fields after step (t=0.125)"
-    assert_same_run((result, calls), (expected, expected_calls))
+def test_an_instability_delivers_the_records_before_it(config_dir, monkeypatch):
+    # every record up to t_error is taken, reported and snapshotted before
+    # the run ends with the instability's abort, raised by the step from
+    # the record state at t_error
+    for config, _, t_error, t_end in abort_inputs(config_dir):
+        with monkeypatch.context() as failing:
+            fail_past(failing, "instability", t_error)
+            result, calls, _ = run_seen(build_scenario(config(t_end)), config(t_end))
+        expected, expected_calls, _ = run_seen(build_scenario(config(t_error)), config(t_error))
+        # the step is the record's free step size, clipped to the next record
+        dt = min(expected.records[-1].dt, config(t_end).record_interval)
+        expected.aborted = True
+        expected.abort_message = f"non-finite fields after step (t={t_error + dt:.6g})"
+        assert_same_run((result, calls), (expected, expected_calls))
 
 
 def test_a_value_error_is_raised_after_the_records_before_it(monkeypatch):

@@ -347,7 +347,22 @@ def test_spline_solve_is_lapack_gttrs_bit_for_bit(n, s_max):
     for rhs in (scaled, sparse_rhs, np.zeros(n), signed_zeros, mixed, clamped):
         expected = _lapack_slopes(grid.s, rhs)
         bound = 16 * np.finfo(float).eps * np.max(np.abs(expected))
-        assert np.max(np.abs(grid.spline._solve(rhs) - expected)) <= bound
+        assert np.max(np.abs(grid.spline._solve(rhs[None])[0] - expected)) <= bound
+
+
+@pytest.mark.parametrize("n", [17, 65, 257])
+@pytest.mark.parametrize("k", [1, 3, 32])
+def test_stacked_spline_solve_is_the_product_per_row_bit_for_bit(n, k):
+    # a block's slopes come from one stacked product, each row with the bits
+    # of the matrix-vector product of that row alone
+    spline = RadialGrid(n, 8.0).spline
+    rng = np.random.default_rng(1000 * n + k)
+    rhs = rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3, 6, size=(k, n))
+    rhs[:, 0] = 0.0
+    got = spline._solve(rhs)
+    assert got.shape == (k, n)
+    for row, m in zip(rhs, got):
+        assert m.tobytes() == (spline._inverse @ row).tobytes()
 
 
 @settings(max_examples=60, deadline=None, database=None)
